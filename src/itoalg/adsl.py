@@ -37,7 +37,6 @@ _COMPLEX_RE = re.compile(
 _KEYWORDS = ("algebra", "basis", "death", "state", "star", "mul")
 
 MAX_BASIS = 64        # hard capacity of the text format (desk-scale algebras)
-VERIFY_LIMIT = 40     # axiom verification is skipped above this basis size
 
 
 @dataclass(frozen=True)
@@ -296,22 +295,17 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
         tol=tol,
         name=name,
     )
-    if n <= VERIFY_LIMIT:
-        try:
-            report = verify_axioms(alg)
-        except Exception as exc:  # totality: verification must never crash the parser
-            diags.append(ParseDiagnostic("warning", 0, 0, f"axiom verification failed: {exc}"))
-            return ParseResult(alg, diags)
-        for check in report.failures():
-            diags.append(
-                ParseDiagnostic(
-                    "warning", 0, 0,
-                    f"axiom {check.name} fails with residual {check.residual:.3e}",
-                )
-            )
-    else:
+    try:
+        report = verify_axioms(alg)
+    except Exception as exc:  # totality: verification must never crash the parser
+        diags.append(ParseDiagnostic("warning", 0, 0, f"axiom verification failed: {exc}"))
+        return ParseResult(alg, diags)
+    for check in report.failures():
         diags.append(
-            ParseDiagnostic("warning", 0, 0, f"axioms not verified (basis larger than {VERIFY_LIMIT})")
+            ParseDiagnostic(
+                "warning", 0, 0,
+                f"axiom {check.name} fails with residual {check.residual:.3e}",
+            )
         )
     return ParseResult(alg, diags)
 

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AlgebraError, ItoAlgebra, rel_residual, verify_axioms
+from .core import AlgebraError, ItoAlgebra, pair_products, rel_residual, rel_residuals, verify_axioms
 
 __all__ = [
     "FiniteGroup",
@@ -484,29 +484,26 @@ def orthogonal_sum(a1: ItoAlgebra, a2: ItoAlgebra, tol: float | None = None) -> 
             labels.append(lab)
 
     def block(alg: ItoAlgebra, zm: list[np.ndarray], offset: int, mult, star_m):
+        m = len(zm)
         span = np.array(zm) if zm else np.zeros((0, alg.dim), dtype=complex)
 
-        def coords(vec: np.ndarray, what: str) -> np.ndarray:
-            mean = vec @ alg.state
-            rest = vec - mean * alg.death
-            if span.shape[0]:
-                sol, *_ = np.linalg.lstsq(span.T, rest, rcond=None)
-                recon = sol @ span
+        def coords(vecs: np.ndarray, what: str) -> np.ndarray:
+            mean = vecs @ alg.state
+            rest = vecs - np.outer(mean, alg.death)
+            if m:
+                sol = np.linalg.lstsq(span.T, rest.T, rcond=None)[0].T
             else:
-                sol = np.zeros(0, dtype=complex)
-                recon = np.zeros_like(rest)
-            if rel_residual(recon, rest) > tol:
+                sol = np.zeros((len(vecs), 0), dtype=complex)
+            if not np.all(rel_residuals(sol @ span, rest) <= tol):
                 raise AlgebraError(f"zero-mean span is not closed under {what}")
-            out = np.zeros(n, dtype=complex)
-            out[0] = mean
-            out[offset : offset + len(zm)] = sol
+            out = np.zeros((len(vecs), n), dtype=complex)
+            out[:, 0] = mean
+            out[:, offset : offset + m] = sol
             return out
 
-        for i, vi in enumerate(zm):
-            for j, vj in enumerate(zm):
-                prod = np.einsum("p,q,pqk->k", vi, vj, alg.mult)
-                mult[offset + i, offset + j] = coords(prod, "multiplication")
-            star_m[offset + i] = coords(np.conj(vi) @ alg.star, "star")
+        prods = pair_products(alg, span, span).reshape(m * m, alg.dim)
+        mult[offset : offset + m, offset : offset + m] = coords(prods, "multiplication").reshape(m, m, n)
+        star_m[offset : offset + m] = coords(np.conj(span) @ alg.star, "star")
 
     mult = np.zeros((n, n, n), dtype=complex)
     star_m = np.zeros((n, n), dtype=complex)

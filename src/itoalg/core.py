@@ -26,8 +26,12 @@ __all__ = [
     "commutant_check",
     "gram_matrix",
     "multiply",
+    "pair_products",
     "random_element",
     "rel_residual",
+    "rel_residuals",
+    "row_products",
+    "worst_residual",
     "star",
     "state_of",
     "subalgebra",
@@ -43,15 +47,34 @@ def rel_residual(lhs, rhs) -> float:
     """Largest entrywise deviation, relative to the data magnitude.
 
     The denominator is ``max(1, |lhs|_max, |rhs|_max)`` so comparisons of
-    near-zero quantities degrade to an absolute test.
+    near-zero quantities degrade to an absolute test.  A NaN or inf anywhere
+    gives NaN, which fails every ``residual <= tol`` test.
     """
-    lhs = np.asarray(lhs, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    num = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-    scale = 1.0
-    if lhs.size:
-        scale = max(scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return num / scale
+    return float(rel_residuals(np.asarray(lhs)[np.newaxis], np.asarray(rhs)[np.newaxis])[0])
+
+
+def rel_residuals(lhs, rhs) -> np.ndarray:
+    """``rel_residual`` of every slice along the leading axis, as a 1-d array.
+
+    ``lhs`` and ``rhs`` broadcast together; entry ``s`` compares ``lhs[s]``
+    with ``rhs[s]`` under its own scale, so the maximum over the result is
+    the worst per-pair residual of a batched check.
+    """
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex))
+    rows = lhs.shape[0]
+    if lhs.size == 0:
+        return np.zeros(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        num = np.abs(lhs - rhs).reshape(rows, -1).max(axis=1)
+        scale = np.maximum(
+            np.abs(lhs).reshape(rows, -1).max(axis=1), np.abs(rhs).reshape(rows, -1).max(axis=1)
+        )
+        return num / np.maximum(scale, 1.0)
+
+
+def worst_residual(*batches) -> float:
+    """Maximum over batches of residuals; NaN-propagating, 0 when all are empty."""
+    return float(np.max(np.concatenate([np.ravel(b) for b in batches]), initial=0.0))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -231,8 +254,31 @@ class Element:
 def multiply(a: Element, b: Element) -> Element:
     """Product of two elements through the structure-constant tensor."""
     a._check_same(b)
-    coeffs = np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, a.algebra.mult)
-    return Element(a.algebra, coeffs)
+    return Element(a.algebra, row_products(a.algebra, a.coeffs, b.coeffs)[0])
+
+
+def _left_action(alg: ItoAlgebra, U) -> np.ndarray:
+    """``u_a . a_q`` for every row ``u_a`` of ``U`` and basis element ``a_q``, as ``[a, q, k]``."""
+    n = alg.dim
+    U = np.asarray(U, dtype=complex).reshape(-1, n)
+    return (U @ alg.mult.reshape(n, n * n)).reshape(-1, n, n)
+
+
+def pair_products(alg: ItoAlgebra, U, V) -> np.ndarray:
+    """Every product ``u_a . v_b`` of two stacks of coefficient rows.
+
+    ``U`` and ``V`` hold one element per row (a single vector is one row);
+    the result has shape ``(|U|, |V|, n)``.  Two reshaped matmuls, so the
+    cost is ``|U| n^3 + |U| |V| n^2`` and no Python loop runs over pairs.
+    """
+    V = np.asarray(V, dtype=complex).reshape(-1, alg.dim)
+    return V @ _left_action(alg, U)
+
+
+def row_products(alg: ItoAlgebra, U, V) -> np.ndarray:
+    """Products ``u_s . v_s`` of matching rows of two stacks, shape ``(S, n)``."""
+    V = np.asarray(V, dtype=complex).reshape(-1, 1, alg.dim)
+    return (V @ _left_action(alg, U))[:, 0, :]
 
 
 def star(a: Element) -> Element:
@@ -247,7 +293,8 @@ def state_of(a: Element) -> complex:
 
 def gram_matrix(alg: ItoAlgebra) -> np.ndarray:
     """Gram matrix ``H[i,j] = l(a_i* . a_j)`` over the full basis."""
-    return np.einsum("ip,pjk,k->ij", alg.star, alg.mult, alg.state)
+    n = alg.dim
+    return alg.star @ (alg.mult.reshape(n * n, n) @ alg.state).reshape(n, n)
 
 
 def commutant_check(alg: ItoAlgebra) -> bool:
@@ -313,46 +360,48 @@ def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
     """
     c, S, l, d, tol = alg.mult, alg.star, alg.state, alg.death, alg.tol
     n = alg.dim
+    rows = c.reshape(n, n * n)   # row m: the products a_m . a_k for every k
+    cols = c.reshape(n * n, n)   # row (j, k): the product a_j . a_k
     checks = []
 
     def add(name, residual, detail=""):
-        checks.append(AxiomCheck(name, residual <= tol, float(residual), detail))
+        checks.append(AxiomCheck(name, bool(residual <= tol), float(residual), detail))
 
-    # Blockwise over the first factor keeps memory at n^3 per step.
-    assoc = 0.0
-    for i in range(n):
-        lhs = np.einsum("jm,mkr->jkr", c[i], c)   # (a_i a_j) a_k
-        rhs = np.einsum("jkm,mr->jkr", c, c[i])   # a_i (a_j a_k)
-        assoc = max(assoc, rel_residual(lhs, rhs))
-    add("associativity", assoc)
+    with np.errstate(all="ignore"):
+        # Blockwise over the first factor keeps memory at n^3 per step.
+        assoc = np.empty(n)
+        for i in range(n):
+            lhs = c[i] @ rows   # (a_i a_j) a_k as [j, (k, r)]
+            rhs = cols @ c[i]   # a_i (a_j a_k) as [(j, k), r]
+            assoc[i] = rel_residual(lhs, rhs.reshape(n, n * n))
+        add("associativity", worst_residual(assoc))
 
-    add("star_involution", rel_residual(np.conj(S) @ S, np.eye(n)))
+        add("star_involution", rel_residual(np.conj(S) @ S, np.eye(n)))
 
-    prod_star = np.einsum("ijk,km->ijm", np.conj(c), S)
-    star_prod = np.einsum("jp,iq,pqm->ijm", S, S, c)
-    add("star_antimultiplicative", rel_residual(prod_star, star_prod))
+        prod_star = (np.conj(cols) @ S).reshape(n, n, n)          # (a_i a_j)*
+        star_prod = np.swapaxes(pair_products(alg, S, S), 0, 1)   # a_j* a_i*
+        add("star_antimultiplicative", rel_residual(prod_star, star_prod))
 
-    add("death_self_adjoint", rel_residual(np.conj(d) @ S, d))
+        add("death_self_adjoint", rel_residual(np.conj(d) @ S, d))
 
-    left = np.einsum("p,pik->ik", d, c)
-    right = np.einsum("p,ipk->ik", d, c)
-    resid = max(rel_residual(left, np.zeros_like(left)), rel_residual(right, np.zeros_like(right)))
-    add("death_annihilates", resid)
+        left = (d @ rows).reshape(n, n)   # d . a_i
+        right = d @ c                     # a_i . d
+        add("death_annihilates", worst_residual(rel_residual(left, 0.0), rel_residual(right, 0.0)))
 
-    add("state_star_symmetry", rel_residual(S @ l, np.conj(l)))
-    add("state_normalized", rel_residual(d @ l, 1.0))
+        add("state_star_symmetry", rel_residual(S @ l, np.conj(l)))
+        add("state_normalized", rel_residual(d @ l, 1.0))
 
-    H = gram_matrix(alg)
-    Hh = (H + H.conj().T) / 2.0
-    add("gram_hermitian", rel_residual(H, H.conj().T))
-    eigs = np.linalg.eigvalsh(Hh)
-    scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-    min_eig = float(eigs[0]) if eigs.size else 0.0
-    add(
-        "state_positive",
-        max(0.0, -min_eig) / scale,
-        detail=f"min Gram eigenvalue {min_eig:.3e}",
-    )
+        H = gram_matrix(alg)
+        Hh = (H + H.conj().T) / 2.0
+        add("gram_hermitian", rel_residual(H, H.conj().T))
+        # eigvalsh cannot take a non-finite matrix; NaN then fails the check
+        eigs = np.linalg.eigvalsh(Hh) if np.all(np.isfinite(Hh)) else np.full(n, np.nan)
+        min_eig = float(eigs[0])
+        add(
+            "state_positive",
+            np.maximum(0.0, -min_eig) / np.maximum(1.0, np.max(np.abs(eigs))),
+            detail=f"min Gram eigenvalue {min_eig:.3e}",
+        )
 
     return AxiomReport(tuple(checks), tol)
 
@@ -386,21 +435,17 @@ def subalgebra(
     if np.linalg.matrix_rank(B, tol=alg.tol * max(1.0, float(np.max(np.abs(B))))) != m:
         raise AlgebraError("spanning vectors are linearly dependent")
 
-    def coords(vec: np.ndarray, what: str) -> np.ndarray:
-        sol, *_ = np.linalg.lstsq(B.T, vec, rcond=None)
-        if rel_residual(sol @ B, vec) > alg.tol:
-            raise AlgebraError(f"span is not closed: {what} falls outside")
+    def coords(vecs: np.ndarray, what) -> np.ndarray:
+        sol = np.linalg.lstsq(B.T, vecs.T, rcond=None)[0].T
+        bad = np.flatnonzero(~(rel_residuals(sol @ B, vecs) <= alg.tol))
+        if bad.size:
+            raise AlgebraError(f"span is not closed: {what(bad[0])} falls outside")
         return sol
 
-    mult = np.zeros((m, m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            prod = np.einsum("p,q,pqk->k", B[i], B[j], alg.mult)
-            mult[i, j] = coords(prod, f"product {i}*{j}")
-    star_m = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        star_m[i] = coords(np.conj(B[i]) @ alg.star, f"star of {i}")
-    death = coords(alg.death, "death")
+    prods = pair_products(alg, B, B).reshape(m * m, alg.dim)
+    mult = coords(prods, lambda s: f"product {s // m}*{s % m}").reshape(m, m, m)
+    star_m = coords(np.conj(B) @ alg.star, lambda s: f"star of {s}")
+    death = coords(alg.death[np.newaxis], lambda s: "death")[0]
     state = B @ alg.state
     if labels is None:
         labels = [f"b{i}" for i in range(m)]

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgebraError, Element, ItoAlgebra, rel_residual
+from .core import (
+    AlgebraError,
+    Element,
+    ItoAlgebra,
+    pair_products,
+    rel_residual,
+    rel_residuals,
+    worst_residual,
+)
 from .gns import FundamentalRep, build_representation
 
 __all__ = ["Decomposition", "DecompositionError", "decompose", "support_projector"]
@@ -37,7 +45,7 @@ def support_projector(rep: FundamentalRep) -> np.ndarray:
     stack = np.vstack(
         [rep.imats.reshape(-1, d), np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d)]
     )
-    _, svals, vh = np.linalg.svd(stack)
+    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
     top = float(svals[0]) if svals.size else 0.0
     # the floor keeps an all-noise stack (operators that are exactly zero up
     # to rounding) from promoting its own noise to signal
@@ -137,104 +145,74 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     n, d = alg.dim, rep.hdim
     P = support_projector(rep)
     E = np.eye(d, dtype=complex) - P
+    K, l, death = rep.kmat, alg.state, alg.death
 
     # Injective linear map a -> (l, k, kdag, vec i) as one tall matrix.
-    blocks = [alg.state[np.newaxis, :]]
+    blocks = [l[np.newaxis, :]]
     if d:
-        blocks.append(rep.kmat)
+        blocks.append(K)
         blocks.append(rep.kdmat.T)
         blocks.append(rep.imats.reshape(n, d * d).T)
     A = np.vstack(blocks)
 
-    death = alg.death
-    ys: list[np.ndarray] = []
-    zs: list[np.ndarray] = []
-    resid_preimage = 0.0
-    for i in range(n):
-        x = np.zeros(n, dtype=complex)
-        x[i] = 1.0
-        x = x - alg.state[i] * death
-        kx = rep.kmat @ x
-        kdx = x @ rep.kdmat
-        target = np.concatenate(
-            [[0.0], P @ kx, (kdx @ P), np.zeros(d * d, dtype=complex)]
-        ) if d else np.zeros(1, dtype=complex)
-        y, *_ = np.linalg.lstsq(A, target, rcond=None)
-        resid_preimage = max(resid_preimage, rel_residual(A @ y, target))
-        z = x - y
-        ys.append(y)
-        zs.append(z)
-    if resid_preimage > tol:
+    # Row i is the zero-mean part x_i = a_i - l(a_i) death; its projected
+    # quadruple (0, P k(x), kdag(x) P, 0) is the target of the Brownian part.
+    X = np.eye(n, dtype=complex) - np.outer(l, death)
+    targets = np.hstack(
+        [np.zeros((n, 1)), X @ K.T @ P.T, X @ rep.kdmat @ P, np.zeros((n, d * d))]
+    )
+    Y = np.linalg.lstsq(A, targets.T, rcond=None)[0].T
+    resid_preimage = worst_residual(rel_residuals(Y @ A.T, targets))
+    if not resid_preimage <= tol:
         raise DecompositionError(
             f"projected quadruple has no preimage in the algebra (residual {resid_preimage:.3e})"
         )
+    Z = X - Y
 
-    y_idx = _independent(ys, tol)
-    z_idx = _independent(zs, tol)
-    y_basis = [ys[i] for i in y_idx]
-    z_basis = [zs[i] for i in z_idx]
+    y_idx = _independent(Y, tol)
+    z_idx = _independent(Z, tol)
+    y_basis = Y[y_idx]
+    z_basis = Z[z_idx]
 
     residuals: dict[str, float] = {"preimage": resid_preimage}
     residuals["projector_idempotent"] = rel_residual(P @ P, P)
     residuals["projector_hermitian"] = rel_residual(P, P.conj().T)
-    kill = 0.0
-    for i in range(n):
-        kill = max(kill, rel_residual(rep.imats[i] @ P, np.zeros((d, d))))
-        kill = max(kill, rel_residual(P @ rep.imats[i], np.zeros((d, d))))
-    residuals["projector_kills_operators"] = kill
+    residuals["projector_kills_operators"] = worst_residual(
+        rel_residuals(rep.imats @ P, 0.0), rel_residuals(P @ rep.imats, 0.0)
+    )
 
-    def prod(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("p,q,pqk->k", u, v, alg.mult)
+    def pairs(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Products u . v of every pair, one per row."""
+        return pair_products(alg, U, V).reshape(-1, n)
 
-    cross = 0.0
-    ortho = 0.0
-    star_m = alg.star
-    for y in y_basis:
-        ystar = np.conj(y) @ star_m
-        for z in z_basis:
-            cross = max(cross, rel_residual(prod(y, z), np.zeros(n)))
-            cross = max(cross, rel_residual(prod(z, y), np.zeros(n)))
-            ortho = max(ortho, abs(prod(ystar, z) @ alg.state))
-            ortho = max(ortho, abs(prod(z, ystar) @ alg.state))
-    residuals["cross_products"] = cross
-    residuals["orthogonality"] = ortho
-
-    recon = 0.0
-    for i in range(n):
-        x = np.zeros(n, dtype=complex)
-        x[i] = 1.0
-        recon = max(recon, rel_residual(alg.state[i] * death + ys[i] + zs[i], x))
-    residuals["reconstruction"] = recon
-
-    nilp = 0.0
-    for y in y_basis:
-        for y2 in y_basis:
-            w = prod(y, y2)
-            nilp = max(nilp, rel_residual(w, (w @ alg.state) * death))
-    residuals["brownian_second_order"] = nilp
+    residuals["cross_products"] = worst_residual(
+        rel_residuals(pairs(y_basis, z_basis), 0.0), rel_residuals(pairs(z_basis, y_basis), 0.0)
+    )
+    y_star = np.conj(y_basis) @ alg.star
+    residuals["orthogonality"] = worst_residual(
+        np.abs(pairs(y_star, z_basis) @ l), np.abs(pairs(z_basis, y_star) @ l)
+    )
+    residuals["reconstruction"] = worst_residual(
+        rel_residuals(np.outer(l, death) + Y + Z, np.eye(n))
+    )
+    w = pairs(y_basis, y_basis)
+    residuals["brownian_second_order"] = worst_residual(
+        rel_residuals(w, np.outer(w @ l, death))
+    )
 
     # pi kills products; the Levy zero-mean span must absorb them.
-    pi_prod = 0.0
-    for i in y_idx + z_idx:
-        for j in y_idx + z_idx:
-            w = prod(ys[i] + zs[i], ys[j] + zs[j])
-            kw = rep.kmat @ w
-            pi_prod = max(pi_prod, rel_residual(P @ kw, np.zeros(d)))
-    residuals["pi_kills_products"] = pi_prod
+    kprods = pair_products(alg, Y + Z, Y + Z) @ K.T  # k(x_i . x_j) as [i, j]
+    kept = y_idx + z_idx
+    residuals["pi_kills_products"] = worst_residual(
+        rel_residuals((kprods[np.ix_(kept, kept)] @ P.T).reshape(len(kept) ** 2, d), 0.0)
+    )
 
     # Levy support: on E H the operator algebra is nondegenerate, and the
     # k-image of the product span matches the Levy k-image (density in
     # finite dimension).
     if d:
-        prod_k = []
-        xs = [ys[i] + zs[i] for i in range(n)]
-        for u in xs:
-            for v in xs:
-                prod_k.append(rep.kmat @ prod(u, v))
-        span_prod = np.array(prod_k).T if prod_k else np.zeros((d, 0))
-        span_levy = np.array([rep.kmat @ z for z in z_basis]).T if z_basis else np.zeros((d, 0))
-        residuals["levy_k_image"] = _span_gap(span_prod, span_levy, tol)
-        if z_basis:
+        residuals["levy_k_image"] = _span_gap(kprods.reshape(n * n, d).T, K @ z_basis.T, tol)
+        if z_idx:
             istack = np.vstack(
                 [rep.imats.reshape(-1, d) @ E, np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d) @ E]
             )
@@ -249,10 +227,10 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
         residuals["levy_nondegenerate"] = 0.0
 
     # The two spans overlap exactly in the death line.
-    if y_basis or z_basis:
-        stacked = np.array(y_basis + z_basis)
+    if kept:
+        stacked = np.vstack([y_basis, z_basis])
         rank_sum = np.linalg.matrix_rank(stacked, tol=tol * max(1.0, float(np.max(np.abs(stacked)))))
-        residuals["intersection_death_only"] = 0.0 if rank_sum == len(y_basis) + len(z_basis) else 1.0
+        residuals["intersection_death_only"] = 0.0 if rank_sum == len(kept) else 1.0
     else:
         residuals["intersection_death_only"] = 0.0
 

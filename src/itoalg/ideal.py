@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgebraError, Element, ItoAlgebra, rel_residual
+from .core import AlgebraError, Element, ItoAlgebra, pair_products, rel_residual, rel_residuals
 
 __all__ = ["IdealBasis", "Quotient", "faithfulness_ideal", "quotient"]
 
@@ -59,14 +59,14 @@ def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
     """
     c, l = alg.mult, alg.state
     n = alg.dim
-    L2 = np.einsum("ijk,k->ij", c, l)  # L2[i, j] = l(a_i . a_j)
+    L2 = c @ l  # L2[i, j] = l(a_i . a_j)
     rows = [l[np.newaxis, :]]
     rows.append(L2)        # rows over i: x -> l(a_i . x)
     rows.append(L2.T)      # rows over j: x -> l(x . a_j)
-    triple = np.einsum("imk,kj->imj", c, L2)  # l(a_i . a_m . a_j) as [i, m, j]
+    triple = c @ L2  # l(a_i . a_m . a_j) as [i, m, j]
     rows.append(np.transpose(triple, (0, 2, 1)).reshape(n * n, n))
     A = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(A)
+    _, svals, vh = np.linalg.svd(A, full_matrices=False)
     cutoff = alg.tol * (float(svals[0]) if svals.size else 0.0)
     rank = int(np.sum(svals > cutoff))
     null = vh[rank:]
@@ -119,20 +119,20 @@ def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
     q_ideal, _ = np.linalg.qr(B.T)
     U = q_ideal.T  # (m, n) rows spanning the ideal, orthonormal for conj(u) @ v
 
-    def in_ideal(vec: np.ndarray) -> bool:
-        proj = (np.conj(U) @ vec) @ U
-        return rel_residual(proj, vec) <= tol
+    def outside(vecs: np.ndarray) -> bool:
+        """True if any row leaves the ideal span."""
+        proj = (vecs @ np.conj(U).T) @ U
+        return bool(np.any(~(rel_residuals(proj, vecs) <= tol)))
 
-    for row in B:
-        if abs(row @ alg.state) > tol * max(1.0, float(np.max(np.abs(alg.state)))):
-            raise AlgebraError("state does not vanish on the proposed ideal")
-        if not in_ideal(np.conj(row) @ alg.star):
-            raise AlgebraError("span is not star-closed")
-        for i in range(n):
-            left = row @ alg.mult[i]          # a_i . y
-            right = row @ alg.mult[:, i, :]   # y . a_i
-            if not (in_ideal(left) and in_ideal(right)):
-                raise AlgebraError("span is not a two-sided ideal")
+    if not np.all(np.abs(B @ alg.state) <= tol * max(1.0, float(np.max(np.abs(alg.state))))):
+        raise AlgebraError("state does not vanish on the proposed ideal")
+    if outside(np.conj(B) @ alg.star):
+        raise AlgebraError("span is not star-closed")
+    basis = np.eye(n, dtype=complex)
+    left = pair_products(alg, basis, B)    # a_i . y
+    right = pair_products(alg, B, basis)   # y . a_i
+    if outside(left.reshape(-1, n)) or outside(right.reshape(-1, n)):
+        raise AlgebraError("span is not a two-sided ideal")
 
     # Complement basis: modified Gram-Schmidt over the projected standard basis.
     complement_rows: list[np.ndarray] = []
@@ -158,12 +158,8 @@ def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
     if float(np.max(np.abs(death_new))) <= tol:
         raise AlgebraError("death falls into the ideal; input state is inconsistent")
 
-    mult = np.zeros((r, r, r), dtype=complex)
-    for a in range(r):
-        for b in range(r):
-            prod = np.einsum("p,q,pqk->k", C[a], C[b], alg.mult)
-            mult[a, b] = qmatrix @ prod
-    star_m = np.array([qmatrix @ (np.conj(C[a]) @ alg.star) for a in range(r)])
+    mult = pair_products(alg, C, C) @ qmatrix.T
+    star_m = (np.conj(C) @ alg.star) @ qmatrix.T
     state = C @ alg.state
 
     labels = []

@@ -76,6 +76,16 @@ class TestParseBasics:
         assert result.ok
         assert any("state_positive" in d.message for d in result.warnings())
 
+    def test_large_basis_is_verified(self):
+        # 49 basis symbols: parse verifies the axioms at every size up to MAX_BASIS
+        text = serialize(ia.hp(6))
+        assert not parse(text).warnings()
+        corrupted = text.replace("mul e-^1 e^1_1 = 1 e-^1", "mul e-^1 e^1_1 = 2 e-^1")
+        assert corrupted != text
+        result = parse(corrupted)
+        assert result.ok
+        assert any("associativity" in d.message for d in result.warnings())
+
     def test_error_column_position(self):
         result = parse("basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = 1 dq\n")
         err = result.errors()[0]

@@ -7,6 +7,7 @@ intentional output change.
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "check", str(bad))
         assert code == 2
         assert "state_positive" in out
+
+    def test_check_overflowing_gram_fails_positivity(self, capsys, tmp_path):
+        # the symmetrized Gram matrix overflows to inf; its NaN eigenvalues
+        # must fail state_positive instead of passing silently
+        huge = tmp_path / "huge.ito"
+        huge.write_text("basis dt x\ndeath dt\nstate dt = 1\nmul x x = 1.7e308 dt\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(capsys, "check", str(huge))
+        assert code == 2
+        assert "FAIL  state_positive" in out
 
     def test_parse_error_is_io_exit(self, capsys, tmp_path):
         f = tmp_path / "syntax.ito"
