@@ -38,7 +38,6 @@ from .core import (
 from .decomp import Decomposition, DecompositionError, decompose, support_projector
 from .focksim import (
     Estimate,
-    MemoryCapError,
     SimReport,
     SlotIncrement,
     UnsupportedModelError,
@@ -74,7 +73,6 @@ __all__ = [
     "FundamentalRep",
     "IdealBasis",
     "ItoAlgebra",
-    "MemoryCapError",
     "NonFaithfulError",
     "ParseDiagnostic",
     "ParseResult",

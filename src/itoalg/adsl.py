@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ItoAlgebra, verify_axioms
+from .core import ItoAlgebra
 
 __all__ = ["ParseDiagnostic", "ParseResult", "parse", "parse_strict", "parse_lincomb", "serialize"]
 
@@ -296,7 +296,7 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
         name=name,
     )
     try:
-        report = verify_axioms(alg)
+        report = alg.axioms
     except Exception as exc:  # totality: verification must never crash the parser
         diags.append(ParseDiagnostic("warning", 0, 0, f"axiom verification failed: {exc}"))
         return ParseResult(alg, diags)

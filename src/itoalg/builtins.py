@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AlgebraError, ItoAlgebra, pair_products, rel_residual, rel_residuals, verify_axioms
+from .core import AlgebraError, ItoAlgebra, gram_schmidt, lead_labels, rel_residual, subalgebra
 
 __all__ = [
     "FiniteGroup",
@@ -34,7 +34,7 @@ __all__ = [
 
 
 def _verified(alg: ItoAlgebra) -> ItoAlgebra:
-    report = verify_axioms(alg)
+    report = alg.axioms
     if not report.passed:
         failed = ", ".join(c.name for c in report.failures())
         raise AlgebraError(f"constructed algebra violates axioms: {failed}")
@@ -439,22 +439,10 @@ def thermal_matrix(n: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgebr
     )
 
 
-def _zero_mean_basis(alg: ItoAlgebra) -> list[np.ndarray]:
-    """Independent spanning set of {a_i - l(a_i) d} in basis-index order."""
-    vectors: list[np.ndarray] = []
-    kept: list[np.ndarray] = []
-    for i in range(alg.dim):
-        v = np.zeros(alg.dim, dtype=complex)
-        v[i] = 1.0
-        v = v - alg.state[i] * alg.death
-        w = v.copy()
-        for u in kept:
-            w = w - (np.conj(u) @ w) * u
-        norm = np.linalg.norm(w)
-        if norm > alg.tol * max(1.0, float(np.linalg.norm(v))):
-            kept.append(w / norm)
-            vectors.append(v)
-    return vectors
+def _zero_mean_basis(alg: ItoAlgebra) -> np.ndarray:
+    """Independent spanning set of {a_i - l(a_i) d} in basis-index order, as rows."""
+    vectors = np.eye(alg.dim, dtype=complex) - np.outer(alg.state, alg.death)
+    return vectors[gram_schmidt(vectors, alg.tol)[0]]
 
 
 def orthogonal_sum(a1: ItoAlgebra, a2: ItoAlgebra, tol: float | None = None) -> ItoAlgebra:
@@ -468,48 +456,20 @@ def orthogonal_sum(a1: ItoAlgebra, a2: ItoAlgebra, tol: float | None = None) -> 
     zm1 = _zero_mean_basis(a1)
     zm2 = _zero_mean_basis(a2)
     n = 1 + len(zm1) + len(zm2)
-
-    labels = ["dt"]
     used = {"dt"}
-    for alg, zm in ((a1, zm1), (a2, zm2)):
-        for v in zm:
-            lead = int(np.argmax(np.abs(v)))
-            base = alg.labels[lead]
-            lab = base
-            suffix = 1
-            while lab in used:
-                suffix += 1
-                lab = f"{base}_{suffix}"
-            used.add(lab)
-            labels.append(lab)
-
-    def block(alg: ItoAlgebra, zm: list[np.ndarray], offset: int, mult, star_m):
-        m = len(zm)
-        span = np.array(zm) if zm else np.zeros((0, alg.dim), dtype=complex)
-
-        def coords(vecs: np.ndarray, what: str) -> np.ndarray:
-            mean = vecs @ alg.state
-            rest = vecs - np.outer(mean, alg.death)
-            if m:
-                sol = np.linalg.lstsq(span.T, rest.T, rcond=None)[0].T
-            else:
-                sol = np.zeros((len(vecs), 0), dtype=complex)
-            if not np.all(rel_residuals(sol @ span, rest) <= tol):
-                raise AlgebraError(f"zero-mean span is not closed under {what}")
-            out = np.zeros((len(vecs), n), dtype=complex)
-            out[:, 0] = mean
-            out[:, offset : offset + m] = sol
-            return out
-
-        prods = pair_products(alg, span, span).reshape(m * m, alg.dim)
-        mult[offset : offset + m, offset : offset + m] = coords(prods, "multiplication").reshape(m, m, n)
-        star_m[offset : offset + m] = coords(np.conj(span) @ alg.star, "star")
+    labels = ["dt"] + lead_labels(a1.labels, zm1, used) + lead_labels(a2.labels, zm2, used)
 
     mult = np.zeros((n, n, n), dtype=complex)
     star_m = np.zeros((n, n), dtype=complex)
     star_m[0, 0] = 1.0
-    block(a1, zm1, 1, mult, star_m)
-    block(a2, zm2, 1 + len(zm1), mult, star_m)
+    offset = 1
+    for alg, zm in ((a1, zm1), (a2, zm2)):
+        # The summand on the basis (death, zero-mean rows): index 0 is dt.
+        sub = subalgebra(alg, [alg.death, *zm])
+        block = [0, *range(offset, offset + len(zm))]
+        mult[np.ix_(block[1:], block[1:], block)] = sub.mult[1:, 1:]
+        star_m[np.ix_(block[1:], block)] = sub.star[1:]
+        offset += len(zm)
     state = np.zeros(n, dtype=complex)
     state[0] = 1.0
     name = f"{a1.name or 'a'}+{a2.name or 'b'}"

@@ -1,7 +1,7 @@
 """Command-line surface: check, represent, decompose, norms, simulate, catalog.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 axiom failure, 3 non-faithful
-input (check prints the quotient in that case).
+Exit codes: 0 success, 1 I/O or parse error, 2 axiom failure or any other
+library error, 3 non-faithful input (check prints the quotient in that case).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 
 from . import builtins as catalog_mod
 from .adsl import parse, parse_lincomb, serialize, _tokenize
-from .core import Element, verify_axioms
+from .core import AlgebraError, Element
 from .decomp import decompose
-from .focksim import UnsupportedModelError, classical_paths, vacuum_moments
+from .focksim import classical_paths, vacuum_moments
 from .gns import NonFaithfulError, build_representation, seminorms, triangular
 from .ideal import faithfulness_ideal, quotient
 
@@ -71,7 +71,7 @@ def _cmd_check(args) -> int:
         return code
     if args.tol is not None:
         alg = dataclasses.replace(alg, tol=args.tol)
-    report = verify_axioms(alg)
+    report = alg.axioms
     payload = {"axioms": report.to_dict()}
     code = EXIT_OK
     ideal_dim = None
@@ -79,13 +79,13 @@ def _cmd_check(args) -> int:
     if not report.passed:
         code = EXIT_AXIOMS
     else:
-        ideal = faithfulness_ideal(alg)
-        ideal_dim = ideal.dim
-        payload["ideal_dimension"] = ideal.dim
-        if not ideal.is_trivial:
+        result, code = _run_stage(_faithfulness, alg)
+        if result is None:
+            return code
+        ideal_dim, quotient_text = result
+        payload["ideal_dimension"] = ideal_dim
+        if quotient_text is not None:
             code = EXIT_NONFAITHFUL
-            quo = quotient(alg, ideal)
-            quotient_text = serialize(quo.algebra)
             payload["quotient"] = quotient_text
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -99,23 +99,34 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _build_rep(alg):
-    report = verify_axioms(alg)
+def _faithfulness(alg) -> tuple[int, str | None]:
+    """Dimension of the faithfulness ideal, and the quotient's text when it is nontrivial."""
+    ideal = faithfulness_ideal(alg)
+    return ideal.dim, None if ideal.is_trivial else serialize(quotient(alg, ideal).algebra)
+
+
+def _run_stage(stage, alg, *args):
+    """``stage(alg, *args)`` behind the algebra's axiom report; returns (result, exit code).
+
+    A failing report is printed and the stage is not run; a library error
+    from the stage is printed and mapped to its exit code.
+    """
+    report = alg.axioms
     if not report.passed:
         print(report.summary(), file=sys.stderr)
         return None, EXIT_AXIOMS
     try:
-        return build_representation(alg), EXIT_OK
-    except NonFaithfulError as exc:
+        return stage(alg, *args), EXIT_OK
+    except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_NONFAITHFUL
+        return None, EXIT_NONFAITHFUL if isinstance(exc, NonFaithfulError) else EXIT_AXIOMS
 
 
 def _cmd_represent(args) -> int:
     alg, code = _load(args.file)
     if alg is None:
         return code
-    rep, code = _build_rep(alg)
+    rep, code = _run_stage(build_representation, alg)
     if rep is None:
         return code
     mats = {lab: triangular(rep, alg.basis_element(i)) for i, lab in enumerate(alg.labels)}
@@ -163,10 +174,9 @@ def _cmd_decompose(args) -> int:
     alg, code = _load(args.file)
     if alg is None:
         return code
-    rep, code = _build_rep(alg)
-    if rep is None:
+    dec, code = _run_stage(decompose, alg)
+    if dec is None:
         return code
-    dec = decompose(alg)
     if args.json:
         print(json.dumps(dec.to_dict(), indent=2, sort_keys=True))
     else:
@@ -188,7 +198,7 @@ def _cmd_norms(args) -> int:
     alg, code = _load(args.file)
     if alg is None:
         return code
-    rep, code = _build_rep(alg)
+    rep, code = _run_stage(build_representation, alg)
     if rep is None:
         return code
     tokens = _tokenize(args.element)
@@ -206,20 +216,28 @@ def _cmd_norms(args) -> int:
     return EXIT_OK
 
 
+def _fock_reports(alg, t: float, dt: float) -> list:
+    """Vacuum moments of every basis element on round(t / dt) slots."""
+    if not dt > 0:
+        raise AlgebraError("dt must be positive")
+    rep = build_representation(alg)
+    n_slots = max(1, int(round(t / dt)))
+    reports = []
+    for i, lab in enumerate(alg.labels):
+        rpt = vacuum_moments(rep, alg.basis_element(i), t, n_slots)
+        rpt.inputs["element"] = lab
+        reports.append(rpt)
+    return reports
+
+
 def _cmd_simulate(args) -> int:
     alg, code = _load(args.file)
     if alg is None:
         return code
     if args.model == "fock":
-        rep, code = _build_rep(alg)
-        if rep is None:
+        reports, code = _run_stage(_fock_reports, alg, args.t, args.dt)
+        if reports is None:
             return code
-        n_slots = max(1, int(round(args.t / args.dt)))
-        reports = []
-        for i, lab in enumerate(alg.labels):
-            rpt = vacuum_moments(rep, alg.basis_element(i), args.t, n_slots)
-            rpt.inputs["element"] = lab
-            reports.append(rpt)
         if args.json:
             print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
         else:
@@ -229,14 +247,9 @@ def _cmd_simulate(args) -> int:
                     tgt = "" if est.target is None else f" (target {est._num(est.target)})"
                     print(f"  {est.name:28s} {est._num(est.value)}{tgt}")
         return EXIT_OK
-    try:
-        rpt = classical_paths(alg, args.t, args.dt, args.paths, args.seed)
-    except NonFaithfulError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONFAITHFUL
-    except UnsupportedModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AXIOMS
+    rpt, code = _run_stage(classical_paths, alg, args.t, args.dt, args.paths, args.seed)
+    if rpt is None:
+        return code
     if args.json:
         print(json.dumps(rpt.to_dict(), indent=2, sort_keys=True))
     else:

@@ -13,6 +13,7 @@ the largest magnitude entering the comparison (with an absolute floor of 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,8 +26,11 @@ __all__ = [
     "ItoAlgebra",
     "commutant_check",
     "gram_matrix",
+    "gram_schmidt",
+    "lead_labels",
     "multiply",
     "pair_products",
+    "pin_phase",
     "random_element",
     "rel_residual",
     "rel_residuals",
@@ -141,6 +145,15 @@ class ItoAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def axioms(self) -> "AxiomReport":
+        """``verify_axioms(self)``, computed on first access and kept.
+
+        The algebra is frozen with read-only arrays, so the report cannot go
+        stale; ``dataclasses.replace`` builds a new object with no report.
+        """
+        return verify_axioms(self)
 
     def basis_element(self, key: int | str) -> "Element":
         idx = self.index(key) if isinstance(key, str) else int(key)
@@ -279,6 +292,53 @@ def row_products(alg: ItoAlgebra, U, V) -> np.ndarray:
     """Products ``u_s . v_s`` of matching rows of two stacks, shape ``(S, n)``."""
     V = np.asarray(V, dtype=complex).reshape(-1, 1, alg.dim)
     return (V @ _left_action(alg, U))[:, 0, :]
+
+
+def gram_schmidt(rows, cut: float) -> tuple[list[int], np.ndarray]:
+    """Modified Gram-Schmidt selection of independent rows, in the given order.
+
+    A row ``v`` is kept when its part orthogonal to the rows kept before it
+    has norm above ``cut * max(1, |v|)``.  Returns the kept indices and the
+    orthonormal rows, shape ``(len(indices), n)``.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    kept: list[int] = []
+    ortho: list[np.ndarray] = []
+    for idx, v in enumerate(rows):
+        w = v.copy()
+        for u in ortho:
+            w -= (np.conj(u) @ w) * u
+        norm = float(np.linalg.norm(w))
+        if norm > cut * max(1.0, float(np.linalg.norm(v))):
+            ortho.append(w / norm)
+            kept.append(idx)
+    return kept, np.array(ortho).reshape(len(kept), rows.shape[-1])
+
+
+def pin_phase(vec: np.ndarray) -> np.ndarray:
+    """The vector rescaled so that its largest-magnitude entry is real positive."""
+    pivot = vec[int(np.argmax(np.abs(vec)))]
+    if abs(pivot) == 0:
+        return vec
+    return vec * (np.conj(pivot) / abs(pivot))
+
+
+def lead_labels(labels: Sequence[str], rows, used: set[str]) -> list[str]:
+    """Name each row after the basis label of its largest entry.
+
+    A name already in ``used`` gets the first free suffix ``_2``, ``_3``, ...;
+    every name handed out is added to ``used``.
+    """
+    out = []
+    for row in rows:
+        base = lab = labels[int(np.argmax(np.abs(row)))]
+        suffix = 1
+        while lab in used:
+            suffix += 1
+            lab = f"{base}_{suffix}"
+        used.add(lab)
+        out.append(lab)
+    return out
 
 
 def star(a: Element) -> Element:

@@ -18,6 +18,7 @@ from .core import (
     AlgebraError,
     Element,
     ItoAlgebra,
+    gram_schmidt,
     pair_products,
     rel_residual,
     rel_residuals,
@@ -116,21 +117,6 @@ class DecompositionReport:
         return {"passed": self.passed, "tol": self.tol, "residuals": dict(self.residuals)}
 
 
-def _independent(vectors: list[np.ndarray], tol: float) -> list[int]:
-    """Indices of a maximal independent subset, scanning in the given order."""
-    kept: list[np.ndarray] = []
-    out: list[int] = []
-    for idx, v in enumerate(vectors):
-        w = v.astype(complex).copy()
-        for u in kept:
-            w -= (np.conj(u) @ w) * u
-        norm = float(np.linalg.norm(w))
-        if norm > tol * max(1.0, float(np.linalg.norm(v))):
-            kept.append(w / norm)
-            out.append(idx)
-    return out
-
-
 def decompose(alg: ItoAlgebra) -> Decomposition:
     """Split the algebra into its Brownian and Levy components.
 
@@ -169,8 +155,8 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
         )
     Z = X - Y
 
-    y_idx = _independent(Y, tol)
-    z_idx = _independent(Z, tol)
+    y_idx, _ = gram_schmidt(Y, tol)
+    z_idx, _ = gram_schmidt(Z, tol)
     y_basis = Y[y_idx]
     z_basis = Z[z_idx]
 

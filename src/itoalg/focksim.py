@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AlgebraError, Element, ItoAlgebra, commutant_check, rel_residual
+from .core import AlgebraError, Element, ItoAlgebra, commutant_check, pair_products, rel_residual
 from .decomp import decompose
 from .gns import FundamentalRep
 
 __all__ = [
     "Estimate",
-    "MemoryCapError",
     "SimReport",
     "SimulationError",
     "SlotIncrement",
@@ -38,15 +37,9 @@ __all__ = [
     "vacuum_moments",
 ]
 
-STATE_VECTOR_CAP = 2**20  # complex amplitudes a simulation may materialize
-
 
 class SimulationError(AlgebraError):
     """Discrete model disagrees with its closed form; indicates broken input."""
-
-
-class MemoryCapError(AlgebraError):
-    """Requested slot count would exceed the configured state-vector cap."""
 
 
 class UnsupportedModelError(AlgebraError):
@@ -221,21 +214,16 @@ def ito_product_check(rep, a: Element, b: Element, dts) -> SimReport:
     )
 
 
-def vacuum_moments(
-    rep: FundamentalRep,
-    a: Element,
-    t: float,
-    n_slots: int,
-    memory_cap: int = STATE_VECTOR_CAP,
-) -> SimReport:
+def vacuum_moments(rep: FundamentalRep, a: Element, t: float, n_slots: int) -> SimReport:
     """Moments of the summed slot process on N slots in the vacuum.
 
     The process applied to the vacuum only populates the zero-, one- and
-    two-particle sectors, so those amplitudes are the state vector; the full
-    tensor space is never materialized.  The mean is l(a) t exactly for every
-    N; the second moment is l(a*.a) t + |l(a) t|^2; the fourth moment
-    <(X^dag X)^2> carries the O(1/N) discretization error and is reported
-    with its large-N limit.
+    two-particle sectors, and every slot carries the same amplitudes, so one
+    representative slot (and one slot pair) weighted by its multiplicity
+    gives each moment at a cost independent of N.  The mean is l(a) t
+    exactly for every N; the second moment is l(a*.a) t + |l(a) t|^2; the
+    fourth moment <(X^dag X)^2> carries the O(1/N) discretization error and
+    is reported with its large-N limit.
     """
     start = time.perf_counter()
     if not t > 0:
@@ -243,11 +231,6 @@ def vacuum_moments(
     if n_slots < 1:
         raise AlgebraError("n_slots must be >= 1")
     d = rep.hdim
-    sector_entries = 1 + n_slots * max(d, 1) + (n_slots * max(d, 1)) ** 2
-    if sector_entries > memory_cap:
-        raise MemoryCapError(
-            f"{n_slots} slots at hdim {d} needs {sector_entries} amplitudes, cap {memory_cap}"
-        )
     dt = t / n_slots
     root = np.sqrt(dt)
     N = n_slots
@@ -256,27 +239,19 @@ def vacuum_moments(
     astar = a.star()
     l_s, k_s, kd_s, i_s = rep.quadruple(astar)
 
-    # One application to the vacuum: alpha |vac> + sum_j |V1[j] at slot j>.
+    # One application to the vacuum: alpha |vac> + sum_j |v1 at slot j>.
     alpha1 = N * l_a * dt
-    V1 = np.tile(root * k_a, (N, 1)) if d else np.zeros((N, 0), dtype=complex)
+    v1 = root * k_a
     mean = alpha1
-    second = abs(alpha1) ** 2 + float(np.sum(np.abs(V1) ** 2))
+    second = abs(alpha1) ** 2 + N * float(np.sum(np.abs(v1) ** 2))
 
     # Second application, with the starred element.
-    alpha2 = alpha1 * N * l_s * dt
-    if d:
-        alpha2 += root * complex(np.sum(V1 @ kd_s))
-    V2 = np.zeros_like(V1)
-    if d:
-        for j in range(N):
-            V2[j] = alpha1 * root * k_s + i_s @ V1[j] + (N - 1) * dt * l_s * V1[j]
-    pair_norm_sq = 0.0
-    if d and N > 1:
-        # All slots carry the same one-particle vector, so every unordered
-        # pair contributes the same two-particle amplitude.
-        pair = root * (np.outer(k_s, V1[0]) + np.outer(V1[0], k_s))
-        pair_norm_sq = (N * (N - 1) / 2) * float(np.sum(np.abs(pair) ** 2))
-    fourth = abs(alpha2) ** 2 + float(np.sum(np.abs(V2) ** 2)) + pair_norm_sq
+    alpha2 = alpha1 * N * l_s * dt + N * root * complex(v1 @ kd_s)
+    v2 = alpha1 * root * k_s + i_s @ v1 + (N - 1) * dt * l_s * v1
+    # Every unordered slot pair carries the same two-particle amplitude.
+    pair = root * (np.outer(k_s, v1) + np.outer(v1, k_s))
+    pair_norm_sq = (N * (N - 1) / 2) * float(np.sum(np.abs(pair) ** 2))
+    fourth = abs(alpha2) ** 2 + N * float(np.sum(np.abs(v2) ** 2)) + pair_norm_sq
 
     lt = l_a * t
     second_target = complex((astar * a).state()) * t
@@ -351,17 +326,14 @@ def classical_paths(
     brown = [selfadjoint(e) for e in dec.brownian_zero_mean]
     levy = [selfadjoint(e) for e in dec.levy_zero_mean]
 
-    def prod(u, v):
-        return np.einsum("p,q,pqk->k", u, v, alg.mult)
-
     nb, nz = len(brown), len(levy)
-    cov = np.zeros((nb, nb))
-    for i, y in enumerate(brown):
-        for j, y2 in enumerate(brown):
-            val = complex(prod(y, y2) @ alg.state)
-            if abs(val.imag) > tol:
-                raise UnsupportedModelError("Brownian covariance is not real")
-            cov[i, j] = val.real
+    vectors = brown + levy
+    prods = pair_products(alg, vectors, vectors)  # [p, q] is vectors[p] . vectors[q]
+    moments = prods @ alg.state
+    cov = moments[:nb, :nb]
+    if np.any(np.abs(cov.imag) > tol):
+        raise UnsupportedModelError("Brownian covariance is not real")
+    cov = cov.real
     try:
         chol = np.linalg.cholesky(cov + np.eye(nb) * tol) if nb else np.zeros((0, 0))
     except np.linalg.LinAlgError as exc:
@@ -370,8 +342,8 @@ def classical_paths(
     jump_size = np.zeros(nz)
     intensity = np.zeros(nz)
     for j, z in enumerate(levy):
-        w = prod(z, z)
-        c2 = complex(w @ alg.state)
+        w = prods[nb + j, nb + j]
+        c2 = complex(moments[nb + j, nb + j])
         rest = w - c2 * alg.death
         denom = float(np.vdot(z, z).real)
         c1 = complex(np.vdot(z, rest)) / denom
@@ -379,8 +351,8 @@ def classical_paths(
             raise UnsupportedModelError("Levy component is not of single-jump type")
         if abs(c1.imag) > tol or c1.real <= tol or abs(c2.imag) > tol or c2.real <= tol:
             raise UnsupportedModelError("Levy component has no positive jump/intensity data")
-        for j2, z2 in enumerate(levy):
-            if j2 != j and rel_residual(prod(z, z2), np.zeros(alg.dim)) > tol:
+        for j2 in range(nz):
+            if j2 != j and rel_residual(prods[nb + j, nb + j2], np.zeros(alg.dim)) > tol:
                 raise UnsupportedModelError("Levy components are not independent")
         jump_size[j] = c1.real
         intensity[j] = c2.real / c1.real**2
@@ -416,7 +388,6 @@ def classical_paths(
         pair_sumsq += (prods**2).sum(axis=0)
 
     estimates: list[Estimate] = []
-    vectors = brown + levy
     n_samples = n_paths * n_steps
     for p in range(nc):
         x = totals[:, p]
@@ -429,13 +400,13 @@ def classical_paths(
         estimates.append(
             Estimate(f"mean[{labels[p]}]", m, float(np.std(x, ddof=1) / np.sqrt(n_paths)), 0.0)
         )
-        target_var = float((prod(vectors[p], vectors[p]) @ alg.state).real) * t
+        target_var = float(moments[p, p].real) * t
         estimates.append(Estimate(f"var[{labels[p]}]", var, var_se, target_var))
         for q in range(p, nc):
             mean_pq = pair_sum[p, q] / n_samples
             var_pq = pair_sumsq[p, q] / n_samples - mean_pq**2
             se = float(np.sqrt(max(var_pq, 0.0) / n_samples)) / dt_eff
-            target = float((prod(vectors[p], vectors[q]) @ alg.state).real)
+            target = float(moments[p, q].real)
             estimates.append(
                 Estimate(f"cov[{labels[p]},{labels[q]}]", mean_pq / dt_eff, se, target)
             )

@@ -30,10 +30,11 @@ from .core import (
     Element,
     ItoAlgebra,
     gram_matrix,
+    gram_schmidt,
+    pin_phase,
     rel_residual,
     rel_residuals,
     row_products,
-    verify_axioms,
     worst_residual,
 )
 from .ideal import faithfulness_ideal
@@ -137,24 +138,12 @@ def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         block = evecs[:, start:stop]
         if stop - start > 1:
             proj = block @ block.conj().T
-            chosen: list[np.ndarray] = []
-            for i in range(H.shape[0]):
-                v = proj[:, i].copy()
-                for u in chosen:
-                    v -= (np.conj(u) @ v) * u
-                norm = float(np.linalg.norm(v))
-                if norm > np.sqrt(cutoff / max(top, 1.0)) and len(chosen) < stop - start:
-                    chosen.append(v / norm)
-            if len(chosen) == stop - start:
-                block = np.array(chosen).T
+            _, chosen = gram_schmidt(proj.T, np.sqrt(cutoff / max(top, 1.0)))
+            if len(chosen) >= stop - start:
+                block = chosen[: stop - start].T
         for col in range(block.shape[1]):
-            v = block[:, col]
-            lead = int(np.argmax(np.abs(v)))
-            phase = v[lead]
-            if abs(phase) > 0:
-                v = v * (np.conj(phase) / abs(phase))
             out_vals.append(evals[start + col])
-            out_vecs.append(v)
+            out_vecs.append(pin_phase(block[:, col]))
         start = stop
     V = np.array(out_vecs).T if out_vecs else np.zeros((H.shape[0], 0), dtype=complex)
     return np.array(out_vals), V
@@ -167,7 +156,7 @@ def build_representation(alg: ItoAlgebra) -> FundamentalRep:
     a covariance residual above tol signals inconsistent structure constants
     and raises rather than warns.
     """
-    report = verify_axioms(alg)
+    report = alg.axioms
     if not report.passed:
         failed = ", ".join(c.name for c in report.failures())
         raise RepresentationError(f"axioms fail: {failed}")

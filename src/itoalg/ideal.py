@@ -11,7 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgebraError, Element, ItoAlgebra, pair_products, rel_residual, rel_residuals
+from .core import (
+    AlgebraError,
+    Element,
+    ItoAlgebra,
+    gram_schmidt,
+    lead_labels,
+    pair_products,
+    pin_phase,
+    rel_residual,
+    rel_residuals,
+)
 
 __all__ = ["IdealBasis", "Quotient", "faithfulness_ideal", "quotient"]
 
@@ -43,14 +53,6 @@ class IdealBasis:
         return rel_residual(proj, vec) <= tol
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    lead = int(np.argmax(np.abs(vec)))
-    pivot = vec[lead]
-    if abs(pivot) == 0:
-        return vec
-    return vec * (np.conj(pivot) / abs(pivot))
-
-
 def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
     """Null space of the stacked linear system l(x), l(a.x), l(x.a), l(a.x.c).
 
@@ -70,7 +72,7 @@ def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
     cutoff = alg.tol * (float(svals[0]) if svals.size else 0.0)
     rank = int(np.sum(svals > cutoff))
     null = vh[rank:]
-    basis = np.array([_fix_phase(row.conj()) for row in null]) if null.size else null.conj()
+    basis = np.array([pin_phase(row.conj()) for row in null]) if null.size else null.conj()
     return IdealBasis(alg, basis.reshape(-1, n))
 
 
@@ -134,18 +136,9 @@ def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
     if outside(left.reshape(-1, n)) or outside(right.reshape(-1, n)):
         raise AlgebraError("span is not a two-sided ideal")
 
-    # Complement basis: modified Gram-Schmidt over the projected standard basis.
-    complement_rows: list[np.ndarray] = []
-    for i in range(n):
-        v = np.zeros(n, dtype=complex)
-        v[i] = 1.0
-        v = v - (np.conj(U) @ v) @ U
-        for u in complement_rows:
-            v = v - (np.conj(u) @ v) * u
-        norm = float(np.linalg.norm(v))
-        if norm > tol:
-            complement_rows.append(v / norm)
-    C = np.array(complement_rows)
+    # Complement basis: Gram-Schmidt over the standard basis projected away
+    # from the ideal (each projected row has norm at most 1).
+    _, C = gram_schmidt(np.eye(n, dtype=complex) - np.conj(U).T @ U, tol)
     r = C.shape[0]
     if r + m != n:
         raise AlgebraError("complement construction failed to span")
@@ -162,21 +155,8 @@ def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
     star_m = (np.conj(C) @ alg.star) @ qmatrix.T
     state = C @ alg.state
 
-    labels = []
-    used = set()
-    for a in range(r):
-        lead = int(np.argmax(np.abs(C[a])))
-        base = alg.labels[lead]
-        lab = base
-        suffix = 1
-        while lab in used:
-            suffix += 1
-            lab = f"{base}_{suffix}"
-        used.add(lab)
-        labels.append(lab)
-
     new_alg = ItoAlgebra(
-        labels=tuple(labels),
+        labels=tuple(lead_labels(alg.labels, C, set())),
         mult=mult,
         star=star_m,
         death=death_new,

@@ -96,6 +96,28 @@ class TestExitCodes:
         assert code == 2
         assert "FAIL  state_positive" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("represent",), ("decompose",), ("simulate", "--model", "classical", "--paths", "100")],
+    )
+    def test_axiom_failure_exits_2_without_traceback(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.ito"
+        bad.write_text("basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = -1 dt\n")
+        code, _, err = run_cli(capsys, argv[0], str(bad), *argv[1:])
+        assert code == 2
+        assert "FAIL  state_positive" in err
+
+    def test_simulate_fock_fine_grid(self, capsys, ito_files):
+        # 1000 slots on hp(3) (hdim 12); one representative slot stands for all
+        code, out, _ = run_cli(capsys, "simulate", ito_files["hp3"], "--model", "fock", "--dt", "0.001")
+        assert code == 0
+        assert "element e+_1:" in out
+
+    def test_simulate_fock_nonpositive_dt(self, capsys, ito_files):
+        code, _, err = run_cli(capsys, "simulate", ito_files["hp1"], "--model", "fock", "--dt", "0")
+        assert code == 2
+        assert "dt must be positive" in err
+
     def test_parse_error_is_io_exit(self, capsys, tmp_path):
         f = tmp_path / "syntax.ito"
         f.write_text("basis dt\nmul dt dt = oops\n")

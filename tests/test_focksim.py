@@ -4,7 +4,6 @@ import pytest
 import itoalg as ia
 from itoalg.core import rel_residual
 from itoalg.focksim import (
-    MemoryCapError,
     UnsupportedModelError,
     classical_paths,
     fit_loglog_slope,
@@ -220,11 +219,19 @@ class TestVacuumMoments:
         slope = fit_loglog_slope(1.0 / ns, devs)
         assert 0.9 <= slope <= 1.1
 
-    def test_memory_cap(self):
+    def test_million_slots_reach_large_n_limit(self):
+        # one representative slot stands for all N, so N = 10^6 costs what
+        # N = 2 does; the fourth moment sits O(1/N) from its large-N limit
         h = ia.hp(3)
         rep = build_representation(h)
-        with pytest.raises(MemoryCapError):
-            vacuum_moments(rep, h.basis_element("e+_1"), 1.0, 10**6)
+        a = ia.core.random_element(h, np.random.default_rng(3))
+        rpt = vacuum_moments(rep, a, 1.0, 10**6)
+        small = vacuum_moments(rep, a, 1.0, 7)
+        fourth = rpt.estimate("fourth_moment")
+        assert abs(fourth.value - fourth.target) <= 1e-5 * abs(fourth.target)
+        assert abs(rpt.estimate("mean").value - ia.state_of(a)) <= 1e-9 * abs(ia.state_of(a))
+        second = rpt.estimate("second_moment").value
+        assert second == pytest.approx(small.estimate("second_moment").value, rel=1e-9)
 
 
 class TestClassicalPaths:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import itoalg as ia
-from itoalg.core import pair_products, random_element, rel_residual, row_products
-from itoalg.decomp import _independent, _span_gap, support_projector
+from itoalg.core import gram_schmidt, pair_products, random_element, rel_residual, row_products
+from itoalg.decomp import _span_gap, support_projector
 from itoalg.gns import build_representation, seminorms, verify_bstar
 
 from conftest import make_catalog, ref_multiply, ref_star
@@ -172,8 +172,8 @@ def loop_decompose_residuals(alg: ia.ItoAlgebra) -> dict[str, float]:
         resid_preimage = max(resid_preimage, rel_residual(A @ y, target))
         ys.append(y)
         zs.append(x - y)
-    y_idx = _independent(ys, tol)
-    z_idx = _independent(zs, tol)
+    y_idx, _ = gram_schmidt(ys, tol)
+    z_idx, _ = gram_schmidt(zs, tol)
     y_basis = [ys[i] for i in y_idx]
     z_basis = [zs[i] for i in z_idx]
 

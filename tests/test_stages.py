@@ -1,0 +1,78 @@
+"""Each CLI command runs each pipeline stage once.
+
+The stage functions are wrapped wherever they are bound in an ``itoalg.*``
+module namespace, found by object identity, so aliases such as
+``gns.faithfulness_ideal`` and the call behind ``ItoAlgebra.axioms`` are
+counted too.
+"""
+
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import itoalg as ia
+from itoalg.cli import main
+
+from test_pipeline import _random_rotation
+
+STAGES = {
+    ia.core.verify_axioms: "verify_axioms",
+    ia.ideal.faithfulness_ideal: "faithfulness_ideal",
+    ia.gns.build_representation: "build_representation",
+}
+COMMANDS = {
+    "check": (),
+    "represent": (),
+    "decompose": (),
+    "norms": ("--element", "1 dt"),
+    "fock": ("--model", "fock"),
+    "classical": ("--model", "classical", "--paths", "100"),
+}
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    calls = Counter()
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {id(fn): counted(fn, name) for fn, name in STAGES.items()}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "itoalg" or modname.startswith("itoalg."):
+            for attr, val in list(vars(mod).items()):
+                if id(val) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(val)])
+    return calls
+
+
+@pytest.fixture(scope="module")
+def ito_paths(tmp_path_factory):
+    """hp(2) and a rotated, non-faithful hp(3) + zero-intensity Poisson, serialized."""
+    rotated, _ = _random_rotation(
+        ia.orthogonal_sum(ia.hp(3), ia.zero_intensity_poisson()), np.random.default_rng(5)
+    )
+    tmp = tmp_path_factory.mktemp("stages")
+    paths = {}
+    for name, alg in {"hp2": ia.hp(2), "rot_hp3+zip": rotated}.items():
+        paths[name] = tmp / f"{name}.ito"
+        paths[name].write_text(ia.serialize(alg), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("name", ["hp2", "rot_hp3+zip"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_stage_runs_once(ito_paths, capsys, stage_calls, name, command):
+    sub = "simulate" if command in ("fock", "classical") else command
+    code = main([sub, str(ito_paths[name]), *COMMANDS[command]])
+    capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert stage_calls["verify_axioms"] == 1
+    assert stage_calls["faithfulness_ideal"] <= 1
+    assert stage_calls["build_representation"] <= 1
