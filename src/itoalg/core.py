@@ -8,6 +8,15 @@ functional ``l`` with ``l(death) = 1``.  Elements are coefficient vectors.
 
 All equality decisions go through one per-algebra tolerance, relative to
 the largest magnitude entering the comparison (with an absolute floor of 1).
+Every rank decision follows the same convention through ``numerical_rank``:
+it counts the singular values, or the eigenvalues of a PSD matrix, above
+``tol * max(1, s_max)``.
+
+``subalgebra`` is the one basis transport: it re-expresses the structure
+constants on the rows of any basis of a closed span.  The quotient by an
+ideal (``ideal.quotient``) is the leading block of the table transported to
+the basis (death, the standard basis vectors independent modulo the ideal
+in index order, ideal); its death is basis element 0.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ __all__ = [
     "gram_schmidt",
     "lead_labels",
     "multiply",
+    "numerical_rank",
     "pair_products",
     "pin_phase",
     "random_element",
@@ -74,6 +84,18 @@ def rel_residuals(lhs, rhs) -> np.ndarray:
             np.abs(lhs).reshape(rows, -1).max(axis=1), np.abs(rhs).reshape(rows, -1).max(axis=1)
         )
         return num / np.maximum(scale, 1.0)
+
+
+def numerical_rank(spectrum, tol: float) -> int:
+    """Number of singular values, or PSD eigenvalues, above ``tol * max(1, s_max)``.
+
+    The one rank decision of the package: the floor of 1 keeps a spectrum
+    that is all rounding noise from promoting its own noise to signal.
+    """
+    spectrum = np.asarray(spectrum, dtype=float)
+    if spectrum.size == 0:
+        return 0
+    return int(np.sum(spectrum > tol * max(1.0, float(np.max(spectrum)))))
 
 
 def worst_residual(*batches) -> float:
@@ -457,9 +479,10 @@ def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
         # eigvalsh cannot take a non-finite matrix; NaN then fails the check
         eigs = np.linalg.eigvalsh(Hh) if np.all(np.isfinite(Hh)) else np.full(n, np.nan)
         min_eig = float(eigs[0])
+        # the negative part of min_eig: NaN propagates, a zero gives +0.0
         add(
             "state_positive",
-            np.maximum(0.0, -min_eig) / np.maximum(1.0, np.max(np.abs(eigs))),
+            np.abs(np.minimum(0.0, min_eig)) / np.maximum(1.0, np.max(np.abs(eigs))),
             detail=f"min Gram eigenvalue {min_eig:.3e}",
         )
 
@@ -492,7 +515,7 @@ def subalgebra(
     if B.ndim != 2 or B.shape[1] != alg.dim:
         raise AlgebraError("spanning vectors must match the algebra dimension")
     m = B.shape[0]
-    if np.linalg.matrix_rank(B, tol=alg.tol * max(1.0, float(np.max(np.abs(B))))) != m:
+    if numerical_rank(np.linalg.svd(B, compute_uv=False), alg.tol) != m:
         raise AlgebraError("spanning vectors are linearly dependent")
 
     def coords(vecs: np.ndarray, what) -> np.ndarray:

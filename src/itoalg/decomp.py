@@ -19,6 +19,7 @@ from .core import (
     Element,
     ItoAlgebra,
     gram_schmidt,
+    numerical_rank,
     pair_products,
     rel_residual,
     rel_residuals,
@@ -47,11 +48,7 @@ def support_projector(rep: FundamentalRep) -> np.ndarray:
         [rep.imats.reshape(-1, d), np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d)]
     )
     _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    top = float(svals[0]) if svals.size else 0.0
-    # the floor keeps an all-noise stack (operators that are exactly zero up
-    # to rounding) from promoting its own noise to signal
-    rank = int(np.sum(svals > rep.algebra.tol * max(top, 1.0)))
-    null = vh[rank:].conj().T  # columns spanning the common kernel
+    null = vh[numerical_rank(svals, rep.algebra.tol) :].conj().T  # columns spanning the kernel
     return null @ null.conj().T
 
 
@@ -202,10 +199,8 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
             istack = np.vstack(
                 [rep.imats.reshape(-1, d) @ E, np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d) @ E]
             )
-            svals = np.linalg.svd(istack, compute_uv=False)
             rank_e = int(np.round(np.trace(E).real))
-            nondeg = int(np.sum(svals > tol * max(float(svals[0]) if svals.size else 0.0, 1.0)))
-            residuals["levy_nondegenerate"] = 0.0 if nondeg >= rank_e else 1.0
+            residuals["levy_nondegenerate"] = 0.0 if _rank(istack, tol) >= rank_e else 1.0
         else:
             residuals["levy_nondegenerate"] = 0.0
     else:
@@ -214,8 +209,7 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
 
     # The two spans overlap exactly in the death line.
     if kept:
-        stacked = np.vstack([y_basis, z_basis])
-        rank_sum = np.linalg.matrix_rank(stacked, tol=tol * max(1.0, float(np.max(np.abs(stacked)))))
+        rank_sum = _rank(np.vstack([y_basis, z_basis]), tol)
         residuals["intersection_death_only"] = 0.0 if rank_sum == len(kept) else 1.0
     else:
         residuals["intersection_death_only"] = 0.0
@@ -226,14 +220,12 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     return Decomposition(alg, rep, P, E, brownian, levy, report)
 
 
+def _rank(m: np.ndarray, tol: float) -> int:
+    """``numerical_rank`` of a matrix, from its singular values."""
+    return numerical_rank(np.linalg.svd(m, compute_uv=False), tol)
+
+
 def _span_gap(span_a: np.ndarray, span_b: np.ndarray, tol: float) -> float:
     """0 when the two column spans coincide (within rank tolerance), else 1."""
-
-    def rank(m: np.ndarray) -> int:
-        if m.size == 0:
-            return 0
-        return int(np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.max(np.abs(m))))))
-
-    ra, rb = rank(span_a), rank(span_b)
-    rab = rank(np.hstack([span_a, span_b]) if span_a.size or span_b.size else span_a)
+    ra, rb, rab = (_rank(m, tol) for m in (span_a, span_b, np.hstack([span_a, span_b])))
     return 0.0 if ra == rb == rab else 1.0

@@ -31,6 +31,7 @@ from .core import (
     ItoAlgebra,
     gram_matrix,
     gram_schmidt,
+    numerical_rank,
     pin_phase,
     rel_residual,
     rel_residuals,
@@ -119,26 +120,24 @@ class Seminorms(NamedTuple):
 def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Kept eigenpairs of a Hermitian PSD matrix under the pinned conventions."""
     evals, evecs = np.linalg.eigh(H)
-    top = float(evals[-1]) if evals.size else 0.0
-    if top <= 0:
-        return np.zeros(0), np.zeros((H.shape[0], 0), dtype=complex)
-    cutoff = tol * top
-    keep = evals > cutoff
-    evals = evals[keep][::-1]
-    evecs = evecs[:, keep][:, ::-1]
+    hdim = numerical_rank(evals, tol)
+    evals = evals[::-1][:hdim]
+    evecs = evecs[:, ::-1][:, :hdim]
 
-    # Within a degenerate group, realign to standard basis directions in
-    # index order so the output does not depend on LAPACK's arbitrary choice.
+    # Within a degenerate group (eigenvalues closer than the rank cutoff),
+    # realign to standard basis directions in index order so the output does
+    # not depend on LAPACK's arbitrary choice.
+    window = tol * max(1.0, float(evals[0])) if hdim else 0.0
     out_vals, out_vecs = [], []
     start = 0
     while start < evals.size:
         stop = start + 1
-        while stop < evals.size and abs(evals[stop] - evals[start]) <= cutoff:
+        while stop < evals.size and abs(evals[stop] - evals[start]) <= window:
             stop += 1
         block = evecs[:, start:stop]
         if stop - start > 1:
             proj = block @ block.conj().T
-            _, chosen = gram_schmidt(proj.T, np.sqrt(cutoff / max(top, 1.0)))
+            _, chosen = gram_schmidt(proj.T, np.sqrt(tol))
             if len(chosen) >= stop - start:
                 block = chosen[: stop - start].T
         for col in range(block.shape[1]):

@@ -17,10 +17,10 @@ from .core import (
     ItoAlgebra,
     gram_schmidt,
     lead_labels,
-    pair_products,
+    numerical_rank,
     pin_phase,
     rel_residual,
-    rel_residuals,
+    subalgebra,
 )
 
 __all__ = ["IdealBasis", "Quotient", "faithfulness_ideal", "quotient"]
@@ -56,8 +56,7 @@ class IdealBasis:
 def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
     """Null space of the stacked linear system l(x), l(a.x), l(x.a), l(a.x.c).
 
-    The rank decision uses a singular-value threshold of tol times the
-    largest singular value.
+    The rank decision is ``numerical_rank`` on the singular values.
     """
     c, l = alg.mult, alg.state
     n = alg.dim
@@ -69,9 +68,7 @@ def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
     rows.append(np.transpose(triple, (0, 2, 1)).reshape(n * n, n))
     A = np.vstack(rows)
     _, svals, vh = np.linalg.svd(A, full_matrices=False)
-    cutoff = alg.tol * (float(svals[0]) if svals.size else 0.0)
-    rank = int(np.sum(svals > cutoff))
-    null = vh[rank:]
+    null = vh[numerical_rank(svals, alg.tol):]
     basis = np.array([pin_phase(row.conj()) for row in null]) if null.size else null.conj()
     return IdealBasis(alg, basis.reshape(-1, n))
 
@@ -101,9 +98,12 @@ class Quotient:
 def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
     """Factor the algebra by a two-sided *-ideal on which l vanishes.
 
-    The complement basis comes from projecting the original basis vectors
-    away from the ideal and keeping a maximal independent set in index order,
-    so quotients of the builtins reproduce their standard presentations.
+    The algebra is re-expressed with ``subalgebra`` on the basis
+    ``[complement; ideal]``.  The complement is the death, then the standard
+    basis vectors that stay independent modulo the ideal, in index order, so
+    quotients of the builtins reproduce their standard presentations and the
+    quotient's death is its basis element 0.  On the transported table the
+    ideal conditions are zero blocks, and the quotient is the leading block.
     """
     tol = alg.tol
     n = alg.dim
@@ -113,55 +113,34 @@ def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
         ident = np.eye(n, dtype=complex)
         return Quotient(alg, alg, ident, ident, ideal)
 
-    scale_b = max(1.0, float(np.max(np.abs(B))))
-    if np.linalg.matrix_rank(B, tol=tol * scale_b) != m:
-        raise AlgebraError("ideal basis rows must be linearly independent")
-
-    # Orthonormalize the ideal span and validate it is a star-closed two-sided ideal.
-    q_ideal, _ = np.linalg.qr(B.T)
-    U = q_ideal.T  # (m, n) rows spanning the ideal, orthonormal for conj(u) @ v
-
-    def outside(vecs: np.ndarray) -> bool:
-        """True if any row leaves the ideal span."""
-        proj = (vecs @ np.conj(U).T) @ U
-        return bool(np.any(~(rel_residuals(proj, vecs) <= tol)))
-
-    if not np.all(np.abs(B @ alg.state) <= tol * max(1.0, float(np.max(np.abs(alg.state))))):
-        raise AlgebraError("state does not vanish on the proposed ideal")
-    if outside(np.conj(B) @ alg.star):
-        raise AlgebraError("span is not star-closed")
-    basis = np.eye(n, dtype=complex)
-    left = pair_products(alg, basis, B)    # a_i . y
-    right = pair_products(alg, B, basis)   # y . a_i
-    if outside(left.reshape(-1, n)) or outside(right.reshape(-1, n)):
-        raise AlgebraError("span is not a two-sided ideal")
-
-    # Complement basis: Gram-Schmidt over the standard basis projected away
-    # from the ideal (each projected row has norm at most 1).
-    _, C = gram_schmidt(np.eye(n, dtype=complex) - np.conj(U).T @ U, tol)
-    r = C.shape[0]
-    if r + m != n:
-        raise AlgebraError("complement construction failed to span")
-
-    full = np.vstack([C, U])  # invertible n x n, rows = complement then ideal
-    to_coords = np.linalg.inv(full.T)
-    qmatrix = to_coords[:r, :]
-
-    death_new = qmatrix @ alg.death
-    if float(np.max(np.abs(death_new))) <= tol:
+    rows = np.vstack([B, alg.death, np.eye(n, dtype=complex)])
+    kept, _ = gram_schmidt(rows, tol)
+    if m not in kept:
         raise AlgebraError("death falls into the ideal; input state is inconsistent")
+    C = rows[[k for k in kept if k >= m]]
+    r = C.shape[0]
+    basis = np.vstack([C, B])
+    full = subalgebra(alg, basis)
 
-    mult = pair_products(alg, C, C) @ qmatrix.T
-    star_m = (np.conj(C) @ alg.star) @ qmatrix.T
-    state = C @ alg.state
+    def nonzero(block: np.ndarray, whole: np.ndarray) -> bool:
+        """True unless ``block`` is zero within tol on the scale of ``whole``; NaN is nonzero."""
+        scale = max(1.0, float(np.max(np.abs(whole))))
+        return not float(np.max(np.abs(block))) <= tol * scale
+
+    if nonzero(full.state[r:], full.state):
+        raise AlgebraError("state does not vanish on the proposed ideal")
+    if nonzero(full.star[r:, :r], full.star):
+        raise AlgebraError("span is not star-closed")
+    if nonzero(full.mult[r:, :, :r], full.mult) or nonzero(full.mult[:, r:, :r], full.mult):
+        raise AlgebraError("span is not a two-sided ideal")
 
     new_alg = ItoAlgebra(
         labels=tuple(lead_labels(alg.labels, C, set())),
-        mult=mult,
-        star=star_m,
-        death=death_new,
-        state=state,
+        mult=full.mult[:r, :r, :r],
+        star=full.star[:r, :r],
+        death=0,
+        state=full.state[:r],
         tol=tol,
         name=f"{alg.name}/ideal" if alg.name else None,
     )
-    return Quotient(new_alg, alg, qmatrix, C, ideal)
+    return Quotient(new_alg, alg, np.linalg.inv(basis.T)[:r], C, ideal)

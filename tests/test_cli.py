@@ -5,6 +5,8 @@ subcommand on every builtin.  Regenerate with REGEN_GOLDEN=1 after an
 intentional output change.
 """
 
+import contextlib
+import io
 import json
 import os
 import warnings
@@ -12,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
-from itoalg.adsl import serialize
+from itoalg.adsl import parse, serialize
 from itoalg.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -129,6 +132,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "check", "/nonexistent/x.ito")
         assert code == 1
 
+    def test_check_quotient_by_ideal_with_dt_component(self, capsys, tmp_path):
+        # the ideal span{dt - f} is not orthogonal to the death; the quotient
+        # is still presented on its death and written as text
+        f = tmp_path / "tilted.ito"
+        f.write_text("basis dt f\ndeath dt\nstate dt = 1\nstate f = 1\n")
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert code == 3
+        assert "Traceback" not in err
+        again = parse(out.split("quotient algebra:\n", 1)[1])
+        assert again.ok
+        assert again.algebra.same_table(ia.newton())
+
+    def test_check_zero_residual_has_no_sign(self, capsys, ito_files):
+        code, out, _ = run_cli(capsys, "check", ito_files["newton"])
+        assert code == 0
+        assert "-0.000e+00" not in out
+
     def test_represent_non_faithful(self, capsys, ito_files):
         code, _, err = run_cli(capsys, "represent", ito_files["zero_intensity_poisson"])
         assert code == 3
@@ -193,6 +213,41 @@ class TestNorms:
     def test_bad_element(self, capsys, ito_files):
         code, _, err = run_cli(capsys, "norms", ito_files["wiener"], "--element", "1 nope")
         assert code == 1
+
+
+# Coefficients for random tables: simple, signed, imaginary, overflowing and
+# subnormal.  Zero comes first so that shrinking heads for sparse tables.
+COEFFICIENTS = ["0", "1", "-1", "2", "0.5", "1i", "1e308", "1e-320"]
+
+
+@st.composite
+def small_tables(draw):
+    """`.ito` text of a random table on dt plus one or two more symbols."""
+    syms = ["dt"] + ["x", "y"][: draw(st.integers(1, 2))]
+    coef = st.sampled_from(COEFFICIENTS)
+    lines = ["basis " + " ".join(syms), "death dt", "state dt = 1"]
+    for s in syms[1:]:
+        value = draw(coef)
+        if value != "0":
+            lines.append(f"state {s} = {value}")
+    for a in syms[1:]:
+        for b in syms[1:]:
+            coefs = [draw(coef) for _ in syms]
+            terms = [f"{c} {s}" for c, s in zip(coefs, syms) if c != "0"]
+            if terms:
+                lines.append(f"mul {a} {b} = " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=small_tables())
+def test_cli_is_total_on_random_tables(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "random.ito"
+    path.write_text(text, encoding="utf-8")
+    for command in ("check", "represent", "decompose"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path)])
+        assert code in (0, 1, 2, 3), (command, text)
 
 
 class TestGolden:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
-from itoalg.core import AlgebraError, rel_residual
+from itoalg.core import AlgebraError, numerical_rank, rel_residual
 
 from conftest import make_catalog, ref_multiply, ref_star
 
@@ -205,6 +205,23 @@ class TestSubalgebra:
         h = ia.hp(1)
         with pytest.raises(AlgebraError):
             ia.subalgebra(h, [h.basis_element("dt"), h.basis_element("e-"), h.basis_element("e")])
+
+
+class TestNumericalRank:
+    def test_cut_sits_at_tol_times_top_value(self):
+        # values just above and just below the cutoff tol * s_max
+        assert numerical_rank([100.0, 1.01e-7, 0.99e-7], 1e-9) == 2
+
+    def test_floor_of_one_below_unit_scale(self):
+        # s_max < 1: the cutoff stays at tol, so 5e-10 is dropped even
+        # though it is far above tol * s_max
+        assert numerical_rank([0.5, 2e-9, 5e-10], 1e-9) == 2
+        assert numerical_rank([1e-12, 1e-13], 1e-9) == 0
+
+    def test_empty_and_negative_spectra(self):
+        assert numerical_rank([], 1e-9) == 0
+        # a PSD eigenvalue spectrum with rounding below zero
+        assert numerical_rank([-1e-17, 0.0, 3.0], 1e-9) == 1
 
 
 class TestNonBasisDeath:

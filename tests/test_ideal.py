@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import itoalg as ia
+from itoalg.adsl import parse, serialize
 from itoalg.core import AlgebraError
 from itoalg.ideal import faithfulness_ideal, quotient
 
@@ -92,6 +93,32 @@ class TestQuotient:
         d = quo.algebra.death
         assert float(np.max(np.abs(d))) > 0
         assert complex(d @ quo.algebra.state) == pytest.approx(1.0)
+
+    def test_sheared_ideal_keeps_death_as_basis_element(self):
+        # on the basis (dt, e + dt) the ideal span{e} has a dt component
+        alg = ia.zero_intensity_poisson()
+        dt, e = alg.basis_element("dt"), alg.basis_element("e")
+        sheared = ia.subalgebra(alg, [dt, e + dt], labels=("dt", "f"))
+        ideal = faithfulness_ideal(sheared)
+        assert ideal.dim == 1 and abs(ideal.matrix[0, 0]) > 0.5
+        quo = quotient(sheared, ideal)
+        assert np.array_equal(quo.algebra.death, [1.0])
+        assert quo.algebra.same_table(ia.newton())
+        again = parse(serialize(quo.algebra))
+        assert again.ok and again.algebra.same_table(ia.newton())
+
+    def test_presentation_is_death_then_basis_vectors(self):
+        alg = ia.orthogonal_sum(ia.wiener(), ia.zero_intensity_poisson())
+        quo = quotient(alg, faithfulness_ideal(alg))
+        assert np.array_equal(quo.complement, np.eye(alg.dim)[:2])
+        assert np.allclose(quo.matrix @ quo.complement.T, np.eye(2))
+
+    def test_rejects_death_in_ideal(self):
+        w = ia.wiener()
+        from itoalg.ideal import IdealBasis
+
+        with pytest.raises(AlgebraError, match="death"):
+            quotient(w, IdealBasis(w, np.array([[1.0, 0.0]], dtype=complex)))
 
     def test_rejects_non_ideal_span(self):
         w = ia.wiener()

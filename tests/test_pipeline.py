@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
 from itoalg.adsl import parse, serialize
+from itoalg.builtins import _zero_mean_basis
 from itoalg.core import rel_residual
 from itoalg.gns import build_representation, minkowski_metric, triangular, verify_bstar
+
+from conftest import make_catalog
 
 
 def _component(kind: str, rng: np.random.Generator):
@@ -48,32 +51,44 @@ KINDS = [
 
 def _random_rotation(alg: ia.ItoAlgebra, rng: np.random.Generator) -> ia.ItoAlgebra:
     """Re-express the algebra on death + a random basis of the zero-mean part."""
-    n = alg.dim
-    zero_mean = []
-    for i in range(n):
-        v = np.zeros(n, dtype=complex)
-        v[i] = 1.0
-        v -= alg.state[i] * alg.death
-        zero_mean.append(v)
-    X = np.array(zero_mean)
-    # keep an independent subset (death direction drops out)
-    keep = []
-    basis = []
-    for v in X:
-        w = v.copy()
-        for u in basis:
-            w -= (np.conj(u) @ w) * u
-        if np.linalg.norm(w) > 1e-9:
-            basis.append(w / np.linalg.norm(w))
-            keep.append(v)
+    keep = _zero_mean_basis(alg)
     m = len(keep)
     raw = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     Q, _ = np.linalg.qr(raw)
     R = Q * rng.uniform(0.5, 2.0, size=m)[:, None]  # unitary rows, mild scaling
-    mixed = R @ np.array(keep)
+    mixed = R @ keep
     vectors = [alg.death] + [row for row in mixed]
     labels = ["dt"] + [f"v{i}" for i in range(m)]
     return ia.subalgebra(alg, vectors, labels=labels), np.array(vectors)
+
+
+def _death_shear(alg: ia.ItoAlgebra, rng: np.random.Generator) -> ia.ItoAlgebra:
+    """Re-express the algebra on a_i + c_i dt, keeping the death itself."""
+    c = rng.uniform(-2.0, 2.0, size=alg.dim) * (alg.death == 0)
+    return ia.subalgebra(alg, np.eye(alg.dim) + np.outer(c, alg.death), labels=alg.labels)
+
+
+def _invariants(alg: ia.ItoAlgebra) -> dict[str, int]:
+    """Ideal dimension, then hdim and component sizes of the faithful quotient."""
+    ideal = ia.faithfulness_ideal(alg)
+    faithful = ia.quotient(alg, ideal).algebra
+    dec = ia.decompose(faithful)
+    return {
+        "ideal": ideal.dim,
+        "hdim": dec.rep.hdim,
+        "brownian": len(dec.brownian_zero_mean),
+        "levy": len(dec.levy_zero_mean),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(make_catalog()))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dimensions_invariant_under_basis_change(name, seed):
+    alg = make_catalog()[name]
+    rng = np.random.default_rng(seed)
+    expected = _invariants(alg)
+    assert _invariants(_random_rotation(alg, rng)[0]) == expected
+    assert _invariants(_death_shear(alg, rng)) == expected
 
 
 @st.composite
