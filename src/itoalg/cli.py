@@ -305,7 +305,10 @@ def _make_builtin(name: str, params: dict):
         return out
     fn, defaults = _CATALOG[name]
     merged = dict(defaults)
-    merged.update(params)
+    for key, value in params.items():
+        # a list-valued parameter given one value on the command line
+        wrap = isinstance(defaults.get(key), list) and not isinstance(value, list)
+        merged[key] = [value] if wrap else value
     return fn(**merged)
 
 

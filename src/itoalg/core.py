@@ -10,7 +10,7 @@ All equality decisions go through one per-algebra tolerance, relative to
 the largest magnitude entering the comparison (with an absolute floor of 1).
 Every rank decision follows the same convention through ``numerical_rank``:
 it counts the singular values, or the eigenvalues of a PSD matrix, above
-``tol * max(1, s_max)``.
+``tol * max(1, s_max)``; every kernel is the ``null_space`` that cut leaves.
 
 ``subalgebra`` is the one basis transport: it re-expresses the structure
 constants on the rows of any basis of a closed span.  The quotient by an
@@ -38,6 +38,7 @@ __all__ = [
     "gram_schmidt",
     "lead_labels",
     "multiply",
+    "null_space",
     "numerical_rank",
     "pair_products",
     "pin_phase",
@@ -96,6 +97,12 @@ def numerical_rank(spectrum, tol: float) -> int:
     if spectrum.size == 0:
         return 0
     return int(np.sum(spectrum > tol * max(1.0, float(np.max(spectrum)))))
+
+
+def null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows v with ``matrix @ v = 0``; economy SVD unless ``matrix`` is wide."""
+    _, svals, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    return vh[numerical_rank(svals, tol):].conj()
 
 
 def worst_residual(*batches) -> float:

@@ -19,6 +19,7 @@ from .core import (
     Element,
     ItoAlgebra,
     gram_schmidt,
+    null_space,
     numerical_rank,
     pair_products,
     rel_residual,
@@ -47,9 +48,8 @@ def support_projector(rep: FundamentalRep) -> np.ndarray:
     stack = np.vstack(
         [rep.imats.reshape(-1, d), np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d)]
     )
-    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    null = vh[numerical_rank(svals, rep.algebra.tol) :].conj().T  # columns spanning the kernel
-    return null @ null.conj().T
+    null = null_space(stack, rep.algebra.tol)
+    return null.T @ null.conj()
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,7 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     n, d = alg.dim, rep.hdim
     P = support_projector(rep)
     E = np.eye(d, dtype=complex) - P
-    K, l, death = rep.kmat, alg.state, alg.death
-
-    # Injective linear map a -> (l, k, kdag, vec i) as one tall matrix.
-    blocks = [l[np.newaxis, :]]
-    if d:
-        blocks.append(K)
-        blocks.append(rep.kdmat.T)
-        blocks.append(rep.imats.reshape(n, d * d).T)
-    A = np.vstack(blocks)
+    K, l, death, A = rep.kmat, alg.state, alg.death, rep.quadruple_map
 
     # Row i is the zero-mean part x_i = a_i - l(a_i) death; its projected
     # quadruple (0, P k(x), kdag(x) P, 0) is the target of the Brownian part.

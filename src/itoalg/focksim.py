@@ -189,14 +189,14 @@ def ito_product_check(rep, a: Element, b: Element, dts) -> SimReport:
         scale = max(1.0, float(np.max(np.abs(Ma))), float(np.max(np.abs(Mb))))
         for name in names:
             records[name].append(values[name])
-            if abs(values[name] - targets[name]) > rep.algebra.tol * scale:
+            if not abs(values[name] - targets[name]) <= rep.algebra.tol * scale:
                 raise SimulationError(
                     f"{name} mismatch deviates from its closed form at dt={dt}"
                 )
             estimates.append(
                 Estimate(f"{name}_mismatch[dt={dt:g}]", values[name], None, targets[name])
             )
-        if abs(complex(D[0, 0]) - la * lb * dt**2) > rep.algebra.tol * scale:
+        if not abs(complex(D[0, 0]) - la * lb * dt**2) <= rep.algebra.tol * scale:
             raise SimulationError("corner of the product is not l(a.b) dt + l(a)l(b) dt^2")
 
     slopes = {}

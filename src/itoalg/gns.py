@@ -12,6 +12,10 @@ The quadruple fills the triangular matrix [[0, kdag, l], [0, i, k], [0, 0, 0]]
 on the complex Minkowski space C + H + C, where the involution becomes
 M -> G M^dag G for the metric G that swaps the corner coordinates.
 
+The algebra is faithful iff the quadruple map a -> (l, k, kdag, i) is
+injective: its kernel is the faithfulness ideal, since l(a . x) = <k(a*), k(x)>,
+l(x . a) = conj<k(a), k(x*)> and l(a . x . c) = kdag(a) i(x) k(c).
+
 The representation is unique only up to unitaries on the middle block; this
 module pins one representative: eigenbasis ordered by descending eigenvalue,
 degeneracies aligned to the lowest contributing basis index, phases chosen to
@@ -21,6 +25,7 @@ make each eigenvector's largest component real positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +36,7 @@ from .core import (
     ItoAlgebra,
     gram_matrix,
     gram_schmidt,
+    null_space,
     numerical_rank,
     pin_phase,
     rel_residual,
@@ -38,7 +44,6 @@ from .core import (
     row_products,
     worst_residual,
 )
-from .ideal import faithfulness_ideal
 
 __all__ = [
     "BStarReport",
@@ -47,6 +52,7 @@ __all__ = [
     "RepresentationError",
     "Seminorms",
     "build_representation",
+    "construct_gns",
     "minkowski_adjoint",
     "minkowski_metric",
     "seminorms",
@@ -107,6 +113,14 @@ class FundamentalRep:
     def quadruple(self, a) -> tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
         return self.l_of(a), self.k_of(a), self.kdag_of(a), self.i_of(a)
 
+    @cached_property
+    def quadruple_map(self) -> np.ndarray:
+        """The map a -> (l, k, kdag, vec i) as a (1 + 2 hdim + hdim^2, n) matrix."""
+        n, d = self.algebra.dim, self.hdim
+        out = np.vstack([self.algebra.state[None], self.kmat, self.kdmat.T, self.imats.reshape(n, d * d).T])
+        out.setflags(write=False)
+        return out
+
 
 class Seminorms(NamedTuple):
     """The four seminorms (operator, plus, minus, corner) of an element."""
@@ -149,22 +163,27 @@ def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_representation(alg: ItoAlgebra) -> FundamentalRep:
-    """Kolmogorov/GNS construction of the canonical quadruple.
+    """Canonical quadruple of a faithful algebra whose axioms pass.
 
-    Requires the axioms to pass and the faithfulness ideal to be trivial;
-    a covariance residual above tol signals inconsistent structure constants
-    and raises rather than warns.
+    Raises ``NonFaithfulError`` when the quadruple map has a kernel.
     """
     report = alg.axioms
     if not report.passed:
         failed = ", ".join(c.name for c in report.failures())
         raise RepresentationError(f"axioms fail: {failed}")
-    ideal = faithfulness_ideal(alg)
-    if not ideal.is_trivial:
-        raise NonFaithfulError(
-            f"faithfulness ideal has dimension {ideal.dim}; factor it out with quotient() first"
-        )
+    rep = construct_gns(alg)
+    dim = null_space(rep.quadruple_map, alg.tol).shape[0]
+    if dim:
+        raise NonFaithfulError(f"faithfulness ideal has dimension {dim}; factor it out with quotient() first")
+    _validate(rep)
+    return rep
 
+
+def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
+    """Kolmogorov/GNS construction of the quadruple, faithful or not.
+
+    A covariance residual above tol raises: k(x) = 0 implies k(a . x) = 0.
+    """
     n, tol = alg.dim, alg.tol
     H = gram_matrix(alg)
     Hh = (H + H.conj().T) / 2.0
@@ -187,7 +206,7 @@ def build_representation(alg: ItoAlgebra) -> FundamentalRep:
             )
     kdmat = (np.conj(alg.star @ K.T) if hdim else np.zeros((n, 0), dtype=complex))
 
-    rep = FundamentalRep(
+    return FundamentalRep(
         algebra=alg,
         hdim=hdim,
         kmat=K,
@@ -196,26 +215,21 @@ def build_representation(alg: ItoAlgebra) -> FundamentalRep:
         eigenvalues=evals,
         vectors=V,
     )
-    _validate(rep)
-    return rep
 
 
 def _validate(rep: FundamentalRep) -> None:
     alg = rep.algebra
     tol, n = alg.tol, alg.dim
     L2 = alg.mult @ alg.state
-    if rel_residual(rep.kdmat @ rep.kmat, L2) > tol:
+    if not rel_residual(rep.kdmat @ rep.kmat, L2) <= tol:
         raise RepresentationError("Kolmogorov identity fails")
     d = rep.hdim
     star_i = (alg.star @ rep.imats.reshape(n, d * d)).reshape(n, d, d)
-    if rel_residual(star_i, np.conj(np.transpose(rep.imats, (0, 2, 1)))) > tol:
+    if not rel_residual(star_i, np.conj(np.transpose(rep.imats, (0, 2, 1)))) <= tol:
         raise RepresentationError("i(a*) is not the adjoint of i(a)")
-    if rel_residual(rep.k_of(alg.death), np.zeros(rep.hdim)) > tol:
-        raise RepresentationError("k(death) is nonzero")
-    if rel_residual(rep.i_of(alg.death), np.zeros((rep.hdim, rep.hdim))) > tol:
-        raise RepresentationError("i(death) is nonzero")
-    if abs(rep.l_of(alg.death) - 1.0) > tol:
-        raise RepresentationError("l(death) is not 1")
+    death = rep.quadruple_map @ alg.death
+    if not rel_residual(death, np.eye(death.size)[0]) <= tol:
+        raise RepresentationError("the quadruple of the death is not (1, 0, 0, 0)")
 
 
 def minkowski_metric(hdim: int) -> np.ndarray:

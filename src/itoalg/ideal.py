@@ -1,7 +1,9 @@
 """Faithfulness ideal of an Ito *-algebra and the quotient by it.
 
 An element b lies in the ideal iff l vanishes on b and on every one- and
-two-sided product with b.  The state then descends to the quotient, which is
+two-sided product with b, that is iff its quadruple (l, k, kdag, i) in the
+GNS construction vanishes: the ideal is the kernel of the fundamental
+representation.  The state then descends to the quotient, which is
 faithful; the quotient keeps the death and its normalization.
 """
 
@@ -17,11 +19,12 @@ from .core import (
     ItoAlgebra,
     gram_schmidt,
     lead_labels,
-    numerical_rank,
+    null_space,
     pin_phase,
     rel_residual,
     subalgebra,
 )
+from .gns import construct_gns
 
 __all__ = ["IdealBasis", "Quotient", "faithfulness_ideal", "quotient"]
 
@@ -47,30 +50,19 @@ class IdealBasis:
 
     def contains(self, vec: np.ndarray, tol: float | None = None) -> bool:
         tol = self.algebra.tol if tol is None else tol
-        if self.dim == 0:
-            return float(np.max(np.abs(vec))) <= tol * max(1.0, float(np.max(np.abs(vec))))
         proj = (np.conj(self.matrix) @ vec) @ self.matrix
         return rel_residual(proj, vec) <= tol
 
 
 def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
-    """Null space of the stacked linear system l(x), l(a.x), l(x.a), l(a.x.c).
+    """Kernel of the quadruple map a -> (l(a), k(a), kdag(a), i(a)), phases pinned.
 
-    The rank decision is ``numerical_rank`` on the singular values.
+    The rank decision is ``numerical_rank`` on its singular values.  Raises
+    ``RepresentationError`` when the GNS covariance system is inconsistent,
+    which happens only for a table whose axioms fail.
     """
-    c, l = alg.mult, alg.state
-    n = alg.dim
-    L2 = c @ l  # L2[i, j] = l(a_i . a_j)
-    rows = [l[np.newaxis, :]]
-    rows.append(L2)        # rows over i: x -> l(a_i . x)
-    rows.append(L2.T)      # rows over j: x -> l(x . a_j)
-    triple = c @ L2  # l(a_i . a_m . a_j) as [i, m, j]
-    rows.append(np.transpose(triple, (0, 2, 1)).reshape(n * n, n))
-    A = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(A, full_matrices=False)
-    null = vh[numerical_rank(svals, alg.tol):]
-    basis = np.array([pin_phase(row.conj()) for row in null]) if null.size else null.conj()
-    return IdealBasis(alg, basis.reshape(-1, n))
+    null = null_space(construct_gns(alg).quadruple_map, alg.tol)
+    return IdealBasis(alg, np.array([pin_phase(row) for row in null], dtype=complex).reshape(-1, alg.dim))
 
 
 @dataclass(frozen=True)

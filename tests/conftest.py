@@ -55,3 +55,15 @@ def ref_star(alg: ia.ItoAlgebra, x: np.ndarray) -> np.ndarray:
         for k in range(n):
             out[k] += np.conj(x[i]) * alg.star[i, k]
     return out
+
+
+def ref_faithfulness_ideal(alg: ia.ItoAlgebra) -> np.ndarray:
+    """Reference ideal: orthonormal rows spanning the null space of the system
+    l(x), l(a_i . x), l(x . a_j), l(a_i . x . a_j), built from the table alone."""
+    c, l = alg.mult, alg.state
+    n = alg.dim
+    L2 = c @ l  # L2[i, j] = l(a_i . a_j)
+    triple = np.transpose(c @ L2, (0, 2, 1)).reshape(n * n, n)  # x -> l(a_i . x . a_j)
+    system = np.vstack([l[np.newaxis, :], L2, L2.T, triple])
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
+    return vh[ia.core.numerical_rank(svals, alg.tol):].conj()

@@ -162,6 +162,14 @@ class TestExitCodes:
         assert code == 2
         assert "commutative" in err
 
+    @pytest.mark.parametrize("weight", [1e-10, 1e-12])
+    def test_tiny_weight_is_faithful(self, capsys, tmp_path, weight):
+        path = tmp_path / "pw.ito"
+        path.write_text(serialize(ia.periodic_wiener(1, [weight])), encoding="utf-8")
+        for command in ("check", "represent", "decompose"):
+            code, _, err = run_cli(capsys, command, str(path))
+            assert code == 0, (command, err)
+
     def test_catalog_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "catalog", "--name", "nope")
         assert code == 1
@@ -191,6 +199,14 @@ class TestCatalogCommand:
         )
         assert code == 0
         assert out == serialize(ia.periodic_wiener(2, [2.0, 3.0]))
+
+    def test_periodic_wiener_single_weight(self, capsys):
+        code, out, err = run_cli(
+            capsys, "catalog", "--name", "periodic_wiener", "--params", "K=1,rho=0.5"
+        )
+        assert code == 0, err
+        result = parse(out)
+        assert result.ok and result.algebra.same_table(ia.periodic_wiener(1, [0.5]))
 
     def test_group_levy_param(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "--name", "group_levy", "--params", "group=z2")
@@ -239,14 +255,24 @@ def small_tables(draw):
     return "\n".join(lines) + "\n"
 
 
+RANDOM_TABLE_COMMANDS = [
+    ("check",),
+    ("represent",),
+    ("decompose",),
+    ("norms", "--element", "1 dt + 2 x"),
+    ("simulate", "--model", "fock", "--t", "0.5", "--dt", "0.1"),
+    ("simulate", "--model", "classical", "--dt", "0.25", "--paths", "20"),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(text=small_tables())
 def test_cli_is_total_on_random_tables(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "random.ito"
     path.write_text(text, encoding="utf-8")
-    for command in ("check", "represent", "decompose"):
+    for command in RANDOM_TABLE_COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, str(path)])
+            code = main([command[0], str(path), *command[1:]])
         assert code in (0, 1, 2, 3), (command, text)
 
 

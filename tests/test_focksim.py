@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import itoalg as ia
 from itoalg.core import rel_residual
 from itoalg.focksim import (
+    SimulationError,
     UnsupportedModelError,
     classical_paths,
     fit_loglog_slope,
@@ -128,6 +131,19 @@ class TestItoProductCheck:
         dm = p.basis_element("dm")
         with pytest.raises(ia.AlgebraError):
             ito_product_check(rep, dm, dm, [0.1, 0.2])
+
+    def test_nan_representation_raises(self):
+        w = ia.wiener()
+        rep = build_representation(w)
+        nan = dataclasses.replace(
+            rep,
+            kmat=np.full_like(rep.kmat, np.nan),
+            kdmat=np.full_like(rep.kdmat, np.nan),
+            imats=np.full_like(rep.imats, np.nan),
+        )
+        dw = w.basis_element("dw")
+        with pytest.raises(SimulationError):
+            ito_product_check(nan, dw, dw, self.DTS)
 
 
 class TestVacuumMoments:

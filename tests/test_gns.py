@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import itoalg as ia
 from itoalg.core import rel_residual
 from itoalg.gns import (
     NonFaithfulError,
+    RepresentationError,
+    _validate,
     build_representation,
     minkowski_adjoint,
     minkowski_metric,
@@ -219,3 +223,14 @@ class TestErrors:
         bad = ia.ItoAlgebra(labels=w.labels, mult=mult, star=w.star, death=w.death, state=w.state)
         with pytest.raises(ia.AlgebraError):
             build_representation(bad)
+
+    def test_nan_quadruple_fails_validation(self):
+        rep = build_representation(ia.wiener())
+        nan = dataclasses.replace(
+            rep,
+            kmat=np.full_like(rep.kmat, np.nan),
+            kdmat=np.full_like(rep.kdmat, np.nan),
+            imats=np.full_like(rep.imats, np.nan),
+        )
+        with pytest.raises(RepresentationError):
+            _validate(nan)

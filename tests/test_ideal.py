@@ -1,13 +1,74 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import itoalg as ia
 from itoalg.adsl import parse, serialize
 from itoalg.core import AlgebraError
-from itoalg.ideal import faithfulness_ideal, quotient
+from itoalg.gns import RepresentationError
+from itoalg.ideal import IdealBasis, faithfulness_ideal, quotient
+
+from conftest import make_catalog, ref_faithfulness_ideal
+from test_cli import small_tables
+from test_pipeline import _death_shear, _random_rotation
+
+
+def _same_span(rows: np.ndarray, ref: np.ndarray) -> bool:
+    """Equal dimension and equal orthoprojectors; both inputs have orthonormal rows."""
+    if rows.shape != ref.shape:
+        return False
+    return np.allclose(rows.T @ rows.conj(), ref.T @ ref.conj(), atol=1e-8)
+
+
+def _oracle_cases() -> dict[str, ia.ItoAlgebra]:
+    """The catalog, and two random rotations and death shears of each entry."""
+    cases = {}
+    for name, alg in make_catalog().items():
+        cases[name] = alg
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            cases[f"{name}/rotation{seed}"] = _random_rotation(alg, rng)[0]
+            cases[f"{name}/shear{seed}"] = _death_shear(alg, rng)
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+def _passes_axioms(text: str) -> bool:
+    result = parse(text)
+    return result.ok and result.algebra.axioms.passed
 
 
 class TestFaithfulnessIdeal:
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_matches_triple_product_oracle(self, name):
+        alg = ORACLE_CASES[name]
+        assert _same_span(faithfulness_ideal(alg).matrix, ref_faithfulness_ideal(alg))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(text=small_tables().filter(_passes_axioms))
+    def test_matches_oracle_on_random_tables(self, text):
+        alg = parse(text).algebra
+        assert _same_span(faithfulness_ideal(alg).matrix, ref_faithfulness_ideal(alg)), text
+
+    @pytest.mark.parametrize("weight", [1e-10, 1e-12])
+    def test_tiny_weight_is_faithful(self, weight):
+        # the triple-product system has entries up to 1/weight, and its rank
+        # cut dropped the state row; the quadruple map's entries scale as the
+        # square root of the Gram spectrum, so the state row stays above it
+        assert faithfulness_ideal(ia.periodic_wiener(1, [weight])).is_trivial
+
+    def test_inconsistent_covariance_raises(self):
+        # k(x) = 0 but k(y . x) = k(y) != 0: only a table failing the axioms does this
+        mult = np.zeros((3, 3, 3))
+        mult[2, 2, 0] = 1.0  # y . y = dt
+        mult[2, 1, 2] = 1.0  # y . x = y
+        alg = ia.ItoAlgebra(("dt", "x", "y"), mult, np.eye(3), 0, np.array([1.0, 0.0, 0.0]))
+        assert not alg.axioms.passed
+        with pytest.raises(RepresentationError, match="covariance"):
+            faithfulness_ideal(alg)
+
     def test_wiener_and_hp_trivial(self):
         # Hand-checked: for wiener the rows l(x) = x_0 and l(dw.x) = x_1
         # already force x = 0; hp(1) likewise has no null direction.
@@ -33,6 +94,14 @@ class TestFaithfulnessIdeal:
         ideal = faithfulness_ideal(alg)
         for e in ideal.elements:
             assert ideal.contains(e.star().coeffs)
+
+    def test_contains_on_trivial_ideal(self):
+        ideal = faithfulness_ideal(ia.wiener())
+        assert ideal.dim == 0
+        assert ideal.contains(np.zeros(2))
+        assert ideal.contains(np.array([1e-12, 0.0]))
+        assert not ideal.contains(np.array([0.0, 1e-6]))
+        assert not IdealBasis(ideal.algebra, np.zeros((0, 2))).contains(np.array([np.nan, 0.0]))
 
     def test_defining_property(self):
         # direct check of the membership conditions for the returned span

@@ -2,8 +2,10 @@
 
 The stage functions are wrapped wherever they are bound in an ``itoalg.*``
 module namespace, found by object identity, so aliases such as
-``gns.faithfulness_ideal`` and the call behind ``ItoAlgebra.axioms`` are
-counted too.
+``cli.faithfulness_ideal``, ``ideal.construct_gns`` and the call behind
+``ItoAlgebra.axioms`` are counted too.  The GNS quadruple is built at most
+once per command, whether the faithfulness ideal or the representation asks
+for it.
 """
 
 import sys
@@ -21,6 +23,7 @@ STAGES = {
     ia.core.verify_axioms: "verify_axioms",
     ia.ideal.faithfulness_ideal: "faithfulness_ideal",
     ia.gns.build_representation: "build_representation",
+    ia.gns.construct_gns: "construct_gns",
 }
 COMMANDS = {
     "check": (),
@@ -76,3 +79,6 @@ def test_each_stage_runs_once(ito_paths, capsys, stage_calls, name, command):
     assert stage_calls["verify_axioms"] == 1
     assert stage_calls["faithfulness_ideal"] <= 1
     assert stage_calls["build_representation"] <= 1
+    assert stage_calls["construct_gns"] <= 1
+    if command in ("check", "represent", "decompose"):
+        assert stage_calls["construct_gns"] == 1
