@@ -351,14 +351,14 @@ def group_levy(
         if lam_vec.shape != (m,):
             raise AlgebraError("lam must assign one value per group element")
 
-    if rel_residual(lam_vec[inv], np.conj(lam_vec)) > tol:
+    if not rel_residual(lam_vec[inv], np.conj(lam_vec)) <= tol:
         raise AlgebraError("lam violates the star symmetry lam(g^-1) = conj(lam(g))")
     conv = np.zeros(m, dtype=complex)
     for g in range(m):
         conv[g] = sum(np.conj(lam_vec[group.table[g, inv[h]]]) * lam_vec[h] for h in range(m))
     delta = np.zeros(m, dtype=complex)
     delta[e] = 1.0
-    if rel_residual(conv, delta) > tol:
+    if not rel_residual(conv, delta) <= tol:
         raise AlgebraError("lam is not self-inverse under convolution")
     gram = np.array([[lam_vec[group.table[inv[g], h]] for h in range(m)] for g in range(m)])
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)

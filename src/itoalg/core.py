@@ -17,15 +17,25 @@ constants on the rows of any basis of a closed span.  The quotient by an
 ideal (``ideal.quotient``) is the leading block of the table transported to
 the basis (death, the standard basis vectors independent modulo the ideal
 in index order, ideal); its death is basis element 0.
+
+Two derived objects are cached on each algebra, which is frozen with
+read-only arrays and so cannot make them stale: ``axioms``, the report of
+``verify_axioms``, and ``gns``, the GNS quadruple of ``gns.construct_gns``.
+The faithfulness ideal is ``gns.kernel``, and the representation and the
+Brownian/Levy decomposition read the same ``gns``, so each algebra object
+builds it once.  ``dataclasses.replace`` makes a new object with neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .gns import FundamentalRep
 
 __all__ = [
     "AlgebraError",
@@ -183,6 +193,17 @@ class ItoAlgebra:
         stale; ``dataclasses.replace`` builds a new object with no report.
         """
         return verify_axioms(self)
+
+    @cached_property
+    def gns(self) -> "FundamentalRep":
+        """``gns.construct_gns(self)``, the quadruple (l, k, kdag, i), built once and kept.
+
+        The faithfulness ideal is its ``kernel``; ``build_representation`` and
+        ``decompose`` read the same object.  Like ``axioms`` it cannot go stale.
+        """
+        from . import gns
+
+        return gns.construct_gns(self)
 
     def basis_element(self, key: int | str) -> "Element":
         idx = self.index(key) if isinstance(key, str) else int(key)

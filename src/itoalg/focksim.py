@@ -317,7 +317,7 @@ def classical_paths(
     tol = alg.tol
 
     def selfadjoint(e: Element) -> np.ndarray:
-        if rel_residual(e.star().coeffs, e.coeffs) > tol:
+        if not rel_residual(e.star().coeffs, e.coeffs) <= tol:
             raise UnsupportedModelError(
                 "component basis is not self-adjoint; no real classical driver"
             )
@@ -331,7 +331,7 @@ def classical_paths(
     prods = pair_products(alg, vectors, vectors)  # [p, q] is vectors[p] . vectors[q]
     moments = prods @ alg.state
     cov = moments[:nb, :nb]
-    if np.any(np.abs(cov.imag) > tol):
+    if not np.all(np.abs(cov.imag) <= tol):
         raise UnsupportedModelError("Brownian covariance is not real")
     cov = cov.real
     try:
@@ -347,12 +347,12 @@ def classical_paths(
         rest = w - c2 * alg.death
         denom = float(np.vdot(z, z).real)
         c1 = complex(np.vdot(z, rest)) / denom
-        if rel_residual(c1 * z + c2 * alg.death, w) > tol:
+        if not rel_residual(c1 * z + c2 * alg.death, w) <= tol:
             raise UnsupportedModelError("Levy component is not of single-jump type")
-        if abs(c1.imag) > tol or c1.real <= tol or abs(c2.imag) > tol or c2.real <= tol:
+        if not (abs(c1.imag) <= tol and c1.real > tol and abs(c2.imag) <= tol and c2.real > tol):
             raise UnsupportedModelError("Levy component has no positive jump/intensity data")
         for j2 in range(nz):
-            if j2 != j and rel_residual(prods[nb + j, nb + j2], np.zeros(alg.dim)) > tol:
+            if j2 != j and not rel_residual(prods[nb + j, nb + j2], np.zeros(alg.dim)) <= tol:
                 raise UnsupportedModelError("Levy components are not independent")
         jump_size[j] = c1.real
         intensity[j] = c2.real / c1.real**2

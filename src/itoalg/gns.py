@@ -15,6 +15,8 @@ M -> G M^dag G for the metric G that swaps the corner coordinates.
 The algebra is faithful iff the quadruple map a -> (l, k, kdag, i) is
 injective: its kernel is the faithfulness ideal, since l(a . x) = <k(a*), k(x)>,
 l(x . a) = conj<k(a), k(x*)> and l(a . x . c) = kdag(a) i(x) k(c).
+``construct_gns`` runs once per algebra object, through the cached
+``ItoAlgebra.gns``; its ``kernel`` is that ideal.
 
 The representation is unique only up to unitaries on the middle block; this
 module pins one representative: eigenbasis ordered by descending eigenvalue,
@@ -121,6 +123,18 @@ class FundamentalRep:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal rows spanning the kernel of ``quadruple_map``, phases pinned.
+
+        This is the faithfulness ideal; the rank decision is ``numerical_rank``
+        on the singular values of the map.
+        """
+        null = null_space(self.quadruple_map, self.algebra.tol)
+        out = np.array([pin_phase(row) for row in null], dtype=complex).reshape(-1, self.algebra.dim)
+        out.setflags(write=False)
+        return out
+
 
 class Seminorms(NamedTuple):
     """The four seminorms (operator, plus, minus, corner) of an element."""
@@ -163,7 +177,7 @@ def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_representation(alg: ItoAlgebra) -> FundamentalRep:
-    """Canonical quadruple of a faithful algebra whose axioms pass.
+    """Canonical quadruple of a faithful algebra whose axioms pass: ``alg.gns``.
 
     Raises ``NonFaithfulError`` when the quadruple map has a kernel.
     """
@@ -171,8 +185,8 @@ def build_representation(alg: ItoAlgebra) -> FundamentalRep:
     if not report.passed:
         failed = ", ".join(c.name for c in report.failures())
         raise RepresentationError(f"axioms fail: {failed}")
-    rep = construct_gns(alg)
-    dim = null_space(rep.quadruple_map, alg.tol).shape[0]
+    rep = alg.gns
+    dim = rep.kernel.shape[0]
     if dim:
         raise NonFaithfulError(f"faithfulness ideal has dimension {dim}; factor it out with quotient() first")
     _validate(rep)

@@ -19,12 +19,9 @@ from .core import (
     ItoAlgebra,
     gram_schmidt,
     lead_labels,
-    null_space,
-    pin_phase,
     rel_residual,
     subalgebra,
 )
-from .gns import construct_gns
 
 __all__ = ["IdealBasis", "Quotient", "faithfulness_ideal", "quotient"]
 
@@ -55,14 +52,12 @@ class IdealBasis:
 
 
 def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
-    """Kernel of the quadruple map a -> (l(a), k(a), kdag(a), i(a)), phases pinned.
+    """Kernel of the quadruple map a -> (l(a), k(a), kdag(a), i(a)): ``alg.gns.kernel``.
 
-    The rank decision is ``numerical_rank`` on its singular values.  Raises
-    ``RepresentationError`` when the GNS covariance system is inconsistent,
-    which happens only for a table whose axioms fail.
+    Raises ``RepresentationError`` when the GNS covariance system is
+    inconsistent, which happens only for a table whose axioms fail.
     """
-    null = null_space(construct_gns(alg).quadruple_map, alg.tol)
-    return IdealBasis(alg, np.array([pin_phase(row) for row in null], dtype=complex).reshape(-1, alg.dim))
+    return IdealBasis(alg, alg.gns.kernel)
 
 
 @dataclass(frozen=True)

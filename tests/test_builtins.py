@@ -41,6 +41,11 @@ class TestConstructorValidation:
         with pytest.raises(AlgebraError, match="star symmetry"):
             ia.group_levy(g3, [1.0, 1.0, 0.0])
 
+    def test_group_levy_rejects_nan_lambda(self):
+        # NaN fails the first weight check, not only the final axiom check
+        with pytest.raises(AlgebraError, match="star symmetry"):
+            ia.group_levy(ia.cyclic_group(2), [1.0, np.nan])
+
     def test_bad_cayley_table(self):
         with pytest.raises(AlgebraError):
             ia.FiniteGroup(("a", "b"), np.array([[0, 0], [0, 0]]))

@@ -1,13 +1,14 @@
-"""Each CLI command runs each pipeline stage once.
+"""Each CLI command, and the library pipeline, runs each stage once.
 
 The stage functions are wrapped wherever they are bound in an ``itoalg.*``
 module namespace, found by object identity, so aliases such as
-``cli.faithfulness_ideal``, ``ideal.construct_gns`` and the call behind
-``ItoAlgebra.axioms`` are counted too.  The GNS quadruple is built at most
-once per command, whether the faithfulness ideal or the representation asks
-for it.
+``cli.faithfulness_ideal`` and the calls behind ``ItoAlgebra.axioms`` and
+``ItoAlgebra.gns`` are counted too.  The GNS quadruple is built once per
+algebra object, whether the faithfulness ideal, the representation or the
+decomposition asks for it.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -82,3 +83,41 @@ def test_each_stage_runs_once(ito_paths, capsys, stage_calls, name, command):
     assert stage_calls["construct_gns"] <= 1
     if command in ("check", "represent", "decompose"):
         assert stage_calls["construct_gns"] == 1
+
+
+def _library_pipeline(alg):
+    """faithfulness_ideal -> quotient -> build_representation -> decompose."""
+    q = ia.quotient(alg, ia.faithfulness_ideal(alg))
+    ia.build_representation(q.algebra)
+    ia.decompose(q.algebra)
+    return q
+
+
+def test_library_pipeline_builds_gns_once(stage_calls):
+    _library_pipeline(ia.hp(4))
+    assert stage_calls["construct_gns"] == 1
+
+
+def test_library_pipeline_builds_gns_once_per_algebra(stage_calls):
+    rotated, _ = _random_rotation(
+        ia.orthogonal_sum(ia.hp(3), ia.zero_intensity_poisson()), np.random.default_rng(5)
+    )
+    q = _library_pipeline(rotated)
+    assert q.algebra is not rotated
+    assert stage_calls["construct_gns"] == 2
+    assert "gns" in vars(rotated) and "gns" in vars(q.algebra)
+
+
+def test_classical_paths_reuses_gns(stage_calls):
+    alg = ia.orthogonal_sum(ia.wiener(), ia.poisson())
+    for seed in (0, 1):
+        ia.classical_paths(alg, t=1.0, dt=0.5, n_paths=10, seed=seed)
+    assert stage_calls["construct_gns"] == 1
+
+
+def test_replace_builds_its_own_gns(stage_calls):
+    alg = ia.hp(2)
+    other = dataclasses.replace(alg, tol=1e-8)
+    assert other.gns is not alg.gns
+    assert other.gns.algebra is other
+    assert stage_calls["construct_gns"] == 2
