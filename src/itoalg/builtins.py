@@ -1,9 +1,13 @@
 """Constructors for the standard Ito *-algebras, at finite truncation.
 
-Every constructor returns a verified algebra (the axiom suite is run on the
-result and a failure raises).  The death is always basis element 0, labelled
-``dt``, and all labels are plain whitespace-free tokens so each algebra
-round-trips through the ``.ito`` text format.
+Every builtin shares one presentation, set in one place, ``_algebra``: the
+death is basis element 0, labelled ``dt``, the state is ``l = e_0`` and the
+result is verified (the axiom suite is run on it and a failure raises).  Each
+constructor states only its own table, as ``(i, j, k, value)`` entries for
+``_table``, and its star, a permutation of the basis given as ``np.eye(n)[perm]``;
+``orthogonal_sum`` alone passes the star matrix transported from its summands.
+All labels are plain whitespace-free tokens so each algebra round-trips
+through the ``.ito`` text format.
 """
 
 from __future__ import annotations
@@ -33,7 +37,22 @@ __all__ = [
 ]
 
 
-def _verified(alg: ItoAlgebra) -> ItoAlgebra:
+def _table(n: int, entries: Sequence[tuple[int, int, int, complex]]) -> np.ndarray:
+    """Structure tensor with ``a_i . a_j`` holding ``value a_k`` per entry; repeats add up."""
+    mult = np.zeros((n, n, n), dtype=complex)
+    if entries:
+        i, j, k, value = zip(*entries)
+        np.add.at(mult, (i, j, k), value)
+    return mult
+
+
+def _algebra(
+    labels: Sequence[str], mult: np.ndarray, star: np.ndarray, tol: float, name: str
+) -> ItoAlgebra:
+    """The builtin presentation of a table: death ``dt`` at index 0 and ``l = e_0``, verified."""
+    state = np.zeros(len(labels))
+    state[0] = 1.0
+    alg = ItoAlgebra(labels=labels, mult=mult, star=star, death=0, state=state, tol=tol, name=name)
     report = alg.axioms
     if not report.passed:
         failed = ", ".join(c.name for c in report.failures())
@@ -43,52 +62,18 @@ def _verified(alg: ItoAlgebra) -> ItoAlgebra:
 
 def newton(tol: float = 1e-9) -> ItoAlgebra:
     """One-dimensional algebra of smooth motion: dt^2 = 0, l(dt) = 1."""
-    return _verified(
-        ItoAlgebra(
-            labels=("dt",),
-            mult=np.zeros((1, 1, 1)),
-            star=np.eye(1),
-            death=0,
-            state=np.array([1.0]),
-            tol=tol,
-            name="newton",
-        )
-    )
+    return _algebra(("dt",), _table(1, []), np.eye(1), tol, "newton")
 
 
 def wiener(tol: float = 1e-9) -> ItoAlgebra:
     """Standard Brownian differentials: dw^2 = dt, dw dt = 0 = dt dw."""
-    mult = np.zeros((2, 2, 2), dtype=complex)
-    mult[1, 1, 0] = 1.0
-    return _verified(
-        ItoAlgebra(
-            labels=("dt", "dw"),
-            mult=mult,
-            star=np.eye(2),
-            death=0,
-            state=np.array([1.0, 0.0]),
-            tol=tol,
-            name="wiener",
-        )
-    )
+    return _algebra(("dt", "dw"), _table(2, [(1, 1, 0, 1.0)]), np.eye(2), tol, "wiener")
 
 
 def poisson(tol: float = 1e-9) -> ItoAlgebra:
     """Compensated Poisson differentials: dm^2 = dm + dt."""
-    mult = np.zeros((2, 2, 2), dtype=complex)
-    mult[1, 1, 0] = 1.0
-    mult[1, 1, 1] = 1.0
-    return _verified(
-        ItoAlgebra(
-            labels=("dt", "dm"),
-            mult=mult,
-            star=np.eye(2),
-            death=0,
-            state=np.array([1.0, 0.0]),
-            tol=tol,
-            name="poisson",
-        )
-    )
+    mult = _table(2, [(1, 1, 0, 1.0), (1, 1, 1, 1.0)])
+    return _algebra(("dt", "dm"), mult, np.eye(2), tol, "poisson")
 
 
 def zero_intensity_poisson(tol: float = 1e-9) -> ItoAlgebra:
@@ -96,19 +81,8 @@ def zero_intensity_poisson(tol: float = 1e-9) -> ItoAlgebra:
 
     The unique non-faithful case; its faithfulness ideal is the span of e.
     """
-    mult = np.zeros((2, 2, 2), dtype=complex)
-    mult[1, 1, 1] = 1.0
-    return _verified(
-        ItoAlgebra(
-            labels=("dt", "e"),
-            mult=mult,
-            star=np.eye(2),
-            death=0,
-            state=np.array([1.0, 0.0]),
-            tol=tol,
-            name="zero_intensity_poisson",
-        )
-    )
+    mult = _table(2, [(1, 1, 1, 1.0)])
+    return _algebra(("dt", "e"), mult, np.eye(2), tol, "zero_intensity_poisson")
 
 
 def hp(d: int, tol: float = 1e-9) -> ItoAlgebra:
@@ -142,37 +116,14 @@ def hp(d: int, tol: float = 1e-9) -> ItoAlgebra:
     def exc(i, j):
         return 1 + 2 * d + i * d + j
 
-    mult = np.zeros((n, n, n), dtype=complex)
-    for i in range(d):
-        mult[ann(i), cre(i), 0] = 1.0
-        for j in range(d):
-            for k in range(d):
-                if i == k:
-                    mult[ann(i), exc(k, j), ann(j)] = 1.0
-                    mult[exc(j, k), cre(i), cre(j)] = 1.0
-                for m in range(d):
-                    if j == k:
-                        mult[exc(i, j), exc(k, m), exc(i, m)] = 1.0
-    star_m = np.zeros((n, n), dtype=complex)
-    star_m[0, 0] = 1.0
-    for i in range(d):
-        star_m[ann(i), cre(i)] = 1.0
-        star_m[cre(i), ann(i)] = 1.0
-        for j in range(d):
-            star_m[exc(i, j), exc(j, i)] = 1.0
-    state = np.zeros(n, dtype=complex)
-    state[0] = 1.0
-    return _verified(
-        ItoAlgebra(
-            labels=tuple(labels),
-            mult=mult,
-            star=star_m,
-            death=0,
-            state=state,
-            tol=tol,
-            name=f"hp{d}",
-        )
-    )
+    modes = range(d)
+    entries = [(ann(i), cre(i), 0, 1.0) for i in modes]
+    entries += [(ann(i), exc(i, j), ann(j), 1.0) for i in modes for j in modes]
+    entries += [(exc(j, i), cre(i), cre(j), 1.0) for i in modes for j in modes]
+    entries += [(exc(i, j), exc(j, m), exc(i, m), 1.0) for i in modes for j in modes for m in modes]
+    perm = [0] + [cre(i) for i in modes] + [ann(i) for i in modes]
+    perm += [exc(j, i) for i in modes for j in modes]
+    return _algebra(labels, _table(n, entries), np.eye(n)[perm], tol, f"hp{d}")
 
 
 def thermal_brownian(rho_plus: float, rho_minus: float, tol: float = 1e-9) -> ItoAlgebra:
@@ -186,24 +137,8 @@ def thermal_brownian(rho_plus: float, rho_minus: float, tol: float = 1e-9) -> It
         raise AlgebraError("rho_plus must be positive")
     if rho_minus < 0:
         raise AlgebraError("rho_minus must be nonnegative")
-    mult = np.zeros((3, 3, 3), dtype=complex)
-    mult[1, 2, 0] = rho_plus
-    mult[2, 1, 0] = rho_minus
-    star_m = np.zeros((3, 3), dtype=complex)
-    star_m[0, 0] = 1.0
-    star_m[1, 2] = 1.0
-    star_m[2, 1] = 1.0
-    return _verified(
-        ItoAlgebra(
-            labels=("dt", "dw", "dw*"),
-            mult=mult,
-            star=star_m,
-            death=0,
-            state=np.array([1.0, 0.0, 0.0]),
-            tol=tol,
-            name="thermal_brownian",
-        )
-    )
+    mult = _table(3, [(1, 2, 0, rho_plus), (2, 1, 0, rho_minus)])
+    return _algebra(("dt", "dw", "dw*"), mult, np.eye(3)[[0, 2, 1]], tol, "thermal_brownian")
 
 
 def periodic_wiener(K: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgebra:
@@ -218,32 +153,12 @@ def periodic_wiener(K: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgeb
     rho = [float(r) for r in rho]
     if len(rho) != K or any(r <= 0 for r in rho):
         raise AlgebraError("rho must contain K positive reals")
-    modes = [k + 1 for k in range(K)] + [-(k + 1) for k in range(K)]
-    weight = {k + 1: rho[k] for k in range(K)}
-    weight.update({-(k + 1): 1.0 / rho[k] for k in range(K)})
-    pos = {k: 1 + idx for idx, k in enumerate(modes)}
-    n = 1 + 2 * K
-    mult = np.zeros((n, n, n), dtype=complex)
-    for k in modes:
-        mult[pos[k], pos[-k], 0] = weight[k]
-    star_m = np.zeros((n, n), dtype=complex)
-    star_m[0, 0] = 1.0
-    for k in modes:
-        star_m[pos[k], pos[-k]] = 1.0
-    state = np.zeros(n, dtype=complex)
-    state[0] = 1.0
-    labels = ("dt",) + tuple(f"d{k}" for k in modes)
-    return _verified(
-        ItoAlgebra(
-            labels=labels,
-            mult=mult,
-            star=star_m,
-            death=0,
-            state=state,
-            tol=tol,
-            name=f"periodic_wiener{K}",
-        )
-    )
+    # basis dt, d1..dK, d-1..d-K: d_k sits at 1 + idx and d_{-k} K places further round
+    weights = rho + [1.0 / r for r in rho]
+    perm = [0] + [1 + (idx + K) % (2 * K) for idx in range(2 * K)]
+    mult = _table(1 + 2 * K, [(i, perm[i], 0, w) for i, w in enumerate(weights, 1)])
+    labels = ["dt"] + [f"d{k + 1}" for k in range(K)] + [f"d{-(k + 1)}" for k in range(K)]
+    return _algebra(labels, mult, np.eye(1 + 2 * K)[perm], tol, f"periodic_wiener{K}")
 
 
 @dataclass(frozen=True)
@@ -261,14 +176,13 @@ class FiniteGroup:
             raise AlgebraError("Cayley table must be square over the element list")
         if table.min() < 0 or table.max() >= n:
             raise AlgebraError("Cayley table entries out of range")
-        for g in range(n):
-            if len(set(table[g])) != n or len(set(table[:, g])) != n:
-                raise AlgebraError("Cayley table rows/columns must be permutations")
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    if table[table[g, h], k] != table[g, table[h, k]]:
-                        raise AlgebraError("Cayley table is not associative")
+        rows_latin = (np.sort(table, axis=1) == np.arange(n)).all()
+        columns_latin = (np.sort(table, axis=0).T == np.arange(n)).all()
+        if not (rows_latin and columns_latin):
+            raise AlgebraError("Cayley table rows/columns must be permutations")
+        # (g h) k against g (h k) over all h, k, one g at a time: O(n^2) memory
+        if any(not np.array_equal(table[row], row[table]) for row in table):
+            raise AlgebraError("Cayley table is not associative")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "names", tuple(self.names))
         if self.identity() is None:
@@ -336,6 +250,7 @@ def group_levy(
     m = group.order
     e = group.identity()
     inv = group.inverse()
+    table = group.table
     if lam is None:
         lam_vec = np.zeros(m, dtype=complex)
         lam_vec[e] = 1.0
@@ -353,43 +268,22 @@ def group_levy(
 
     if not rel_residual(lam_vec[inv], np.conj(lam_vec)) <= tol:
         raise AlgebraError("lam violates the star symmetry lam(g^-1) = conj(lam(g))")
-    conv = np.zeros(m, dtype=complex)
-    for g in range(m):
-        conv[g] = sum(np.conj(lam_vec[group.table[g, inv[h]]]) * lam_vec[h] for h in range(m))
+    conv = np.conj(lam_vec[table[:, inv]]) @ lam_vec
     delta = np.zeros(m, dtype=complex)
     delta[e] = 1.0
     if not rel_residual(conv, delta) <= tol:
         raise AlgebraError("lam is not self-inverse under convolution")
-    gram = np.array([[lam_vec[group.table[inv[g], h]] for h in range(m)] for g in range(m)])
+    gram = lam_vec[table[inv]]
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
     if eigs.size and eigs[0] < -tol * max(1.0, float(np.max(np.abs(eigs)))):
         raise AlgebraError("lam is not positive definite on the group")
 
-    n = 1 + m
-    mult = np.zeros((n, n, n), dtype=complex)
-    for g in range(m):
-        for h in range(m):
-            gh = group.table[g, h]
-            mult[1 + g, 1 + h, 0] = lam_vec[gh]
-            mult[1 + g, 1 + h, 1 + gh] += 1.0
-    star_m = np.zeros((n, n), dtype=complex)
-    star_m[0, 0] = 1.0
-    for g in range(m):
-        star_m[1 + g, 1 + inv[g]] = 1.0
-    state = np.zeros(n, dtype=complex)
-    state[0] = 1.0
-    labels = ("dt",) + tuple(f"d_{name}" for name in group.names)
-    return _verified(
-        ItoAlgebra(
-            labels=labels,
-            mult=mult,
-            star=star_m,
-            death=0,
-            state=state,
-            tol=tol,
-            name=f"group_levy_{group.name}",
-        )
-    )
+    pairs = [(g, h, table[g, h]) for g in range(m) for h in range(m)]
+    entries = [(1 + g, 1 + h, 0, lam_vec[gh]) for g, h, gh in pairs]
+    entries += [(1 + g, 1 + h, 1 + gh, 1.0) for g, h, gh in pairs]
+    labels = ["dt"] + [f"d_{name}" for name in group.names]
+    star = np.eye(1 + m)[[0, *(1 + inv)]]
+    return _algebra(labels, _table(1 + m, entries), star, tol, f"group_levy_{group.name}")
 
 
 def thermal_matrix(n: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgebra:
@@ -407,36 +301,17 @@ def thermal_matrix(n: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgebr
     rho = [float(r) for r in rho]
     if len(rho) != n or any(r <= 0 for r in rho):
         raise AlgebraError("rho must contain n positive reals")
-    dim = 1 + n * n
 
     def unit(p, q):
         return 1 + p * n + q
 
-    mult = np.zeros((dim, dim, dim), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            for s in range(n):
-                mult[unit(p, q), unit(q, s), unit(p, s)] += 1.0
-            mult[unit(p, q), unit(q, p), 0] += rho[p]
-    star_m = np.zeros((dim, dim), dtype=complex)
-    star_m[0, 0] = 1.0
-    for p in range(n):
-        for q in range(n):
-            star_m[unit(p, q), unit(q, p)] = 1.0
-    state = np.zeros(dim, dtype=complex)
-    state[0] = 1.0
-    labels = ("dt",) + tuple(f"x{p + 1}{q + 1}" for p in range(n) for q in range(n))
-    return _verified(
-        ItoAlgebra(
-            labels=labels,
-            mult=mult,
-            star=star_m,
-            death=0,
-            state=state,
-            tol=tol,
-            name=f"thermal_matrix{n}",
-        )
-    )
+    units = [(p, q) for p in range(n) for q in range(n)]
+    entries = [(unit(p, q), unit(q, s), unit(p, s), 1.0) for p, q in units for s in range(n)]
+    entries += [(unit(p, q), unit(q, p), 0, rho[p]) for p, q in units]
+    perm = [0] + [unit(q, p) for p, q in units]
+    labels = ["dt"] + [f"x{p + 1}{q + 1}" for p, q in units]
+    dim = 1 + n * n
+    return _algebra(labels, _table(dim, entries), np.eye(dim)[perm], tol, f"thermal_matrix{n}")
 
 
 def _zero_mean_basis(alg: ItoAlgebra) -> np.ndarray:
@@ -470,17 +345,5 @@ def orthogonal_sum(a1: ItoAlgebra, a2: ItoAlgebra, tol: float | None = None) -> 
         mult[np.ix_(block[1:], block[1:], block)] = sub.mult[1:, 1:]
         star_m[np.ix_(block[1:], block)] = sub.star[1:]
         offset += len(zm)
-    state = np.zeros(n, dtype=complex)
-    state[0] = 1.0
     name = f"{a1.name or 'a'}+{a2.name or 'b'}"
-    return _verified(
-        ItoAlgebra(
-            labels=tuple(labels),
-            mult=mult,
-            star=star_m,
-            death=0,
-            state=state,
-            tol=tol,
-            name=name,
-        )
-    )
+    return _algebra(labels, mult, star_m, tol, name)

@@ -1,7 +1,8 @@
 """Command-line surface: check, represent, decompose, norms, simulate, catalog.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 axiom failure or any other
-library error, 3 non-faithful input (check prints the quotient in that case).
+library error, including an allocation the machine refuses (``MemoryError``),
+3 non-faithful input (check prints the quotient in that case).
 """
 
 from __future__ import annotations
@@ -387,7 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MemoryError as exc:
+        # numpy's message names the size and shape that could not be allocated
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_AXIOMS
 
 
 if __name__ == "__main__":

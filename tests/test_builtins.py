@@ -50,6 +50,20 @@ class TestConstructorValidation:
         with pytest.raises(AlgebraError):
             ia.FiniteGroup(("a", "b"), np.array([[0, 0], [0, 0]]))
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0, 0], [1, 1]], "rows/columns must be permutations"),  # columns Latin, rows not
+            ([[0, 1], [0, 1]], "rows/columns must be permutations"),  # rows Latin, columns not
+            # x o y = -x - y mod 3 is a Latin square, but (x o y) o z = x + y - z
+            (np.negative(np.add.outer(range(3), range(3))) % 3, "not associative"),
+        ],
+    )
+    def test_cayley_table_rejections(self, table, message):
+        names = tuple(f"g{i}" for i in range(len(table)))
+        with pytest.raises(AlgebraError, match=message):
+            ia.FiniteGroup(names, np.array(table))
+
 
 class TestTables:
     def test_newton(self):
@@ -71,6 +85,36 @@ class TestTables:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_hp_axioms(self, d):
         assert ia.verify_axioms(ia.hp(d)).passed
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_hp_is_the_triangular_matrix_unit_algebra(self, d):
+        # the matrix units of C + C^d + C, rows and columns ordered -, 1..d, +:
+        # dt = E_-+, e-^i = E_-i, e+_j = E_j+, e^i_j = E_ij, with star G E^T G
+        # for the metric G that swaps - and +
+        size = d + 2
+        minus, plus = 0, d + 1
+
+        def unit(a, b):
+            M = np.zeros((size, size))
+            M[a, b] = 1.0
+            return M
+
+        one = d == 1
+        units = {"dt": unit(minus, plus)}
+        for i in range(1, d + 1):
+            units["e-" if one else f"e-^{i}"] = unit(minus, i)
+            units["e+" if one else f"e+_{i}"] = unit(i, plus)
+            for j in range(1, d + 1):
+                units["e" if one else f"e^{i}_{j}"] = unit(i, j)
+        h = ia.hp(d)
+        assert sorted(h.labels) == sorted(units)
+        B = np.array([units[lab] for lab in h.labels])
+        G = np.eye(size)[[plus, *range(1, d + 1), minus]]
+        # coefficients on the orthonormal matrix units are Frobenius products
+        mult = np.einsum("aij,bjk,cik->abc", B, B, B)
+        star = np.einsum("aij,cij->ac", G @ B.transpose(0, 2, 1) @ G, B)
+        assert np.max(np.abs(h.mult - mult)) <= 1e-12
+        assert np.max(np.abs(h.star - star)) <= 1e-12
 
     def test_hp_exchange_composition(self):
         h = ia.hp(2)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
+from itoalg import cli
 from itoalg.adsl import parse, serialize
 from itoalg.cli import main
 
@@ -109,6 +110,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, argv[0], str(bad), *argv[1:])
         assert code == 2
         assert "FAIL  state_positive" in err
+
+    @pytest.mark.parametrize(
+        "target, argv, message",
+        [
+            (
+                "_make_builtin",
+                ("catalog", "--name", "hp", "--params", "d=100"),
+                "Unable to allocate 15.4 TiB for an array with shape (10201, 10201, 10201)",
+            ),
+            ("_make_builtin", ("catalog", "--name", "group_levy", "--params", "group=z100000"), ""),
+            (
+                "classical_paths",
+                ("simulate", "wiener", "--model", "classical", "--paths", "1000000000000"),
+                "Unable to allocate 7.28 TiB for an array with shape (1000000000000, 1)",
+            ),
+        ],
+        ids=["hp", "group_levy-no-message", "classical"],
+    )
+    def test_refused_allocation_exits_2_with_one_line(
+        self, capsys, monkeypatch, ito_files, target, argv, message
+    ):
+        # the stand-in raises as numpy does when the machine refuses the
+        # allocation; a real request could hang under memory overcommit
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, target, refuse)
+        argv = [ito_files.get(a, a) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message or 'out of memory'}\n"
 
     def test_simulate_fock_fine_grid(self, capsys, ito_files):
         # 1000 slots on hp(3) (hdim 12); one representative slot stands for all
