@@ -134,8 +134,12 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
     """Parse an algebra definition; diagnostics carry line and column.
 
     On success the algebra is verified against the axioms, and any failing
-    axiom is reported as a warning with its residual.
+    axiom is reported as a warning with its residual.  A ``tol`` that is not
+    finite and nonnegative is an error.
     """
+    if not 0 <= tol < np.inf:
+        diag = ParseDiagnostic("error", 0, 0, "tol must be finite and nonnegative")
+        return ParseResult(None, [diag])
     diags: list[ParseDiagnostic] = []
     name: str | None = None
     labels: list[str] | None = None

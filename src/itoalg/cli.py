@@ -1,5 +1,12 @@
 """Command-line surface: check, represent, decompose, norms, simulate, catalog.
 
+Every file command is one pipeline in ``main``: the file is read and parsed
+once, at the command's tolerance; the command runs its stage behind the one
+axiom gate ``_run_stage`` and returns its exit code, its JSON payload (a
+callable) and its text lines; the one writer ``_emit`` prints the payload
+under ``--json`` and the lines otherwise.  A failure prints its message and
+raises ``_Failed``, which ``main`` turns into the exit code.
+
 Exit codes: 0 success, 1 I/O or parse error, 2 axiom failure or any other
 library error, including an allocation the machine refuses (``MemoryError``),
 3 non-faithful input (check prints the quotient in that case).
@@ -8,15 +15,15 @@ library error, including an allocation the machine refuses (``MemoryError``),
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import builtins as catalog_mod
-from .adsl import parse, parse_lincomb, serialize, _tokenize
-from .core import AlgebraError, Element
+from .adsl import ParseDiagnostic, parse, parse_lincomb, serialize, _tokenize
+from .core import AlgebraError, ItoAlgebra, complex_pairs
 from .decomp import decompose
 from .focksim import classical_paths, vacuum_moments
 from .gns import NonFaithfulError, build_representation, seminorms, triangular
@@ -27,6 +34,25 @@ EXIT_IO = 1
 EXIT_AXIOMS = 2
 EXIT_NONFAITHFUL = 3
 
+
+def _group_levy(group: str, **kwargs):
+    """``group_levy`` over the symmetric group ``sN`` or the cyclic group ``zN``."""
+    group = group.lower()
+    if group.startswith("s"):
+        finite_group = catalog_mod.symmetric_group(int(group[1:] or 3))
+    elif group.startswith("z"):
+        finite_group = catalog_mod.cyclic_group(int(group[1:] or 2))
+    else:
+        raise ValueError(f"unknown group {group!r} (use sN or zN)")
+    return catalog_mod.group_levy(finite_group, None, **kwargs)
+
+
+def _orthogonal_sum(of: list, **kwargs):
+    """Orthogonal sum of the named builtins, each at its catalog defaults."""
+    summands = [_make_builtin(name, None) for name in of]
+    return functools.reduce(lambda a, b: catalog_mod.orthogonal_sum(a, b, **kwargs), summands)
+
+
 _CATALOG = {
     "newton": (catalog_mod.newton, {}),
     "wiener": (catalog_mod.wiener, {}),
@@ -35,69 +61,56 @@ _CATALOG = {
     "hp": (catalog_mod.hp, {"d": 1}),
     "thermal_brownian": (catalog_mod.thermal_brownian, {"rho_plus": 2.0, "rho_minus": 0.5}),
     "periodic_wiener": (catalog_mod.periodic_wiener, {"K": 2, "rho": [2.0, 3.0]}),
-    "group_levy": (None, {"group": "s3"}),
+    "group_levy": (_group_levy, {"group": "s3"}),
     "thermal_matrix": (catalog_mod.thermal_matrix, {"n": 2, "rho": [2.0 / 3.0, 1.0 / 3.0]}),
-    "orthogonal_sum": (None, {"of": ["wiener", "poisson"]}),
+    "orthogonal_sum": (_orthogonal_sum, {"of": ["wiener", "poisson"]}),
 }
 
 
-def _mat_json(M: np.ndarray) -> list:
-    """Row-major matrix as [re, im] pairs."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return [[[z.real, z.imag] for z in row] for row in M]
+class _Failed(Exception):
+    """Ends the command with exit code ``args[0]``; its message is already on stderr."""
 
 
-def _vec_json(v: np.ndarray) -> list:
-    return [[z.real, z.imag] for z in np.asarray(v, dtype=complex).reshape(-1)]
-
-
-def _load(path: str):
+def _load(path: str, tol: float):
+    """The algebra in ``path``, parsed at ``tol``, with its diagnostics printed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    result = parse(text)
+        raise _Failed(EXIT_IO) from exc
+    result = parse(text, tol=tol)
     for diag in result.diagnostics:
         print(str(diag), file=sys.stderr)
     if not result.ok:
-        return None, EXIT_IO
-    return result.algebra, EXIT_OK
+        raise _Failed(EXIT_IO)
+    return result.algebra
 
 
-def _cmd_check(args) -> int:
-    alg, code = _load(args.file)
-    if alg is None:
-        return code
-    if args.tol is not None:
-        alg = dataclasses.replace(alg, tol=args.tol)
+def _run_stage(stage, alg, *args):
+    """``stage(alg, *args)`` behind the algebra's axiom report.
+
+    A failing report is printed and the stage is not run; a library error
+    from the stage is printed.  Either ends the command with its exit code.
+    """
     report = alg.axioms
-    payload = {"axioms": report.to_dict()}
-    code = EXIT_OK
-    ideal_dim = None
-    quotient_text = None
     if not report.passed:
-        code = EXIT_AXIOMS
+        print(report.summary(), file=sys.stderr)
+        raise _Failed(EXIT_AXIOMS)
+    try:
+        return stage(alg, *args)
+    except AlgebraError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise _Failed(EXIT_NONFAITHFUL if isinstance(exc, NonFaithfulError) else EXIT_AXIOMS) from exc
+
+
+def _emit(as_json: bool, payload, lines) -> None:
+    """The one writer: ``payload()`` as JSON under ``--json``, else the text ``lines``."""
+    if as_json:
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        result, code = _run_stage(_faithfulness, alg)
-        if result is None:
-            return code
-        ideal_dim, quotient_text = result
-        payload["ideal_dimension"] = ideal_dim
-        if quotient_text is not None:
-            code = EXIT_NONFAITHFUL
-            payload["quotient"] = quotient_text
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(report.summary())
-        if ideal_dim is not None:
-            print(f"faithfulness ideal dimension: {ideal_dim}")
-        if quotient_text is not None:
-            print("quotient algebra:")
-            print(quotient_text, end="")
-    return code
+        for line in lines:
+            print(line)
 
 
 def _faithfulness(alg) -> tuple[int, str | None]:
@@ -106,62 +119,57 @@ def _faithfulness(alg) -> tuple[int, str | None]:
     return ideal.dim, None if ideal.is_trivial else serialize(quotient(alg, ideal).algebra)
 
 
-def _run_stage(stage, alg, *args):
-    """``stage(alg, *args)`` behind the algebra's axiom report; returns (result, exit code).
-
-    A failing report is printed and the stage is not run; a library error
-    from the stage is printed and mapped to its exit code.
-    """
+def _cmd_check(alg, args):
     report = alg.axioms
-    if not report.passed:
-        print(report.summary(), file=sys.stderr)
-        return None, EXIT_AXIOMS
-    try:
-        return stage(alg, *args), EXIT_OK
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_NONFAITHFUL if isinstance(exc, NonFaithfulError) else EXIT_AXIOMS
+    payload = {"axioms": report.to_dict()}
+    lines = [report.summary()]
+    code = EXIT_OK if report.passed else EXIT_AXIOMS
+    if report.passed:
+        ideal_dim, quotient_text = _run_stage(_faithfulness, alg)
+        payload["ideal_dimension"] = ideal_dim
+        lines.append(f"faithfulness ideal dimension: {ideal_dim}")
+        if quotient_text is not None:
+            code = EXIT_NONFAITHFUL
+            payload["quotient"] = quotient_text
+            lines += ["quotient algebra:", quotient_text.removesuffix("\n")]
+    return code, lambda: payload, lines
 
 
-def _cmd_represent(args) -> int:
-    alg, code = _load(args.file)
-    if alg is None:
-        return code
-    rep, code = _run_stage(build_representation, alg)
-    if rep is None:
-        return code
-    mats = {lab: triangular(rep, alg.basis_element(i)) for i, lab in enumerate(alg.labels)}
-    if args.json:
-        payload = {
+def _cmd_represent(alg, args):
+    rep = _run_stage(build_representation, alg)
+    # triangular(a) = [[0, kdag(a), l(a)], [0, i(a), k(a)], [0, 0, 0]]
+    mats = {lab: triangular(rep, e) for lab, e in zip(alg.labels, np.eye(alg.dim))}
+
+    def payload():
+        return {
             "hdim": rep.hdim,
             "labels": list(alg.labels),
             "quadruples": [
                 {
                     "label": lab,
-                    "l": _vec_json(np.array([rep.l_of(alg.basis_element(i))]))[0],
-                    "k": _vec_json(rep.k_of(alg.basis_element(i))),
-                    "kdag": _vec_json(rep.kdag_of(alg.basis_element(i))),
-                    "i": _mat_json(rep.i_of(alg.basis_element(i))),
+                    "l": complex_pairs(M[0, -1]),
+                    "k": complex_pairs(M[1:-1, -1]),
+                    "kdag": complex_pairs(M[0, 1:-1]),
+                    "i": complex_pairs(M[1:-1, 1:-1]),
                 }
-                for i, lab in enumerate(alg.labels)
+                for lab, M in mats.items()
             ],
-            "triangular": {lab: _mat_json(M) for lab, M in mats.items()},
+            "triangular": {lab: complex_pairs(M) for lab, M in mats.items()},
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.latex:
-        print(f"% hdim = {rep.hdim}")
-        for lab, M in mats.items():
-            rows = " \\\\\n".join(
-                " & ".join(_fmt_num(z) for z in row) for row in M
-            )
-            print(f"% {lab}\n\\begin{{pmatrix}}\n{rows}\n\\end{{pmatrix}}")
-    else:
-        print(f"hdim: {rep.hdim}")
-        for lab, M in mats.items():
-            print(f"triangular({lab}):")
-            for row in M:
-                print("  [" + "  ".join(f"{_fmt_num(z):>10s}" for z in row) + "]")
-    return EXIT_OK
+
+    def lines():
+        if args.latex:
+            yield f"% hdim = {rep.hdim}"
+            for lab, M in mats.items():
+                rows = " \\\\\n".join(" & ".join(_fmt_num(z) for z in row) for row in M)
+                yield f"% {lab}\n\\begin{{pmatrix}}\n{rows}\n\\end{{pmatrix}}"
+        else:
+            yield f"hdim: {rep.hdim}"
+            for lab, M in mats.items():
+                yield f"triangular({lab}):"
+                yield from ("  [" + "  ".join(f"{_fmt_num(z):>10s}" for z in row) + "]" for row in M)
+
+    return EXIT_OK, payload, lines()
 
 
 def _fmt_num(z: complex) -> str:
@@ -171,146 +179,98 @@ def _fmt_num(z: complex) -> str:
     return f"{z.real:.6g}{z.imag:+.6g}i"
 
 
-def _cmd_decompose(args) -> int:
-    alg, code = _load(args.file)
-    if alg is None:
-        return code
-    dec, code = _run_stage(decompose, alg)
-    if dec is None:
-        return code
-    if args.json:
-        print(json.dumps(dec.to_dict(), indent=2, sort_keys=True))
-    else:
-        def show(title, elems):
-            print(f"{title} ({len(elems)} elements):")
-            for e in elems:
-                print(f"  {e}")
+def _cmd_decompose(alg, args):
+    dec = _run_stage(decompose, alg)
 
-        show("brownian component", dec.brownian)
-        show("levy component", dec.levy)
-        status = "pass" if dec.report.passed else "FAIL"
-        print(f"verification: {status}")
-        for name, resid in dec.report.residuals.items():
-            print(f"  {name:24s} {resid:.3e}")
-    return EXIT_OK if dec.report.passed else EXIT_AXIOMS
+    def lines():
+        for title, elems in (("brownian component", dec.brownian), ("levy component", dec.levy)):
+            yield f"{title} ({len(elems)} elements):"
+            yield from (f"  {e}" for e in elems)
+        yield f"verification: {'pass' if dec.report.passed else 'FAIL'}"
+        yield from (f"  {name:24s} {resid:.3e}" for name, resid in dec.report.residuals.items())
+
+    return (EXIT_OK if dec.report.passed else EXIT_AXIOMS), dec.to_dict, lines()
 
 
-def _cmd_norms(args) -> int:
-    alg, code = _load(args.file)
-    if alg is None:
-        return code
-    rep, code = _run_stage(build_representation, alg)
-    if rep is None:
-        return code
-    tokens = _tokenize(args.element)
+def _cmd_norms(alg, args):
+    rep = _run_stage(build_representation, alg)
     diags = []
-    vec = parse_lincomb(tokens, {lab: i for i, lab in enumerate(alg.labels)}, alg.dim, 1, diags)
-    if vec is None:
-        for d in diags:
-            print(str(d), file=sys.stderr)
-        return EXIT_IO
-    norms = seminorms(rep, Element(alg, vec))
-    print(f"operator: {norms.op:.12g}")
-    print(f"plus:     {norms.plus:.12g}")
-    print(f"minus:    {norms.minus:.12g}")
-    print(f"corner:   {norms.corner:.12g}")
-    return EXIT_OK
+    vec = parse_lincomb(
+        _tokenize(args.element), {lab: i for i, lab in enumerate(alg.labels)}, alg.dim, 1, diags
+    )
+    if vec is not None and not np.all(np.isfinite(vec)):
+        diags.append(ParseDiagnostic("error", 1, 1, "non-finite coefficient"))
+    if diags:
+        for diag in diags:
+            print(str(diag), file=sys.stderr)
+        raise _Failed(EXIT_IO)
+    norms = seminorms(rep, vec)
+    labels = ("operator", "plus", "minus", "corner")
+    return EXIT_OK, norms._asdict, (f"{lab + ':':10s}{v:.12g}" for lab, v in zip(labels, norms))
 
 
 def _fock_reports(alg, t: float, dt: float) -> list:
     """Vacuum moments of every basis element on round(t / dt) slots."""
     if not dt > 0:
         raise AlgebraError("dt must be positive")
+    if not np.isfinite(t / dt):
+        raise AlgebraError("t/dt must be finite")
     rep = build_representation(alg)
     n_slots = max(1, int(round(t / dt)))
-    reports = []
-    for i, lab in enumerate(alg.labels):
-        rpt = vacuum_moments(rep, alg.basis_element(i), t, n_slots)
+    reports = [vacuum_moments(rep, alg.basis_element(i), t, n_slots) for i in range(alg.dim)]
+    for rpt, lab in zip(reports, alg.labels):
         rpt.inputs["element"] = lab
-        reports.append(rpt)
     return reports
 
 
-def _cmd_simulate(args) -> int:
-    alg, code = _load(args.file)
-    if alg is None:
-        return code
+def _cmd_simulate(alg, args):
     if args.model == "fock":
-        reports, code = _run_stage(_fock_reports, alg, args.t, args.dt)
-        if reports is None:
-            return code
-        if args.json:
-            print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
-        else:
+        reports = _run_stage(_fock_reports, alg, args.t, args.dt)
+
+        def lines():
             for rpt in reports:
-                print(f"element {rpt.inputs['element']}:")
+                yield f"element {rpt.inputs['element']}:"
                 for est in rpt.estimates:
                     tgt = "" if est.target is None else f" (target {est._num(est.target)})"
-                    print(f"  {est.name:28s} {est._num(est.value)}{tgt}")
-        return EXIT_OK
-    rpt, code = _run_stage(classical_paths, alg, args.t, args.dt, args.paths, args.seed)
-    if rpt is None:
-        return code
-    if args.json:
-        print(json.dumps(rpt.to_dict(), indent=2, sort_keys=True))
-    else:
+                    yield f"  {est.name:28s} {est._num(est.value)}{tgt}"
+
+        return EXIT_OK, lambda: [r.to_dict() for r in reports], lines()
+    rpt = _run_stage(classical_paths, alg, args.t, args.dt, args.paths, args.seed)
+
+    def lines():
         for est in rpt.estimates:
             se = "" if est.stderr is None else f" +- {est.stderr:.3g}"
             tgt = "" if est.target is None else f" (target {est._num(est.target)})"
-            print(f"{est.name:24s} {est._num(est.value):.6g}{se}{tgt}")
-    return EXIT_OK
+            yield f"{est.name:24s} {est._num(est.value):.6g}{se}{tgt}"
+
+    return EXIT_OK, rpt.to_dict, lines()
 
 
-def _parse_params(raw: str | None) -> dict:
-    out = {}
-    if not raw:
-        return out
-    for chunk in raw.split(","):
-        if not chunk.strip():
-            continue
+def _parse_params(raw: str | None, defaults: dict) -> dict:
+    """The defaults updated from ``key=value,...``, each value read as the type of its default.
+
+    A list default splits its value on ':' and reads each item as the type of
+    the default's items; a key with no default is read as a float.
+    """
+    out = dict(defaults)
+    for chunk in filter(str.strip, (raw or "").split(",")):
         if "=" not in chunk:
             raise ValueError(f"bad parameter {chunk!r}, expected key=value")
-        key, value = chunk.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if ":" in value:
-            out[key] = [float(v) for v in value.split(":")]
+        key, value = (part.strip() for part in chunk.split("=", 1))
+        default = defaults.get(key, 0.0)
+        if isinstance(default, list):
+            out[key] = [type(default[0])(item.strip()) for item in value.split(":")]
         else:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                try:
-                    out[key] = float(value)
-                except ValueError:
-                    out[key] = value
+            out[key] = type(default)(value)
     return out
 
 
-def _make_builtin(name: str, params: dict):
-    if name == "group_levy":
-        group_name = str(params.pop("group", "s3")).lower()
-        if group_name.startswith("s"):
-            group = catalog_mod.symmetric_group(int(group_name[1:] or 3))
-        elif group_name.startswith("z"):
-            group = catalog_mod.cyclic_group(int(group_name[1:] or 2))
-        else:
-            raise ValueError(f"unknown group {group_name!r} (use sN or zN)")
-        return catalog_mod.group_levy(group, None, **params)
-    if name == "orthogonal_sum":
-        parts = params.pop("of", ["wiener", "poisson"])
-        if isinstance(parts, str):
-            parts = parts.split(":")
-        algs = [_make_builtin(p, dict(_CATALOG[p][1])) for p in parts]
-        out = algs[0]
-        for nxt in algs[1:]:
-            out = catalog_mod.orthogonal_sum(out, nxt)
-        return out
+def _make_builtin(name: str, raw_params: str | None):
+    """The builtin ``name`` at its catalog defaults updated from ``--params`` text."""
+    if name not in _CATALOG:
+        raise ValueError(f"unknown builtin {name!r}")
     fn, defaults = _CATALOG[name]
-    merged = dict(defaults)
-    for key, value in params.items():
-        # a list-valued parameter given one value on the command line
-        wrap = isinstance(defaults.get(key), list) and not isinstance(value, list)
-        merged[key] = [value] if wrap else value
-    return fn(**merged)
+    return fn(**_parse_params(raw_params, defaults))
 
 
 def _cmd_catalog(args) -> int:
@@ -319,11 +279,8 @@ def _cmd_catalog(args) -> int:
             shown = ", ".join(f"{k}={v}" for k, v in defaults.items())
             print(f"{name}({shown})")
         return EXIT_OK
-    if args.name not in _CATALOG:
-        print(f"error: unknown builtin {args.name!r}", file=sys.stderr)
-        return EXIT_IO
     try:
-        alg = _make_builtin(args.name, _parse_params(args.params))
+        alg = _make_builtin(args.name, args.params)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -344,52 +301,53 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="itoalg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", help="verify axioms and faithfulness")
-    c.add_argument("file")
-    c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(fn=_cmd_check)
+    def file_command(name, fn, help):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("file")
+        # the library's default tolerance, and no --json, unless the command adds them
+        sp.set_defaults(fn=fn, tol=ItoAlgebra.tol, json=False)
+        return sp
 
-    r = sub.add_parser("represent", help="canonical triangular representation")
-    r.add_argument("file")
+    c = file_command("check", _cmd_check, "verify axioms and faithfulness")
+    c.add_argument("--tol", type=float)
+    c.add_argument("--json", action="store_true")
+
+    r = file_command("represent", _cmd_represent, "canonical triangular representation")
     grp = r.add_mutually_exclusive_group()
     grp.add_argument("--json", action="store_true")
     grp.add_argument("--latex", action="store_true")
-    r.set_defaults(fn=_cmd_represent)
 
-    d = sub.add_parser("decompose", help="Brownian/Levy decomposition")
-    d.add_argument("file")
+    d = file_command("decompose", _cmd_decompose, "Brownian/Levy decomposition")
     d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=_cmd_decompose)
 
-    n = sub.add_parser("norms", help="four seminorms of an element")
-    n.add_argument("file")
+    n = file_command("norms", _cmd_norms, "four seminorms of an element")
     n.add_argument("--element", required=True, help='lincomb, e.g. "1 dt + 2i dw"')
-    n.set_defaults(fn=_cmd_norms)
 
-    s = sub.add_parser("simulate", help="toy-Fock or classical Monte Carlo report")
-    s.add_argument("file")
+    s = file_command("simulate", _cmd_simulate, "toy-Fock or classical Monte Carlo report")
     s.add_argument("--model", choices=("fock", "classical"), required=True)
     s.add_argument("--t", type=float, default=1.0)
     s.add_argument("--dt", type=float, default=0.01)
     s.add_argument("--paths", type=int, default=10000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=_cmd_simulate)
 
     k = sub.add_parser("catalog", help="list or emit builtin algebras")
     k.add_argument("--name")
     k.add_argument("--params", help="comma-separated key=value, lists use ':'")
     k.add_argument("-o", "--output")
-    k.set_defaults(fn=_cmd_catalog)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "catalog":
+            return _cmd_catalog(args)
+        code, payload, lines = args.fn(_load(args.file, args.tol), args)
+        _emit(args.json, payload, lines)
+        return code
+    except _Failed as exc:
+        return exc.args[0]
     except MemoryError as exc:
         # numpy's message names the size and shape that could not be allocated
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

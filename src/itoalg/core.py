@@ -44,6 +44,7 @@ __all__ = [
     "Element",
     "ItoAlgebra",
     "commutant_check",
+    "complex_pairs",
     "gram_matrix",
     "gram_schmidt",
     "lead_labels",
@@ -66,6 +67,12 @@ __all__ = [
 
 class AlgebraError(ValueError):
     """Malformed algebra data or an operation on incompatible operands."""
+
+
+def complex_pairs(a) -> list:
+    """A complex array as nested lists with each entry an ``[re, im]`` pair (its JSON form)."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def rel_residual(lhs, rhs) -> float:
@@ -173,8 +180,8 @@ class ItoAlgebra:
             raise AlgebraError(f"star matrix must have shape {(n, n)}, got {star_m.shape}")
         if state.shape != (n,) or death.shape != (n,):
             raise AlgebraError("state and death must be vectors of the basis size")
-        if not (self.tol >= 0):
-            raise AlgebraError("tol must be nonnegative")
+        if not 0 <= self.tol < np.inf:
+            raise AlgebraError("tol must be finite and nonnegative")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mult", _freeze(mult))
         object.__setattr__(self, "star", _freeze(star_m))

@@ -18,6 +18,7 @@ from .core import (
     AlgebraError,
     Element,
     ItoAlgebra,
+    complex_pairs,
     gram_schmidt,
     null_space,
     numerical_rank,
@@ -88,15 +89,12 @@ class Decomposition:
         return len(self.brownian) == 1
 
     def to_dict(self) -> dict:
-        def vecs(elems):
-            return [[[z.real, z.imag] for z in e.coeffs] for e in elems]
-
         return {
             "labels": list(self.algebra.labels),
             "hdim": self.rep.hdim,
-            "projector": [[[z.real, z.imag] for z in row] for row in self.projector],
-            "brownian": vecs(self.brownian),
-            "levy": vecs(self.levy),
+            "projector": complex_pairs(self.projector),
+            "brownian": complex_pairs([e.coeffs for e in self.brownian]),
+            "levy": complex_pairs([e.coeffs for e in self.levy]),
             "report": self.report.to_dict(),
         }
 

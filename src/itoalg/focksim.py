@@ -311,6 +311,10 @@ def classical_paths(
         raise UnsupportedModelError("classical sampling needs a commutative algebra")
     if not (t > 0 and 0 < dt <= t):
         raise AlgebraError("need 0 < dt <= t")
+    if not np.isfinite(t / dt):
+        raise AlgebraError("t/dt must be finite")
+    if not 0 <= seed < 2**128:
+        raise AlgebraError("seed must be in [0, 2**128)")
     if n_paths < 2:
         raise AlgebraError("need at least two paths for moment estimates")
     dec = decompose(alg)
@@ -358,8 +362,6 @@ def classical_paths(
         intensity[j] = c2.real / c1.real**2
 
     n_steps = int(round(t / dt))
-    if n_steps < 1:
-        raise AlgebraError("t/dt must round to at least one step")
     dt_eff = t / n_steps
     nc = nb + nz
     labels = [

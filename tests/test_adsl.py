@@ -217,6 +217,12 @@ class TestTotality:
             result = parse("".join(text))
             assert isinstance(result, ParseResult)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_invalid_tol_is_an_error_diagnostic(self, tol):
+        result = parse(WIENER_FILE, tol=tol)
+        assert not result.ok
+        assert [d.message for d in result.errors()] == ["tol must be finite and nonnegative"]
+
     def test_oversized_basis_rejected(self):
         text = "basis " + " ".join(f"s{i}" for i in range(100)) + "\ndeath s0\n"
         result = parse(text)

@@ -143,6 +143,85 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message or 'out of memory'}\n"
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("simulate", "hp1", "--model", "fock", "--t", "nan"), 2, "error: t/dt must be finite"),
+            (("simulate", "hp1", "--model", "fock", "--t", "inf"), 2, "error: t/dt must be finite"),
+            (
+                ("simulate", "hp1", "--model", "fock", "--t", "1e300", "--dt", "1e-300"),
+                2,
+                "error: t/dt must be finite",
+            ),
+            (
+                ("simulate", "wiener", "--model", "classical", "--t", "inf", "--dt", "1"),
+                2,
+                "error: t/dt must be finite",
+            ),
+            (
+                ("simulate", "wiener", "--model", "classical", "--t", "1e300", "--dt", "1e-300",
+                 "--paths", "2"),
+                2,
+                "error: t/dt must be finite",
+            ),
+            (
+                ("simulate", "wiener", "--model", "classical", "--seed", "-1", "--paths", "10"),
+                2,
+                "error: seed must be in [0, 2**128)",
+            ),
+            (
+                ("simulate", "wiener", "--model", "classical", "--seed", str(2**128), "--paths", "10"),
+                2,
+                "error: seed must be in [0, 2**128)",
+            ),
+            *(
+                (("check", "wiener", "--tol", tol), 1,
+                 "error: line 0, col 0: tol must be finite and nonnegative")
+                for tol in ("nan", "inf", "-1")
+            ),
+            (
+                ("norms", "wiener", "--element", "1e400 dw"),
+                1,
+                "error: line 1, col 1: non-finite coefficient",
+            ),
+        ],
+        ids=[
+            "fock-t-nan", "fock-t-inf", "fock-ratio-overflow", "classical-t-inf",
+            "classical-ratio-overflow", "classical-seed-negative", "classical-seed-too-large",
+            "check-tol-nan", "check-tol-inf", "check-tol-negative", "norms-inf-coefficient",
+        ],
+    )
+    def test_hostile_numbers_exit_with_one_line(self, capsys, ito_files, argv, code, message):
+        argv = [ito_files.get(a, a) for a in argv]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err == message + "\n"
+
+    def test_undecodable_file_is_io_exit(self, capsys, tmp_path):
+        f = tmp_path / "binary.ito"
+        f.write_bytes(b"basis dt\n\xf0\x28\x8c\x28\n")
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {f}: ") and err.count("\n") == 1
+
+    def test_check_tol_applies_from_the_parse_on(self, capsys, tmp_path):
+        # a 1e-6 associativity defect: judged at --tol 1e-3 from the parse on
+        f = tmp_path / "defect.ito"
+        f.write_text(
+            "basis dt dw dm\ndeath dt\nstate dt = 1\nmul dw dw = 1 dt\n"
+            "mul dm dm = 1 dm + 1 dt\nmul dw dm = 1e-6 dm\n"
+        )
+        code, out, err = run_cli(capsys, "check", str(f), "--tol", "1e-3")
+        assert code == 0
+        assert err == ""
+        assert "FAIL" not in out
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert code == 2
+        assert "axiom associativity fails with residual 1.000e-06" in err
+        assert "FAIL  associativity" in out
+
     def test_simulate_fock_fine_grid(self, capsys, ito_files):
         # 1000 slots on hp(3) (hdim 12); one representative slot stands for all
         code, out, _ = run_cli(capsys, "simulate", ito_files["hp3"], "--model", "fock", "--dt", "0.001")
@@ -240,6 +319,34 @@ class TestCatalogCommand:
         assert code == 0, err
         result = parse(out)
         assert result.ok and result.algebra.same_table(ia.periodic_wiener(1, [0.5]))
+
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            ("of=wiener:poisson", lambda: ia.orthogonal_sum(ia.wiener(), ia.poisson())),
+            ("of=hp:wiener", lambda: ia.orthogonal_sum(ia.hp(1), ia.wiener())),
+        ],
+        ids=["wiener-poisson", "hp-wiener"],
+    )
+    def test_orthogonal_sum_param_list(self, capsys, params, expected):
+        code, out, err = run_cli(capsys, "catalog", "--name", "orthogonal_sum", "--params", params)
+        assert code == 0, err
+        assert out == serialize(expected())
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("hp", "d=2.5", "error: invalid literal for int() with base 10: '2.5'"),
+            ("group_levy", "group=q3", "error: unknown group 'q3' (use sN or zN)"),
+            ("orthogonal_sum", "of=wiener:nope", "error: unknown builtin 'nope'"),
+        ],
+        ids=["int-param-as-float", "unknown-group", "unknown-summand"],
+    )
+    def test_bad_param_exits_1_with_one_line(self, capsys, name, params, message):
+        code, out, err = run_cli(capsys, "catalog", "--name", name, "--params", params)
+        assert code == 1
+        assert out == ""
+        assert err == message + "\n"
 
     def test_group_levy_param(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "--name", "group_levy", "--params", "group=z2")

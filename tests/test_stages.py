@@ -85,6 +85,14 @@ def test_each_stage_runs_once(ito_paths, capsys, stage_calls, name, command):
         assert stage_calls["construct_gns"] == 1
 
 
+def test_check_tol_verifies_the_axioms_once(ito_paths, capsys, stage_calls):
+    # the file is parsed at the --tol it is checked at, not re-verified after
+    code = main(["check", str(ito_paths["hp2"]), "--tol", "1e-3"])
+    capsys.readouterr()
+    assert code == 0
+    assert stage_calls["verify_axioms"] == 1
+
+
 def _library_pipeline(alg):
     """faithfulness_ideal -> quotient -> build_representation -> decompose."""
     q = ia.quotient(alg, ia.faithfulness_ideal(alg))
