@@ -18,6 +18,29 @@ ideal (``ideal.quotient``) is the leading block of the table transported to
 the basis (death, the standard basis vectors independent modulo the ideal
 in index order, ideal); its death is basis element 0.
 
+``verify_axioms`` has two paths for its two costly contractions,
+associativity and star anti-multiplicativity; both report the same
+residuals up to rounding.  The dense path runs blockwise BLAS matmuls:
+O(n^5) time, O(n^3) memory per block.  The coordinate join (the sparse
+tensor contraction model of the Tensor Algebra Compiler, Kjolstad et al.,
+OOPSLA 2017) pairs nonzero coordinates: ``(a_i a_j) a_k`` joins each
+nonzero ``c[i,j,m]`` with every nonzero ``c[m,k,r]``, ``a_i (a_j a_k)``
+each ``c[j,k,m]`` with every ``c[i,m,r]``, and both sides add into one
+keyed table over ``(i, j, k, r)``.  Its cost is the number of pairs it
+forms, ``P = sum_m out_m (first_m + second_m + srow_m)`` plus the two
+star joins, where ``out_m``, ``first_m`` and ``second_m`` count the
+nonzero ``c`` entries with ``m`` as output, first or second index and
+``srow_m`` the nonzero entries of row ``m`` of ``S``.  The path rule
+``_use_join``, decided from the table before any work, takes the join when
+``100 * P <= n^5`` and ``P <= 2^21``.  One join pair costs 110 to 130
+dense multiply-adds (about 130 ns against 1.0 ns on a rotated hp(4), one
+OpenBLAS thread of a 2-vCPU x86-64 machine).  At about 52 bytes per pair,
+the largest pair arrays the rule allows hold about 100 MiB.  The builtin ladder
+tables hp(2..7), group_levy(S4), thermal_matrix(5) and periodic_wiener(16)
+have ``P / n^5 <= 0.0032`` and take the join.  A table on a random basis
+keeps the matmuls: a filled one has ``P / n^5`` from 2.0 to 2.7, and the
+block-sparse rotated periodic_wiener(8) has 0.049.
+
 Two derived objects are cached on each algebra, which is frozen with
 read-only arrays and so cannot make them stale: ``axioms``, the report of
 ``verify_axioms``, and ``gns``, the GNS quadruple of ``gns.construct_gns``.
@@ -467,6 +490,95 @@ class AxiomReport:
         return "\n".join(lines)
 
 
+# The path rule of verify_axioms; the module docstring gives the measurement.
+_JOIN_COST = 100
+_JOIN_MAX_PAIRS = 1 << 21
+
+
+def _use_join(c: np.ndarray, S: np.ndarray) -> bool:
+    """The path rule: the coordinate join when its pairs cost less than ``n^5`` and fit in memory."""
+    n = c.shape[0]
+    nz = c != 0                    # NaN counts as nonzero
+    first, second, out = nz.sum(axis=(1, 2)), nz.sum(axis=(0, 2)), nz.sum(axis=(0, 1))
+    snz = S != 0
+    srow, scol = snz.sum(axis=1), snz.sum(axis=0)
+    via = scol @ nz.sum(axis=2)    # terms S[j,p] c[p,q,r] with second index q
+    pairs = int(out @ (first + second + srow) + scol @ first + scol @ via)
+    return _JOIN_COST * pairs <= n**5 and pairs <= _JOIN_MAX_PAIRS
+
+
+def _join(left: np.ndarray, right: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``(p, q)`` with ``left[p] == right[q]``, for keys in ``range(n)``."""
+    order = np.argsort(right, kind="stable")
+    counts = np.bincount(right, minlength=n)
+    per_p = counts[left]
+    p = np.repeat(np.arange(left.size), per_p)
+    # q runs through right's run of key left[p], in sorted order
+    shift = (np.cumsum(counts) - counts)[left] - (np.cumsum(per_p) - per_p)
+    return p, order[np.arange(p.size) + np.repeat(shift, per_p)]
+
+
+def _keyed_residuals(lhs, rhs, block: int, blocks: int) -> np.ndarray:
+    """``rel_residual`` of each key block of two sparse tensors.
+
+    ``lhs`` and ``rhs`` are ``(keys, values)`` term lists whose equal keys
+    add up; block ``b`` holds the keys in ``[b * block, (b + 1) * block)``.
+    A key on neither side is 0 on both and changes no residual.
+    """
+    keys, inverse = np.unique(np.concatenate([lhs[0], rhs[0]]), return_inverse=True)
+    sums = np.zeros((2, keys.size), dtype=complex)
+    np.add.at(sums[0], inverse[: lhs[0].size], lhs[1])
+    np.add.at(sums[1], inverse[lhs[0].size:], rhs[1])
+    num, scale = np.zeros(blocks), np.zeros(blocks)
+    np.maximum.at(num, keys // block, np.abs(sums[0] - sums[1]))
+    np.maximum.at(scale, keys // block, np.abs(sums).max(axis=0, initial=0.0))
+    return num / np.maximum(scale, 1.0)
+
+
+def _join_contractions(c: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-``i`` associativity residuals and the anti-multiplicativity residual, by join."""
+    n = c.shape[0]
+    I, J, M = np.nonzero(c)
+    v = c[I, J, M]
+    si, sk = np.nonzero(S)
+    s = S[si, sk]
+    # A non-finite entry without join partners would drop out of every sum.
+    finite_c = bool(np.all(np.isfinite(v)))
+    if not finite_c:
+        assoc = np.full(n, np.nan)
+    else:
+        p, q = _join(M, I, n)   # (a_i a_j) a_k: c[i,j,m] c[m,k,r]
+        lhs = (((I[p] * n + J[p]) * n + J[q]) * n + M[q], v[p] * v[q])
+        p, q = _join(J, M, n)   # a_i (a_j a_k): c[i,m,r] c[j,k,m]
+        rhs = (((I[p] * n + I[q]) * n + J[q]) * n + M[p], v[p] * v[q])
+        assoc = _keyed_residuals(lhs, rhs, n**3, n)
+    if not (finite_c and np.all(np.isfinite(s))):
+        return assoc, np.nan
+    p, q = _join(M, si, n)    # (a_i a_j)* = sum conj(c[i,j,m]) S[m,r] a_r
+    lhs = ((I[p] * n + J[p]) * n + sk[q], np.conj(v[p]) * s[q])
+    p, q = _join(sk, I, n)    # a_j* a_q = sum S[j,p] c[p,q,r] a_r, as terms t
+    tj, tq, tr, tv = si[p], J[q], M[q], s[p] * v[q]
+    p, q = _join(sk, tq, n)   # a_j* a_i* = sum S[i,q] t[j,q,r]
+    rhs = ((si[p] * n + tj[q]) * n + tr[q], s[p] * tv[q])
+    return assoc, float(_keyed_residuals(lhs, rhs, n**3, 1)[0])
+
+
+def _dense_contractions(alg: ItoAlgebra) -> tuple[np.ndarray, float]:
+    """Per-``i`` associativity residuals and the anti-multiplicativity residual, by matmuls."""
+    c, S, n = alg.mult, alg.star, alg.dim
+    rows = c.reshape(n, n * n)   # row m: the products a_m . a_k for every k
+    cols = c.reshape(n * n, n)   # row (j, k): the product a_j . a_k
+    # Blockwise over the first factor keeps memory at n^3 per step.
+    assoc = np.empty(n)
+    for i in range(n):
+        lhs = c[i] @ rows   # (a_i a_j) a_k as [j, (k, r)]
+        rhs = cols @ c[i]   # a_i (a_j a_k) as [(j, k), r]
+        assoc[i] = rel_residual(lhs, rhs.reshape(n, n * n))
+    prod_star = (np.conj(cols) @ S).reshape(n, n, n)          # (a_i a_j)*
+    star_prod = np.swapaxes(pair_products(alg, S, S), 0, 1)   # a_j* a_i*
+    return assoc, rel_residual(prod_star, star_prod)
+
+
 def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
     """Check every defining axiom, reporting a named residual per check.
 
@@ -474,35 +586,31 @@ def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
     the death properties, the *-symmetry and normalization of the state, and
     positive semidefiniteness of the Gram matrix.  Failures are report
     entries, never exceptions.
+
+    Associativity is judged per first factor: block ``i`` compares
+    ``(a_i a_j) a_k`` with ``a_i (a_j a_k)`` over all ``j, k`` by
+    ``rel_residual``, and the check reports the worst block.  Sparse tables
+    take the coordinate join for it and for star anti-multiplicativity,
+    dense tables the blockwise matmuls; the module docstring states the rule.
+    Both paths report the same residuals up to rounding.
     """
     c, S, l, d, tol = alg.mult, alg.star, alg.state, alg.death, alg.tol
     n = alg.dim
-    rows = c.reshape(n, n * n)   # row m: the products a_m . a_k for every k
-    cols = c.reshape(n * n, n)   # row (j, k): the product a_j . a_k
     checks = []
 
     def add(name, residual, detail=""):
         checks.append(AxiomCheck(name, bool(residual <= tol), float(residual), detail))
 
     with np.errstate(all="ignore"):
-        # Blockwise over the first factor keeps memory at n^3 per step.
-        assoc = np.empty(n)
-        for i in range(n):
-            lhs = c[i] @ rows   # (a_i a_j) a_k as [j, (k, r)]
-            rhs = cols @ c[i]   # a_i (a_j a_k) as [(j, k), r]
-            assoc[i] = rel_residual(lhs, rhs.reshape(n, n * n))
+        assoc, antimult = _join_contractions(c, S) if _use_join(c, S) else _dense_contractions(alg)
         add("associativity", worst_residual(assoc))
-
         add("star_involution", rel_residual(np.conj(S) @ S, np.eye(n)))
-
-        prod_star = (np.conj(cols) @ S).reshape(n, n, n)          # (a_i a_j)*
-        star_prod = np.swapaxes(pair_products(alg, S, S), 0, 1)   # a_j* a_i*
-        add("star_antimultiplicative", rel_residual(prod_star, star_prod))
+        add("star_antimultiplicative", antimult)
 
         add("death_self_adjoint", rel_residual(np.conj(d) @ S, d))
 
-        left = (d @ rows).reshape(n, n)   # d . a_i
-        right = d @ c                     # a_i . d
+        left = (d @ c.reshape(n, n * n)).reshape(n, n)   # d . a_i
+        right = d @ c                                    # a_i . d
         add("death_annihilates", worst_residual(rel_residual(left, 0.0), rel_residual(right, 0.0)))
 
         add("state_star_symmetry", rel_residual(S @ l, np.conj(l)))

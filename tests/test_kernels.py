@@ -4,15 +4,19 @@ The axiom checks, the pair-product primitive, the decomposition residuals
 and the B* residuals are batched contractions.  Each is compared here with
 an independent computation: brute force over basis triples built on
 ``ref_multiply``/``ref_star``, or the per-pair and per-sample loops the
-batched versions replaced.
+batched versions replaced.  The axiom oracles run on both paths of
+``verify_axioms``, the dense matmuls and the coordinate join, each forced
+through the private path rule ``core._use_join``.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
+from itoalg import core
 from itoalg.core import gram_schmidt, pair_products, random_element, rel_residual, row_products
 from itoalg.decomp import _span_gap, support_projector
 from itoalg.gns import build_representation, seminorms, verify_bstar
@@ -23,6 +27,16 @@ from test_pipeline import _random_rotation
 
 def rotate(alg: ia.ItoAlgebra, seed: int) -> ia.ItoAlgebra:
     return _random_rotation(alg, np.random.default_rng(seed))[0]
+
+
+PATHS = ("dense", "join")
+
+
+def axioms_on(path: str, alg: ia.ItoAlgebra) -> ia.AxiomReport:
+    """``verify_axioms`` with the path rule forced to ``path``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_use_join", lambda c, S: path == "join")
+        return ia.verify_axioms(alg)
 
 
 ALGEBRAS = {
@@ -72,12 +86,13 @@ def brute_axioms(alg: ia.ItoAlgebra) -> dict[str, float]:
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_axiom_residuals_match_brute_force(name):
     alg = ALGEBRAS[name]
-    report = ia.verify_axioms(alg)
     expected = brute_axioms(alg)
-    assert [c.name for c in report.checks] == list(expected)
-    for check in report.checks:
-        assert check.residual == pytest.approx(expected[check.name], abs=1e-12), check.name
-    assert report.passed
+    for path in PATHS:
+        report = axioms_on(path, alg)
+        assert [c.name for c in report.checks] == list(expected)
+        for check in report.checks:
+            assert check.residual == pytest.approx(expected[check.name], abs=1e-12), (path, check.name)
+        assert report.passed, path
 
 
 def _rotated_hp3_sum() -> ia.ItoAlgebra:
@@ -106,10 +121,11 @@ def _failed(report) -> set[str]:
 @pytest.mark.parametrize("name", sorted(CORRUPTIBLE))
 def test_mult_perturbation_fails_associativity(name):
     alg = CORRUPTIBLE[name]()
-    assert ia.verify_axioms(alg).passed
     mult = alg.mult.copy()
     mult[_first_product_entry(alg)] += 1e-6
-    assert "associativity" in _failed(ia.verify_axioms(replace(alg, mult=mult)))
+    for path in PATHS:
+        assert axioms_on(path, alg).passed, path
+        assert "associativity" in _failed(axioms_on(path, replace(alg, mult=mult))), path
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIBLE))
@@ -118,15 +134,112 @@ def test_star_perturbation_fails_antimultiplicativity(name):
     i, _, _ = _first_product_entry(alg)
     star_m = alg.star.copy()
     star_m[i, int(np.argmax(np.abs(star_m[i])))] += 1e-6
-    assert "star_antimultiplicative" in _failed(ia.verify_axioms(replace(alg, star=star_m)))
+    for path in PATHS:
+        assert "star_antimultiplicative" in _failed(axioms_on(path, replace(alg, star=star_m))), path
 
 
 def test_nan_never_passes():
     alg = ia.wiener()
     mult = alg.mult.copy()
     mult[1, 1, 1] = np.nan
-    report = ia.verify_axioms(replace(alg, mult=mult))
-    assert {"associativity", "state_positive"} <= _failed(report)
+    for path in PATHS:
+        report = axioms_on(path, replace(alg, mult=mult))
+        assert {"associativity", "state_positive"} <= _failed(report), path
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_hp6_perturbation_residual_is_exact(path):
+    alg = ia.hp(6)
+    mult = alg.mult.copy()
+    mult[3, 4, 5] += 1e-6
+    report = axioms_on(path, replace(alg, mult=mult))
+    assert report.checks[0].name == "associativity"
+    assert report.checks[0].residual == pytest.approx(1e-6, abs=1e-15)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_nonfinite_entry_without_join_partner_fails(path, value):
+    # dw . dw = value dt: dt multiplies nothing, so no product pairs with it
+    alg = ia.wiener()
+    mult = alg.mult.copy()
+    mult[1, 1, 0] = value
+    report = axioms_on(path, replace(alg, mult=mult))
+    assert "associativity" in _failed(report)
+    assert np.isnan(report.checks[0].residual)
+
+
+@st.composite
+def sparse_tables(draw) -> ia.ItoAlgebra:
+    """A random sparse table, or a builtin under a random phased relabeling.
+
+    Random tables fail the axioms; the relabeled builtins pass them, unless
+    one entry is perturbed (which may break nothing).  Either kind may carry one non-finite entry.
+    Every star is a permutation with unit-modulus entries.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        density = draw(st.floats(0.05, 0.4))
+        values = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+        mult = np.where(rng.random((n, n, n)) < density, values, 0)
+        phases = np.exp(2j * np.pi * rng.random(n))
+        star_m = np.eye(n)[rng.permutation(n)] * phases[:, None]
+        state = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        alg = ia.ItoAlgebra(tuple(f"e{i}" for i in range(n)), mult, star_m,
+                            int(rng.integers(n)), state)
+    else:
+        base = draw(st.sampled_from(["newton", "wiener", "poisson", "hp1", "thermal_brownian",
+                                     "periodic_wiener", "group_levy_s3", "wiener+poisson"]))
+        src = ALGEBRAS[base]
+        n = src.dim
+        perm = rng.permutation(n)               # b_i = s_i a_perm[i]
+        s = np.exp(2j * np.pi * rng.random(n))
+        mult = src.mult[np.ix_(perm, perm, perm)] * (s[:, None, None] * s[None, :, None] / s)
+        star_m = np.conj(s)[:, None] * src.star[np.ix_(perm, perm)] / s
+        alg = ia.ItoAlgebra(src.labels, mult, star_m, src.death[perm] / s, s * src.state[perm])
+        if draw(st.booleans()):
+            mult = alg.mult.copy()
+            mult[tuple(rng.integers(n, size=3))] += draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+            alg = replace(alg, mult=mult)
+    if draw(st.integers(0, 3)) == 3:
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        field = draw(st.sampled_from(["mult", "star"]))
+        arr = getattr(alg, field).copy()
+        arr[tuple(rng.integers(n, size=arr.ndim))] = bad
+        alg = replace(alg, **{field: arr})
+    return alg
+
+
+@settings(max_examples=150, deadline=None)
+@given(alg=sparse_tables())
+def test_paths_agree_on_random_sparse_tables(alg):
+    dense, join = axioms_on("dense", alg), axioms_on("join", alg)
+    for a, b in zip(dense.checks, join.checks):
+        assert a.name == b.name
+        assert a.passed == b.passed, a.name
+        assert np.isnan(a.residual) == np.isnan(b.residual), a.name
+        if not np.isnan(a.residual):
+            assert abs(a.residual - b.residual) <= 1e-12 * max(1.0, a.residual), a.name
+
+
+# hp(2..7): 126 to 7,616 join pairs against n^5 = 59,049 to 1.07e9; a random
+# rotation fills the table, so the join would cost 2.0 to 2.7 times n^5 pairs.
+RULE_CASES = {
+    **{f"hp{d}": (lambda d=d: ia.hp(d), "join") for d in range(2, 8)},
+    "group_levy_s4": (lambda: ia.group_levy(ia.symmetric_group(4)), "join"),
+    "thermal_matrix5": (lambda: ia.thermal_matrix(5, np.linspace(0.5, 2.0, 5)), "join"),
+    "periodic_wiener16": (lambda: ia.periodic_wiener(16, np.linspace(0.5, 2.0, 16)), "join"),
+    "rot_hp4": (lambda: rotate(ia.hp(4), 7), "dense"),
+    "rot_group_levy_s4": (lambda: rotate(ia.group_levy(ia.symmetric_group(4)), 8), "dense"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_path_rule_decision(name):
+    build, path = RULE_CASES[name]
+    alg = build()
+    assert core._use_join(alg.mult, alg.star) == (path == "join")
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
