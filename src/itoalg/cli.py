@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import builtins as catalog_mod
-from .adsl import ParseDiagnostic, parse, parse_lincomb, serialize, _tokenize
+from .adsl import parse, parse_lincomb, serialize
 from .core import AlgebraError, ItoAlgebra, complex_pairs
 from .decomp import decompose
 from .focksim import classical_paths, vacuum_moments
@@ -194,15 +194,10 @@ def _cmd_decompose(alg, args):
 
 def _cmd_norms(alg, args):
     rep = _run_stage(build_representation, alg)
-    diags = []
-    vec = parse_lincomb(
-        _tokenize(args.element), {lab: i for i, lab in enumerate(alg.labels)}, alg.dim, 1, diags
-    )
-    if vec is not None and not np.all(np.isfinite(vec)):
-        diags.append(ParseDiagnostic("error", 1, 1, "non-finite coefficient"))
+    vec, diags = parse_lincomb(args.element, alg.labels)
+    for diag in diags:
+        print(str(diag), file=sys.stderr)
     if diags:
-        for diag in diags:
-            print(str(diag), file=sys.stderr)
         raise _Failed(EXIT_IO)
     norms = seminorms(rep, vec)
     labels = ("operator", "plus", "minus", "corner")

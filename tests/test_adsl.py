@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +95,68 @@ class TestParseBasics:
         assert err.column == 15
 
 
+HEAD = "basis dt dw\ndeath dt\nstate dt = 1\n"   # lines 1-3 of a valid file
+CAPACITY = "basis " + " ".join(f"s{i}" for i in range(65)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("algebra a b\n" + HEAD, [(1, 1, "usage: algebra <name>")]),
+        (HEAD + "death dt dw\n", [(4, 1, "usage: death <sym>")]),
+        (HEAD + "state dw 1\n", [(4, 1, "usage: state <sym> = <complex>")]),
+        (HEAD + "star dw =\n", [(4, 1, "usage: star <sym> = <lincomb>")]),
+        (HEAD + "mul dw = 1 dt\n", [(4, 1, "usage: mul <sym> <sym> = <lincomb>")]),
+        ("basis\n", [(1, 1, "basis needs at least one symbol"),
+                     (2, 1, "missing basis declaration"), (2, 1, "missing death declaration")]),
+        (HEAD + "mul dw dq = 1 dt\n", [(4, 8, "unknown basis symbol 'dq'")]),
+        (HEAD + "mul dw dw = 1 dq\n", [(4, 15, "unknown basis symbol 'dq'")]),
+        (HEAD + "mult dw dw = 1 dt\n", [(4, 1, "unknown keyword 'mult'")]),
+        ("algebra a\nalgebra b\n" + HEAD, [(2, 1, "duplicate algebra header")]),
+        (HEAD + "basis dt\n", [(4, 1, "duplicate basis declaration")]),
+        ("basis dt dw dw\ndeath dt\nstate dt = 1\n", [(1, 13, "duplicate basis symbol 'dw'")]),
+        (HEAD + "death dw\n", [(4, 1, "duplicate death declaration")]),
+        (HEAD + "state dt = 2\n", [(4, 7, "duplicate state entry for 'dt'")]),
+        (HEAD + "star dw = 1 dw\nstar dw = 1 dw\n", [(5, 6, "duplicate star entry for 'dw'")]),
+        (HEAD + "mul dw dw = 1 dt\n  mul dw dw = 1 dt\n", [(5, 7, "duplicate table entry for dw dw")]),
+        ("basis dt 1\ndeath dt\nstate dt = 1\n",
+         [(1, 10, "basis symbol '1' collides with the grammar")]),
+        (CAPACITY, [(1, 1, "basis exceeds the format capacity of 64 symbols"),
+                    (2, 1, "missing basis declaration"), (2, 1, "missing death declaration")]),
+        ("basis dt\nalgebra a\ndeath dt\nstate dt = 1\n",
+         [(2, 1, "algebra header must precede the basis declaration")]),
+        ("death dt\n", [(1, 1, "the basis must be declared before any other definition"),
+                        (2, 1, "missing basis declaration"), (2, 1, "missing death declaration")]),
+        ("algebra a\n  state dt = 1\nbasis dt\ndeath dt\n",
+         [(2, 3, "the basis must be declared before any other definition")]),
+        ("basis dt\nstate dt = 1\n", [(3, 1, "missing death declaration")]),
+        ("basis dt\ndeath dt\nstate dt = 2\n", [(4, 1, "death state must be 1, got (2+0j)")]),
+        (HEAD + "state dw = x\n", [(4, 12, "bad complex literal 'x'")]),
+        (HEAD + "mul dw dw = dt\n", [(4, 13, "expected a complex coefficient, got 'dt'")]),
+        (HEAD + "mul dw dw = 1\n", [(4, 13, "coefficient without a basis symbol")]),
+        (HEAD + "mul dw dw = 1 dt +\n", [(4, 18, "dangling '+' at end of line")]),
+        (HEAD + "mul dw dw = 1 dt 1 dw\n", [(4, 18, "expected '+', got '1'")]),
+        ("basis dt dw\ndeath dt\nstate dt = 1e400\n", [(3, 12, "non-finite coefficient")]),
+        (HEAD + "mul dw dw = 1e400 dt\n", [(4, 13, "non-finite coefficient")]),
+        (HEAD + "mul dw dw = 1e308 dt + 1e308 dt\n", [(4, 13, "non-finite coefficient")]),
+    ],
+    ids=[
+        "usage-algebra", "usage-death", "usage-state", "usage-star", "usage-mul", "usage-basis",
+        "unknown-symbol", "unknown-symbol-in-lincomb", "unknown-keyword",
+        "duplicate-header", "duplicate-basis", "duplicate-basis-symbol", "duplicate-death",
+        "duplicate-state", "duplicate-star", "duplicate-mul", "collision", "capacity",
+        "misplaced-header", "basis-missing", "basis-out-of-order", "death-missing", "death-state",
+        "bad-literal", "coefficient-expected", "coefficient-without-symbol", "dangling-plus",
+        "plus-missing", "non-finite-state", "non-finite-mul", "non-finite-sum",
+    ],
+)
+def test_diagnostic_contract(text, expected):
+    # one input per message the parser emits, with the exact place it is reported
+    result = parse(text)
+    assert result.algebra is None
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == expected
+
+
 class TestComplexLiterals:
     @pytest.mark.parametrize(
         "token,expected",
@@ -174,6 +238,18 @@ class TestRoundtrip:
         )
         with pytest.raises(ValueError, match="death"):
             serialize(odd)
+
+    @pytest.mark.parametrize(
+        "label,name",
+        [("d w", None), ("a#b", None), ("mul", None), ("1", None), ("+", None), ("dw", "my wiener")],
+    )
+    def test_unreadable_symbol_rejected(self, label, name):
+        # serialize refuses text that parse would reject: the basis line's symbol rule
+        w = ia.wiener()
+        alg = ia.ItoAlgebra(labels=("dt", label), mult=w.mult, star=w.star, death=0, state=w.state,
+                            name=name)
+        with pytest.raises(ValueError, match=re.escape(repr(name or label))):
+            serialize(alg)
 
 
 class TestTotality:

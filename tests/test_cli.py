@@ -184,11 +184,17 @@ class TestExitCodes:
                 1,
                 "error: line 1, col 1: non-finite coefficient",
             ),
+            (
+                ("norms", "wiener", "--element", ""),
+                1,
+                "error: line 1, col 1: empty linear combination (zero is written 0)",
+            ),
         ],
         ids=[
             "fock-t-nan", "fock-t-inf", "fock-ratio-overflow", "classical-t-inf",
             "classical-ratio-overflow", "classical-seed-negative", "classical-seed-too-large",
             "check-tol-nan", "check-tol-inf", "check-tol-negative", "norms-inf-coefficient",
+            "norms-empty-element",
         ],
     )
     def test_hostile_numbers_exit_with_one_line(self, capsys, ito_files, argv, code, message):
