@@ -13,7 +13,7 @@ A lincomb is ``coef sym [+ coef sym ...]`` or the literal ``0``, the only
 way to write zero: an empty lincomb is an error.  Complex literals are
 ``a``, ``ai``, ``a+bi`` or ``a-bi`` with decimal reals; a literal, or a sum
 of coefficients of one symbol, that is not finite is an error.  A basis
-symbol is one token that is not a keyword, ``+`` or a complex literal.
+symbol is one token that is not a keyword, ``+``, ``=`` or a complex literal.
 
 ``death``, ``state``, ``star`` and ``mul`` are rows of one declaration
 table (``_DECLARATIONS``): how many symbols the keyword names, what follows
@@ -120,7 +120,7 @@ def _symbol_problem(sym: str) -> str | None:
     """Why ``sym`` cannot be a basis symbol, or None; the ``basis`` line and ``serialize`` share it."""
     if not _is_token(sym):
         return "is not one token"
-    if sym in _KEYWORDS or sym == "+" or parse_complex(sym) is not None:
+    if sym in _KEYWORDS or sym in ("+", "=") or parse_complex(sym) is not None:
         return "collides with the grammar"
     return None
 
@@ -184,8 +184,8 @@ def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagn
     return vec, []
 
 
-def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> None:
-    """Store one ``death``, ``state``, ``star`` or ``mul`` line in its ``table``."""
+def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tuple:
+    """Store one ``death``, ``state``, ``star`` or ``mul`` line in its ``table``; return its key."""
     n_sym, value, duplicate = row
     eq = 1 + n_sym
     size = eq if value is None else eq + 2  # the keyword and its symbols, then '=' and a value
@@ -203,6 +203,7 @@ def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> None
     elif value == "<lincomb>":
         stored = _read_lincomb(tokens, eq + 1, index)
     table[key] = stored
+    return key
 
 
 def parse(text: str, tol: float = 1e-9) -> ParseResult:
@@ -220,6 +221,7 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
     labels: list[str] | None = None
     index: dict[str, int] = {}
     declared: dict[str, dict] = {kw: {} for kw in _DECLARATIONS}
+    declared_at: dict[tuple, int] = {}  # (keyword, key) -> line number
     lines = text.splitlines()
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split("#", 1)[0].split()
@@ -254,7 +256,7 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
             elif labels is None:
                 raise _Fault(0, "the basis must be declared before any other definition")
             elif kw in _DECLARATIONS:
-                _declare(tokens, _DECLARATIONS[kw], index, declared[kw])
+                declared_at[kw, _declare(tokens, _DECLARATIONS[kw], index, declared[kw])] = lineno
             else:
                 raise _Fault(0, f"unknown keyword {kw!r}")
         except _Fault as fault:
@@ -271,8 +273,12 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
     n = len(labels)
     death = declared["death"][()]
     dval = declared["state"].get((death,), 0j)
-    if abs(dval - 1.0) > tol:
-        diags.append(ParseDiagnostic("error", end, 1, f"death state must be 1, got {dval}"))
+    if abs(dval - 1.0) > tol:  # at the death's state value, else at the death's symbol
+        lineno, token = declared_at.get(("state", (death,))), 3
+        if lineno is None:
+            lineno, token = declared_at["death", ()], 1
+        fault = _Fault(token, f"death state must be 1, got {dval}")
+        diags.append(fault.diagnostic(lineno, lines[lineno - 1]))
         return ParseResult(None, diags)
 
     mult = np.zeros((n, n, n), dtype=complex)

@@ -110,10 +110,13 @@ class FundamentalRep:
         return self._coeffs(a) @ self.kdmat
 
     def i_of(self, a) -> np.ndarray:
-        return np.einsum("p,pxy->xy", self._coeffs(a), self.imats)
+        return (self._coeffs(a) @ self.imats.reshape(self.algebra.dim, -1)).reshape(self.hdim, self.hdim)
 
     def quadruple(self, a) -> tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
-        return self.l_of(a), self.k_of(a), self.kdag_of(a), self.i_of(a)
+        """(l, k, kdag, i) of the element, from one product with ``quadruple_map``."""
+        d = self.hdim
+        v = self.quadruple_map @ self._coeffs(a)
+        return complex(v[0]), v[1 : d + 1], v[d + 1 : 2 * d + 1], v[2 * d + 1 :].reshape(d, d)
 
     @cached_property
     def quadruple_map(self) -> np.ndarray:

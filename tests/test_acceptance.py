@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL lines.
 Criterion 7b is expected to fail and is marked xfail(strict): the discrete
 slot model reproduces the second vacuum moment of the summed process exactly
-(its deviation from l(a*.a) t is zero up to rounding), so no 1/N decay exists
-to fit.  The first-order discretization error appears in the fourth moment,
+(its deviation from |l(a) t|^2 + l(a*.a) t is zero up to rounding), so no 1/N
+decay exists to fit.  The first-order discretization error appears in the fourth moment,
 which is exercised in tests/test_focksim.py.
 """
 
@@ -179,10 +179,10 @@ def test_c7a_toyfock_vacuum_mean():
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "second vacuum moment of the summed slot process equals l(a*.a) t "
-        "exactly for every N (deviation is rounding noise, constant |l(a) t|^2 "
-        "for l(a) != 0); no 1/N decay exists, so the required slope cannot be "
-        "attained.  The first-order error lives in the fourth moment."
+        "second vacuum moment of the summed slot process equals its target "
+        "|l(a) t|^2 + l(a*.a) t exactly for every N, also for l(a) != 0 "
+        "(the deviation is rounding noise); no 1/N decay exists, so the required "
+        "slope cannot be attained.  The first-order error lives in the fourth moment."
     ),
 )
 def test_c7b_toyfock_second_moment_slope():

@@ -121,6 +121,8 @@ CAPACITY = "basis " + " ".join(f"s{i}" for i in range(65)) + "\n"
         (HEAD + "mul dw dw = 1 dt\n  mul dw dw = 1 dt\n", [(5, 7, "duplicate table entry for dw dw")]),
         ("basis dt 1\ndeath dt\nstate dt = 1\n",
          [(1, 10, "basis symbol '1' collides with the grammar")]),
+        ("basis dt =\ndeath dt\nstate dt = 1\nmul = = = 1 =\n",
+         [(1, 10, "basis symbol '=' collides with the grammar"), (4, 5, "unknown basis symbol '='")]),
         (CAPACITY, [(1, 1, "basis exceeds the format capacity of 64 symbols"),
                     (2, 1, "missing basis declaration"), (2, 1, "missing death declaration")]),
         ("basis dt\nalgebra a\ndeath dt\nstate dt = 1\n",
@@ -130,7 +132,8 @@ CAPACITY = "basis " + " ".join(f"s{i}" for i in range(65)) + "\n"
         ("algebra a\n  state dt = 1\nbasis dt\ndeath dt\n",
          [(2, 3, "the basis must be declared before any other definition")]),
         ("basis dt\nstate dt = 1\n", [(3, 1, "missing death declaration")]),
-        ("basis dt\ndeath dt\nstate dt = 2\n", [(4, 1, "death state must be 1, got (2+0j)")]),
+        ("basis dt\ndeath dt\nstate dt = 2\n", [(3, 12, "death state must be 1, got (2+0j)")]),
+        ("basis dt dw\nstate dt = 1\ndeath dw\n", [(3, 7, "death state must be 1, got 0j")]),
         (HEAD + "state dw = x\n", [(4, 12, "bad complex literal 'x'")]),
         (HEAD + "mul dw dw = dt\n", [(4, 13, "expected a complex coefficient, got 'dt'")]),
         (HEAD + "mul dw dw = 1\n", [(4, 13, "coefficient without a basis symbol")]),
@@ -144,8 +147,9 @@ CAPACITY = "basis " + " ".join(f"s{i}" for i in range(65)) + "\n"
         "usage-algebra", "usage-death", "usage-state", "usage-star", "usage-mul", "usage-basis",
         "unknown-symbol", "unknown-symbol-in-lincomb", "unknown-keyword",
         "duplicate-header", "duplicate-basis", "duplicate-basis-symbol", "duplicate-death",
-        "duplicate-state", "duplicate-star", "duplicate-mul", "collision", "capacity",
-        "misplaced-header", "basis-missing", "basis-out-of-order", "death-missing", "death-state",
+        "duplicate-state", "duplicate-star", "duplicate-mul", "collision", "collision-equals",
+        "capacity", "misplaced-header", "basis-missing", "basis-out-of-order", "death-missing",
+        "death-state", "death-state-undeclared",
         "bad-literal", "coefficient-expected", "coefficient-without-symbol", "dangling-plus",
         "plus-missing", "non-finite-state", "non-finite-mul", "non-finite-sum",
     ],
@@ -241,7 +245,8 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize(
         "label,name",
-        [("d w", None), ("a#b", None), ("mul", None), ("1", None), ("+", None), ("dw", "my wiener")],
+        [("d w", None), ("a#b", None), ("mul", None), ("1", None), ("+", None), ("=", None),
+         ("dw", "my wiener")],
     )
     def test_unreadable_symbol_rejected(self, label, name):
         # serialize refuses text that parse would reject: the basis line's symbol rule

@@ -1,42 +1,90 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import itoalg as ia
-from itoalg.core import rel_residual
+from itoalg.core import rel_residual, row_products
 from itoalg.focksim import (
     SimulationError,
     UnsupportedModelError,
+    _vacuum_moment,
     classical_paths,
     fit_loglog_slope,
     ito_product_check,
     slot_increment,
     vacuum_moments,
 )
-from itoalg.gns import build_representation
+from itoalg.gns import build_representation, triangular
+
+from test_pipeline import _random_rotation
+
+
+def dense_moment(rep, word, t, n_slots):
+    """Oracle: <vac| X(w_1) ... X(w_m) |vac> on the full Kronecker product of slot spaces."""
+    d = rep.hdim
+    psi = np.zeros((1 + d) ** n_slots, dtype=complex)
+    psi[0] = 1.0
+    for x in reversed(word):
+        M = slot_increment(rep, x, t / n_slots).matrix
+        lam = 0
+        for j in range(n_slots):
+            op = np.eye(1)
+            for k in range(n_slots):
+                op = np.kron(op, M if k == j else np.eye(1 + d))
+            lam = lam + op
+        psi = lam @ psi
+    return complex(psi[0])
 
 
 def dense_moments(rep, a, t, n_slots):
-    """Oracle: moments from the full Kronecker tensor product of slot spaces."""
-    d = rep.hdim
-    M = slot_increment(rep, a, t / n_slots).matrix
-    Ms = slot_increment(rep, a.star(), t / n_slots).matrix
-    dim = (1 + d) ** n_slots
-    lam = np.zeros((dim, dim), dtype=complex)
-    lam_star = np.zeros((dim, dim), dtype=complex)
-    for j in range(n_slots):
-        op, ops = np.eye(1), np.eye(1)
-        for k in range(n_slots):
-            op = np.kron(op, M if k == j else np.eye(1 + d))
-            ops = np.kron(ops, Ms if k == j else np.eye(1 + d))
-        lam += op
-        lam_star += ops
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    psi1 = lam @ vac
-    psi2 = lam_star @ psi1
-    return complex(vac @ psi1), float(np.vdot(psi1, psi1).real), float(np.vdot(psi2, psi2).real)
+    """Oracle mean, second and fourth moment: the words (a), (a*, a) and (a*, a, a*, a)."""
+    s = a.star()
+    return tuple(dense_moment(rep, w, t, n_slots) for w in ((a,), (s, a), (s, a, s, a)))
+
+
+def set_partitions(items):
+    """Every set partition of ``items``: the first item alone or joined to a block of the rest."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def table_moment(alg, word, t):
+    """Oracle: sum over set partitions of t^|pi| prod_B l(w_b1 ... w_bk), from the table alone.
+
+    Block products come from ``core.row_products`` and the state; no
+    representation is built.  Also returns the sum of the terms' moduli.
+    """
+    total, size = 0j, 0.0
+    for part in set_partitions(list(range(len(word)))):
+        term = t ** len(part)
+        for block in part:
+            prod = word[block[0]]
+            for b in block[1:]:
+                prod = row_products(alg, prod, word[b])[0]
+            term *= complex(prod @ alg.state)
+        total, size = total + term, size + abs(term)
+    return total, size
+
+
+def fock_route(rep, word, t, n_slots):
+    """The partition sum over slot increments with weight N!/(N-k)!, as vacuum_moments uses it."""
+    mats = [slot_increment(rep, x, t / n_slots).matrix for x in word]
+    moment = _vacuum_moment(mats, (0, 0), n_slots, lambda k: math.perm(n_slots, k) / n_slots**k)
+    return moment(tuple(range(len(word))))
+
+
+def target_route(rep, word, t):
+    """The partition sum over triangular matrices with weight t^k, as vacuum_moments uses it."""
+    mats = [triangular(rep, x) for x in word]
+    return _vacuum_moment(mats, (0, -1), t, lambda k: 1)(tuple(range(len(word))))
 
 
 class TestSlotIncrement:
@@ -163,8 +211,8 @@ class TestVacuumMoments:
             assert rpt.estimate("second_moment").value == pytest.approx(1.0, abs=1e-13)
 
     def test_poisson_second_moment_exact_every_n(self):
-        # the slot model reproduces l(a*.a) t exactly; only the fourth moment
-        # carries discretization error
+        # the slot model reproduces |l(a) t|^2 + l(a*.a) t exactly; only the
+        # fourth moment carries discretization error
         p = ia.poisson()
         rep = build_representation(p)
         for N in (2, 8, 64):
@@ -236,8 +284,9 @@ class TestVacuumMoments:
         assert 0.9 <= slope <= 1.1
 
     def test_million_slots_reach_large_n_limit(self):
-        # one representative slot stands for all N, so N = 10^6 costs what
-        # N = 2 does; the fourth moment sits O(1/N) from its large-N limit
+        # the partition sum weights N!/(N-k)! cost the same for every N, so
+        # N = 10^6 costs what N = 2 does; the fourth moment sits O(1/N) from
+        # its large-N limit
         h = ia.hp(3)
         rep = build_representation(h)
         a = ia.core.random_element(h, np.random.default_rng(3))
@@ -248,6 +297,86 @@ class TestVacuumMoments:
         assert abs(rpt.estimate("mean").value - ia.state_of(a)) <= 1e-9 * abs(ia.state_of(a))
         second = rpt.estimate("second_moment").value
         assert second == pytest.approx(small.estimate("second_moment").value, rel=1e-9)
+        # a numpy slot count gives the same moments: N^4 must not wrap around in int64
+        same = vacuum_moments(rep, a, 1.0, np.int64(10**6))
+        assert same.estimate("fourth_moment").value == fourth.value
+
+    def test_second_moment_equals_target_every_basis_element(self, faithful_catalog):
+        # |l(a) t|^2 + l(a*.a) t for every N, including l(a) != 0 (the death)
+        for name, alg in faithful_catalog.items():
+            rep = build_representation(alg)
+            for i in range(alg.dim):
+                for N in (1, 2, 7, 64):
+                    rpt = vacuum_moments(rep, alg.basis_element(i), 1.3, N)
+                    est = rpt.estimate("second_moment")
+                    assert type(est.value) is float and type(est.target) is float
+                    tol = 1e-12 * max(1.0, abs(est.target))
+                    assert abs(est.value - est.target) <= tol, (name, i, N)
+
+    def test_huge_slot_count_stays_finite(self):
+        # N^2 and N^4 overflow a float at N = 1e200; the weights never form them
+        p = ia.poisson()
+        a = p.element_from({"dt": 1.0, "dm": 1.0})
+        rpt = vacuum_moments(build_representation(p), a, 1.0, 10**200)
+        assert rpt.estimate("second_moment").value == pytest.approx(2.0, rel=1e-12)
+        assert rpt.estimate("fourth_moment").value == pytest.approx(15.0, rel=1e-12)
+
+
+class TestPartitionIdentity:
+    """Vacuum moments of any word as sums over its set partitions, against independent oracles."""
+
+    def test_oracle_enumerates_bell_numbers(self):
+        counts = [len(list(set_partitions(list(range(m))))) for m in range(7)]
+        assert counts == [1, 1, 2, 5, 15, 52, 203]
+
+    @pytest.mark.parametrize("n_slots", [1, 2, 3])
+    def test_fock_route_matches_dense_oracle_on_words(self, faithful_catalog, n_slots):
+        rng = np.random.default_rng(40 + n_slots)
+        for name, alg in faithful_catalog.items():
+            rep = build_representation(alg)
+            for length in (1, 2, 3, 4):
+                word = [ia.core.random_element(alg, rng, 0.5) for _ in range(length)]
+                dense = dense_moment(rep, word, 0.9, n_slots)
+                # |<vac| X(w_1) ... X(w_m) |vac>| <= prod_i N |M(w_i)|
+                mats = [slot_increment(rep, x, 0.9 / n_slots).matrix for x in word]
+                tol = 1e-12 * max(1.0, math.prod(n_slots * np.linalg.norm(M, 2) for M in mats))
+                assert abs(fock_route(rep, word, 0.9, n_slots) - dense) <= tol, (name, length)
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["catalog", "rotated"])
+    def test_target_route_matches_table_oracle(self, faithful_catalog, rotated):
+        rng = np.random.default_rng(7)
+        for name, alg in faithful_catalog.items():
+            if rotated:
+                alg = _random_rotation(alg, rng)[0]
+            rep = build_representation(alg)
+            for length in range(1, 7):
+                word = [ia.core.random_element(alg, rng, 0.5) for _ in range(length)]
+                table, size = table_moment(alg, [x.coeffs for x in word], 0.7)
+                tol = 1e-10 * max(1.0, size)
+                assert abs(target_route(rep, word, 0.7) - table) <= tol, (name, length)
+
+    def test_cumulants_are_state_of_powers(self, faithful_catalog):
+        # kappa_m = t l(a^m) = t kdag(a) i(a)^(m-2) k(a): the Levy-Khinchin exponent
+        rng = np.random.default_rng(11)
+        t = 0.7
+        for name, alg in faithful_catalog.items():
+            rep = build_representation(alg)
+            x = ia.core.random_element(alg, rng, 0.5)
+            a = 0.5 * (x + x.star())
+            _, k, kdag, imat = rep.quadruple(a)
+            moments = [1.0] + [target_route(rep, [a] * m, t) for m in range(1, 7)]
+            kappa = [0.0]
+            for m in range(1, 7):
+                kappa.append(moments[m] - sum(math.comb(m - 1, j - 1) * kappa[j] * moments[m - j]
+                                              for j in range(1, m)))
+            power = a
+            for m in range(2, 7):
+                power = power * a
+                from_table = t * power.state()
+                from_quadruple = t * complex(kdag @ np.linalg.matrix_power(imat, m - 2) @ k)
+                scale = max(1.0, abs(from_table))
+                assert abs(kappa[m] - from_table) <= 1e-10 * scale, (name, m)
+                assert abs(from_quadruple - from_table) <= 1e-10 * scale, (name, m)
 
 
 class TestClassicalPaths:
