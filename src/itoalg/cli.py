@@ -7,6 +7,11 @@ callable) and its text lines; the one writer ``_emit`` prints the payload
 under ``--json`` and the lines otherwise.  A failure prints its message and
 raises ``_Failed``, which ``main`` turns into the exit code.
 
+The JSON form is strict RFC 8259 JSON on one line: keys sorted, no spaces
+after separators, and a non-finite number (a NaN residual, an overflowing
+moment) written as the string ``"nan"``, ``"inf"`` or ``"-inf"``, which
+``float()`` reads back.
+
 Exit codes: 0 success, 1 I/O or parse error, 2 axiom failure or any other
 library error, including an allocation the machine refuses (``MemoryError``),
 3 non-faithful input (check prints the quotient in that case).
@@ -17,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -104,10 +110,32 @@ def _run_stage(stage, alg, *args):
         raise _Failed(EXIT_NONFAITHFUL if isinstance(exc, NonFaithfulError) else EXIT_AXIOMS) from exc
 
 
+def _dumps(obj) -> str:
+    # no indent: an indent forces the pure-Python encoder, many times slower than the C one
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _nonfinite_as_strings(obj):
+    """``obj`` with every non-finite float replaced by its ``str``: "nan", "inf" or "-inf"."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: _nonfinite_as_strings(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nonfinite_as_strings(value) for value in obj]
+    return obj
+
+
 def _emit(as_json: bool, payload, lines) -> None:
     """The one writer: ``payload()`` as JSON under ``--json``, else the text ``lines``."""
     if as_json:
-        print(json.dumps(payload(), indent=2, sort_keys=True))
+        obj = payload()
+        try:
+            text = _dumps(obj)
+        except ValueError:
+            # a NaN or inf, which strict JSON has no token for; only this path walks obj
+            text = _dumps(_nonfinite_as_strings(obj))
+        print(text)
     else:
         for line in lines:
             print(line)
@@ -141,20 +169,22 @@ def _cmd_represent(alg, args):
     mats = {lab: triangular(rep, e) for lab, e in zip(alg.labels, np.eye(alg.dim))}
 
     def payload():
+        # one conversion of every matrix; the quadruples are slices of its nested lists
+        triangulars = dict(zip(mats, complex_pairs(np.stack(list(mats.values())))))
         return {
             "hdim": rep.hdim,
             "labels": list(alg.labels),
             "quadruples": [
                 {
                     "label": lab,
-                    "l": complex_pairs(M[0, -1]),
-                    "k": complex_pairs(M[1:-1, -1]),
-                    "kdag": complex_pairs(M[0, 1:-1]),
-                    "i": complex_pairs(M[1:-1, 1:-1]),
+                    "l": M[0][-1],
+                    "k": [row[-1] for row in M[1:-1]],
+                    "kdag": M[0][1:-1],
+                    "i": [row[1:-1] for row in M[1:-1]],
                 }
-                for lab, M in mats.items()
+                for lab, M in triangulars.items()
             ],
-            "triangular": {lab: complex_pairs(M) for lab, M in mats.items()},
+            "triangular": triangulars,
         }
 
     def lines():
@@ -317,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = file_command("norms", _cmd_norms, "four seminorms of an element")
     n.add_argument("--element", required=True, help='lincomb, e.g. "1 dt + 2i dw"')
+    n.add_argument("--json", action="store_true")
 
     s = file_command("simulate", _cmd_simulate, "toy-Fock or classical Monte Carlo report")
     s.add_argument("--model", choices=("fock", "classical"), required=True)

@@ -21,18 +21,19 @@ from itoalg import cli
 from itoalg.adsl import parse, serialize
 from itoalg.cli import main
 
+from conftest import make_catalog
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("REGEN_GOLDEN") == "1"
 
 CLASSICAL = {"newton", "wiener", "poisson", "wiener+poisson"}
 NON_FAITHFUL = {"zero_intensity_poisson"}
+FAITHFUL = sorted(set(make_catalog()) - NON_FAITHFUL)
 
 
 @pytest.fixture(scope="module")
 def ito_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ito")
-    from conftest import make_catalog
-
     paths = {}
     for name, alg in make_catalog().items():
         path = tmp / f"{name.replace('+', '_plus_')}.ito"
@@ -57,6 +58,15 @@ def normalize(obj):
         rounded = round(obj, 9)
         return 0.0 if rounded == 0 else rounded
     return obj
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def strict_loads(out: str):
+    """``out`` parsed as RFC 8259 JSON, which has no NaN, Infinity or -Infinity token."""
+    return json.loads(out, parse_constant=_no_constant)
 
 
 def check_golden(name: str, payload):
@@ -375,6 +385,91 @@ class TestNorms:
     def test_bad_element(self, capsys, ito_files):
         code, _, err = run_cli(capsys, "norms", ito_files["wiener"], "--element", "1 nope")
         assert code == 1
+
+    def test_json(self, capsys, ito_files):
+        code, out, _ = run_cli(
+            capsys, "norms", ito_files["wiener"], "--element", "1 dt + 2i dw", "--json"
+        )
+        assert code == 0
+        norms = strict_loads(out)
+        assert norms == pytest.approx({"op": 0.0, "plus": 2.0, "minus": 2.0, "corner": 1.0})
+
+
+JSON_COMMANDS = [
+    ("check",),
+    ("represent",),
+    ("decompose",),
+    ("simulate", "--model", "fock", "--t", "0.5", "--dt", "0.125"),
+    ("norms", "--element", "1 dt"),
+]
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("name", FAITHFUL)
+    @pytest.mark.parametrize(
+        "command", JSON_COMMANDS, ids=["check", "represent", "decompose", "simulate-fock", "norms"]
+    )
+    def test_compact_output_parses_to_the_indented_payload(
+        self, capsys, monkeypatch, ito_files, name, command
+    ):
+        payloads = []
+        emit = cli._emit
+
+        def recording_emit(as_json, payload, lines):
+            payloads.append(payload)
+            emit(as_json, payload, lines)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        code, out, err = run_cli(capsys, command[0], ito_files[name], *command[1:], "--json")
+        assert code == 0, err
+        assert out.count("\n") == 1 and out.endswith("\n")
+        [payload] = payloads
+        assert strict_loads(out) == json.loads(json.dumps(payload(), indent=2, sort_keys=True))
+
+    @pytest.mark.parametrize("name", FAITHFUL)
+    def test_quadruples_are_slices_of_the_triangular_matrices(self, capsys, ito_files, name):
+        code, out, _ = run_cli(capsys, "represent", ito_files[name], "--json")
+        assert code == 0
+        payload = strict_loads(out)
+        assert [q["label"] for q in payload["quadruples"]] == payload["labels"]
+        for q in payload["quadruples"]:
+            M = payload["triangular"][q["label"]]
+            assert len(M) == payload["hdim"] + 2
+            assert q["l"] == M[0][-1]
+            assert q["k"] == [row[-1] for row in M[1:-1]]
+            assert q["kdag"] == M[0][1:-1]
+            assert q["i"] == [row[1:-1] for row in M[1:-1]]
+
+    @pytest.mark.parametrize(
+        "text, argv, code, nonfinite",
+        [
+            (
+                "basis dt x\ndeath dt\nstate dt = 1\nmul x x = 1.7e308 dt\n",
+                ("check",),
+                2,
+                lambda p: [c["residual"] for c in p["axioms"]["checks"] if not c["passed"]],
+            ),
+            (
+                serialize(ia.poisson()),
+                ("simulate", "--model", "fock", "--t", "1e100", "--dt", "1e95"),
+                0,
+                lambda p: [v for e in p[0]["estimates"] for v in (e["value"], e["target"])
+                           if isinstance(v, str)],
+            ),
+        ],
+        ids=["check-overflowing-gram", "fock-overflowing-moment"],
+    )
+    def test_nonfinite_numbers_are_strings(self, capsys, tmp_path, text, argv, code, nonfinite):
+        path = tmp_path / "t.ito"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:], "--json")
+        assert got == code
+        assert out.count("\n") == 1
+        values = nonfinite(strict_loads(out))
+        assert values and set(values) <= {"nan", "inf", "-inf"}
+        assert not any(np.isfinite(float(v)) for v in values)
 
 
 # Coefficients for random tables: simple, signed, imaginary, overflowing and
