@@ -39,6 +39,9 @@ __all__ = [
     "vacuum_moments",
 ]
 
+CHUNK_BUDGET = 2**19   # doubles in one chunk of classical steps (4 MiB)
+MAX_SAMPLES = 2**53    # largest n_paths * n_steps that the float divisor holds exactly
+
 
 class SimulationError(AlgebraError):
     """Discrete model disagrees with its closed form; indicates broken input."""
@@ -230,8 +233,9 @@ def _vacuum_moment(mats, corner: tuple[int, int], scale: float, weight):
     """
     rows = np.zeros((2 ** len(mats), len(mats[0])), dtype=complex)
     rows[0, corner[0]] = scale
-    for m, M in enumerate(mats):
-        rows[2**m : 2 ** (m + 1)] = rows[: 2**m] @ M
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as inf/nan
+        for m, M in enumerate(mats):
+            rows[2**m : 2 ** (m + 1)] = rows[: 2**m] @ M
     value = rows[:, corner[1]].tolist()
     w = [weight(k) for k in range(len(mats) + 1)]
     return lambda pos: sum(
@@ -295,6 +299,17 @@ def classical_paths(
     Poisson and smooth components (detected through the decomposition):
     Gaussian increments of variance dt drive the Brownian part, compensated
     Poisson jumps with intensity read from the state drive the Levy part.
+
+    Draw order: the Gaussian block comes from one Philox stream keyed by
+    ``seed``, jump component j from the same stream jumped j + 1 times; each
+    stream is read step by step in path order.  The steps are sampled in
+    chunks of max(1, CHUNK_BUDGET // (n_paths * nc)) steps, and a chunk's
+    draws are the same numbers as one draw per step, so the report does not
+    depend on the chunk size.  Memory is a few chunks of CHUNK_BUDGET doubles
+    plus O(n_paths * nc), whatever n_steps is.  At most MAX_SAMPLES = 2**53
+    samples n_paths * n_steps are taken, the largest count a float divisor
+    holds exactly; more is an AlgebraError (CLI exit 2), raised before any
+    work.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -307,6 +322,9 @@ def classical_paths(
         raise AlgebraError("seed must be in [0, 2**128)")
     if n_paths < 2:
         raise AlgebraError("need at least two paths for moment estimates")
+    n_steps = int(round(t / dt))
+    if n_paths * n_steps > MAX_SAMPLES:
+        raise AlgebraError("n_paths * n_steps must not exceed 2**53")
     dec = decompose(alg)
     tol = alg.tol
 
@@ -351,7 +369,6 @@ def classical_paths(
         jump_size[j] = c1.real
         intensity[j] = c2.real / c1.real**2
 
-    n_steps = int(round(t / dt))
     dt_eff = t / n_steps
     nc = nb + nz
     labels = [
@@ -365,19 +382,24 @@ def classical_paths(
     pair_sum = np.zeros((nc, nc))
     pair_sumsq = np.zeros((nc, nc))
     root = np.sqrt(dt_eff)
-    for _ in range(n_steps):
-        cols = []
+    chunk = max(1, CHUNK_BUDGET // (n_paths * max(nc, 1)))
+    for first in range(0, n_steps if nc else 0, chunk):  # no components, no draws
+        k = min(chunk, n_steps - first)
+        dx = np.empty((nc, k, n_paths))  # component-major: one row per component
         if nb:
-            cols.append(gens[0].standard_normal((n_paths, nb)) @ chol.T * root)
+            gauss = gens[0].standard_normal((k, n_paths, nb)) @ chol.T
+            gauss *= root
+            dx[:nb] = np.moveaxis(gauss, -1, 0)
         for j in range(nz):
             lam = intensity[j] * dt_eff
-            jumps = gens[1 + j].poisson(lam, n_paths)
-            cols.append((jump_size[j] * (jumps - lam))[:, None])
-        dx = np.hstack(cols) if cols else np.zeros((n_paths, 0))
-        totals += dx
-        prods = dx[:, :, None] * dx[:, None, :]
-        pair_sum += prods.sum(axis=0)
-        pair_sumsq += (prods**2).sum(axis=0)
+            np.subtract(gens[1 + j].poisson(lam, (k, n_paths)), lam, out=dx[nb + j])
+            dx[nb + j] *= jump_size[j]
+        for step in range(k):
+            totals += dx[:, step].T
+        flat = dx.reshape(nc, k * n_paths)
+        pair_sum += flat @ flat.T
+        flat *= flat
+        pair_sumsq += flat @ flat.T
 
     estimates: list[Estimate] = []
     n_samples = n_paths * n_steps

@@ -1,7 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
 import itoalg as ia
+from itoalg.core import (
+    AlgebraError, Element, ItoAlgebra, commutant_check, pair_products, rel_residual,
+)
+from itoalg.decomp import decompose
+from itoalg.focksim import Estimate, SimReport, UnsupportedModelError, _component_label
 
 
 def make_catalog() -> dict[str, ia.ItoAlgebra]:
@@ -67,3 +74,132 @@ def ref_faithfulness_ideal(alg: ia.ItoAlgebra) -> np.ndarray:
     system = np.vstack([l[np.newaxis, :], L2, L2.T, triple])
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
     return vh[ia.core.numerical_rank(svals, alg.tol):].conj()
+
+
+def ref_classical_paths(
+    alg: ItoAlgebra,
+    t: float,
+    dt: float,
+    n_paths: int,
+    seed: int,
+) -> SimReport:
+    """Reference sampler: one draw and one (n_paths, nc, nc) outer product per step.
+
+    The step-by-step loop that ``focksim.classical_paths`` replaced by chunks
+    of steps; it consumes the same Philox streams in the same order.
+    """
+    start = time.perf_counter()
+    if not commutant_check(alg):
+        raise UnsupportedModelError("classical sampling needs a commutative algebra")
+    if not (t > 0 and 0 < dt <= t):
+        raise AlgebraError("need 0 < dt <= t")
+    if not np.isfinite(t / dt):
+        raise AlgebraError("t/dt must be finite")
+    if not 0 <= seed < 2**128:
+        raise AlgebraError("seed must be in [0, 2**128)")
+    if n_paths < 2:
+        raise AlgebraError("need at least two paths for moment estimates")
+    dec = decompose(alg)
+    tol = alg.tol
+
+    def selfadjoint(e: Element) -> np.ndarray:
+        if not rel_residual(e.star().coeffs, e.coeffs) <= tol:
+            raise UnsupportedModelError(
+                "component basis is not self-adjoint; no real classical driver"
+            )
+        return e.coeffs
+
+    brown = [selfadjoint(e) for e in dec.brownian_zero_mean]
+    levy = [selfadjoint(e) for e in dec.levy_zero_mean]
+
+    nb, nz = len(brown), len(levy)
+    vectors = brown + levy
+    prods = pair_products(alg, vectors, vectors)  # [p, q] is vectors[p] . vectors[q]
+    moments = prods @ alg.state
+    cov = moments[:nb, :nb]
+    if not np.all(np.abs(cov.imag) <= tol):
+        raise UnsupportedModelError("Brownian covariance is not real")
+    cov = cov.real
+    try:
+        chol = np.linalg.cholesky(cov + np.eye(nb) * tol) if nb else np.zeros((0, 0))
+    except np.linalg.LinAlgError as exc:
+        raise UnsupportedModelError("Brownian covariance is not positive") from exc
+
+    jump_size = np.zeros(nz)
+    intensity = np.zeros(nz)
+    for j, z in enumerate(levy):
+        w = prods[nb + j, nb + j]
+        c2 = complex(moments[nb + j, nb + j])
+        rest = w - c2 * alg.death
+        denom = float(np.vdot(z, z).real)
+        c1 = complex(np.vdot(z, rest)) / denom
+        if not rel_residual(c1 * z + c2 * alg.death, w) <= tol:
+            raise UnsupportedModelError("Levy component is not of single-jump type")
+        if not (abs(c1.imag) <= tol and c1.real > tol and abs(c2.imag) <= tol and c2.real > tol):
+            raise UnsupportedModelError("Levy component has no positive jump/intensity data")
+        for j2 in range(nz):
+            if j2 != j and not rel_residual(prods[nb + j, nb + j2], np.zeros(alg.dim)) <= tol:
+                raise UnsupportedModelError("Levy components are not independent")
+        jump_size[j] = c1.real
+        intensity[j] = c2.real / c1.real**2
+
+    n_steps = int(round(t / dt))
+    dt_eff = t / n_steps
+    nc = nb + nz
+    labels = [
+        _component_label(alg, v, f"y{i}") for i, v in enumerate(brown)
+    ] + [_component_label(alg, v, f"z{j}") for j, v in enumerate(levy)]
+
+    gens = [
+        np.random.Generator(np.random.Philox(key=seed).jumped(task)) for task in range(1 + nz)
+    ]
+    totals = np.zeros((n_paths, nc))
+    pair_sum = np.zeros((nc, nc))
+    pair_sumsq = np.zeros((nc, nc))
+    root = np.sqrt(dt_eff)
+    for _ in range(n_steps):
+        cols = []
+        if nb:
+            cols.append(gens[0].standard_normal((n_paths, nb)) @ chol.T * root)
+        for j in range(nz):
+            lam = intensity[j] * dt_eff
+            jumps = gens[1 + j].poisson(lam, n_paths)
+            cols.append((jump_size[j] * (jumps - lam))[:, None])
+        dx = np.hstack(cols) if cols else np.zeros((n_paths, 0))
+        totals += dx
+        prods = dx[:, :, None] * dx[:, None, :]
+        pair_sum += prods.sum(axis=0)
+        pair_sumsq += (prods**2).sum(axis=0)
+
+    estimates: list[Estimate] = []
+    n_samples = n_paths * n_steps
+    for p in range(nc):
+        x = totals[:, p]
+        m = float(np.mean(x))
+        var = float(np.var(x, ddof=1)) if n_paths > 1 else 0.0
+        centered = x - m
+        m2 = float(np.mean(centered**2))
+        m4 = float(np.mean(centered**4))
+        var_se = float(np.sqrt(max(m4 - m2**2, 0.0) / n_paths))
+        estimates.append(
+            Estimate(f"mean[{labels[p]}]", m, float(np.std(x, ddof=1) / np.sqrt(n_paths)), 0.0)
+        )
+        target_var = float(moments[p, p].real) * t
+        estimates.append(Estimate(f"var[{labels[p]}]", var, var_se, target_var))
+        for q in range(p, nc):
+            mean_pq = pair_sum[p, q] / n_samples
+            var_pq = pair_sumsq[p, q] / n_samples - mean_pq**2
+            se = float(np.sqrt(max(var_pq, 0.0) / n_samples)) / dt_eff
+            target = float(moments[p, q].real)
+            estimates.append(
+                Estimate(f"cov[{labels[p]},{labels[q]}]", mean_pq / dt_eff, se, target)
+            )
+
+    return SimReport(
+        kind="classical_paths",
+        inputs={"t": t, "dt": dt_eff, "n_paths": n_paths, "n_steps": n_steps},
+        seed=seed,
+        estimates=estimates,
+        slopes={},
+        runtime_ms=(time.perf_counter() - start) * 1e3,
+    )

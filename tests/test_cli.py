@@ -175,6 +175,11 @@ class TestExitCodes:
                 "error: t/dt must be finite",
             ),
             (
+                ("simulate", "wiener", "--model", "classical", "--dt", "1e-300"),
+                2,
+                "error: n_paths * n_steps must not exceed 2**53",
+            ),
+            (
                 ("simulate", "wiener", "--model", "classical", "--seed", "-1", "--paths", "10"),
                 2,
                 "error: seed must be in [0, 2**128)",
@@ -202,7 +207,8 @@ class TestExitCodes:
         ],
         ids=[
             "fock-t-nan", "fock-t-inf", "fock-ratio-overflow", "classical-t-inf",
-            "classical-ratio-overflow", "classical-seed-negative", "classical-seed-too-large",
+            "classical-ratio-overflow", "classical-step-budget", "classical-seed-negative",
+            "classical-seed-too-large",
             "check-tol-nan", "check-tol-inf", "check-tol-negative", "norms-inf-coefficient",
             "norms-empty-element",
         ],
@@ -470,6 +476,18 @@ class TestJsonWriter:
         values = nonfinite(strict_loads(out))
         assert values and set(values) <= {"nan", "inf", "-inf"}
         assert not any(np.isfinite(float(v)) for v in values)
+
+    def test_overflowing_fock_moment_warns_nothing(self, capsys, tmp_path):
+        # the overflow is reported as nan/inf in the report, not as numpy warnings
+        path = tmp_path / "p.ito"
+        path.write_text(serialize(ia.poisson()), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", str(path), "--model", "fock",
+                                     "--t", "1e100", "--dt", "1e95")
+        assert code == 0
+        assert "nan" in out
+        assert err == ""
 
 
 # Coefficients for random tables: simple, signed, imaginary, overflowing and

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import itoalg as ia
-from itoalg.core import rel_residual, row_products
+from itoalg import focksim
+from itoalg.core import AlgebraError, rel_residual, row_products
 from itoalg.focksim import (
+    CHUNK_BUDGET,
     SimulationError,
     UnsupportedModelError,
     _vacuum_moment,
@@ -18,6 +21,7 @@ from itoalg.focksim import (
 )
 from itoalg.gns import build_representation, triangular
 
+from conftest import ref_classical_paths
 from test_pipeline import _random_rotation
 
 
@@ -379,6 +383,9 @@ class TestPartitionIdentity:
                 assert abs(from_quadruple - from_table) <= 1e-10 * scale, (name, m)
 
 
+WPP = ia.orthogonal_sum(ia.orthogonal_sum(ia.wiener(), ia.poisson()), ia.poisson())
+
+
 class TestClassicalPaths:
     def test_wiener_variance(self):
         rpt = classical_paths(ia.wiener(), t=1.0, dt=0.01, n_paths=20000, seed=123)
@@ -434,3 +441,52 @@ class TestClassicalPaths:
         d = rpt.to_dict()
         assert set(d) == {"kind", "inputs", "seed", "estimates", "slopes", "runtime_ms"}
         assert all(set(e) == {"name", "value", "stderr", "target"} for e in d["estimates"])
+
+    def test_step_budget_is_checked_before_decompose(self, monkeypatch):
+        # 2**53 samples pass the budget and reach decompose; one path more is refused
+        def reached(alg):
+            raise LookupError("decompose reached")
+
+        monkeypatch.setattr(focksim, "decompose", reached)
+        with pytest.raises(LookupError):
+            classical_paths(ia.wiener(), float(2**52), 1.0, 2, 0)
+        for t, dt, n in ((float(2**52), 1.0, 3), (1.0, 1e-300, 2)):
+            with pytest.raises(AlgebraError, match=r"n_paths \* n_steps must not exceed 2\*\*53"):
+                classical_paths(ia.wiener(), t, dt, n, 0)
+
+    @pytest.mark.parametrize(
+        "name, n_paths, n_steps",
+        [
+            ("wiener", 3000, 50),
+            ("poisson", 3000, 50),
+            ("newton", 100, 10),
+            ("wpp", CHUNK_BUDGET // 3 + 1, 3),       # one step per chunk
+            ("wpp", 1000, 2 * (CHUNK_BUDGET // 3000) + 7),  # two full chunks and a short one
+        ],
+        ids=["wiener", "poisson", "newton", "wpp-one-step-chunks", "wpp-ragged-chunks"],
+    )
+    def test_chunks_match_the_step_by_step_sampler(self, name, n_paths, n_steps):
+        alg = WPP if name == "wpp" else getattr(ia, name)()
+        args = (alg, 1.0, 1.0 / n_steps, n_paths, 2024)
+        got, ref = classical_paths(*args), ref_classical_paths(*args)
+        assert got.inputs == ref.inputs
+        assert [e.name for e in got.estimates] == [e.name for e in ref.estimates]
+        for e, r in zip(got.estimates, ref.estimates):
+            if e.name.startswith("cov["):
+                # one Gram contraction per chunk against per-step sums: rounding only
+                for x, y in ((e.value, r.value), (e.stderr, r.stderr)):
+                    assert abs(x - y) <= 1e-10 * max(1.0, abs(y)), (e.name, x, y)
+            else:
+                assert (e.value, e.stderr, e.target) == (r.value, r.stderr, r.target), e.name
+
+    def test_memory_is_bounded_by_the_chunk_budget(self):
+        classical_paths(WPP, 1.0, 0.5, 2, 0)  # warm-up: the GNS construction is cached on WPP
+        peaks = []
+        for n_steps in (200, 2000):
+            tracemalloc.start()
+            try:
+                classical_paths(WPP, 1.0, 1.0 / n_steps, 20_000, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
