@@ -9,8 +9,9 @@ Two independent routes back to the tables:
   moment of a word sums over its set partitions pi: N!/(N-|pi|)! times the
   blocks' products on N slots, t^|pi| times the blocks' states in the limit.
 
-* a classical Monte Carlo sampler for commutative algebras assembled from
-  Wiener, Poisson and smooth parts, comparing E[dx dy]/dt against l(x.y).
+* a classical Monte Carlo sampler for every commutative faithful algebra,
+  driven by the Levy-Khinchin triplet read off the decomposition (Gaussian
+  covariance and jump atoms), comparing E[dx dy]/dt against l(x.y).
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from functools import cache
 
 import numpy as np
 
-from .core import AlgebraError, Element, ItoAlgebra, commutant_check, pair_products, rel_residual
-from .decomp import decompose
+from .core import (
+    AlgebraError, Element, ItoAlgebra, commutant_check, gram_schmidt, null_space, pair_products,
+)
+from .decomp import Decomposition, decompose
 from .gns import FundamentalRep, triangular
 
 __all__ = [
@@ -48,7 +51,7 @@ class SimulationError(AlgebraError):
 
 
 class UnsupportedModelError(AlgebraError):
-    """Classical sampling asked for an algebra outside the supported families."""
+    """Classical sampling of a noncommutative table or a non-positive Brownian covariance."""
 
 
 @dataclass(frozen=True)
@@ -286,6 +289,40 @@ def _component_label(alg: ItoAlgebra, vec: np.ndarray, fallback: str) -> str:
     return fallback
 
 
+def _levy_khinchin(dec: Decomposition) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Components and jump atoms of a commutative algebra: (brown, levy, jumps, rates).
+
+    The components are the independent Hermitian parts (x + x*)/2 and
+    (x - x*)/2i of the Brownian, then of the Levy zero-mean basis.  The atoms
+    are the joint eigenvectors u_j of the commuting Hermitian i(x_p) on E H,
+    from one eigh of a fixed generic combination of them.  Atom j moves
+    component p by jumps[p, j] = <u_j, i(x_p) u_j> at rate
+    rates[j] = |<u_j, k(x_p)>|^2 / jumps[p, j]^2, the same for every p that it
+    moves (k(x_p . x_q) = i(x_p) k(x_q) is symmetric), here a ratio of sums
+    over p.  The atoms are ordered stably by the first component they move.
+    """
+    alg, tol = dec.algebra, dec.algebra.tol
+
+    def hermitian_parts(elems) -> list:
+        pairs = [(e.coeffs, e.star().coeffs) for e in elems]
+        rows = [v for x, xs in pairs for v in ((x + xs) / 2, (x - xs) / 2j)]
+        return [rows[i] for i in gram_schmidt(rows, tol)[0]]
+
+    brown, levy = hermitian_parts(dec.brownian_zero_mean), hermitian_parts(dec.levy_zero_mean)
+    x = np.array(levy).reshape(len(levy), alg.dim)
+    imats = np.tensordot(x, dec.rep.imats, 1)  # i(x_p)
+    basis = null_space(dec.projector, tol).T  # orthonormal columns spanning E H
+    mix = np.random.default_rng(0).standard_normal(len(levy))  # a fixed generic combination
+    atoms = basis @ np.linalg.eigh(basis.conj().T @ np.tensordot(mix, imats, 1) @ basis)[1]
+    jumps = np.einsum("dj,pde,ej->pj", atoms.conj(), imats, atoms).real
+    moved = np.abs(jumps) > tol * max(1.0, float(np.max(np.abs(jumps), initial=0.0)))
+    first = np.sum(np.cumsum(moved, axis=0) == 0, axis=0)  # the first component each atom moves
+    order = [j for j in np.argsort(first, kind="stable") if first[j] < len(levy)]
+    amps = x @ dec.rep.kmat.T @ atoms[:, order].conj()  # <u_j, k(x_p)> = c_j jumps[p, j]
+    jumps = jumps[:, order]
+    return brown, levy, jumps, np.sum(np.abs(amps) ** 2, axis=0) / np.sum(jumps**2, axis=0)
+
+
 def classical_paths(
     alg: ItoAlgebra,
     t: float,
@@ -295,21 +332,22 @@ def classical_paths(
 ) -> SimReport:
     """Sample classical increments and compare moments against the table.
 
-    Supported inputs are the commutative algebras assembled from Wiener,
-    Poisson and smooth components (detected through the decomposition):
-    Gaussian increments of variance dt drive the Brownian part, compensated
-    Poisson jumps with intensity read from the state drive the Levy part.
+    Supported inputs are every commutative faithful algebra.  Its
+    Levy-Khinchin triplet is read off the decomposition: Gaussian increments
+    with covariance l(x_p . x_q) dt drive the Brownian components, and
+    compensated Poisson counts of the jump atoms (``_levy_khinchin``) drive
+    the Levy components.
 
     Draw order: the Gaussian block comes from one Philox stream keyed by
-    ``seed``, jump component j from the same stream jumped j + 1 times; each
+    ``seed``, jump atom j from the same stream jumped j + 1 times; each
     stream is read step by step in path order.  The steps are sampled in
-    chunks of max(1, CHUNK_BUDGET // (n_paths * nc)) steps, and a chunk's
-    draws are the same numbers as one draw per step, so the report does not
-    depend on the chunk size.  Memory is a few chunks of CHUNK_BUDGET doubles
-    plus O(n_paths * nc), whatever n_steps is.  At most MAX_SAMPLES = 2**53
-    samples n_paths * n_steps are taken, the largest count a float divisor
-    holds exactly; more is an AlgebraError (CLI exit 2), raised before any
-    work.
+    chunks of max(1, CHUNK_BUDGET // (n_paths * (nc + na))) steps for nc
+    components and na atoms, and a chunk's draws are the same numbers as one
+    draw per step, so the report does not depend on the chunk size.  Memory
+    is a few chunks of CHUNK_BUDGET doubles plus O(n_paths * nc), whatever
+    n_steps is.  At most MAX_SAMPLES = 2**53 samples n_paths * n_steps are
+    taken, the largest count a float divisor holds exactly; more is an
+    AlgebraError (CLI exit 2), raised before any work.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -325,78 +363,42 @@ def classical_paths(
     n_steps = int(round(t / dt))
     if n_paths * n_steps > MAX_SAMPLES:
         raise AlgebraError("n_paths * n_steps must not exceed 2**53")
-    dec = decompose(alg)
-    tol = alg.tol
-
-    def selfadjoint(e: Element) -> np.ndarray:
-        if not rel_residual(e.star().coeffs, e.coeffs) <= tol:
-            raise UnsupportedModelError(
-                "component basis is not self-adjoint; no real classical driver"
-            )
-        return e.coeffs
-
-    brown = [selfadjoint(e) for e in dec.brownian_zero_mean]
-    levy = [selfadjoint(e) for e in dec.levy_zero_mean]
-
-    nb, nz = len(brown), len(levy)
+    brown, levy, jumps, rates = _levy_khinchin(decompose(alg))
+    nb, nz, na = len(brown), len(levy), len(rates)
     vectors = brown + levy
-    prods = pair_products(alg, vectors, vectors)  # [p, q] is vectors[p] . vectors[q]
-    moments = prods @ alg.state
-    cov = moments[:nb, :nb]
-    if not np.all(np.abs(cov.imag) <= tol):
-        raise UnsupportedModelError("Brownian covariance is not real")
-    cov = cov.real
+    moments = (pair_products(alg, vectors, vectors) @ alg.state).real  # [p, q] is l(x_p . x_q)
     try:
-        chol = np.linalg.cholesky(cov + np.eye(nb) * tol) if nb else np.zeros((0, 0))
+        chol = np.linalg.cholesky(moments[:nb, :nb] + np.eye(nb) * alg.tol)
     except np.linalg.LinAlgError as exc:
         raise UnsupportedModelError("Brownian covariance is not positive") from exc
 
-    jump_size = np.zeros(nz)
-    intensity = np.zeros(nz)
-    for j, z in enumerate(levy):
-        w = prods[nb + j, nb + j]
-        c2 = complex(moments[nb + j, nb + j])
-        rest = w - c2 * alg.death
-        denom = float(np.vdot(z, z).real)
-        c1 = complex(np.vdot(z, rest)) / denom
-        if not rel_residual(c1 * z + c2 * alg.death, w) <= tol:
-            raise UnsupportedModelError("Levy component is not of single-jump type")
-        if not (abs(c1.imag) <= tol and c1.real > tol and abs(c2.imag) <= tol and c2.real > tol):
-            raise UnsupportedModelError("Levy component has no positive jump/intensity data")
-        for j2 in range(nz):
-            if j2 != j and not rel_residual(prods[nb + j, nb + j2], np.zeros(alg.dim)) <= tol:
-                raise UnsupportedModelError("Levy components are not independent")
-        jump_size[j] = c1.real
-        intensity[j] = c2.real / c1.real**2
-
     dt_eff = t / n_steps
     nc = nb + nz
-    labels = [
-        _component_label(alg, v, f"y{i}") for i, v in enumerate(brown)
-    ] + [_component_label(alg, v, f"z{j}") for j, v in enumerate(levy)]
+    labels = [_component_label(alg, v, f"y{i}") for i, v in enumerate(brown)]
+    labels += [_component_label(alg, v, f"z{j}") for j, v in enumerate(levy)]
 
-    gens = [
-        np.random.Generator(np.random.Philox(key=seed).jumped(task)) for task in range(1 + nz)
-    ]
+    gens = [np.random.Generator(np.random.Philox(key=seed).jumped(j)) for j in range(1 + na)]
     totals = np.zeros((n_paths, nc))
     pair_sum = np.zeros((nc, nc))
     pair_sumsq = np.zeros((nc, nc))
     root = np.sqrt(dt_eff)
-    chunk = max(1, CHUNK_BUDGET // (n_paths * max(nc, 1)))
+    chunk = max(1, CHUNK_BUDGET // (n_paths * max(nc + na, 1)))
+    compensated = np.empty((na, chunk * n_paths))  # Poisson counts minus their mean, per atom
     for first in range(0, n_steps if nc else 0, chunk):  # no components, no draws
         k = min(chunk, n_steps - first)
         dx = np.empty((nc, k, n_paths))  # component-major: one row per component
+        flat = dx.reshape(nc, k * n_paths)
         if nb:
             gauss = gens[0].standard_normal((k, n_paths, nb)) @ chol.T
             gauss *= root
             dx[:nb] = np.moveaxis(gauss, -1, 0)
-        for j in range(nz):
-            lam = intensity[j] * dt_eff
-            np.subtract(gens[1 + j].poisson(lam, (k, n_paths)), lam, out=dx[nb + j])
-            dx[nb + j] *= jump_size[j]
+        counts = compensated[:, : k * n_paths]
+        for j in range(na):
+            lam = rates[j] * dt_eff
+            np.subtract(gens[1 + j].poisson(lam, k * n_paths), lam, out=counts[j])
+        np.matmul(jumps, counts, out=flat[nb:])
         for step in range(k):
             totals += dx[:, step].T
-        flat = dx.reshape(nc, k * n_paths)
         pair_sum += flat @ flat.T
         flat *= flat
         pair_sumsq += flat @ flat.T
@@ -406,24 +408,20 @@ def classical_paths(
     for p in range(nc):
         x = totals[:, p]
         m = float(np.mean(x))
-        var = float(np.var(x, ddof=1)) if n_paths > 1 else 0.0
+        var = float(np.var(x, ddof=1))
         centered = x - m
         m2 = float(np.mean(centered**2))
         m4 = float(np.mean(centered**4))
         var_se = float(np.sqrt(max(m4 - m2**2, 0.0) / n_paths))
-        estimates.append(
-            Estimate(f"mean[{labels[p]}]", m, float(np.std(x, ddof=1) / np.sqrt(n_paths)), 0.0)
-        )
-        target_var = float(moments[p, p].real) * t
-        estimates.append(Estimate(f"var[{labels[p]}]", var, var_se, target_var))
+        mean_se = math.sqrt(var) / math.sqrt(n_paths)
+        estimates.append(Estimate(f"mean[{labels[p]}]", m, mean_se, 0.0))
+        estimates.append(Estimate(f"var[{labels[p]}]", var, var_se, float(moments[p, p]) * t))
         for q in range(p, nc):
             mean_pq = pair_sum[p, q] / n_samples
             var_pq = pair_sumsq[p, q] / n_samples - mean_pq**2
             se = float(np.sqrt(max(var_pq, 0.0) / n_samples)) / dt_eff
-            target = float(moments[p, q].real)
-            estimates.append(
-                Estimate(f"cov[{labels[p]},{labels[q]}]", mean_pq / dt_eff, se, target)
-            )
+            name = f"cov[{labels[p]},{labels[q]}]"
+            estimates.append(Estimate(name, mean_pq / dt_eff, se, float(moments[p, q])))
 
     return SimReport(
         kind="classical_paths",

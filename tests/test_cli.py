@@ -375,6 +375,17 @@ class TestCatalogCommand:
         assert code == 0
         assert out == serialize(ia.group_levy(ia.cyclic_group(2)))
 
+    def test_group_levy_z3_samples_classically(self, capsys, tmp_path):
+        # a commutative table whose basis is not self-adjoint: d_g1* = d_g2
+        dest = tmp_path / "z3.ito"
+        code, _, _ = run_cli(capsys, "catalog", "--name", "group_levy", "--params", "group=z3",
+                             "-o", str(dest))
+        assert code == 0
+        code, out, err = run_cli(capsys, "simulate", str(dest), "--model", "classical",
+                                 "--paths", "1000", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["kind"] == "classical_paths"
+
 
 class TestNorms:
     def test_wiener_element(self, capsys, ito_files):

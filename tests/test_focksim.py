@@ -7,7 +7,8 @@ import pytest
 
 import itoalg as ia
 from itoalg import focksim
-from itoalg.core import AlgebraError, rel_residual, row_products
+from itoalg.core import AlgebraError, Element, multiply, rel_residual, row_products
+from itoalg.decomp import decompose
 from itoalg.focksim import (
     CHUNK_BUDGET,
     SimulationError,
@@ -415,6 +416,51 @@ class TestClassicalPaths:
         # commutative check fails first for n >= 2; n = 1 has a Levy component
         with pytest.raises(UnsupportedModelError):
             classical_paths(ia.thermal_matrix(2, (0.5, 0.5)), 1.0, 0.01, 100, 0)
+
+    @pytest.mark.parametrize(
+        "alg",
+        [
+            ia.group_levy(ia.cyclic_group(2)),
+            ia.group_levy(ia.cyclic_group(3)),
+            ia.group_levy(ia.cyclic_group(5)),
+            ia.periodic_wiener(1, [1.0]),
+        ],
+        ids=["z2", "z3", "z5", "pw1"],
+    )
+    def test_commutative_tables_beyond_the_single_jump_families(self, alg):
+        rpt = classical_paths(alg, t=1.0, dt=0.05, n_paths=20000, seed=31)
+        assert rpt.estimates
+        for e in rpt.estimates:
+            assert abs(e.value - e.target) <= 5 * e.stderr, e.name
+
+    @pytest.mark.parametrize(
+        "alg",
+        [
+            ia.poisson(),
+            WPP,
+            ia.thermal_matrix(1, [0.7]),
+            ia.group_levy(ia.cyclic_group(2)),
+            ia.group_levy(ia.cyclic_group(3)),
+            ia.group_levy(ia.cyclic_group(5)),
+        ],
+        ids=["poisson", "wpp", "thermal1", "z2", "z3", "z5"],
+    )
+    def test_jump_atoms_reproduce_the_table_cumulants(self, alg):
+        # sum_j rate_j jump_j(p)^m = l(x_p^m) for m >= 2: a Gaussian triplet
+        # (no atoms) or a wrong rate formula fails this
+        _, levy, jumps, rates = focksim._levy_khinchin(decompose(alg))
+        assert levy and rates.size and np.all(rates > 0)
+        xs = [Element(alg, x) for x in levy]
+        for p, x in enumerate(xs):
+            power = x
+            for m in (2, 3, 4):
+                power = multiply(power, x)
+                target = complex(power.coeffs @ alg.state)
+                assert abs(rates @ jumps[p] ** m - target) <= 1e-9 * max(1.0, abs(target)), (p, m)
+            for q, y in enumerate(xs):
+                if q != p:
+                    target = complex(multiply(x, y).coeffs @ alg.state)
+                    assert abs(rates @ (jumps[p] * jumps[q]) - target) <= 1e-9, (p, q)
 
     def test_newton_smooth_only(self):
         rpt = classical_paths(ia.newton(), t=1.0, dt=0.1, n_paths=100, seed=0)
