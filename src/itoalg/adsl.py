@@ -19,20 +19,39 @@ symbol is one token that is not a keyword, ``+``, ``=`` or a complex literal.
 table (``_DECLARATIONS``): how many symbols the keyword names, what follows
 ``=`` and what a duplicate is called.  Their usage text, symbol lookup,
 duplicate rule and storage are the same code for all four.  A line reports
-at most one fault, at the column of the token it names.
+at most one fault, at the column of the token it names: the earliest bad
+token in token order, and a line with a fault stores nothing.
+
+The ``star`` and ``mul`` tables are converted a table at a time.  The line
+loop checks each lincomb's shape (``+`` separators, a symbol after every
+coefficient) and keeps its coefficient and symbol tokens.  One reader then
+takes the table's lines together: one ``translate`` that checks the
+characters of the joined coefficient column and one ``map(complex, ...)``,
+one dictionary lookup per symbol through ``map``, and one ``np.add.at``
+that sums repeated symbols of a row.  It runs after the last line, and each
+time ``_CHUNK`` terms are held, so that a dense table never holds all its
+token strings at once.  If that reader meets a bad literal, a non-finite value or an unknown
+symbol, the text is read again with each line converted on its own, so
+every diagnostic, and the duplicate rule after a faulted line, is what a
+line-by-line reading gives.  ``parse_lincomb`` is the same reader on one
+line.
 
 The parser is total: any input yields an algebra or diagnostics, never an
 exception.  Serialization is canonical (declaration order above, table rows
 lexicographic, reals printed with 17 significant digits), so
-parse(serialize(alg)) reproduces the algebra bit-exactly; ``serialize``
-refuses a label or name that this parser would not read back.
+parse(serialize(alg)) reproduces the algebra bit-exactly up to the sign of
+a zero: a -0.0 part is not written and reads back as 0.0.  ``serialize``
+refuses a label or name that this parser would not read back, and a
+structure constant, star entry or state value that is not finite.  It writes
+each table with one ``%`` format: a template assembled from one piece per
+coefficient form and label, and one flat tuple of the reals.
 """
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,8 +59,11 @@ from .core import ItoAlgebra
 
 __all__ = ["ParseDiagnostic", "ParseResult", "parse", "parse_strict", "parse_lincomb", "serialize"]
 
-_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"[+-]?{_UNSIGNED}(?:[+-]{_UNSIGNED})?i|[+-]?{_UNSIGNED}")
+# the characters of a literal besides its decimal digits, and an i after neither digit nor point
+_PUNCTUATION = str.maketrans("", "", ".eE+-i ")
+_LONE_I = (" i", "+i", "-i", "ei", "Ei")
+_COEFFICIENT = "expected a complex coefficient, got {!r}"
+_CHUNK = 1 << 13  # lincomb terms held as token strings before ``_settle`` reads them
 
 # keyword: (symbols it names, its value after '=', its duplicate message).
 # A declaration without a value, the death, is made once for the algebra.
@@ -107,9 +129,8 @@ class _Fault(Exception):
 
 def parse_complex(token: str) -> complex | None:
     """The complex literal ``token``, or None if it is not one."""
-    if _COMPLEX_RE.fullmatch(token) is None:
-        return None
-    return complex(token.replace("i", "j"))
+    vals = None if " " in token else _complexes([token])
+    return None if vals is None else complex(vals[0])
 
 
 def _is_token(text: str) -> bool:
@@ -132,43 +153,97 @@ def _index(tokens: list[str], k: int, index: dict[str, int]) -> int:
         raise _Fault(k, f"unknown basis symbol {tokens[k]!r}") from None
 
 
-def _read_complex(tokens: list[str], k: int, malformed: str) -> complex:
-    """The finite complex literal at token ``k``; ``malformed`` formats the fault otherwise."""
-    z = parse_complex(tokens[k])
-    if z is None:
-        raise _Fault(k, malformed.format(tokens[k]))
-    if not cmath.isfinite(z):
-        raise _Fault(k, "non-finite coefficient")
-    return z
+def _complexes(coefs: list[str]) -> np.ndarray | None:
+    """The values of the literals ``coefs``, or None if one of them is not a literal.
+
+    A literal is a token of decimal digits, ``.``, ``e``, ``E``, ``+``, ``-``
+    and ``i``, with a digit or a point before every ``i``, that ``complex``
+    reads with ``j`` for ``i``: Python's complex syntax without its
+    parentheses, underscores, ``inf``, ``nan`` and bare ``j``.  The column is
+    checked with one ``translate`` and read with one ``map(complex, ...)``,
+    each in linear time.
+    """
+    if not coefs:
+        return np.zeros(0, dtype=complex)
+    column = " ".join(coefs)
+    spaced = " " + column
+    if not column.translate(_PUNCTUATION).isdecimal() or any(s in spaced for s in _LONE_I):
+        return None
+    try:
+        return np.fromiter(map(complex, column.replace("i", "j").split(" ")), complex, len(coefs))
+    except ValueError:  # the characters of a literal, out of order: 1e, 1+2, 1.2.3
+        return None
 
 
-def _read_lincomb(tokens: list[str], start: int, index: dict[str, int]) -> np.ndarray:
-    """The coefficient vector of ``coef sym [+ coef sym ...]`` or ``0`` in ``tokens[start:]``."""
-    vec = np.zeros(len(index), dtype=complex)
-    if len(tokens) == start + 1 and tokens[start] == "0":
-        return vec
-    if start == len(tokens):
-        raise _Fault(start, "empty linear combination (zero is written 0)")
-    terms: dict[int, complex] = {}
-    pos = start
-    while True:
-        coef = _read_complex(tokens, pos, "expected a complex coefficient, got {!r}")
-        if pos + 1 == len(tokens):
-            raise _Fault(pos, "coefficient without a basis symbol")
-        k = _index(tokens, pos + 1, index)
-        terms[k] = terms.get(k, 0j) + coef
-        pos += 2
-        if pos == len(tokens):
-            break
-        if tokens[pos] != "+":
-            raise _Fault(pos, f"expected '+', got {tokens[pos]!r}")
-        pos += 1
-        if pos == len(tokens):
-            raise _Fault(pos - 1, "dangling '+' at end of line")
-    if not all(map(cmath.isfinite, terms.values())):  # finite coefficients can sum to inf
+def _read_terms(coefs: list[str], syms: list[str], index: dict[str, int], start: int = 0,
+                malformed: str = _COEFFICIENT) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the literals ``coefs`` and the indices of the symbols ``syms``.
+
+    The two columns interleave as a lincomb written from token ``start``:
+    ``coefs[t]`` is token ``start + 3t`` and ``syms[t]`` token ``start + 3t + 1``.
+    Each column is converted at once; the fault names the first bad token.
+    """
+    vals = _complexes(coefs)
+    cols = np.fromiter(map(index.get, syms, repeat(-1)), np.intp, len(syms))
+    if vals is not None and np.isfinite(vals).all() and (cols >= 0).all():
+        return vals, cols
+    faults = []
+    if vals is None:
+        t = next(t for t, coef in enumerate(coefs) if parse_complex(coef) is None)
+        faults.append((start + 3 * t, malformed.format(coefs[t])))
+        vals = _complexes(coefs[:t])
+    faults += [(start + 3 * int(t), "non-finite coefficient")
+               for t in np.flatnonzero(~np.isfinite(vals))[:1]]
+    faults += [(start + 3 * int(t) + 1, f"unknown basis symbol {syms[t]!r}")
+               for t in np.flatnonzero(cols < 0)[:1]]
+    raise _Fault(*min(faults))
+
+
+def _table(rows: list[tuple[list[str], list[str]]], index: dict[str, int],
+           start: int = 0) -> np.ndarray:
+    """The coefficient vectors of lincombs given as (coefficient, symbol) token columns.
+
+    All rows are read by one ``_read_terms`` and stored by one ``np.add.at``,
+    which sums the coefficients of a repeated symbol; a sum that is not
+    finite is a fault at token ``start``.
+    """
+    counts = [len(coefs) for coefs, _ in rows]
+    vals, cols = _read_terms(list(chain.from_iterable(coefs for coefs, _ in rows)),
+                             list(chain.from_iterable(syms for _, syms in rows)), index, start)
+    out = np.zeros((len(rows), len(index)), dtype=complex)
+    with np.errstate(over="ignore"):
+        np.add.at(out, (np.repeat(np.arange(len(rows)), counts), cols), vals)
+    if not np.isfinite(out).all():  # finite coefficients can sum to inf
         raise _Fault(start, "non-finite coefficient")
-    vec[list(terms)] = list(terms.values())
-    return vec
+    return out
+
+
+def _lincomb(tokens: list[str], start: int, index: dict[str, int]) -> tuple[list[str], list[str]]:
+    """The coefficient and symbol columns of the lincomb in ``tokens[start:]``.
+
+    The shape is checked here.  When the shape has a fault, the literals and
+    symbols before it are read here too, since a bad one is the fault
+    reported; otherwise ``_table`` reads them.
+    """
+    body = tokens[start:]
+    if body == ["0"]:
+        return [], []
+    if not body:
+        raise _Fault(start, "empty linear combination (zero is written 0)")
+    coefs, syms, plus = body[::3], body[1::3], body[2::3]
+    shape = None
+    if plus.count("+") != len(plus):
+        q = next(q for q, sep in enumerate(plus) if sep != "+")
+        shape = _Fault(start + 3 * q + 2, f"expected '+', got {plus[q]!r}")
+        coefs, syms = coefs[:q + 1], syms[:q + 1]
+    elif len(body) % 3 == 1:
+        shape = _Fault(len(tokens) - 1, "coefficient without a basis symbol")
+    elif len(body) % 3 == 0:
+        shape = _Fault(len(tokens) - 1, "dangling '+' at end of line")
+    if shape is not None:
+        _read_terms(coefs, syms, index, start)
+        raise shape
+    return coefs, syms
 
 
 def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagnostic]]:
@@ -177,15 +252,20 @@ def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagn
     ``text`` is read as line 1; on success the diagnostics are empty, on a
     fault the vector is None and the one diagnostic names the fault.
     """
+    tokens = text.split("#", 1)[0].split()
+    index = {lab: i for i, lab in enumerate(labels)}
     try:
-        vec = _read_lincomb(text.split("#", 1)[0].split(), 0, {lab: i for i, lab in enumerate(labels)})
+        vec = _table([_lincomb(tokens, 0, index)], index)[0]
     except _Fault as fault:
         return None, [fault.diagnostic(1, text)]
     return vec, []
 
 
-def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tuple:
-    """Store one ``death``, ``state``, ``star`` or ``mul`` line in its ``table``; return its key."""
+def _declare(tokens: list[str], row, index: dict[str, int], table: dict, check: bool) -> tuple:
+    """Store one ``death``, ``state``, ``star`` or ``mul`` line in its ``table``; return its key.
+
+    A lincomb is stored as its token columns, or with ``check`` as its vector.
+    """
     n_sym, value, duplicate = row
     eq = 1 + n_sym
     size = eq if value is None else eq + 2  # the keyword and its symbols, then '=' and a value
@@ -199,31 +279,45 @@ def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tupl
     if key in table:
         raise _Fault(1 if key else 0, duplicate.format(*tokens[1:eq]))
     if value == "<complex>":
-        stored = _read_complex(tokens, eq + 1, "bad complex literal {!r}")
+        vals, _ = _read_terms(tokens[eq + 1:], [], index, eq + 1, "bad complex literal {!r}")
+        stored = complex(vals[0])
     elif value == "<lincomb>":
-        stored = _read_lincomb(tokens, eq + 1, index)
+        stored = _lincomb(tokens, eq + 1, index)
+        if check:
+            stored = _table([stored], index, eq + 1)[0]
     table[key] = stored
     return key
 
 
-def parse(text: str, tol: float = 1e-9) -> ParseResult:
-    """Parse an algebra definition; diagnostics carry line and column.
+def _settle(declared: dict[str, dict], unread: dict[str, list], index: dict[str, int]) -> None:
+    """Replace the token columns under the ``unread`` keys by their vectors, a table at a time."""
+    for kw, keys in unread.items():
+        table = declared[kw]
+        for key, vec in zip(keys, _table([table[key] for key in keys], index)):
+            table[key] = vec
+        keys.clear()
 
-    On success the algebra is verified against the axioms, and any failing
-    axiom is reported as a warning with its residual.  A ``tol`` that is not
-    finite and nonnegative is an error.
+
+def _read(lines: list[str], check: bool):
+    """Every declaration of ``lines``: name, labels, declared, declared_at, diagnostics.
+
+    The ``star`` and ``mul`` lincombs are read by ``_settle`` once
+    ``_CHUNK`` terms are held, and after the last line, and a bad token
+    raises ``_Fault`` from ``_settle``.  ``check`` reads every lincomb on its
+    own line instead, so that a bad token is its line's diagnostic.
     """
-    if not 0 <= tol < np.inf:
-        diag = ParseDiagnostic("error", 0, 0, "tol must be finite and nonnegative")
-        return ParseResult(None, [diag])
     diags: list[ParseDiagnostic] = []
     name: str | None = None
     labels: list[str] | None = None
     index: dict[str, int] = {}
     declared: dict[str, dict] = {kw: {} for kw in _DECLARATIONS}
     declared_at: dict[tuple, int] = {}  # (keyword, key) -> line number
-    lines = text.splitlines()
+    unread: dict[str, list] = {"star": [], "mul": []}  # keys of lincombs still held as tokens
+    held = 0
     for lineno, line in enumerate(lines, start=1):
+        if held >= _CHUNK:
+            _settle(declared, unread, index)
+            held = 0
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -256,11 +350,40 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
             elif labels is None:
                 raise _Fault(0, "the basis must be declared before any other definition")
             elif kw in _DECLARATIONS:
-                declared_at[kw, _declare(tokens, _DECLARATIONS[kw], index, declared[kw])] = lineno
+                key = _declare(tokens, _DECLARATIONS[kw], index, declared[kw], check)
+                declared_at[kw, key] = lineno
+                if kw in unread and not check:
+                    unread[kw].append(key)
+                    held += len(declared[kw][key][0])
             else:
                 raise _Fault(0, f"unknown keyword {kw!r}")
         except _Fault as fault:
             diags.append(fault.diagnostic(lineno, line))
+    _settle(declared, unread, index)
+    return name, labels, declared, declared_at, diags
+
+
+def _rows(table: dict, n_sym: int, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A settled ``star`` or ``mul`` table: one index array per key symbol, and the vectors."""
+    keys = np.array(list(table), dtype=np.intp).reshape(-1, n_sym)
+    return tuple(keys.T), np.array(list(table.values()), dtype=complex).reshape(-1, n)
+
+
+def parse(text: str, tol: float = 1e-9) -> ParseResult:
+    """Parse an algebra definition; diagnostics carry line and column.
+
+    On success the algebra is verified against the axioms, and any failing
+    axiom is reported as a warning with its residual.  A ``tol`` that is not
+    finite and nonnegative is an error.
+    """
+    if not 0 <= tol < np.inf:
+        diag = ParseDiagnostic("error", 0, 0, "tol must be finite and nonnegative")
+        return ParseResult(None, [diag])
+    lines = text.splitlines()
+    try:
+        name, labels, declared, declared_at, diags = _read(lines, check=False)
+    except _Fault:  # a line has a bad token: read again line by line, for its diagnostic
+        name, labels, declared, declared_at, diags = _read(lines, check=True)
 
     end = len(lines) + 1
     if labels is None:
@@ -282,11 +405,11 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
         return ParseResult(None, diags)
 
     mult = np.zeros((n, n, n), dtype=complex)
-    for (i, j), vec in declared["mul"].items():
-        mult[i, j] = vec
+    where, vecs = _rows(declared["mul"], 2, n)
+    mult[where] = vecs
     star_m = np.eye(n, dtype=complex)
-    for (i,), vec in declared["star"].items():
-        star_m[i] = vec
+    where, vecs = _rows(declared["star"], 1, n)
+    star_m[where] = vecs
     state = np.zeros(n, dtype=complex)
     for (i,), val in declared["state"].items():
         state[i] = val
@@ -322,23 +445,39 @@ def parse_strict(text: str, tol: float = 1e-9) -> ItoAlgebra:
     return result.algebra
 
 
-def format_real(x: float) -> str:
-    return f"{x:.17g}"
+# the literal forms a, bi, a+bi and a-bi, each with its reals written %.17g
+_FORMS = ("%.17g", "%.17gi", "%.17g+%.17gi", "%.17g-%.17gi")
 
 
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return format_real(z.real)
-    if z.real == 0.0:
-        return format_real(z.imag) + "i"
-    sign = "+" if z.imag > 0 else "-"
-    return f"{format_real(z.real)}{sign}{format_real(abs(z.imag))}i"
+def _format_rows(heads: list[str], rows: np.ndarray, names: list[str]) -> str:
+    """The lines ``heads[r] + <lincomb of rows[r] over names>``, written by one ``%`` format.
 
-
-def format_lincomb(vec: np.ndarray, labels) -> str:
-    terms = [f"{format_complex(coef)} {labels[k]}" for k, coef in enumerate(vec.tolist()) if coef]
-    return " + ".join(terms) if terms else "0"
+    A term is its literal followed by ``names[k]``; a row without a nonzero
+    entry is written ``0``.  The template holds one piece per line head and
+    per (separator, form, name); ``%`` in heads and names is escaped.
+    """
+    m, w = rows.shape
+    r, k = np.nonzero(rows)
+    z = rows[r, k]
+    form = np.select([z.imag == 0, z.real == 0, z.imag > 0], [0, 1, 2], 3)
+    # the piece of term k in form f is f * w + k, plus 4w after a row's first term;
+    # then come the m heads, "0" and the newline
+    names = [name.replace("%", "%%") for name in names]
+    pieces = [sep + f + name for sep in ("", " + ") for f in _FORMS for name in names]
+    pieces += [head.replace("%", "%%") for head in heads] + ["0", "\n"]
+    pieces = np.array(pieces, dtype=object)
+    # each row is its head, its terms (or 0) and a newline
+    counts = np.bincount(r, minlength=m)
+    width = np.maximum(counts, 1) + 2
+    starts = np.cumsum(width) - width
+    codes = np.full(width.sum(), 8 * w + m + 1)
+    codes[starts] = 8 * w + np.arange(m)
+    codes[starts[counts == 0] + 1] = 8 * w + m
+    rank = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)  # place in its row
+    codes[starts[r] + 1 + rank] = (rank > 0) * 4 * w + form * w + k
+    reals = np.stack([z.real, np.where(form == 3, -z.imag, z.imag)], axis=1)
+    written = np.stack([form != 1, form != 0], axis=1)
+    return "".join(pieces[codes].tolist()) % tuple(reals[written].tolist())
 
 
 def serialize(alg: ItoAlgebra) -> str:
@@ -346,9 +485,11 @@ def serialize(alg: ItoAlgebra) -> str:
 
     The grammar writes the death as a single symbol, so the death vector must
     coincide with a basis element within the algebra tolerance (it is snapped
-    to that element in the output); everything else round-trips bit-exactly.
-    Every label must pass the ``basis`` line's symbol rule and the name must
-    be one token without ``#``; otherwise this raises ``ValueError``.
+    to that element in the output); everything else round-trips bit-exactly
+    up to the sign of a zero part.
+    Every label must pass the ``basis`` line's symbol rule, the name must be
+    one token without ``#``, and every structure constant, star entry and
+    state value must be finite; otherwise this raises ``ValueError``.
     """
     n, labels = alg.dim, alg.labels
     eye = np.eye(n, dtype=complex)
@@ -364,16 +505,19 @@ def serialize(alg: ItoAlgebra) -> str:
             raise ValueError(f"basis symbol {sym!r} {problem}")
     if alg.name and not _is_token(alg.name):
         raise ValueError(f"algebra name {alg.name!r} is not one token")
+    if not all(np.isfinite(a).all() for a in (alg.mult, alg.star, alg.state)):
+        raise ValueError("the table, star and state must be finite to be serialized")
     lines = [f"algebra {alg.name}"] if alg.name else []
     lines.append("basis " + " ".join(labels))
     lines.append(f"death {labels[death_hits[0]]}")
-    lines += [f"state {labels[i]} = {format_complex(alg.state[i])}" for i in np.flatnonzero(alg.state)]
-    lines += [
-        f"star {labels[i]} = {format_lincomb(alg.star[i], labels)}"
-        for i in np.flatnonzero((alg.star != eye).any(axis=1))
-    ]
-    lines += [
-        f"mul {labels[i]} {labels[j]} = {format_lincomb(alg.mult[i, j], labels)}"
-        for i, j in zip(*np.nonzero(alg.mult.any(axis=2)))
-    ]
-    return "\n".join(lines) + "\n"
+    states = np.flatnonzero(alg.state)
+    stars = np.flatnonzero((alg.star != eye).any(axis=1))
+    left, right = np.nonzero(alg.mult.any(axis=2))
+    names = [" " + sym for sym in labels]
+    return "".join([
+        "\n".join(lines), "\n",
+        _format_rows([f"state {labels[i]} = " for i in states], alg.state[states, None], [""]),
+        _format_rows([f"star {labels[i]} = " for i in stars], alg.star[stars], names),
+        _format_rows([f"mul {labels[i]} {labels[j]} = " for i, j in zip(left, right)],
+                     alg.mult[left, right], names),
+    ])

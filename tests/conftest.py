@@ -1,9 +1,11 @@
+import re
 import time
 
 import numpy as np
 import pytest
 
 import itoalg as ia
+from itoalg.adsl import _Fault, _is_token, _symbol_problem
 from itoalg.core import (
     AlgebraError, Element, ItoAlgebra, commutant_check, pair_products, rel_residual,
 )
@@ -62,6 +64,109 @@ def ref_star(alg: ia.ItoAlgebra, x: np.ndarray) -> np.ndarray:
         for k in range(n):
             out[k] += np.conj(x[i]) * alg.star[i, k]
     return out
+
+
+def ref_format_complex(z: complex) -> str:
+    """Reference literal of one coefficient: a, bi, a+bi or a-bi with reals at 17 digits."""
+    z = complex(z)
+    if z.imag == 0.0:
+        return f"{z.real:.17g}"
+    if z.real == 0.0:
+        return f"{z.imag:.17g}i"
+    sign = "+" if z.imag > 0 else "-"
+    return f"{z.real:.17g}{sign}{abs(z.imag):.17g}i"
+
+
+def ref_format_lincomb(vec: np.ndarray, labels) -> str:
+    terms = [f"{ref_format_complex(coef)} {labels[k]}" for k, coef in enumerate(vec.tolist()) if coef]
+    return " + ".join(terms) if terms else "0"
+
+
+def ref_serialize(alg: ia.ItoAlgebra) -> str:
+    """Reference ``.ito`` writer: one f-string per coefficient, one line at a time.
+
+    The writer that ``adsl.serialize`` replaced by one ``%`` format per table;
+    it checks labels, name and death as that does, but not finiteness.
+    """
+    n, labels = alg.dim, alg.labels
+    eye = np.eye(n, dtype=complex)
+    death_hits = np.flatnonzero(np.abs(alg.death - eye).max(axis=1) <= alg.tol)
+    if len(death_hits) != 1:
+        raise ValueError("only algebras whose death is a basis element can be serialized")
+    for sym in labels:
+        problem = _symbol_problem(sym)
+        if problem is not None:
+            raise ValueError(f"basis symbol {sym!r} {problem}")
+    if alg.name and not _is_token(alg.name):
+        raise ValueError(f"algebra name {alg.name!r} is not one token")
+    lines = [f"algebra {alg.name}"] if alg.name else []
+    lines.append("basis " + " ".join(labels))
+    lines.append(f"death {labels[death_hits[0]]}")
+    lines += [f"state {labels[i]} = {ref_format_complex(alg.state[i])}"
+              for i in np.flatnonzero(alg.state)]
+    lines += [
+        f"star {labels[i]} = {ref_format_lincomb(alg.star[i], labels)}"
+        for i in np.flatnonzero((alg.star != eye).any(axis=1))
+    ]
+    lines += [
+        f"mul {labels[i]} {labels[j]} = {ref_format_lincomb(alg.mult[i, j], labels)}"
+        for i, j in zip(*np.nonzero(alg.mult.any(axis=2)))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# the literal grammar as a regular expression: a, ai, a+bi or a-bi with decimal reals
+_REF_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+REF_COMPLEX_RE = re.compile(rf"[+-]?{_REF_UNSIGNED}(?:[+-]{_REF_UNSIGNED})?i|[+-]?{_REF_UNSIGNED}")
+
+
+def ref_parse_complex(token: str) -> complex | None:
+    """Reference literal reader: the grammar's regular expression, then ``complex``."""
+    if REF_COMPLEX_RE.fullmatch(token) is None:
+        return None
+    return complex(token.replace("i", "j"))
+
+
+def ref_read_lincomb(tokens: list[str], start: int, index: dict[str, int]) -> np.ndarray:
+    """Reference lincomb reader: one token at a time, raising ``adsl._Fault`` at the first fault.
+
+    The reader that ``adsl`` replaced by the table-at-a-time ``_table``.
+    """
+    def read_complex(k: int) -> complex:
+        z = ref_parse_complex(tokens[k])
+        if z is None:
+            raise _Fault(k, f"expected a complex coefficient, got {tokens[k]!r}")
+        if not np.isfinite(z):
+            raise _Fault(k, "non-finite coefficient")
+        return z
+
+    vec = np.zeros(len(index), dtype=complex)
+    if len(tokens) == start + 1 and tokens[start] == "0":
+        return vec
+    if start == len(tokens):
+        raise _Fault(start, "empty linear combination (zero is written 0)")
+    terms: dict[int, complex] = {}
+    pos = start
+    while True:
+        coef = read_complex(pos)
+        if pos + 1 == len(tokens):
+            raise _Fault(pos, "coefficient without a basis symbol")
+        if tokens[pos + 1] not in index:
+            raise _Fault(pos + 1, f"unknown basis symbol {tokens[pos + 1]!r}")
+        k = index[tokens[pos + 1]]
+        terms[k] = terms.get(k, 0j) + coef
+        pos += 2
+        if pos == len(tokens):
+            break
+        if tokens[pos] != "+":
+            raise _Fault(pos, f"expected '+', got {tokens[pos]!r}")
+        pos += 1
+        if pos == len(tokens):
+            raise _Fault(pos - 1, "dangling '+' at end of line")
+    if not all(np.isfinite(list(terms.values()))):  # finite coefficients can sum to inf
+        raise _Fault(start, "non-finite coefficient")
+    vec[list(terms)] = list(terms.values())
+    return vec
 
 
 def ref_faithfulness_ideal(alg: ia.ItoAlgebra) -> np.ndarray:

@@ -1,18 +1,25 @@
+import itertools
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
+from itoalg import adsl
 from itoalg.adsl import (
+    ParseDiagnostic,
     ParseResult,
-    format_complex,
+    _Fault,
     parse,
     parse_complex,
+    parse_lincomb,
     parse_strict,
     serialize,
 )
+
+from conftest import ref_format_complex, ref_parse_complex, ref_read_lincomb, ref_serialize
 
 WIENER_FILE = """\
 algebra wiener
@@ -96,6 +103,7 @@ class TestParseBasics:
 
 
 HEAD = "basis dt dw\ndeath dt\nstate dt = 1\n"   # lines 1-3 of a valid file
+HEAD_A = "basis dt a\ndeath dt\nstate dt = 1\n"
 CAPACITY = "basis " + " ".join(f"s{i}" for i in range(65)) + "\n"
 
 
@@ -142,6 +150,12 @@ CAPACITY = "basis " + " ".join(f"s{i}" for i in range(65)) + "\n"
         ("basis dt dw\ndeath dt\nstate dt = 1e400\n", [(3, 12, "non-finite coefficient")]),
         (HEAD + "mul dw dw = 1e400 dt\n", [(4, 13, "non-finite coefficient")]),
         (HEAD + "mul dw dw = 1e308 dt + 1e308 dt\n", [(4, 13, "non-finite coefficient")]),
+        (HEAD_A + "mul a a = 1x dt\nmul a a = 1 dt\n",
+         [(4, 11, "expected a complex coefficient, got '1x'")]),
+        (HEAD_A + "mul a a = 1x zz\n", [(4, 11, "expected a complex coefficient, got '1x'")]),
+        (HEAD_A + "mul a a = 1 zz + 1x dt\n", [(4, 13, "unknown basis symbol 'zz'")]),
+        (HEAD_A + "mul a a = 1e400 dt\nmul a dt = 1x dt\n",
+         [(4, 11, "non-finite coefficient"), (5, 12, "expected a complex coefficient, got '1x'")]),
     ],
     ids=[
         "usage-algebra", "usage-death", "usage-state", "usage-star", "usage-mul", "usage-basis",
@@ -152,6 +166,8 @@ CAPACITY = "basis " + " ".join(f"s{i}" for i in range(65)) + "\n"
         "death-state", "death-state-undeclared",
         "bad-literal", "coefficient-expected", "coefficient-without-symbol", "dangling-plus",
         "plus-missing", "non-finite-state", "non-finite-mul", "non-finite-sum",
+        "faulted-line-then-same-key", "bad-literal-before-unknown-symbol",
+        "unknown-symbol-before-bad-literal", "non-finite-then-bad-literal",
     ],
 )
 def test_diagnostic_contract(text, expected):
@@ -185,7 +201,20 @@ class TestComplexLiterals:
 
     @pytest.mark.parametrize("z", [1.0, -0.5, 2j, 1 + 2j, 1 - 2j, -3.25e-4 + 1e6j])
     def test_format_roundtrip(self, z):
-        assert parse_complex(format_complex(z)) == complex(z)
+        assert parse_complex(ref_format_complex(z)) == complex(z)
+
+    def test_every_short_token_matches_the_grammar(self):
+        # every token of up to six characters over the literal alphabet
+        for size in range(7):
+            for chars in itertools.product("1.e+-i", repeat=size):
+                token = "".join(chars)
+                assert parse_complex(token) == ref_parse_complex(token), token
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(st.sampled_from(list("0123456789.eE+-iIjJ_()nafty٣x \t")), max_size=14))
+    def test_token_matches_the_grammar(self, token):
+        # complex's own syntax (inf, nan, 1_0, (1+2j), j, 1J) is not a literal
+        assert parse_complex(token) == ref_parse_complex(token)
 
 
 class TestLincomb:
@@ -255,6 +284,121 @@ class TestRoundtrip:
                             name=name)
         with pytest.raises(ValueError, match=re.escape(repr(name or label))):
             serialize(alg)
+
+
+# labels that are format-string hazards for a writer built on % or str.format
+HAZARD_LABELS = ["%", "%s", "%%d", "{0}", "\\", "v1", "x%"]
+# reals that stress the 17-digit form: signed zeros, the extremes, integers
+SPECIAL_REALS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0, -3.0, 12.0, 0.1, -2.5e-7]
+
+
+def _random_table(n: int, seed: int, labels) -> ia.ItoAlgebra:
+    """A dense table, star and state mixing SPECIAL_REALS with random reals of any scale."""
+    rng = np.random.default_rng(seed)
+
+    def entries(shape):
+        parts = []
+        for _ in range(2):  # real and imaginary part, drawn independently
+            wild = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            special = rng.choice(SPECIAL_REALS, shape)
+            parts.append(np.where(rng.random(shape) < 0.4, special, wild))
+        return parts[0] + 1j * parts[1]
+
+    state = entries(n)
+    state[0] = 1.0  # the death's state
+    return ia.ItoAlgebra(labels=labels, mult=entries((n, n, n)), star=entries((n, n)), death=0,
+                         state=state, name="random")
+
+
+def _without_signed_zeros(a: np.ndarray) -> bytes:
+    return (a + 0.0).tobytes()  # -0.0 + 0.0 is 0.0: the text keeps no sign of a zero
+
+
+class TestTableCodec:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    def test_dense_tables_match_reference_writer(self, n, seed, random):
+        labels = ("dt", *random.sample(HAZARD_LABELS + [f"s{k}" for k in range(8)], n - 1))
+        alg = _random_table(n, seed, labels)
+        text = serialize(alg)
+        assert text == ref_serialize(alg)
+        with np.errstate(all="ignore"):  # the axiom check of a random table overflows
+            back = parse(text)
+        assert back.ok, back.errors()
+        assert back.algebra.labels == labels
+        for got, want in [(back.algebra.mult, alg.mult), (back.algebra.star, alg.star),
+                          (back.algebra.state, alg.state)]:
+            assert _without_signed_zeros(got) == _without_signed_zeros(want)
+
+    @pytest.mark.parametrize(
+        "table,where,value",
+        [("mult", (1, 1, 0), np.inf), ("mult", (1, 1, 0), complex(1, np.nan)),
+         ("star", (1, 1), complex(np.nan, 0)), ("state", (1,), -np.inf)],
+        ids=["mult-inf", "mult-nan-imaginary", "star-nan", "state-inf"],
+    )
+    def test_non_finite_entry_refused(self, table, where, value):
+        # the parser rejects a non-finite literal, so serialize must not write one
+        w = ia.wiener()
+        arrays = {"mult": w.mult.copy(), "star": w.star.copy(), "state": w.state.copy()}
+        arrays[table][where] = value
+        alg = ia.ItoAlgebra(labels=w.labels, death=0, name="wiener", **arrays)
+        with pytest.raises(ValueError, match="finite"):
+            serialize(alg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["1", "-2.5", "3i", "1+2i", "1-2i", ".5e-3", "0", "1e400", "1e308", "1x", "i", "٣",
+         "dt", "a", "zz", "+", "+", "=", "#c"]), max_size=12))
+    def test_lincomb_matches_token_reader(self, tokens):
+        # the table reader on one line against the token-at-a-time reference
+        labels = ("dt", "a", "٣")
+        index = {lab: i for i, lab in enumerate(labels)}
+        text = " ".join(tokens)
+        try:
+            want = ref_read_lincomb(text.split("#", 1)[0].split(), 0, index)
+        except _Fault as fault:
+            want = fault.diagnostic(1, text)
+        vec, diags = parse_lincomb(text, labels)
+        if isinstance(want, np.ndarray):
+            assert diags == [] and vec.tobytes() == want.tobytes()
+        else:
+            assert vec is None and diags == [want]
+
+    def test_bad_literal_is_rejected_in_linear_time(self):
+        # literals are checked in linear time; a backtracking pattern for the
+        # reals, such as \d+\.?\d*, takes seconds to reject this token
+        token = "1" * 5000 + "x"
+        start = time.perf_counter()
+        vec, diags = parse_lincomb(f"{token} dt", ["dt"])
+        assert time.perf_counter() - start < 0.5
+        assert vec is None
+        message = f"expected a complex coefficient, got {token!r}"
+        assert diags == [ParseDiagnostic("error", 1, 1, message)]
+
+    def test_faults_across_read_chunks(self):
+        # a table larger than one read chunk: each fault is reported at its own line,
+        # and a faulted line stores nothing, whichever chunk holds it
+        n = 24
+        alg = _random_table(n, 7, ("dt", *(f"s{k}" for k in range(n - 1))))
+        lines = serialize(alg).splitlines()
+        assert n**3 > adsl._CHUNK
+        first = next(k for k, line in enumerate(lines) if line.startswith("mul"))
+        late = len(lines) - 5
+        assert lines[late].startswith("mul")
+        early = lines[first].split()
+        lines[first] = " ".join(early[:4] + ["1e308", early[5], "+", "1e308", early[5]])
+        bad = lines[late].split()
+        bad[7] = "1x"
+        lines[late] = " ".join(bad)
+        lines.insert(late + 1, " ".join(bad[:4] + ["1", "dt"]))  # its key again
+        lines.append("mul zz dt = 1 dt")
+        with np.errstate(all="ignore"):
+            result = parse("\n".join(lines) + "\n")
+        assert [(d.line, d.column, d.message) for d in result.errors()] == [
+            (first + 1, len(" ".join(early[:4])) + 2, "non-finite coefficient"),
+            (late + 1, len(" ".join(bad[:7])) + 2, "expected a complex coefficient, got '1x'"),
+            (len(lines), 5, "unknown basis symbol 'zz'"),
+        ]
 
 
 class TestTotality:
