@@ -323,6 +323,37 @@ def _levy_khinchin(dec: Decomposition) -> tuple[list, list, np.ndarray, np.ndarr
     return brown, levy, jumps, np.sum(np.abs(amps) ** 2, axis=0) / np.sum(jumps**2, axis=0)
 
 
+def _jump_events(gens, lam: np.ndarray, k: int, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells step * n_paths + path of k steps where an atom jumps, and its counts there.
+
+    Atom j with lam[j] <= 1 draws each step's total, Poisson(lam[j] n_paths),
+    from gens[1 + j] and puts its events on uniform paths from gens[1 + na + j]:
+    independent Poisson counts given their sum are multinomial (Kingman,
+    Poisson Processes, 1993, section 2).  An atom with lam[j] > 1 draws a count
+    per cell from gens[1 + j] and keeps the nonzero ones.  Returns the sorted
+    cells with an event and their (na, cells) counts.
+    """
+    na = len(lam)
+    # one (cell, count) entry per event or nonzero cell; the empty first entry,
+    # atom -1, keeps the concatenation valid without atoms
+    cells, counts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for j in range(na):
+        if lam[j] > 1:
+            dense = gens[1 + j].poisson(lam[j], k * n_paths)
+            cells.append(np.flatnonzero(dense))
+            counts.append(dense[cells[-1]])
+        else:
+            per_step = gens[1 + j].poisson(lam[j] * n_paths, k)
+            path = gens[1 + na + j].integers(0, n_paths, per_step.sum())
+            cells.append(np.repeat(np.arange(k) * n_paths, per_step) + path)
+            counts.append(np.ones_like(path))
+    atom = np.repeat(np.arange(-1, na), [c.size for c in cells])
+    cell, inverse = np.unique(np.concatenate(cells), return_inverse=True)
+    table = np.zeros((na, cell.size))
+    np.add.at(table, (atom, inverse), np.concatenate(counts))
+    return cell, table
+
+
 def classical_paths(
     alg: ItoAlgebra,
     t: float,
@@ -338,16 +369,24 @@ def classical_paths(
     compensated Poisson counts of the jump atoms (``_levy_khinchin``) drive
     the Levy components.
 
-    Draw order: the Gaussian block comes from one Philox stream keyed by
-    ``seed``, jump atom j from the same stream jumped j + 1 times; each
-    stream is read step by step in path order.  The steps are sampled in
-    chunks of max(1, CHUNK_BUDGET // (n_paths * (nc + na))) steps for nc
-    components and na atoms, and a chunk's draws are the same numbers as one
-    draw per step, so the report does not depend on the chunk size.  Memory
-    is a few chunks of CHUNK_BUDGET doubles plus O(n_paths * nc), whatever
-    n_steps is.  At most MAX_SAMPLES = 2**53 samples n_paths * n_steps are
-    taken, the largest count a float divisor holds exactly; more is an
-    AlgebraError (CLI exit 2), raised before any work.
+    Draw order: the Gaussian block g comes from one Philox stream keyed by
+    ``seed``.  Jump atom j with lam_j = rate_j * dt <= 1 draws the total of
+    each step, Poisson(lam_j n_paths), from that stream jumped 1 + j times and
+    the paths of its events from the stream jumped 1 + na + j times; with
+    lam_j > 1 it draws a count per cell (step, path) from stream 1 + j.  Each
+    stream is read step by step, so the draws are the same numbers for any
+    chunking.  A cell without an event holds the constant c0 = -jumps . lam,
+    so every sum is a closed form over the empty cells plus the exact values
+    at the event cells: the Levy rows are never dense.  The Brownian sums come
+    from one stacked Gram [g; g∘g][1; g; g∘g]^T per step, and every running
+    sum takes its steps in order, so the report is bit-identical for every
+    CHUNK_BUDGET.  Steps go in chunks of max(1, CHUNK_BUDGET // (n_paths * w))
+    for w = 1 + 3 nb doubles per cell plus, per cell, sum_j min(lam_j, 1)
+    event entries of 9 + 2 nc + na doubles each: memory is a few chunks of
+    CHUNK_BUDGET doubles plus O(n_paths * nc), whatever n_steps and the rates
+    are.  At most MAX_SAMPLES = 2**53 samples n_paths * n_steps are taken, the
+    largest count a float divisor holds exactly; more is an AlgebraError (CLI
+    exit 2), raised before any work.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -373,40 +412,69 @@ def classical_paths(
         raise UnsupportedModelError("Brownian covariance is not positive") from exc
 
     dt_eff = t / n_steps
-    nc = nb + nz
+    nc, r = nb + nz, 1 + 2 * nb  # r rows [1; g; g∘g] per cell for the Brownian Gram
     labels = [_component_label(alg, v, f"y{i}") for i, v in enumerate(brown)]
     labels += [_component_label(alg, v, f"z{j}") for j, v in enumerate(levy)]
 
-    gens = [np.random.Generator(np.random.Philox(key=seed).jumped(j)) for j in range(1 + na)]
-    totals = np.zeros((n_paths, nc))
-    pair_sum = np.zeros((nc, nc))
-    pair_sumsq = np.zeros((nc, nc))
+    lam = rates * dt_eff  # mean count of atom j in one cell
+    empty = -(jumps @ lam)  # c0, the Levy value of a cell with no event
+    gens = [np.random.Generator(np.random.Philox(key=seed).jumped(j)) for j in range(1 + 2 * na)]
+    gram = np.zeros((r - 1, r))  # sums over every cell of [g; g∘g][1; g; g∘g]^T
+    # sums over the event cells of u u^T, u = [1; g; g∘g; x; x∘x]
+    gram_ev = np.zeros((r + 2 * nz,) * 2)
+    totals = np.zeros((nc, n_paths))
+    occupied = np.zeros(n_paths, dtype=np.int64)  # event cells per path
     root = np.sqrt(dt_eff)
-    chunk = max(1, CHUNK_BUDGET // (n_paths * max(nc + na, 1)))
-    compensated = np.empty((na, chunk * n_paths))  # Poisson counts minus their mean, per atom
+    # doubles held per cell: normals and rows, plus the arrays of each event
+    # entry; an atom has at most one entry per cell and min(lam, 1) on average
+    width = 1 + 3 * nb + float(np.minimum(lam, 1.0).sum()) * (9 + 2 * nc + na)
+    chunk = max(1, int(CHUNK_BUDGET // (n_paths * width)))
     for first in range(0, n_steps if nc else 0, chunk):  # no components, no draws
         k = min(chunk, n_steps - first)
-        dx = np.empty((nc, k, n_paths))  # component-major: one row per component
-        flat = dx.reshape(nc, k * n_paths)
+        rows = np.empty((k, r, n_paths))  # step-major [1; g; g∘g]
+        rows[:, 0] = 1.0
         if nb:
-            gauss = gens[0].standard_normal((k, n_paths, nb)) @ chol.T
-            gauss *= root
-            dx[:nb] = np.moveaxis(gauss, -1, 0)
-        counts = compensated[:, : k * n_paths]
+            g = rows[:, 1 : 1 + nb]
+            np.matmul(chol, gens[0].standard_normal((k, n_paths, nb)).swapaxes(1, 2), out=g)
+            g *= root
+            np.square(g, out=rows[:, 1 + nb :])
+        # one Gram per step, the same numbers for any k; two distinct views make
+        # numpy call gemm, which is 7x faster than syrk at this shape
+        grams = rows[:, 1:] @ rows.swapaxes(1, 2)
+        cell, counts = _jump_events(gens, lam, k, n_paths)
+        step, path = np.divmod(cell, n_paths)
+        ev = np.empty((cell.size, r + 2 * nz))  # event cells: [1, g, g∘g, x, x∘x]
+        ev[:, :r] = rows[step, :, path]
+        x = ev[:, r : r + nz]
+        x[:] = empty
         for j in range(na):
-            lam = rates[j] * dt_eff
-            np.subtract(gens[1 + j].poisson(lam, k * n_paths), lam, out=counts[j])
-        np.matmul(jumps, counts, out=flat[nb:])
-        for step in range(k):
-            totals += dx[:, step].T
-        pair_sum += flat @ flat.T
-        flat *= flat
-        pair_sumsq += flat @ flat.T
+            x += np.outer(counts[j], jumps[:, j])
+        np.square(x, out=ev[:, r + nz :])
+        bounds = np.searchsorted(step, np.arange(k + 1))
+        for s in range(k):  # every running sum takes its steps in order
+            gram += grams[s]
+            totals[:nb] += rows[s, 1 : 1 + nb]
+            e = ev[bounds[s] : bounds[s + 1]]
+            gram_ev += e.T @ e
+        np.add.at(occupied, path, 1)
+        for q in range(nz):
+            np.add.at(totals[nb + q], path, x[:, q])
+
+    n_samples = n_paths * n_steps
+    totals[nb:] += np.outer(empty, n_steps - occupied)  # the cells with no event hold c0
+    # sums of [1; g; g∘g] over the cells with no event, times [x; x∘x] = [c0; c0∘c0] there
+    rest = np.r_[n_samples, gram[:, 0]] - gram_ev[:r, 0]
+    lev0 = np.r_[empty, empty**2]
+    mixed = gram_ev[1:r, r:] + np.outer(rest[1:], lev0)  # [g; g∘g][x; x∘x]^T
+    jump = gram_ev[r:, r:] + rest[0] * np.outer(lev0, lev0)  # [x; x∘x][x; x∘x]^T
+    pair_sum = np.block([[gram[:nb, 1 : 1 + nb], mixed[:nb, :nz]],
+                         [mixed[:nb, :nz].T, jump[:nz, :nz]]])
+    pair_sumsq = np.block([[gram[nb:, 1 + nb :], mixed[nb:, nz:]],
+                           [mixed[nb:, nz:].T, jump[nz:, nz:]]])
 
     estimates: list[Estimate] = []
-    n_samples = n_paths * n_steps
     for p in range(nc):
-        x = totals[:, p]
+        x = totals[p]
         m = float(np.mean(x))
         var = float(np.var(x, ddof=1))
         centered = x - m

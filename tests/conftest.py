@@ -191,7 +191,11 @@ def ref_classical_paths(
     """Reference sampler: one draw and one (n_paths, nc, nc) outer product per step.
 
     The step-by-step loop that ``focksim.classical_paths`` replaced by chunks
-    of steps; it consumes the same Philox streams in the same order.
+    of steps and sums over the jump events.  It consumes the same Philox
+    streams in the same order: each step of component j draws its total
+    Poisson(lam n_paths) from stream 1 + j and the paths of its events from
+    stream 1 + nz + j, expanded to dense counts with ``np.bincount``; a rate
+    above one jump per cell draws the counts per cell from stream 1 + j.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -256,7 +260,7 @@ def ref_classical_paths(
     ] + [_component_label(alg, v, f"z{j}") for j, v in enumerate(levy)]
 
     gens = [
-        np.random.Generator(np.random.Philox(key=seed).jumped(task)) for task in range(1 + nz)
+        np.random.Generator(np.random.Philox(key=seed).jumped(task)) for task in range(1 + 2 * nz)
     ]
     totals = np.zeros((n_paths, nc))
     pair_sum = np.zeros((nc, nc))
@@ -268,7 +272,11 @@ def ref_classical_paths(
             cols.append(gens[0].standard_normal((n_paths, nb)) @ chol.T * root)
         for j in range(nz):
             lam = intensity[j] * dt_eff
-            jumps = gens[1 + j].poisson(lam, n_paths)
+            if lam > 1:
+                jumps = gens[1 + j].poisson(lam, n_paths)
+            else:
+                events = gens[1 + nz + j].integers(0, n_paths, gens[1 + j].poisson(lam * n_paths))
+                jumps = np.bincount(events, minlength=n_paths)
             cols.append((jump_size[j] * (jumps - lam))[:, None])
         dx = np.hstack(cols) if cols else np.zeros((n_paths, 0))
         totals += dx

@@ -385,6 +385,38 @@ class TestPartitionIdentity:
 
 
 WPP = ia.orthogonal_sum(ia.orthogonal_sum(ia.wiener(), ia.poisson()), ia.poisson())
+# jumps of 0.01 at rate 10^4: 500 jumps per cell at dt = 0.05, drawn as counts per cell
+HIGH_RATE = ia.parse("basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 0.01 dm + 1 dt\n").algebra
+# jumps of 0.5 at rate 18: 0.9 events per cell at dt = 0.05, so a few paths share cells
+CROWDED = ia.parse("basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 0.5 dm + 4.5 dt\n").algebra
+
+
+def state_of_power(alg, x: np.ndarray, m: int) -> float:
+    """l(x^m) from the table."""
+    power = Element(alg, x)
+    for _ in range(m - 1):
+        power = multiply(power, Element(alg, x))
+    return float(complex(power.coeffs @ alg.state).real)
+
+
+def jump_law_misfit(alg, rpt) -> list[float]:
+    """Per Levy component, (Q - target) / se, Q = cov[x,x].stderr^2 n_samples dt.
+
+    Q is var(dx^2) / dt, estimated from the same sums as cov[x,x]; its mean is
+    l(x^4) + 2 dt l(x^2)^2, the cumulants k4 + 2 k2^2 of dx over dt: l(x^4)
+    for compensated jumps, only the O(dt) term for Gaussian steps.  Its
+    standard error is sqrt(l(x^8) / (n_samples dt)) to leading order in dt;
+    at dt = 0.01 the misfits of 30 seeds spread about 1.5 times wider.
+    """
+    _, levy, _, _ = focksim._levy_khinchin(decompose(alg))
+    n_samples, dt = rpt.inputs["n_paths"] * rpt.inputs["n_steps"], rpt.inputs["dt"]
+    misfit = []
+    for j, x in enumerate(levy):
+        label = focksim._component_label(alg, x, f"z{j}")
+        q = rpt.estimate(f"cov[{label},{label}]").stderr ** 2 * n_samples * dt
+        target = state_of_power(alg, x, 4) + 2 * dt * state_of_power(alg, x, 2) ** 2
+        misfit.append((q - target) / math.sqrt(state_of_power(alg, x, 8) / (n_samples * dt)))
+    return misfit
 
 
 class TestClassicalPaths:
@@ -508,31 +540,90 @@ class TestClassicalPaths:
             ("newton", 100, 10),
             ("wpp", CHUNK_BUDGET // 3 + 1, 3),       # one step per chunk
             ("wpp", 1000, 2 * (CHUNK_BUDGET // 3000) + 7),  # two full chunks and a short one
+            ("crowded", 4, 20),                      # several events in one cell
+            ("high_rate", 500, 20),                  # counts per cell
         ],
-        ids=["wiener", "poisson", "newton", "wpp-one-step-chunks", "wpp-ragged-chunks"],
+        ids=["wiener", "poisson", "newton", "wpp-one-step-chunks", "wpp-ragged-chunks",
+             "crowded", "high-rate"],
     )
     def test_chunks_match_the_step_by_step_sampler(self, name, n_paths, n_steps):
-        alg = WPP if name == "wpp" else getattr(ia, name)()
+        tables = {"wpp": WPP, "crowded": CROWDED, "high_rate": HIGH_RATE}
+        alg = tables[name] if name in tables else getattr(ia, name)()
         args = (alg, 1.0, 1.0 / n_steps, n_paths, 2024)
         got, ref = classical_paths(*args), ref_classical_paths(*args)
         assert got.inputs == ref.inputs
         assert [e.name for e in got.estimates] == [e.name for e in ref.estimates]
         for e, r in zip(got.estimates, ref.estimates):
-            if e.name.startswith("cov["):
-                # one Gram contraction per chunk against per-step sums: rounding only
-                for x, y in ((e.value, r.value), (e.stderr, r.stderr)):
-                    assert abs(x - y) <= 1e-10 * max(1.0, abs(y)), (e.name, x, y)
-            else:
-                assert (e.value, e.stderr, e.target) == (r.value, r.stderr, r.target), e.name
+            # sums over the events and per-step Grams against per-step outer products: rounding only
+            bound = 1e-10 if e.name.startswith("cov[") else 1e-12
+            for x, y in ((e.value, r.value), (e.stderr, r.stderr)):
+                assert abs(x - y) <= bound * max(1.0, abs(y)), (e.name, x, y)
+            assert e.target == r.target, e.name
+
+    def test_events_in_one_cell_add_up(self):
+        # the crowded table puts 0.9 * 4 events per step on 4 paths
+        _, _, _, rates = focksim._levy_khinchin(decompose(CROWDED))
+        lam = rates * 0.05
+        gens = [np.random.Generator(np.random.Philox(key=3).jumped(j)) for j in range(3)]
+        cell, counts = focksim._jump_events(gens, lam, 20, 4)
+        assert counts.max() >= 3
+        dense = np.zeros(20 * 4)
+        dense[cell] = counts[0]
+        gens = [np.random.Generator(np.random.Philox(key=3).jumped(j)) for j in range(3)]
+        events = [gens[2].integers(0, 4, gens[1].poisson(lam[0] * 4)) + 4 * s for s in range(20)]
+        assert np.array_equal(dense, np.bincount(np.concatenate(events), minlength=80))
+
+    @pytest.mark.parametrize("alg", [WPP, ia.group_levy(ia.cyclic_group(3)), HIGH_RATE],
+                             ids=["wpp", "z3", "high-rate"])
+    def test_report_does_not_depend_on_the_chunk_budget(self, monkeypatch, alg):
+        args = (alg, 1.0, 0.02, 3000, 77)
+        report = classical_paths(*args).to_dict()
+        monkeypatch.setattr(focksim, "CHUNK_BUDGET", 7)  # one step per chunk
+        tiny = classical_paths(*args).to_dict()
+        assert tiny["estimates"] == report["estimates"]
+
+    @pytest.mark.parametrize("alg", [ia.poisson(), WPP, ia.group_levy(ia.cyclic_group(3))],
+                             ids=["poisson", "wpp", "z3"])
+    def test_increments_follow_the_jump_law(self, alg):
+        rpt = classical_paths(alg, 1.0, 0.01, 20_000, 5)
+        misfit = jump_law_misfit(alg, rpt)
+        assert misfit and all(abs(z) <= 5 for z in misfit), misfit
+
+    def test_gaussian_steps_fail_the_jump_law(self, monkeypatch):
+        # Brownian steps with the jump components' covariance, in place of the jumps
+        def gaussian(dec):
+            brown, levy, jumps, rates = levy_khinchin(dec)
+            return brown + levy, [], jumps[:0, :0], rates[:0]
+
+        levy_khinchin = focksim._levy_khinchin
+        monkeypatch.setattr(focksim, "_levy_khinchin", gaussian)
+        rpt = classical_paths(WPP, 1.0, 0.01, 20_000, 5)
+        monkeypatch.undo()
+        assert abs(rpt.estimate("var[dm]").value - 1.0) <= 5 * rpt.estimate("var[dm]").stderr
+        assert all(abs(z) > 5 for z in jump_law_misfit(WPP, rpt))
+
+    def test_high_rate_small_jumps_meet_their_targets(self):
+        rpt = classical_paths(HIGH_RATE, 1.0, 0.05, 20_000, 8)
+        assert rpt.estimates
+        for e in rpt.estimates:
+            assert abs(e.value - e.target) <= 5 * e.stderr, e.name
 
     def test_memory_is_bounded_by_the_chunk_budget(self):
-        classical_paths(WPP, 1.0, 0.5, 2, 0)  # warm-up: the GNS construction is cached on WPP
-        peaks = []
-        for n_steps in (200, 2000):
-            tracemalloc.start()
-            try:
-                classical_paths(WPP, 1.0, 1.0 / n_steps, 20_000, 0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        def peaks_for(alg, n_paths):
+            classical_paths(alg, 1.0, 0.5, 2, 0)  # warm-up: the GNS construction is cached on alg
+            peaks = []
+            for n_steps in (200, 2000):
+                tracemalloc.start()
+                try:
+                    classical_paths(alg, 1.0, 1.0 / n_steps, n_paths, 0)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks
+
+        peaks = peaks_for(WPP, 20_000)
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+        # 50 and 5 jumps per cell: every cell holds an event, in chunks of the same budget
+        peaks = peaks_for(HIGH_RATE, 2_000)
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+        assert peaks[1] <= 4 * 8 * CHUNK_BUDGET, peaks
