@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AlgebraError, ItoAlgebra, gram_schmidt, lead_labels, rel_residual, subalgebra
+from .core import AlgebraError, ItoAlgebra, cutoff, gram_schmidt, lead_labels, rel_residual, subalgebra
 
 __all__ = [
     "FiniteGroup",
@@ -133,10 +133,10 @@ def thermal_brownian(rho_plus: float, rho_minus: float, tol: float = 1e-9) -> It
     Commutative only when rho_plus == rho_minus; rho_plus = 1, rho_minus = 0
     is the vacuum Brownian pair (the creation/annihilation span inside hp(1)).
     """
-    if not rho_plus > 0:
-        raise AlgebraError("rho_plus must be positive")
-    if rho_minus < 0:
-        raise AlgebraError("rho_minus must be nonnegative")
+    if not 0 < rho_plus < np.inf:
+        raise AlgebraError("rho_plus must be a positive finite real")
+    if not 0 <= rho_minus < np.inf:
+        raise AlgebraError("rho_minus must be a nonnegative finite real")
     mult = _table(3, [(1, 2, 0, rho_plus), (2, 1, 0, rho_minus)])
     return _algebra(("dt", "dw", "dw*"), mult, np.eye(3)[[0, 2, 1]], tol, "thermal_brownian")
 
@@ -151,10 +151,12 @@ def periodic_wiener(K: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgeb
     if K < 1:
         raise AlgebraError("K must be >= 1")
     rho = [float(r) for r in rho]
-    if len(rho) != K or any(r <= 0 for r in rho):
-        raise AlgebraError("rho must contain K positive reals")
+    if len(rho) != K or not all(0 < r < np.inf for r in rho):
+        raise AlgebraError("rho must contain K positive finite reals")
     # basis dt, d1..dK, d-1..d-K: d_k sits at 1 + idx and d_{-k} K places further round
     weights = rho + [1.0 / r for r in rho]
+    if not all(w < np.inf for w in weights):
+        raise AlgebraError("rho must have finite inverses 1/rho_k")
     perm = [0] + [1 + (idx + K) % (2 * K) for idx in range(2 * K)]
     mult = _table(1 + 2 * K, [(i, perm[i], 0, w) for i, w in enumerate(weights, 1)])
     labels = ["dt"] + [f"d{k + 1}" for k in range(K)] + [f"d{-(k + 1)}" for k in range(K)]
@@ -275,7 +277,7 @@ def group_levy(
         raise AlgebraError("lam is not self-inverse under convolution")
     gram = lam_vec[table[inv]]
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    if eigs.size and eigs[0] < -tol * max(1.0, float(np.max(np.abs(eigs)))):
+    if eigs.size and eigs[0] < -cutoff(np.abs(eigs), tol):
         raise AlgebraError("lam is not positive definite on the group")
 
     pairs = [(g, h, table[g, h]) for g in range(m) for h in range(m)]
@@ -299,8 +301,8 @@ def thermal_matrix(n: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgebr
     if n < 1:
         raise AlgebraError("n must be >= 1")
     rho = [float(r) for r in rho]
-    if len(rho) != n or any(r <= 0 for r in rho):
-        raise AlgebraError("rho must contain n positive reals")
+    if len(rho) != n or not all(0 < r < np.inf for r in rho):
+        raise AlgebraError("rho must contain n positive finite reals")
 
     def unit(p, q):
         return 1 + p * n + q

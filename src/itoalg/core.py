@@ -8,9 +8,17 @@ functional ``l`` with ``l(death) = 1``.  Elements are coefficient vectors.
 
 All equality decisions go through one per-algebra tolerance, relative to
 the largest magnitude entering the comparison (with an absolute floor of 1).
-Every rank decision follows the same convention through ``numerical_rank``:
-it counts the singular values, or the eigenvalues of a PSD matrix, above
-``tol * max(1, s_max)``; every kernel is the ``null_space`` that cut leaves.
+Every rank, support and degeneracy threshold is ``cutoff(values, tol) =
+tol * max(1, max(values))``, and nothing else computes one.  It is read by
+``numerical_rank`` (the faithfulness ideal and the Brownian support, each the
+``null_space`` that cut leaves; the independence check of ``subalgebra``; the
+rank checks of ``decomp.decompose``), by the ``gram_schmidt`` keep rule, by
+the GNS space and its degenerate window in ``gns._pin_eigenbasis``, by the
+zero blocks of ``ideal.quotient``, by the component supports and moving
+atoms of the classical sampler and by the positivity of ``group_levy``'s
+weights.  The one exception is the ``sqrt(tol)`` Gram-Schmidt that realigns
+a degenerate GNS eigenspace: it picks directions, not a rank, and another
+cut could move the pinned eigenbases.
 
 ``subalgebra`` is the one basis transport: it re-expresses the structure
 constants on the rows of any basis of a closed span.  The quotient by an
@@ -68,6 +76,7 @@ __all__ = [
     "ItoAlgebra",
     "commutant_check",
     "complex_pairs",
+    "cutoff",
     "gram_matrix",
     "gram_schmidt",
     "lead_labels",
@@ -127,16 +136,21 @@ def rel_residuals(lhs, rhs) -> np.ndarray:
         return num / np.maximum(scale, 1.0)
 
 
-def numerical_rank(spectrum, tol: float) -> int:
-    """Number of singular values, or PSD eigenvalues, above ``tol * max(1, s_max)``.
+def cutoff(values, tol: float) -> float:
+    """``tol * max(1, max(values))``, the threshold of every rank, support and degeneracy cut.
 
-    The one rank decision of the package: the floor of 1 keeps a spectrum
-    that is all rounding noise from promoting its own noise to signal.
+    The floor of 1 keeps values that are all rounding noise from promoting
+    their own noise to signal.  Empty, NaN or all-negative values give ``tol``.
     """
-    spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.size == 0:
-        return 0
-    return int(np.sum(spectrum > tol * max(1.0, float(np.max(spectrum)))))
+    return tol * max(1.0, float(np.asarray(values).max(initial=0.0)))
+
+
+def numerical_rank(values, tol: float) -> int:
+    """Number of values above ``cutoff``; a matrix (2-d) counts its singular values."""
+    values = np.asarray(values)
+    if values.ndim == 2:
+        values = np.linalg.svd(values, compute_uv=False)
+    return int(np.sum(values > cutoff(values, tol)))
 
 
 def null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
@@ -378,7 +392,7 @@ def gram_schmidt(rows, cut: float) -> tuple[list[int], np.ndarray]:
     """Modified Gram-Schmidt selection of independent rows, in the given order.
 
     A row ``v`` is kept when its part orthogonal to the rows kept before it
-    has norm above ``cut * max(1, |v|)``.  Returns the kept indices and the
+    has norm above ``cutoff(|v|, cut)``.  Returns the kept indices and the
     orthonormal rows, shape ``(len(indices), n)``.
     """
     rows = np.asarray(rows, dtype=complex)
@@ -389,7 +403,7 @@ def gram_schmidt(rows, cut: float) -> tuple[list[int], np.ndarray]:
         for u in ortho:
             w -= (np.conj(u) @ w) * u
         norm = float(np.linalg.norm(w))
-        if norm > cut * max(1.0, float(np.linalg.norm(v))):
+        if norm > cutoff(np.linalg.norm(v), cut):
             ortho.append(w / norm)
             kept.append(idx)
     return kept, np.array(ortho).reshape(len(kept), rows.shape[-1])
@@ -658,7 +672,7 @@ def subalgebra(
     if B.ndim != 2 or B.shape[1] != alg.dim:
         raise AlgebraError("spanning vectors must match the algebra dimension")
     m = B.shape[0]
-    if numerical_rank(np.linalg.svd(B, compute_uv=False), alg.tol) != m:
+    if numerical_rank(B, alg.tol) != m:
         raise AlgebraError("spanning vectors are linearly dependent")
 
     def coords(vecs: np.ndarray, what) -> np.ndarray:

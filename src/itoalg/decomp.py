@@ -184,13 +184,15 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     # k-image of the product span matches the Levy k-image (density in
     # finite dimension).
     if d:
-        residuals["levy_k_image"] = _span_gap(kprods.reshape(n * n, d).T, K @ z_basis.T, tol)
+        spans = (kprods.reshape(n * n, d).T, K @ z_basis.T)
+        ranks = {numerical_rank(m, tol) for m in (*spans, np.hstack(spans))}
+        residuals["levy_k_image"] = 0.0 if len(ranks) == 1 else 1.0
         if z_idx:
             istack = np.vstack(
                 [rep.imats.reshape(-1, d) @ E, np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d) @ E]
             )
             rank_e = int(np.round(np.trace(E).real))
-            residuals["levy_nondegenerate"] = 0.0 if _rank(istack, tol) >= rank_e else 1.0
+            residuals["levy_nondegenerate"] = 0.0 if numerical_rank(istack, tol) >= rank_e else 1.0
         else:
             residuals["levy_nondegenerate"] = 0.0
     else:
@@ -199,7 +201,7 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
 
     # The two spans overlap exactly in the death line.
     if kept:
-        rank_sum = _rank(np.vstack([y_basis, z_basis]), tol)
+        rank_sum = numerical_rank(np.vstack([y_basis, z_basis]), tol)
         residuals["intersection_death_only"] = 0.0 if rank_sum == len(kept) else 1.0
     else:
         residuals["intersection_death_only"] = 0.0
@@ -209,13 +211,3 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     levy = (Element(alg, death),) + tuple(Element(alg, z) for z in z_basis)
     return Decomposition(alg, rep, P, E, brownian, levy, report)
 
-
-def _rank(m: np.ndarray, tol: float) -> int:
-    """``numerical_rank`` of a matrix, from its singular values."""
-    return numerical_rank(np.linalg.svd(m, compute_uv=False), tol)
-
-
-def _span_gap(span_a: np.ndarray, span_b: np.ndarray, tol: float) -> float:
-    """0 when the two column spans coincide (within rank tolerance), else 1."""
-    ra, rb, rab = (_rank(m, tol) for m in (span_a, span_b, np.hstack([span_a, span_b])))
-    return 0.0 if ra == rb == rab else 1.0

@@ -24,7 +24,8 @@ from functools import cache
 import numpy as np
 
 from .core import (
-    AlgebraError, Element, ItoAlgebra, commutant_check, gram_schmidt, null_space, pair_products,
+    AlgebraError, Element, ItoAlgebra, commutant_check, cutoff, gram_schmidt, null_space,
+    pair_products,
 )
 from .decomp import Decomposition, decompose
 from .gns import FundamentalRep, triangular
@@ -44,6 +45,8 @@ __all__ = [
 
 CHUNK_BUDGET = 2**19   # doubles in one chunk of classical steps (4 MiB)
 MAX_SAMPLES = 2**53    # largest n_paths * n_steps that the float divisor holds exactly
+# largest mean count per cell that numpy's Generator.poisson accepts
+MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 class SimulationError(AlgebraError):
@@ -283,7 +286,7 @@ def vacuum_moments(rep: FundamentalRep, a: Element, t: float, n_slots: int) -> S
 
 
 def _component_label(alg: ItoAlgebra, vec: np.ndarray, fallback: str) -> str:
-    support = np.where(np.abs(vec) > alg.tol * max(1.0, float(np.max(np.abs(vec)))))[0]
+    support = np.where(np.abs(vec) > cutoff(np.abs(vec), alg.tol))[0]
     if support.size == 1 and abs(vec[support[0]] - 1.0) <= alg.tol:
         return alg.labels[support[0]]
     return fallback
@@ -315,7 +318,7 @@ def _levy_khinchin(dec: Decomposition) -> tuple[list, list, np.ndarray, np.ndarr
     mix = np.random.default_rng(0).standard_normal(len(levy))  # a fixed generic combination
     atoms = basis @ np.linalg.eigh(basis.conj().T @ np.tensordot(mix, imats, 1) @ basis)[1]
     jumps = np.einsum("dj,pde,ej->pj", atoms.conj(), imats, atoms).real
-    moved = np.abs(jumps) > tol * max(1.0, float(np.max(np.abs(jumps), initial=0.0)))
+    moved = np.abs(jumps) > cutoff(np.abs(jumps), tol)
     first = np.sum(np.cumsum(moved, axis=0) == 0, axis=0)  # the first component each atom moves
     order = [j for j in np.argsort(first, kind="stable") if first[j] < len(levy)]
     amps = x @ dec.rep.kmat.T @ atoms[:, order].conj()  # <u_j, k(x_p)> = c_j jumps[p, j]
@@ -386,7 +389,8 @@ def classical_paths(
     CHUNK_BUDGET doubles plus O(n_paths * nc), whatever n_steps and the rates
     are.  At most MAX_SAMPLES = 2**53 samples n_paths * n_steps are taken, the
     largest count a float divisor holds exactly; more is an AlgebraError (CLI
-    exit 2), raised before any work.
+    exit 2), raised before any work.  So is a mean count per cell above
+    MAX_POISSON_MEAN (about 9.2e18), numpy's Poisson limit, raised before any draw.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -417,6 +421,11 @@ def classical_paths(
     labels += [_component_label(alg, v, f"z{j}") for j, v in enumerate(levy)]
 
     lam = rates * dt_eff  # mean count of atom j in one cell
+    if not np.all(lam <= MAX_POISSON_MEAN):
+        raise AlgebraError(
+            f"a jump rate gives {np.max(lam):.3g} mean events per cell, above the Poisson "
+            f"sampler's limit {MAX_POISSON_MEAN:.3g}; take a smaller dt"
+        )
     empty = -(jumps @ lam)  # c0, the Levy value of a cell with no event
     gens = [np.random.Generator(np.random.Philox(key=seed).jumped(j)) for j in range(1 + 2 * na)]
     gram = np.zeros((r - 1, r))  # sums over every cell of [g; g∘g][1; g; g∘g]^T

@@ -36,10 +36,10 @@ from .core import (
     AlgebraError,
     Element,
     ItoAlgebra,
+    cutoff,
     gram_matrix,
     gram_schmidt,
     null_space,
-    numerical_rank,
     pin_phase,
     rel_residual,
     rel_residuals,
@@ -151,23 +151,24 @@ class Seminorms(NamedTuple):
 def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Kept eigenpairs of a Hermitian PSD matrix under the pinned conventions."""
     evals, evecs = np.linalg.eigh(H)
-    hdim = numerical_rank(evals, tol)
+    cut = cutoff(evals, tol)
+    hdim = int(np.sum(evals > cut))
     evals = evals[::-1][:hdim]
     evecs = evecs[:, ::-1][:, :hdim]
 
     # Within a degenerate group (eigenvalues closer than the rank cutoff),
     # realign to standard basis directions in index order so the output does
     # not depend on LAPACK's arbitrary choice.
-    window = tol * max(1.0, float(evals[0])) if hdim else 0.0
     out_vals, out_vecs = [], []
     start = 0
     while start < evals.size:
         stop = start + 1
-        while stop < evals.size and abs(evals[stop] - evals[start]) <= window:
+        while stop < evals.size and abs(evals[stop] - evals[start]) <= cut:
             stop += 1
         block = evecs[:, start:stop]
         if stop - start > 1:
             proj = block @ block.conj().T
+            # sqrt(tol), not cutoff: this picks directions, and another cut could move them
             _, chosen = gram_schmidt(proj.T, np.sqrt(tol))
             if len(chosen) >= stop - start:
                 block = chosen[: stop - start].T

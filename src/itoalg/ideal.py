@@ -17,6 +17,7 @@ from .core import (
     AlgebraError,
     Element,
     ItoAlgebra,
+    cutoff,
     gram_schmidt,
     lead_labels,
     rel_residual,
@@ -111,8 +112,7 @@ def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
 
     def nonzero(block: np.ndarray, whole: np.ndarray) -> bool:
         """True unless ``block`` is zero within tol on the scale of ``whole``; NaN is nonzero."""
-        scale = max(1.0, float(np.max(np.abs(whole))))
-        return not float(np.max(np.abs(block))) <= tol * scale
+        return not float(np.max(np.abs(block))) <= cutoff(np.abs(whole), tol)
 
     if nonzero(full.state[r:], full.state):
         raise AlgebraError("state does not vanish on the proposed ideal")

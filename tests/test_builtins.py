@@ -31,6 +31,27 @@ class TestConstructorValidation:
         with pytest.raises(AlgebraError):
             ia.thermal_matrix(1, [0.0])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ia.thermal_brownian(np.inf, 0.5), "rho_plus must be a positive finite real"),
+            (lambda: ia.thermal_brownian(np.nan, 0.5), "rho_plus must be a positive finite real"),
+            (lambda: ia.thermal_brownian(1.0, np.inf), "rho_minus must be a nonnegative finite real"),
+            (lambda: ia.thermal_brownian(1.0, np.nan), "rho_minus must be a nonnegative finite real"),
+            (lambda: ia.periodic_wiener(2, [1.0, np.inf]), "rho must contain K positive finite reals"),
+            (lambda: ia.periodic_wiener(1, [np.nan]), "rho must contain K positive finite reals"),
+            (lambda: ia.periodic_wiener(1, [1e-310]), "rho must have finite inverses"),
+            (lambda: ia.thermal_matrix(2, [1.0, np.inf]), "rho must contain n positive finite reals"),
+            (lambda: ia.thermal_matrix(1, [np.nan]), "rho must contain n positive finite reals"),
+        ],
+        ids=["tb-plus-inf", "tb-plus-nan", "tb-minus-inf", "tb-minus-nan", "pw-inf", "pw-nan",
+             "pw-subnormal", "tm-inf", "tm-nan"],
+    )
+    def test_non_finite_weights_are_named(self, build, message):
+        # rejected by the constructor, not reported as failing axioms
+        with pytest.raises(AlgebraError, match=message):
+            build()
+
     def test_group_levy_rejects_bad_lambda(self):
         g = ia.cyclic_group(2)
         # violates the self-inverse convolution

@@ -29,15 +29,21 @@ REGEN = os.environ.get("REGEN_GOLDEN") == "1"
 CLASSICAL = {"newton", "wiener", "poisson", "wiener+poisson"}
 NON_FAITHFUL = {"zero_intensity_poisson"}
 FAITHFUL = sorted(set(make_catalog()) - NON_FAITHFUL)
+# tables outside the catalog that ito_files also writes, by name
+EXTRA_TABLES = {
+    # a jump of 1e-8 at rate 1e22: 1e22 events per cell at dt = 1, above numpy's Poisson limit
+    "oversized_rate": "basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 1e-8 dm + 1e6 dt\n",
+}
 
 
 @pytest.fixture(scope="module")
 def ito_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ito")
     paths = {}
-    for name, alg in make_catalog().items():
+    texts = {name: serialize(alg) for name, alg in make_catalog().items()} | EXTRA_TABLES
+    for name, text in texts.items():
         path = tmp / f"{name.replace('+', '_plus_')}.ito"
-        path.write_text(serialize(alg), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         paths[name] = str(path)
     return paths
 
@@ -180,6 +186,12 @@ class TestExitCodes:
                 "error: n_paths * n_steps must not exceed 2**53",
             ),
             (
+                ("simulate", "oversized_rate", "--model", "classical", "--dt", "1", "--paths", "2"),
+                2,
+                "error: a jump rate gives 1e+22 mean events per cell, above the Poisson sampler's "
+                "limit 9.22e+18; take a smaller dt",
+            ),
+            (
                 ("simulate", "wiener", "--model", "classical", "--seed", "-1", "--paths", "10"),
                 2,
                 "error: seed must be in [0, 2**128)",
@@ -207,8 +219,8 @@ class TestExitCodes:
         ],
         ids=[
             "fock-t-nan", "fock-t-inf", "fock-ratio-overflow", "classical-t-inf",
-            "classical-ratio-overflow", "classical-step-budget", "classical-seed-negative",
-            "classical-seed-too-large",
+            "classical-ratio-overflow", "classical-step-budget", "classical-oversized-rate",
+            "classical-seed-negative", "classical-seed-too-large",
             "check-tol-nan", "check-tol-inf", "check-tol-negative", "norms-inf-coefficient",
             "norms-empty-element",
         ],

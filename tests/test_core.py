@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
-from itoalg.core import AlgebraError, numerical_rank, rel_residual
+from itoalg.core import AlgebraError, cutoff, numerical_rank, rel_residual
 
 from conftest import make_catalog, ref_multiply, ref_star
 
@@ -222,6 +222,33 @@ class TestNumericalRank:
         assert numerical_rank([], 1e-9) == 0
         # a PSD eigenvalue spectrum with rounding below zero
         assert numerical_rank([-1e-17, 0.0, 3.0], 1e-9) == 1
+
+    def test_cutoff_of_empty_values_is_tol(self):
+        assert cutoff([], 1e-9) == 1e-9
+        assert cutoff(np.zeros((0, 3)), 1e-9) == 1e-9
+
+    def test_nan_or_negative_values_leave_the_floor(self):
+        assert cutoff([np.nan, 5.0], 1e-9) == 1e-9
+        assert cutoff([-3.0, -1e-17], 1e-9) == 1e-9
+        # a NaN in a spectrum counts as no value above the cut
+        assert numerical_rank([np.nan, 5.0, 1e-12], 1e-9) == 1
+
+    def test_cutoff_of_a_scalar_norm(self):
+        # gram_schmidt's keep rule: a row's own norm sets its cut
+        assert cutoff(250.0, 1e-6) == 1e-6 * 250.0
+        assert cutoff(np.float64(0.25), 1e-6) == 1e-6
+        assert cutoff(np.linalg.norm([3.0, 4.0j]), 0.1) == 0.1 * 5.0
+
+    def test_matrix_rank_counts_singular_values_above_the_cutoff(self):
+        rng = np.random.default_rng(0)
+        # at top singular value 100 the cutoff is 1e-7: 1e-6 is kept and 1e-12 dropped
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        m = u[:, :5] @ np.diag([100.0, 3.0, 0.5, 1e-6, 1e-12]) @ v.T
+        svals = np.linalg.svd(m, compute_uv=False)
+        assert numerical_rank(m, 1e-9) == int(np.sum(svals > cutoff(svals, 1e-9))) == 4
+        assert numerical_rank(m.T, 1e-9) == 4
+        assert numerical_rank(np.zeros((3, 0)), 1e-9) == 0
 
 
 class TestNonBasisDeath:

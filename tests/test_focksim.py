@@ -532,6 +532,25 @@ class TestClassicalPaths:
             with pytest.raises(AlgebraError, match=r"n_paths \* n_steps must not exceed 2\*\*53"):
                 classical_paths(ia.wiener(), t, dt, n, 0)
 
+    def test_oversized_rate_is_refused_before_any_draw(self, monkeypatch):
+        # a jump of 1e-8 at rate 1e22: 1e22 mean events per cell at dt = 1
+        table = ia.parse("basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 1e-8 dm + 1e6 dt\n").algebra
+
+        def drawn(*args):
+            raise LookupError("a jump was drawn")
+
+        monkeypatch.setattr(focksim, "_jump_events", drawn)
+        with pytest.raises(AlgebraError, match=r"1e\+22 mean events per cell, above the Poisson"):
+            classical_paths(table, 1.0, 1.0, 2, 0)
+        with pytest.raises(LookupError):  # 1e18 per cell is below the limit
+            classical_paths(table, 1.0, 1e-4, 2, 0)
+
+    def test_poisson_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(focksim.MAX_POISSON_MEAN)
+        with pytest.raises(ValueError):
+            rng.poisson(np.nextafter(focksim.MAX_POISSON_MEAN, np.inf))
+
     @pytest.mark.parametrize(
         "name, n_paths, n_steps",
         [

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import itoalg as ia
 from itoalg import core
 from itoalg.core import gram_schmidt, pair_products, random_element, rel_residual, row_products
-from itoalg.decomp import _span_gap, support_projector
+from itoalg.decomp import support_projector
 from itoalg.gns import build_representation, seminorms, verify_bstar
 
 from conftest import make_catalog, ref_multiply, ref_star
@@ -293,6 +293,10 @@ def loop_decompose_residuals(alg: ia.ItoAlgebra) -> dict[str, float]:
     def prod(u, v):
         return ref_multiply(alg, u, v)
 
+    def svd_rank(m):
+        svals = np.linalg.svd(m, compute_uv=False)
+        return int(np.sum(svals > tol * max(float(np.max(svals, initial=0.0)), 1.0)))
+
     res = {"preimage": resid_preimage}
     res["projector_idempotent"] = rel_residual(P @ P, P)
     res["projector_hermitian"] = rel_residual(P, P.conj().T)
@@ -329,14 +333,13 @@ def loop_decompose_residuals(alg: ia.ItoAlgebra) -> dict[str, float]:
         xs = [ys[i] + zs[i] for i in range(n)]
         span_prod = np.array([rep.kmat @ prod(u, v) for u in xs for v in xs]).T
         span_levy = np.array([rep.kmat @ z for z in z_basis]).T if z_basis else np.zeros((d, 0))
-        res["levy_k_image"] = _span_gap(span_prod, span_levy, tol)
+        ranks = [svd_rank(m) for m in (span_prod, span_levy, np.hstack([span_prod, span_levy]))]
+        res["levy_k_image"] = 0.0 if ranks[0] == ranks[1] == ranks[2] else 1.0
         if z_basis:
             istack = np.vstack([rep.imats.reshape(-1, d) @ E,
                                 np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d) @ E])
-            svals = np.linalg.svd(istack, compute_uv=False)
             rank_e = int(np.round(np.trace(E).real))
-            nondeg = int(np.sum(svals > tol * max(float(svals[0]), 1.0)))
-            res["levy_nondegenerate"] = 0.0 if nondeg >= rank_e else 1.0
+            res["levy_nondegenerate"] = 0.0 if svd_rank(istack) >= rank_e else 1.0
         else:
             res["levy_nondegenerate"] = 0.0
     else:
