@@ -22,19 +22,16 @@ duplicate rule and storage are the same code for all four.  A line reports
 at most one fault, at the column of the token it names: the earliest bad
 token in token order, and a line with a fault stores nothing.
 
-The ``star`` and ``mul`` tables are converted a table at a time.  The line
-loop checks each lincomb's shape (``+`` separators, a symbol after every
-coefficient) and keeps its coefficient and symbol tokens.  One reader then
-takes the table's lines together: one ``translate`` that checks the
-characters of the joined coefficient column and one ``map(complex, ...)``,
-one dictionary lookup per symbol through ``map``, and one ``np.add.at``
-that sums repeated symbols of a row.  It runs after the last line, and each
-time ``_CHUNK`` terms are held, so that a dense table never holds all its
-token strings at once.  If that reader meets a bad literal, a non-finite value or an unknown
-symbol, the text is read again with each line converted on its own, so
-every diagnostic, and the duplicate rule after a faulted line, is what a
-line-by-line reading gives.  ``parse_lincomb`` is the same reader on one
-line.
+The text is read once, a line at a time.  Each ``star`` and ``mul`` line
+converts its own lincomb (``_lincomb``): its shape (``+`` separators, a
+symbol after every coefficient), one ``translate`` that checks the
+characters of its joined coefficient column, one ``map(complex, ...)``, one
+dictionary lookup per symbol, and a finiteness check of each symbol's sum
+only when the line repeats a symbol.  The line keeps Python lists of values
+and symbol indices; only on a fault are its terms walked in token order
+for the first bad token.  After the last line, each table becomes its
+vectors by one ``np.add.at`` scatter (``_vectors``).  ``parse_lincomb`` is
+``_lincomb`` and that scatter on one line.
 
 The parser is total: any input yields an algebra or diagnostics, never an
 exception.  Serialization is canonical (declaration order above, table rows
@@ -50,8 +47,9 @@ coefficient form and label, and one flat tuple of the reals.
 from __future__ import annotations
 
 import re
+from cmath import isfinite
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -63,7 +61,6 @@ __all__ = ["ParseDiagnostic", "ParseResult", "parse", "parse_strict", "parse_lin
 _PUNCTUATION = str.maketrans("", "", ".eE+-i ")
 _LONE_I = (" i", "+i", "-i", "ei", "Ei")
 _COEFFICIENT = "expected a complex coefficient, got {!r}"
-_CHUNK = 1 << 13  # lincomb terms held as token strings before ``_settle`` reads them
 
 # keyword: (symbols it names, its value after '=', its duplicate message).
 # A declaration without a value, the death, is made once for the algebra.
@@ -130,7 +127,7 @@ class _Fault(Exception):
 def parse_complex(token: str) -> complex | None:
     """The complex literal ``token``, or None if it is not one."""
     vals = None if " " in token else _complexes([token])
-    return None if vals is None else complex(vals[0])
+    return None if vals is None else vals[0]
 
 
 def _is_token(text: str) -> bool:
@@ -146,14 +143,7 @@ def _symbol_problem(sym: str) -> str | None:
     return None
 
 
-def _index(tokens: list[str], k: int, index: dict[str, int]) -> int:
-    try:
-        return index[tokens[k]]
-    except KeyError:
-        raise _Fault(k, f"unknown basis symbol {tokens[k]!r}") from None
-
-
-def _complexes(coefs: list[str]) -> np.ndarray | None:
+def _complexes(coefs: list[str]) -> list[complex] | None:
     """The values of the literals ``coefs``, or None if one of them is not a literal.
 
     A literal is a token of decimal digits, ``.``, ``e``, ``E``, ``+``, ``-``
@@ -164,66 +154,46 @@ def _complexes(coefs: list[str]) -> np.ndarray | None:
     each in linear time.
     """
     if not coefs:
-        return np.zeros(0, dtype=complex)
+        return []
     column = " ".join(coefs)
     spaced = " " + column
-    if not column.translate(_PUNCTUATION).isdecimal() or any(s in spaced for s in _LONE_I):
+    if not column.translate(_PUNCTUATION).isdecimal() or (
+            "i" in column and any(s in spaced for s in _LONE_I)):
         return None
     try:
-        return np.fromiter(map(complex, column.replace("i", "j").split(" ")), complex, len(coefs))
+        return list(map(complex, column.replace("i", "j").split(" ")))
     except ValueError:  # the characters of a literal, out of order: 1e, 1+2, 1.2.3
         return None
 
 
 def _read_terms(coefs: list[str], syms: list[str], index: dict[str, int], start: int = 0,
-                malformed: str = _COEFFICIENT) -> tuple[np.ndarray, np.ndarray]:
+                malformed: str = _COEFFICIENT) -> tuple[list[complex], list[int]]:
     """The values of the literals ``coefs`` and the indices of the symbols ``syms``.
 
     The two columns interleave as a lincomb written from token ``start``:
     ``coefs[t]`` is token ``start + 3t`` and ``syms[t]`` token ``start + 3t + 1``.
-    Each column is converted at once; the fault names the first bad token.
+    Each column is converted at once; on a fault, the terms are walked in
+    token order and the first bad token is the fault.
     """
     vals = _complexes(coefs)
-    cols = np.fromiter(map(index.get, syms, repeat(-1)), np.intp, len(syms))
-    if vals is not None and np.isfinite(vals).all() and (cols >= 0).all():
+    cols = list(map(index.get, syms))
+    if vals is not None and all(map(isfinite, vals)) and None not in cols:
         return vals, cols
-    faults = []
-    if vals is None:
-        t = next(t for t, coef in enumerate(coefs) if parse_complex(coef) is None)
-        faults.append((start + 3 * t, malformed.format(coefs[t])))
-        vals = _complexes(coefs[:t])
-    faults += [(start + 3 * int(t), "non-finite coefficient")
-               for t in np.flatnonzero(~np.isfinite(vals))[:1]]
-    faults += [(start + 3 * int(t) + 1, f"unknown basis symbol {syms[t]!r}")
-               for t in np.flatnonzero(cols < 0)[:1]]
-    raise _Fault(*min(faults))
+    for t, coef in enumerate(coefs):
+        z = parse_complex(coef)
+        if z is None:
+            raise _Fault(start + 3 * t, malformed.format(coef))
+        if not isfinite(z):
+            raise _Fault(start + 3 * t, "non-finite coefficient")
+        if t < len(syms) and cols[t] is None:
+            raise _Fault(start + 3 * t + 1, f"unknown basis symbol {syms[t]!r}")
 
 
-def _table(rows: list[tuple[list[str], list[str]]], index: dict[str, int],
-           start: int = 0) -> np.ndarray:
-    """The coefficient vectors of lincombs given as (coefficient, symbol) token columns.
+def _lincomb(tokens: list[str], start: int, index: dict[str, int]) -> tuple[list[complex], list[int]]:
+    """The values and symbol indices of the lincomb in ``tokens[start:]``.
 
-    All rows are read by one ``_read_terms`` and stored by one ``np.add.at``,
-    which sums the coefficients of a repeated symbol; a sum that is not
-    finite is a fault at token ``start``.
-    """
-    counts = [len(coefs) for coefs, _ in rows]
-    vals, cols = _read_terms(list(chain.from_iterable(coefs for coefs, _ in rows)),
-                             list(chain.from_iterable(syms for _, syms in rows)), index, start)
-    out = np.zeros((len(rows), len(index)), dtype=complex)
-    with np.errstate(over="ignore"):
-        np.add.at(out, (np.repeat(np.arange(len(rows)), counts), cols), vals)
-    if not np.isfinite(out).all():  # finite coefficients can sum to inf
-        raise _Fault(start, "non-finite coefficient")
-    return out
-
-
-def _lincomb(tokens: list[str], start: int, index: dict[str, int]) -> tuple[list[str], list[str]]:
-    """The coefficient and symbol columns of the lincomb in ``tokens[start:]``.
-
-    The shape is checked here.  When the shape has a fault, the literals and
-    symbols before it are read here too, since a bad one is the fault
-    reported; otherwise ``_table`` reads them.
+    A bad literal or symbol before a shape fault is the fault reported; a
+    sum of one symbol's coefficients is checked only when a symbol repeats.
     """
     body = tokens[start:]
     if body == ["0"]:
@@ -240,10 +210,31 @@ def _lincomb(tokens: list[str], start: int, index: dict[str, int]) -> tuple[list
         shape = _Fault(len(tokens) - 1, "coefficient without a basis symbol")
     elif len(body) % 3 == 0:
         shape = _Fault(len(tokens) - 1, "dangling '+' at end of line")
+    vals, cols = _read_terms(coefs, syms, index, start)
     if shape is not None:
-        _read_terms(coefs, syms, index, start)
         raise shape
-    return coefs, syms
+    if len(set(cols)) < len(cols):  # finite coefficients can sum to inf
+        sums: dict[int, complex] = {}
+        for col, val in zip(cols, vals):
+            sums[col] = sums.get(col, 0j) + val
+        if not all(map(isfinite, sums.values())):
+            raise _Fault(start, "non-finite coefficient")
+    return vals, cols
+
+
+def _vectors(terms: list[tuple[list[complex], list[int]]], n: int) -> np.ndarray:
+    """The length-``n`` vectors of lincombs read by ``_lincomb``, built by one scatter.
+
+    ``np.add.at`` sums the coefficients of a repeated symbol in the order
+    ``_lincomb`` summed them to check them.
+    """
+    counts = [len(cols) for _, cols in terms]
+    total = sum(counts)
+    out = np.zeros((len(terms), n), dtype=complex)
+    np.add.at(out, (np.repeat(np.arange(len(terms)), counts),
+                    np.fromiter(chain.from_iterable(cols for _, cols in terms), np.intp, total)),
+              np.fromiter(chain.from_iterable(vals for vals, _ in terms), complex, total))
+    return out
 
 
 def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagnostic]]:
@@ -255,16 +246,16 @@ def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagn
     tokens = text.split("#", 1)[0].split()
     index = {lab: i for i, lab in enumerate(labels)}
     try:
-        vec = _table([_lincomb(tokens, 0, index)], index)[0]
+        terms = _lincomb(tokens, 0, index)
     except _Fault as fault:
         return None, [fault.diagnostic(1, text)]
-    return vec, []
+    return _vectors([terms], len(index))[0], []
 
 
-def _declare(tokens: list[str], row, index: dict[str, int], table: dict, check: bool) -> tuple:
+def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tuple:
     """Store one ``death``, ``state``, ``star`` or ``mul`` line in its ``table``; return its key.
 
-    A lincomb is stored as its token columns, or with ``check`` as its vector.
+    A lincomb is stored as its values and symbol indices, as ``_lincomb`` reads them.
     """
     n_sym, value, duplicate = row
     eq = 1 + n_sym
@@ -273,38 +264,27 @@ def _declare(tokens: list[str], row, index: dict[str, int], table: dict, check: 
             or (value and tokens[eq] != "=")):
         shape = ["<sym>"] * n_sym + (["=", value] if value else [])
         raise _Fault(0, " ".join(["usage:", tokens[0], *shape]))
-    key = tuple(_index(tokens, k, index) for k in range(1, eq))
+    key = tuple(map(index.get, tokens[1:eq]))
+    if None in key:
+        k = 1 + key.index(None)
+        raise _Fault(k, f"unknown basis symbol {tokens[k]!r}")
     if value is None:  # the death: one declaration for the algebra, stored under ()
         key, stored = (), key[0]
     if key in table:
         raise _Fault(1 if key else 0, duplicate.format(*tokens[1:eq]))
     if value == "<complex>":
-        vals, _ = _read_terms(tokens[eq + 1:], [], index, eq + 1, "bad complex literal {!r}")
-        stored = complex(vals[0])
+        (stored,), _ = _read_terms(tokens[eq + 1:], [], index, eq + 1, "bad complex literal {!r}")
     elif value == "<lincomb>":
         stored = _lincomb(tokens, eq + 1, index)
-        if check:
-            stored = _table([stored], index, eq + 1)[0]
     table[key] = stored
     return key
 
 
-def _settle(declared: dict[str, dict], unread: dict[str, list], index: dict[str, int]) -> None:
-    """Replace the token columns under the ``unread`` keys by their vectors, a table at a time."""
-    for kw, keys in unread.items():
-        table = declared[kw]
-        for key, vec in zip(keys, _table([table[key] for key in keys], index)):
-            table[key] = vec
-        keys.clear()
-
-
-def _read(lines: list[str], check: bool):
+def _read(lines: list[str]):
     """Every declaration of ``lines``: name, labels, declared, declared_at, diagnostics.
 
-    The ``star`` and ``mul`` lincombs are read by ``_settle`` once
-    ``_CHUNK`` terms are held, and after the last line, and a bad token
-    raises ``_Fault`` from ``_settle``.  ``check`` reads every lincomb on its
-    own line instead, so that a bad token is its line's diagnostic.
+    Each line is read once and reports at most one fault; a line with a
+    fault stores nothing.
     """
     diags: list[ParseDiagnostic] = []
     name: str | None = None
@@ -312,12 +292,7 @@ def _read(lines: list[str], check: bool):
     index: dict[str, int] = {}
     declared: dict[str, dict] = {kw: {} for kw in _DECLARATIONS}
     declared_at: dict[tuple, int] = {}  # (keyword, key) -> line number
-    unread: dict[str, list] = {"star": [], "mul": []}  # keys of lincombs still held as tokens
-    held = 0
     for lineno, line in enumerate(lines, start=1):
-        if held >= _CHUNK:
-            _settle(declared, unread, index)
-            held = 0
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -350,23 +325,19 @@ def _read(lines: list[str], check: bool):
             elif labels is None:
                 raise _Fault(0, "the basis must be declared before any other definition")
             elif kw in _DECLARATIONS:
-                key = _declare(tokens, _DECLARATIONS[kw], index, declared[kw], check)
+                key = _declare(tokens, _DECLARATIONS[kw], index, declared[kw])
                 declared_at[kw, key] = lineno
-                if kw in unread and not check:
-                    unread[kw].append(key)
-                    held += len(declared[kw][key][0])
             else:
                 raise _Fault(0, f"unknown keyword {kw!r}")
         except _Fault as fault:
             diags.append(fault.diagnostic(lineno, line))
-    _settle(declared, unread, index)
     return name, labels, declared, declared_at, diags
 
 
 def _rows(table: dict, n_sym: int, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """A settled ``star`` or ``mul`` table: one index array per key symbol, and the vectors."""
+    """A ``star`` or ``mul`` table: one index array per key symbol, and the vectors."""
     keys = np.array(list(table), dtype=np.intp).reshape(-1, n_sym)
-    return tuple(keys.T), np.array(list(table.values()), dtype=complex).reshape(-1, n)
+    return tuple(keys.T), _vectors(list(table.values()), n)
 
 
 def parse(text: str, tol: float = 1e-9) -> ParseResult:
@@ -380,10 +351,7 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
         diag = ParseDiagnostic("error", 0, 0, "tol must be finite and nonnegative")
         return ParseResult(None, [diag])
     lines = text.splitlines()
-    try:
-        name, labels, declared, declared_at, diags = _read(lines, check=False)
-    except _Fault:  # a line has a bad token: read again line by line, for its diagnostic
-        name, labels, declared, declared_at, diags = _read(lines, check=True)
+    name, labels, declared, declared_at, diags = _read(lines)
 
     end = len(lines) + 1
     if labels is None:

@@ -375,13 +375,12 @@ class TestTableCodec:
         message = f"expected a complex coefficient, got {token!r}"
         assert diags == [ParseDiagnostic("error", 1, 1, message)]
 
-    def test_faults_across_read_chunks(self):
-        # a table larger than one read chunk: each fault is reported at its own line,
-        # and a faulted line stores nothing, whichever chunk holds it
+    def test_faults_in_a_dense_table(self):
+        # a dense 24-symbol table: each fault is reported at its own line, and a faulted line
+        # stores nothing, so its key written again later is not a duplicate
         n = 24
         alg = _random_table(n, 7, ("dt", *(f"s{k}" for k in range(n - 1))))
         lines = serialize(alg).splitlines()
-        assert n**3 > adsl._CHUNK
         first = next(k for k, line in enumerate(lines) if line.startswith("mul"))
         late = len(lines) - 5
         assert lines[late].startswith("mul")
@@ -399,6 +398,17 @@ class TestTableCodec:
             (late + 1, len(" ".join(bad[:7])) + 2, "expected a complex coefficient, got '1x'"),
             (len(lines), 5, "unknown basis symbol 'zz'"),
         ]
+
+    def test_file_is_read_once(self, monkeypatch):
+        # a bad literal on the last line is that line's diagnostic, without a second reading
+        calls = []
+        declare = adsl._declare
+        monkeypatch.setattr(adsl, "_declare", lambda *args: calls.append(args[0]) or declare(*args))
+        text = WIENER_FILE + "star dw = 1 dw\nmul dt dw = 0\nmul dw dt = 1x dt\n"
+        result = parse(text)
+        assert [(d.line, d.column, d.message) for d in result.errors()] == [
+            (8, 13, "expected a complex coefficient, got '1x'")]
+        assert [tokens[0] for tokens in calls] == ["death", "state", "mul", "star", "mul", "mul"]
 
 
 class TestTotality:
