@@ -29,9 +29,10 @@ characters of its joined coefficient column, one ``map(complex, ...)``, one
 dictionary lookup per symbol, and a finiteness check of each symbol's sum
 only when the line repeats a symbol.  The line keeps Python lists of values
 and symbol indices; only on a fault are its terms walked in token order
-for the first bad token.  After the last line, each table becomes its
-vectors by one ``np.add.at`` scatter (``_vectors``).  ``parse_lincomb`` is
-``_lincomb`` and that scatter on one line.
+for the first bad token.  An accepted line appends its values and symbol
+indices to its table's two flat lists (``_Lincombs``); after the last line,
+each table becomes its vectors by one ``np.add.at`` scatter (``_vectors``).
+``parse_lincomb`` is ``_lincomb`` and that scatter on one line.
 
 The parser is total: any input yields an algebra or diagnostics, never an
 exception.  Serialization is canonical (declaration order above, table rows
@@ -49,7 +50,6 @@ from __future__ import annotations
 import re
 from cmath import isfinite
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -222,18 +222,17 @@ def _lincomb(tokens: list[str], start: int, index: dict[str, int]) -> tuple[list
     return vals, cols
 
 
-def _vectors(terms: list[tuple[list[complex], list[int]]], n: int) -> np.ndarray:
+def _vectors(counts: list[int], vals: list[complex], cols: list[int], n: int) -> np.ndarray:
     """The length-``n`` vectors of lincombs read by ``_lincomb``, built by one scatter.
 
-    ``np.add.at`` sums the coefficients of a repeated symbol in the order
-    ``_lincomb`` summed them to check them.
+    Lincomb ``r`` has ``counts[r]`` terms, which follow the terms of the
+    lincombs before it in the flat lists ``vals`` and ``cols``.  ``np.add.at``
+    sums the coefficients of a repeated symbol in the order ``_lincomb``
+    summed them to check them.
     """
-    counts = [len(cols) for _, cols in terms]
-    total = sum(counts)
-    out = np.zeros((len(terms), n), dtype=complex)
-    np.add.at(out, (np.repeat(np.arange(len(terms)), counts),
-                    np.fromiter(chain.from_iterable(cols for _, cols in terms), np.intp, total)),
-              np.fromiter(chain.from_iterable(vals for vals, _ in terms), complex, total))
+    out = np.zeros((len(counts), n), dtype=complex)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    np.add.at(out, (rows, np.fromiter(cols, np.intp, len(cols))), np.fromiter(vals, complex, len(vals)))
     return out
 
 
@@ -246,16 +245,26 @@ def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagn
     tokens = text.split("#", 1)[0].split()
     index = {lab: i for i, lab in enumerate(labels)}
     try:
-        terms = _lincomb(tokens, 0, index)
+        vals, cols = _lincomb(tokens, 0, index)
     except _Fault as fault:
         return None, [fault.diagnostic(1, text)]
-    return _vectors([terms], len(index))[0], []
+    return _vectors([len(cols)], vals, cols, len(index))[0], []
+
+
+class _Lincombs(dict):
+    """A ``star`` or ``mul`` table: key -> term count, with the terms of its lines in flat lists."""
+
+    def __init__(self):
+        super().__init__()
+        self.vals: list[complex] = []
+        self.cols: list[int] = []
 
 
 def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tuple:
     """Store one ``death``, ``state``, ``star`` or ``mul`` line in its ``table``; return its key.
 
-    A lincomb is stored as its values and symbol indices, as ``_lincomb`` reads them.
+    A lincomb's values and symbol indices, as ``_lincomb`` reads them, are
+    appended to the flat lists of its ``_Lincombs`` table.
     """
     n_sym, value, duplicate = row
     eq = 1 + n_sym
@@ -275,7 +284,10 @@ def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tupl
     if value == "<complex>":
         (stored,), _ = _read_terms(tokens[eq + 1:], [], index, eq + 1, "bad complex literal {!r}")
     elif value == "<lincomb>":
-        stored = _lincomb(tokens, eq + 1, index)
+        vals, cols = _lincomb(tokens, eq + 1, index)
+        table.vals += vals
+        table.cols += cols
+        stored = len(cols)
     table[key] = stored
     return key
 
@@ -290,7 +302,8 @@ def _read(lines: list[str]):
     name: str | None = None
     labels: list[str] | None = None
     index: dict[str, int] = {}
-    declared: dict[str, dict] = {kw: {} for kw in _DECLARATIONS}
+    declared: dict[str, dict] = {kw: _Lincombs() if row[1] == "<lincomb>" else {}
+                                 for kw, row in _DECLARATIONS.items()}
     declared_at: dict[tuple, int] = {}  # (keyword, key) -> line number
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split("#", 1)[0].split()
@@ -334,10 +347,10 @@ def _read(lines: list[str]):
     return name, labels, declared, declared_at, diags
 
 
-def _rows(table: dict, n_sym: int, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _rows(table: _Lincombs, n_sym: int, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """A ``star`` or ``mul`` table: one index array per key symbol, and the vectors."""
     keys = np.array(list(table), dtype=np.intp).reshape(-1, n_sym)
-    return tuple(keys.T), _vectors(list(table.values()), n)
+    return tuple(keys.T), _vectors(list(table.values()), table.vals, table.cols, n)
 
 
 def parse(text: str, tol: float = 1e-9) -> ParseResult:

@@ -10,7 +10,13 @@ raises ``_Failed``, which ``main`` turns into the exit code.
 The JSON form is strict RFC 8259 JSON on one line: keys sorted, no spaces
 after separators, and a non-finite number (a NaN residual, an overflowing
 moment) written as the string ``"nan"``, ``"inf"`` or ``"-inf"``, which
-``float()`` reads back.
+``float()`` reads back.  A payload may hold complex ndarrays, written as
+``core.complex_pairs`` writes them: ``_dumps`` writes an array at a time,
+one ``%`` format of words into a bracket template cached by shape, and
+formats each distinct real (by bit pattern) once.  ``represent`` hands it
+views of one stack of triangular matrices, so the quadruples, which repeat
+the matrices' entries, format nothing again.  The argument parser is built
+once per process.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 axiom failure or any other
 library error, including an allocation the machine refuses (``MemoryError``),
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -29,7 +36,7 @@ import numpy as np
 
 from . import builtins as catalog_mod
 from .adsl import parse, parse_lincomb, serialize
-from .core import AlgebraError, ItoAlgebra, complex_pairs
+from .core import AlgebraError, ItoAlgebra
 from .decomp import decompose
 from .focksim import classical_paths, vacuum_moments
 from .gns import NonFaithfulError, build_representation, seminorms, triangular
@@ -110,9 +117,75 @@ def _run_stage(stage, alg, *args):
         raise _Failed(EXIT_NONFAITHFUL if isinstance(exc, NonFaithfulError) else EXIT_AXIOMS) from exc
 
 
+@functools.lru_cache(maxsize=64)
+def _template(shape: tuple) -> str:
+    """The bracket text of an array of ``shape``, with ``%s`` for each entry."""
+    text = "%s"
+    for size in reversed(shape):
+        text = "[" + ",".join([text] * size) + "]"
+    return text
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of the integers ``keys``, and the index of each key among them."""
+    # np.unique(..., return_inverse=True) argsorts: several times slower on mostly equal keys
+    ordered = np.sort(keys)
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    return distinct, np.searchsorted(distinct, keys)
+
+
+def _array_text(a: np.ndarray, words: dict) -> str:
+    """The JSON text of ``complex_pairs(a)``, each real looked up in or added to ``words``.
+
+    ``words`` maps the bit pattern of a real to its word: ``repr``, or the
+    string "nan", "inf" or "-inf".  Each distinct (re, im) pattern of ``a``
+    becomes one word ``[re,im]``, and the bracket template of ``a``'s shape
+    takes them in one ``%`` format.
+    """
+    reals, index = _distinct(np.asarray(a, dtype=complex).ravel().view(np.uint64))
+    n = len(reals)
+    pairs, index = _distinct(index[0::2] * n + index[1::2])
+    real_words = []
+    for bits, x in zip(reals.tolist(), reals.view(np.float64).tolist()):
+        if bits not in words:
+            words[bits] = repr(x) if math.isfinite(x) else f'"{x}"'
+        real_words.append(words[bits])
+    pair_words = np.array([f"[{real_words[k // n]},{real_words[k % n]}]" for k in pairs.tolist()],
+                          dtype=object)
+    return _template(a.shape) % tuple(pair_words[index].tolist())
+
+
 def _dumps(obj) -> str:
-    # no indent: an indent forces the pure-Python encoder, many times slower than the C one
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """``obj`` as compact JSON with sorted keys, a complex ndarray written as ``complex_pairs``.
+
+    The C encoder writes ``obj`` with a placeholder string for each array,
+    and ``_array_text`` writes each array in place of its placeholder; a real
+    that several arrays share is formatted once.  A payload string can spell
+    the placeholder, so its count is checked, and a miscount retries with
+    another placeholder.
+    """
+    arrays = []
+
+    def mark(a):
+        if not isinstance(a, np.ndarray):
+            raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
+        arrays.append(a)
+        return placeholder
+
+    for nonce in itertools.count():
+        placeholder = f"\x00ndarray{nonce}"
+        arrays.clear()
+        # no indent: an indent forces the pure-Python encoder, many times slower than the C one
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          check_circular=False, default=mark)
+        parts = text.split(json.dumps(placeholder))
+        if len(parts) == len(arrays) + 1:
+            break
+    words: dict[int, str] = {}
+    pieces = [parts[0]]
+    for a, part in zip(arrays, parts[1:]):
+        pieces += (_array_text(a, words), part)
+    return "".join(pieces)
 
 
 def _nonfinite_as_strings(obj):
@@ -166,25 +239,24 @@ def _cmd_check(alg, args):
 def _cmd_represent(alg, args):
     rep = _run_stage(build_representation, alg)
     # triangular(a) = [[0, kdag(a), l(a)], [0, i(a), k(a)], [0, 0, 0]]
-    mats = {lab: triangular(rep, e) for lab, e in zip(alg.labels, np.eye(alg.dim))}
+    mats = dict(zip(alg.labels, np.stack([triangular(rep, e) for e in np.eye(alg.dim)])))
 
     def payload():
-        # one conversion of every matrix; the quadruples are slices of its nested lists
-        triangulars = dict(zip(mats, complex_pairs(np.stack(list(mats.values())))))
+        # views of one stack: _dumps formats each distinct real of the payload once
         return {
             "hdim": rep.hdim,
             "labels": list(alg.labels),
             "quadruples": [
                 {
                     "label": lab,
-                    "l": M[0][-1],
-                    "k": [row[-1] for row in M[1:-1]],
-                    "kdag": M[0][1:-1],
-                    "i": [row[1:-1] for row in M[1:-1]],
+                    "l": M[0, -1, ...],  # a 0-d view, not a numpy scalar
+                    "k": M[1:-1, -1],
+                    "kdag": M[0, 1:-1],
+                    "i": M[1:-1, 1:-1],
                 }
-                for lab, M in triangulars.items()
+                for lab, M in mats.items()
             ],
-            "triangular": triangulars,
+            "triangular": mats,
         }
 
     def lines():
@@ -322,7 +394,9 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``itoalg`` argument parser, built once per process: ``parse_args`` keeps no state."""
     p = argparse.ArgumentParser(prog="itoalg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

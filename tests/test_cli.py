@@ -6,20 +6,25 @@ intentional output change.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import itoalg as ia
 from itoalg import cli
 from itoalg.adsl import parse, serialize
 from itoalg.cli import main
+from itoalg.core import complex_pairs
 
 from conftest import make_catalog
 
@@ -324,6 +329,20 @@ class TestExitCodes:
         assert code == 1
 
 
+def test_parser_keeps_no_state_between_calls(capsys, ito_files):
+    # one process runs the four commands on its one parser; each prints what a fresh process prints
+    path = ito_files["wiener"]
+    argvs = [["represent", path, "--latex"], ["represent", path, "--json"],
+             ["simulate", path, "--model", "fock", "--t", "0.5"], ["simulate", path, "--model", "fock"]]
+    in_process = [run_cli(capsys, *argv) for argv in argvs]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ia.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for argv, got in zip(argvs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "itoalg.cli", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 class TestCatalogCommand:
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "catalog")
@@ -436,27 +455,103 @@ JSON_COMMANDS = [
 ]
 
 
+# reals whose words are easy to get wrong: signed zeros, non-finite values (NaN of either
+# sign), the smallest subnormal and the largest finite double
+SPECIAL_REALS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+                 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+REALS = st.one_of(st.sampled_from(SPECIAL_REALS), st.floats(width=64))
+COMPLEX_ARRAYS = hnp.arrays(
+    complex, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.builds(complex, REALS, REALS))
+# strings that spell the writer's placeholders, end in one, or hold format characters
+WRITER_STRINGS = ["\x00ndarray0", "\x00ndarray1", '"\x00ndarray0', "\x00ndarray0\"", "%s", "%%", "x"]
+
+
+def stdlib_compact(obj) -> str:
+    """``obj`` as the stdlib encoder writes it compactly, each ndarray as ``complex_pairs``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=complex_pairs)
+
+
+def represent_reference(alg) -> str:
+    """The ``represent --json`` line of ``alg``, built from the library and the stdlib encoder."""
+    rep = ia.build_representation(alg)
+    mats = {lab: complex_pairs(ia.triangular(rep, e)) for lab, e in zip(alg.labels, np.eye(alg.dim))}
+    quadruples = [
+        {"label": lab, "l": M[0][-1], "k": [row[-1] for row in M[1:-1]], "kdag": M[0][1:-1],
+         "i": [row[1:-1] for row in M[1:-1]]}
+        for lab, M in mats.items()
+    ]
+    payload = {"hdim": rep.hdim, "labels": list(alg.labels), "quadruples": quadruples,
+               "triangular": mats}
+    return stdlib_compact(payload) + "\n"
+
+
 class TestJsonWriter:
+    @pytest.fixture
+    def emitted(self, capsys, monkeypatch, ito_files):
+        """Run a ``--json`` command; return its output and the payload callable it emitted."""
+
+        def run(name, command):
+            payloads = []
+            emit = cli._emit
+
+            def recording_emit(as_json, payload, lines):
+                payloads.append(payload)
+                emit(as_json, payload, lines)
+
+            monkeypatch.setattr(cli, "_emit", recording_emit)
+            code, out, err = run_cli(capsys, command[0], ito_files[name], *command[1:], "--json")
+            assert code == 0, err
+            assert out.count("\n") == 1 and out.endswith("\n")
+            [payload] = payloads
+            return out, payload
+
+        return run
+
     @pytest.mark.parametrize("name", FAITHFUL)
     @pytest.mark.parametrize(
         "command", JSON_COMMANDS, ids=["check", "represent", "decompose", "simulate-fock", "norms"]
     )
-    def test_compact_output_parses_to_the_indented_payload(
-        self, capsys, monkeypatch, ito_files, name, command
-    ):
-        payloads = []
-        emit = cli._emit
+    def test_compact_output_parses_to_the_indented_payload(self, emitted, name, command):
+        out, payload = emitted(name, command)
+        indented = json.dumps(payload(), indent=2, sort_keys=True, default=complex_pairs)
+        assert strict_loads(out) == json.loads(indented)
 
-        def recording_emit(as_json, payload, lines):
-            payloads.append(payload)
-            emit(as_json, payload, lines)
+    @pytest.mark.parametrize("name", FAITHFUL)
+    @pytest.mark.parametrize(
+        "command", JSON_COMMANDS, ids=["check", "represent", "decompose", "simulate-fock", "norms"]
+    )
+    def test_compact_output_is_the_stdlib_encoding(self, emitted, name, command):
+        out, payload = emitted(name, command)
+        assert out == stdlib_compact(payload()) + "\n"
 
-        monkeypatch.setattr(cli, "_emit", recording_emit)
-        code, out, err = run_cli(capsys, command[0], ito_files[name], *command[1:], "--json")
-        assert code == 0, err
-        assert out.count("\n") == 1 and out.endswith("\n")
-        [payload] = payloads
-        assert strict_loads(out) == json.loads(json.dumps(payload(), indent=2, sort_keys=True))
+    @settings(max_examples=300, deadline=None)
+    @given(a=COMPLEX_ARRAYS)
+    def test_array_is_the_stdlib_encoding_of_its_pairs(self, a):
+        assert cli._dumps(a) == json.dumps(
+            cli._nonfinite_as_strings(complex_pairs(a)), separators=(",", ":"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays=st.lists(COMPLEX_ARRAYS, min_size=1, max_size=3),
+           strings=st.lists(st.sampled_from(WRITER_STRINGS), max_size=4))
+    def test_payload_is_the_stdlib_encoding(self, arrays, strings):
+        # arrays share values, sit beside strings that spell the placeholders, and key a dict
+        obj = {"arrays": arrays, "strings": strings, "views": [a[..., ::-1] if a.ndim else a for a in arrays],
+               "keyed": dict(zip(strings, arrays))}
+        expected = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                              default=lambda a: cli._nonfinite_as_strings(complex_pairs(a)))
+        assert cli._dumps(obj) == expected
+
+    def test_label_spelling_the_placeholder(self, capsys, tmp_path):
+        # a payload string equal to the writer's first placeholder, or ending in '"' and it
+        labels = ("dt", "\x00ndarray0", '"\x00ndarray0', "%s")
+        alg = dataclasses.replace(ia.hp(1), labels=labels)
+        path = tmp_path / "placeholder.ito"
+        path.write_text(serialize(alg), encoding="utf-8")
+        code, out, err = run_cli(capsys, "represent", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert out == represent_reference(parse(serialize(alg)).algebra)
+        assert strict_loads(out)["labels"] == list(labels)
 
     @pytest.mark.parametrize("name", FAITHFUL)
     def test_quadruples_are_slices_of_the_triangular_matrices(self, capsys, ito_files, name):
