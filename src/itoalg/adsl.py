@@ -39,8 +39,9 @@ exception.  Serialization is canonical (declaration order above, table rows
 lexicographic, reals printed with 17 significant digits), so
 parse(serialize(alg)) reproduces the algebra bit-exactly up to the sign of
 a zero: a -0.0 part is not written and reads back as 0.0.  ``serialize``
-refuses a label or name that this parser would not read back, and a
-structure constant, star entry or state value that is not finite.  It writes
+refuses a basis above the format's capacity of ``MAX_BASIS`` symbols, a
+label or name that this parser would not read back, and a structure
+constant, star entry or state value that is not finite.  It writes
 each table with one ``%`` format: a template assembled from one piece per
 coefficient form and label, and one flat tuple of the reals.
 """
@@ -324,12 +325,13 @@ def _read(lines: list[str]):
                     raise _Fault(0, "duplicate basis declaration")
                 if len(tokens) < 2:
                     raise _Fault(0, "basis needs at least one symbol")
-                if len(tokens) - 1 > MAX_BASIS:
-                    raise _Fault(0, f"basis exceeds the format capacity of {MAX_BASIS} symbols")
-                # the usable symbols are declared even when the line has a fault
+                # the usable symbols are declared even when the line has a fault,
+                # so each later line is checked against them
                 problems = {sym: _symbol_problem(sym) for sym in tokens[1:]}
                 labels = [sym for sym, problem in problems.items() if problem is None]
                 index.update((sym, i) for i, sym in enumerate(labels))
+                if len(tokens) - 1 > MAX_BASIS:
+                    raise _Fault(0, f"basis exceeds the format capacity of {MAX_BASIS} symbols")
                 for k, sym in enumerate(tokens[1:], start=1):
                     if problems[sym] is not None:
                         raise _Fault(k, f"basis symbol {sym!r} {problems[sym]}")
@@ -468,11 +470,14 @@ def serialize(alg: ItoAlgebra) -> str:
     coincide with a basis element within the algebra tolerance (it is snapped
     to that element in the output); everything else round-trips bit-exactly
     up to the sign of a zero part.
-    Every label must pass the ``basis`` line's symbol rule, the name must be
-    one token without ``#``, and every structure constant, star entry and
-    state value must be finite; otherwise this raises ``ValueError``.
+    The basis must fit the format's capacity of ``MAX_BASIS`` symbols, every
+    label must pass the ``basis`` line's symbol rule, the name must be one
+    token without ``#``, and every structure constant, star entry and state
+    value must be finite; otherwise this raises ``ValueError``.
     """
     n, labels = alg.dim, alg.labels
+    if n > MAX_BASIS:
+        raise ValueError(f"a basis of {n} symbols exceeds the format capacity of {MAX_BASIS} symbols")
     eye = np.eye(n, dtype=complex)
     death_hits = np.flatnonzero(np.abs(alg.death - eye).max(axis=1) <= alg.tol)
     if len(death_hits) != 1:

@@ -377,11 +377,10 @@ def _cmd_catalog(args) -> int:
             print(f"{name}({shown})")
         return EXIT_OK
     try:
-        alg = _make_builtin(args.name, args.params)
+        text = serialize(_make_builtin(args.name, args.params))
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    text = serialize(alg)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

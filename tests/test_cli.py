@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -38,6 +39,12 @@ FAITHFUL = sorted(set(make_catalog()) - NON_FAITHFUL)
 EXTRA_TABLES = {
     # a jump of 1e-8 at rate 1e22: 1e22 events per cell at dt = 1, above numpy's Poisson limit
     "oversized_rate": "basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 1e-8 dm + 1e6 dt\n",
+    # a literal that overflows to inf: a parse error at its token
+    "inf_literal": "basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = 1e400 dt\n",
+    # jumps of 0.01 at rate 1e4: 500 events per cell at dt = 0.05, drawn per cell
+    "high_rate": "basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 0.01 dm + 1 dt\n",
+    # 16 weights: 33 symbols, and a representation of mostly zero entries
+    "periodic_wiener16": serialize(ia.periodic_wiener(16, [0.5 + k / 16 for k in range(16)])),
 }
 
 
@@ -211,6 +218,7 @@ class TestExitCodes:
                  "error: line 0, col 0: tol must be finite and nonnegative")
                 for tol in ("nan", "inf", "-1")
             ),
+            (("check", "inf_literal"), 1, "error: line 4, col 13: non-finite coefficient"),
             (
                 ("norms", "wiener", "--element", "1e400 dw"),
                 1,
@@ -226,7 +234,8 @@ class TestExitCodes:
             "fock-t-nan", "fock-t-inf", "fock-ratio-overflow", "classical-t-inf",
             "classical-ratio-overflow", "classical-step-budget", "classical-oversized-rate",
             "classical-seed-negative", "classical-seed-too-large",
-            "check-tol-nan", "check-tol-inf", "check-tol-negative", "norms-inf-coefficient",
+            "check-tol-nan", "check-tol-inf", "check-tol-negative", "check-inf-literal",
+            "norms-inf-coefficient",
             "norms-empty-element",
         ],
     )
@@ -308,6 +317,16 @@ class TestExitCodes:
         assert code == 3
         assert "quotient" in err
 
+    def test_high_rate_table_samples_within_the_time_bound(self, capsys, ito_files):
+        # 10^7 events in 20 steps of 1000 paths, drawn per cell: strict JSON on one line
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", ito_files["high_rate"], "--model", "classical",
+                                 "--dt", "0.05", "--paths", "1000", "--json")
+        assert time.perf_counter() - start <= 20
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1
+        assert strict_loads(out)["kind"] == "classical_paths"
+
     def test_simulate_classical_noncommutative(self, capsys, ito_files):
         code, _, err = run_cli(
             capsys, "simulate", ito_files["hp1"], "--model", "classical",
@@ -361,6 +380,20 @@ class TestCatalogCommand:
         assert code == 0
         assert dest.read_text() == serialize(ia.hp(2))
 
+    @pytest.mark.parametrize(
+        "name, params, code",
+        [*((name, None, 3 if name in NON_FAITHFUL else 0) for name in cli._CATALOG),
+         ("hp", "d=7", 0)],
+        ids=[*cli._CATALOG, "hp-at-capacity"],
+    )
+    def test_emitted_file_checks(self, capsys, tmp_path, name, params, code):
+        # hp(7) has n = 64 = adsl.MAX_BASIS: the coordinate-join axiom check at the format's limit
+        dest = tmp_path / "emitted.ito"
+        argv = ("catalog", "--name", name, *(("--params", params) if params else ()), "-o", str(dest))
+        assert run_cli(capsys, *argv) == (0, "", "")
+        got, _, err = run_cli(capsys, "check", str(dest))
+        assert (got, err) == (code, "")
+
     def test_periodic_wiener_param_list(self, capsys):
         code, out, _ = run_cli(
             capsys, "catalog", "--name", "periodic_wiener", "--params", "K=2,rho=2:3"
@@ -377,17 +410,28 @@ class TestCatalogCommand:
         assert result.ok and result.algebra.same_table(ia.periodic_wiener(1, [0.5]))
 
     @pytest.mark.parametrize(
-        "params, expected",
+        "params, expected, classical",
         [
-            ("of=wiener:poisson", lambda: ia.orthogonal_sum(ia.wiener(), ia.poisson())),
-            ("of=hp:wiener", lambda: ia.orthogonal_sum(ia.hp(1), ia.wiener())),
+            ("of=wiener:poisson", lambda: ia.orthogonal_sum(ia.wiener(), ia.poisson()), 0),
+            ("of=hp:wiener", lambda: ia.orthogonal_sum(ia.hp(1), ia.wiener()), 2),
+            ("of=wiener:poisson:poisson",
+             lambda: ia.orthogonal_sum(ia.orthogonal_sum(ia.wiener(), ia.poisson()), ia.poisson()), 0),
         ],
-        ids=["wiener-poisson", "hp-wiener"],
+        ids=["wiener-poisson", "hp-wiener", "wiener-poisson-poisson"],
     )
-    def test_orthogonal_sum_param_list(self, capsys, params, expected):
-        code, out, err = run_cli(capsys, "catalog", "--name", "orthogonal_sum", "--params", params)
-        assert code == 0, err
-        assert out == serialize(expected())
+    def test_orthogonal_sum_param_list(self, capsys, tmp_path, params, expected, classical):
+        # the sum samples classically when it is commutative: strict JSON on one line
+        dest = tmp_path / "sum.ito"
+        assert run_cli(capsys, "catalog", "--name", "orthogonal_sum", "--params", params,
+                       "-o", str(dest)) == (0, "", "")
+        assert dest.read_text(encoding="utf-8") == serialize(expected())
+        assert run_cli(capsys, "check", str(dest))[0] == 0
+        code, out, err = run_cli(capsys, "simulate", str(dest), "--model", "classical",
+                                 "--paths", "1000", "--json")
+        assert code == classical, err
+        if code == 0:
+            assert err == "" and out.count("\n") == 1
+            assert strict_loads(out)["kind"] == "classical_paths"
 
     @pytest.mark.parametrize(
         "name, params, message",
@@ -395,14 +439,18 @@ class TestCatalogCommand:
             ("hp", "d=2.5", "error: invalid literal for int() with base 10: '2.5'"),
             ("group_levy", "group=q3", "error: unknown group 'q3' (use sN or zN)"),
             ("orthogonal_sum", "of=wiener:nope", "error: unknown builtin 'nope'"),
+            ("hp", "d=8", "error: a basis of 81 symbols exceeds the format capacity of 64 symbols"),
         ],
-        ids=["int-param-as-float", "unknown-group", "unknown-summand"],
+        ids=["int-param-as-float", "unknown-group", "unknown-summand", "hp-over-capacity"],
     )
-    def test_bad_param_exits_1_with_one_line(self, capsys, name, params, message):
-        code, out, err = run_cli(capsys, "catalog", "--name", name, "--params", params)
+    def test_bad_param_exits_1_with_one_line(self, capsys, tmp_path, name, params, message):
+        # a refused builtin writes no file, not even one that check would reject
+        dest = tmp_path / "refused.ito"
+        code, out, err = run_cli(capsys, "catalog", "--name", name, "--params", params, "-o", str(dest))
         assert code == 1
         assert out == ""
         assert err == message + "\n"
+        assert not dest.exists()
 
     def test_group_levy_param(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "--name", "group_levy", "--params", "group=z2")
@@ -418,7 +466,8 @@ class TestCatalogCommand:
         code, out, err = run_cli(capsys, "simulate", str(dest), "--model", "classical",
                                  "--paths", "1000", "--json")
         assert (code, err) == (0, "")
-        assert json.loads(out)["kind"] == "classical_paths"
+        assert out.count("\n") == 1
+        assert strict_loads(out)["kind"] == "classical_paths"
 
 
 class TestNorms:
@@ -517,13 +566,16 @@ class TestJsonWriter:
         indented = json.dumps(payload(), indent=2, sort_keys=True, default=complex_pairs)
         assert strict_loads(out) == json.loads(indented)
 
-    @pytest.mark.parametrize("name", FAITHFUL)
+    @pytest.mark.parametrize("name", [*FAITHFUL, "periodic_wiener16"])
     @pytest.mark.parametrize(
         "command", JSON_COMMANDS, ids=["check", "represent", "decompose", "simulate-fock", "norms"]
     )
-    def test_compact_output_is_the_stdlib_encoding(self, emitted, name, command):
+    def test_compact_output_is_the_stdlib_encoding(self, emitted, ito_files, name, command):
         out, payload = emitted(name, command)
         assert out == stdlib_compact(payload()) + "\n"
+        if command == ("represent",):  # and the library's matrices, byte for byte
+            text = Path(ito_files[name]).read_text(encoding="utf-8")
+            assert out == represent_reference(parse(text).algebra)
 
     @settings(max_examples=300, deadline=None)
     @given(a=COMPLEX_ARRAYS)

@@ -211,6 +211,13 @@ class TestBStar:
         assert seminorms(rep, d).op ** 2 == 0.0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the floor of 1 in core.cutoff is absolute, so the Gram eigenvalue "
+    "1e-10 of this faithful table is cut as noise and hdim is 1"))
+def test_tiny_weight_keeps_its_hdim():
+    assert build_representation(ia.periodic_wiener(1, [1e-10])).hdim == 2
+
+
 class TestErrors:
     def test_non_faithful_rejected(self):
         with pytest.raises(NonFaithfulError, match="quotient"):
