@@ -44,13 +44,19 @@ star joins, where ``out_m``, ``first_m`` and ``second_m`` count the
 nonzero ``c`` entries with ``m`` as output, first or second index and
 ``srow_m`` the nonzero entries of row ``m`` of ``S``.  The path rule
 ``_use_join``, decided from the table before any work, takes the join when
-``100 * P <= n^5`` and ``P <= 2^21``.  One join pair costs 110 to 130
-dense multiply-adds (about 130 ns against 1.0 ns on a rotated hp(4), one
-OpenBLAS thread of a 2-vCPU x86-64 machine).  At about 52 bytes per pair,
-the largest pair arrays the rule allows hold about 100 MiB.  The builtin ladder
-tables hp(2..7), group_levy(S4), thermal_matrix(5) and periodic_wiener(16)
-have ``P / n^5 <= 0.0032`` and take the join.  A table on a random basis
-keeps the matmuls: a filled one has ``P / n^5`` from 2.0 to 2.7, and the
+``100 * P <= n^5``.  One join pair costs 110 to 130 dense multiply-adds
+(about 130 ns against 1.0 ns on a rotated hp(4), one OpenBLAS thread of a
+2-vCPU x86-64 machine).  The join runs over consecutive first factors ``i``
+in chunks of at most ``_JOIN_MAX_PAIRS = 2^21`` pairs, about 100 MiB at 52
+bytes per pair; a single ``i`` with more pairs is a chunk of its own, and
+the star's ``a_j* a_q`` terms are built once and shared by the chunks.
+Every key holds its ``i``, so the residuals are the same bits for any
+chunking.  group_levy(S5) (n = 121, P = 3.5e6) takes two chunks: 0.5 s and
+268 MB peak RSS for the whole build, where the dense path took 14.1 s and
+the join in one piece 387 MB.  The builtin ladder tables hp(2..7),
+group_levy(S4), thermal_matrix(5) and periodic_wiener(16) have
+``P / n^5 <= 0.0032`` and take the join.  A table on a random basis keeps
+the matmuls: a filled one has ``P / n^5`` from 2.0 to 2.7, and the
 block-sparse rotated periodic_wiener(8) has 0.049.
 
 Two derived objects are cached on each algebra, which is frozen with
@@ -508,13 +514,14 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-# The path rule of verify_axioms; the module docstring gives the measurement.
+# The path rule of verify_axioms and the join's chunk size; the module docstring
+# gives the measurement.
 _JOIN_COST = 100
 _JOIN_MAX_PAIRS = 1 << 21
 
 
 def _use_join(c: np.ndarray, S: np.ndarray) -> bool:
-    """The path rule: the coordinate join when its pairs cost less than ``n^5`` and fit in memory."""
+    """The path rule: the coordinate join when its pairs cost less than ``n^5`` dense multiply-adds."""
     n = c.shape[0]
     nz = c != 0                    # NaN counts as nonzero
     first, second, out = nz.sum(axis=(1, 2)), nz.sum(axis=(0, 2)), nz.sum(axis=(0, 1))
@@ -522,7 +529,33 @@ def _use_join(c: np.ndarray, S: np.ndarray) -> bool:
     srow, scol = snz.sum(axis=1), snz.sum(axis=0)
     via = scol @ nz.sum(axis=2)    # terms S[j,p] c[p,q,r] with second index q
     pairs = int(out @ (first + second + srow) + scol @ first + scol @ via)
-    return _JOIN_COST * pairs <= n**5 and pairs <= _JOIN_MAX_PAIRS
+    return _JOIN_COST * pairs <= n**5
+
+
+def _pairs_per_factor(I, J, M, si, sk, n: int) -> np.ndarray:
+    """The pairs of ``_join_contractions`` keyed by each first factor ``i``.
+
+    ``(I, J, M)`` and ``(si, sk)`` are the nonzero coordinates of ``c`` and
+    ``S``; the star's ``a_j* a_q`` terms, which every ``i`` shares, are not counted.
+    """
+    first, out, srow, scol = (np.bincount(x, minlength=n) for x in (I, M, si, sk))
+    via = np.bincount(J, scol[I], minlength=n)   # terms S[j,p] c[p,q,r] with second index q
+    return (np.bincount(I, first[M] + out[J] + srow[M], minlength=n)
+            + np.bincount(si, via[sk], minlength=n))
+
+
+def _chunks(weights: np.ndarray, cap: int):
+    """Consecutive ranges ``[start, stop)`` whose weights add up to at most ``cap``.
+
+    A range holds at least one index, so one index heavier than ``cap`` is a range of its own.
+    """
+    start, total = 0, 0
+    for i, w in enumerate(weights.tolist()):
+        if total + w > cap and i > start:
+            yield start, i
+            start, total = i, 0
+        total += w
+    yield start, len(weights)
 
 
 def _join(left: np.ndarray, right: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -536,49 +569,64 @@ def _join(left: np.ndarray, right: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return p, order[np.arange(p.size) + np.repeat(shift, per_p)]
 
 
-def _keyed_residuals(lhs, rhs, block: int, blocks: int) -> np.ndarray:
-    """``rel_residual`` of each key block of two sparse tensors.
+def _keyed_maxima(lhs, rhs, block: int, num: np.ndarray, scale: np.ndarray) -> None:
+    """Fold two sparse tensors into the per-block maxima of ``rel_residual``.
 
     ``lhs`` and ``rhs`` are ``(keys, values)`` term lists whose equal keys
     add up; block ``b`` holds the keys in ``[b * block, (b + 1) * block)``.
-    A key on neither side is 0 on both and changes no residual.
+    ``num[b]`` and ``scale[b]`` take the largest ``|lhs - rhs|`` and the
+    largest ``|lhs|``, ``|rhs|`` of block ``b``; the residual of block ``b``
+    is ``num[b] / max(scale[b], 1)``.  A key on neither side is 0 on both
+    and changes no residual.
     """
     keys, inverse = np.unique(np.concatenate([lhs[0], rhs[0]]), return_inverse=True)
     sums = np.zeros((2, keys.size), dtype=complex)
     np.add.at(sums[0], inverse[: lhs[0].size], lhs[1])
     np.add.at(sums[1], inverse[lhs[0].size:], rhs[1])
-    num, scale = np.zeros(blocks), np.zeros(blocks)
     np.maximum.at(num, keys // block, np.abs(sums[0] - sums[1]))
     np.maximum.at(scale, keys // block, np.abs(sums).max(axis=0, initial=0.0))
-    return num / np.maximum(scale, 1.0)
 
 
 def _join_contractions(c: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-``i`` associativity residuals and the anti-multiplicativity residual, by join."""
+    """Per-``i`` associativity residuals and the anti-multiplicativity residual, by join.
+
+    The first factors ``i`` go in consecutive chunks of at most
+    ``_JOIN_MAX_PAIRS`` pairs (``_chunks``).  Every key holds its first factor,
+    so each chunk's keys are complete, and a chunk is a contiguous slice of the
+    sorted coordinates, so each key adds its terms in the same order for any
+    chunking: the residuals are the same bits.
+    """
     n = c.shape[0]
     I, J, M = np.nonzero(c)
     v = c[I, J, M]
     si, sk = np.nonzero(S)
     s = S[si, sk]
     # A non-finite entry without join partners would drop out of every sum.
-    finite_c = bool(np.all(np.isfinite(v)))
-    if not finite_c:
-        assoc = np.full(n, np.nan)
-    else:
-        p, q = _join(M, I, n)   # (a_i a_j) a_k: c[i,j,m] c[m,k,r]
-        lhs = (((I[p] * n + J[p]) * n + J[q]) * n + M[q], v[p] * v[q])
-        p, q = _join(J, M, n)   # a_i (a_j a_k): c[i,m,r] c[j,k,m]
-        rhs = (((I[p] * n + I[q]) * n + J[q]) * n + M[p], v[p] * v[q])
-        assoc = _keyed_residuals(lhs, rhs, n**3, n)
-    if not (finite_c and np.all(np.isfinite(s))):
-        return assoc, np.nan
-    p, q = _join(M, si, n)    # (a_i a_j)* = sum conj(c[i,j,m]) S[m,r] a_r
-    lhs = ((I[p] * n + J[p]) * n + sk[q], np.conj(v[p]) * s[q])
-    p, q = _join(sk, I, n)    # a_j* a_q = sum S[j,p] c[p,q,r] a_r, as terms t
-    tj, tq, tr, tv = si[p], J[q], M[q], s[p] * v[q]
-    p, q = _join(sk, tq, n)   # a_j* a_i* = sum S[i,q] t[j,q,r]
-    rhs = ((si[p] * n + tj[q]) * n + tr[q], s[p] * tv[q])
-    return assoc, float(_keyed_residuals(lhs, rhs, n**3, 1)[0])
+    if not np.all(np.isfinite(v)):
+        return np.full(n, np.nan), np.nan
+    finite_s = bool(np.all(np.isfinite(s)))
+    if finite_s:
+        p, q = _join(sk, I, n)    # a_j* a_q = sum S[j,p] c[p,q,r] a_r, as terms t
+        tj, tq, tr, tv = si[p], J[q], M[q], s[p] * v[q]
+    # rows: associativity per i, anti-multiplicativity per i (one residual over all i)
+    num, scale = np.zeros((2, n)), np.zeros((2, n))
+    for lo, hi in _chunks(_pairs_per_factor(I, J, M, si, sk, n), _JOIN_MAX_PAIRS):
+        a, b = np.searchsorted(I, (lo, hi))   # the entries c[i, ., .] with lo <= i < hi
+        Ic, Jc, Mc, vc = I[a:b], J[a:b], M[a:b], v[a:b]
+        p, q = _join(Mc, I, n)    # (a_i a_j) a_k: c[i,j,m] c[m,k,r]
+        lhs = (((Ic[p] * n + Jc[p]) * n + J[q]) * n + M[q], vc[p] * v[q])
+        p, q = _join(Jc, M, n)    # a_i (a_j a_k): c[i,m,r] c[j,k,m]
+        rhs = (((Ic[p] * n + I[q]) * n + J[q]) * n + Mc[p], vc[p] * v[q])
+        _keyed_maxima(lhs, rhs, n**3, num[0], scale[0])
+        if finite_s:
+            p, q = _join(Mc, si, n)   # (a_i a_j)* = sum conj(c[i,j,m]) S[m,r] a_r
+            lhs = ((Ic[p] * n + Jc[p]) * n + sk[q], np.conj(vc[p]) * s[q])
+            a, b = np.searchsorted(si, (lo, hi))   # the entries S[i, .] with lo <= i < hi
+            p, q = _join(sk[a:b], tq, n)   # a_j* a_i* = sum S[i,q] t[j,q,r]
+            rhs = ((si[a:b][p] * n + tj[q]) * n + tr[q], s[a:b][p] * tv[q])
+            _keyed_maxima(lhs, rhs, n**2, num[1], scale[1])
+    antimult = num[1].max() / np.maximum(scale[1].max(), 1.0) if finite_s else np.nan
+    return num[0] / np.maximum(scale[0], 1.0), float(antimult)
 
 
 def _dense_contractions(alg: ItoAlgebra) -> tuple[np.ndarray, float]:

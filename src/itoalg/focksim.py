@@ -372,25 +372,29 @@ def classical_paths(
     compensated Poisson counts of the jump atoms (``_levy_khinchin``) drive
     the Levy components.
 
-    Draw order: the Gaussian block g comes from one Philox stream keyed by
-    ``seed``.  Jump atom j with lam_j = rate_j * dt <= 1 draws the total of
-    each step, Poisson(lam_j n_paths), from that stream jumped 1 + j times and
-    the paths of its events from the stream jumped 1 + na + j times; with
-    lam_j > 1 it draws a count per cell (step, path) from stream 1 + j.  Each
-    stream is read step by step, so the draws are the same numbers for any
-    chunking.  A cell without an event holds the constant c0 = -jumps . lam,
-    so every sum is a closed form over the empty cells plus the exact values
-    at the event cells: the Levy rows are never dense.  The Brownian sums come
-    from one stacked Gram [g; g∘g][1; g; g∘g]^T per step, and every running
-    sum takes its steps in order, so the report is bit-identical for every
-    CHUNK_BUDGET.  Steps go in chunks of max(1, CHUNK_BUDGET // (n_paths * w))
-    for w = 1 + 3 nb doubles per cell plus, per cell, sum_j min(lam_j, 1)
-    event entries of 9 + 2 nc + na doubles each: memory is a few chunks of
-    CHUNK_BUDGET doubles plus O(n_paths * nc), whatever n_steps and the rates
-    are.  At most MAX_SAMPLES = 2**53 samples n_paths * n_steps are taken, the
-    largest count a float divisor holds exactly; more is an AlgebraError (CLI
-    exit 2), raised before any work.  So is a mean count per cell above
-    MAX_POISSON_MEAN (about 9.2e18), numpy's Poisson limit, raised before any draw.
+    Draw order: the 1 + 2 na streams are SFC64 generators on the children of
+    ``SeedSequence(seed).spawn(1 + 2 na)``.  Stream 0 gives each step's
+    normals z as one (nb, n_paths) block, and g = chol sqrt(dt) z.  Jump atom
+    j with lam_j = rate_j * dt <= 1 draws the total of each step,
+    Poisson(lam_j n_paths), from stream 1 + j and the paths of its events
+    from stream 1 + na + j; with lam_j > 1 it draws a count per cell (step,
+    path) from stream 1 + j.  Each stream is read step by step, so the draws
+    are the same numbers for any chunking.  A cell without an event holds
+    the constant c0 = -jumps . lam, so every sum is a closed form over the
+    empty cells plus the exact values at the event cells: the Levy rows are
+    never dense.  The Brownian sums come from one stacked Gram
+    [g; g∘g][1; g; g∘g]^T per step, and every running sum takes its steps in
+    order, so the report is bit-identical for every CHUNK_BUDGET.  Steps go
+    in chunks of max(1, CHUNK_BUDGET // (n_paths * w)) for w = 1 + 3 nb
+    doubles per cell plus, per cell, sum_j min(lam_j, 1) event entries of
+    9 + 2 nc + na doubles each; the normals and rows of a chunk are two
+    buffers allocated once.  Memory is a few chunks of CHUNK_BUDGET doubles
+    plus O(n_paths * nc), whatever n_steps and the rates are.  At most
+    MAX_SAMPLES = 2**53 samples n_paths * n_steps are taken, the largest
+    count a float divisor holds exactly; more is an AlgebraError (CLI exit 2),
+    raised before any work.  So is a mean count per cell above
+    MAX_POISSON_MEAN (about 9.2e18), numpy's Poisson limit, raised before
+    any draw.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -427,26 +431,29 @@ def classical_paths(
             f"sampler's limit {MAX_POISSON_MEAN:.3g}; take a smaller dt"
         )
     empty = -(jumps @ lam)  # c0, the Levy value of a cell with no event
-    gens = [np.random.Generator(np.random.Philox(key=seed).jumped(j)) for j in range(1 + 2 * na)]
+    gens = [np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence(seed).spawn(1 + 2 * na)]
     gram = np.zeros((r - 1, r))  # sums over every cell of [g; g∘g][1; g; g∘g]^T
     # sums over the event cells of u u^T, u = [1; g; g∘g; x; x∘x]
     gram_ev = np.zeros((r + 2 * nz,) * 2)
     totals = np.zeros((nc, n_paths))
     occupied = np.zeros(n_paths, dtype=np.int64)  # event cells per path
-    root = np.sqrt(dt_eff)
+    scaled = chol * np.sqrt(dt_eff)  # g = scaled @ z has covariance moments * dt per step
     # doubles held per cell: normals and rows, plus the arrays of each event
     # entry; an atom has at most one entry per cell and min(lam, 1) on average
     width = 1 + 3 * nb + float(np.minimum(lam, 1.0).sum()) * (9 + 2 * nc + na)
     chunk = max(1, int(CHUNK_BUDGET // (n_paths * width)))
-    for first in range(0, n_steps if nc else 0, chunk):  # no components, no draws
+    drawn = n_steps if nc else 0  # no components, no draws
+    # a chunk's normals and its step-major rows [1; g; g∘g], allocated once
+    z = np.empty((min(chunk, drawn), nb, n_paths))
+    buf = np.empty((len(z), r, n_paths))
+    buf[:, 0] = 1.0
+    for first in range(0, drawn, chunk):
         k = min(chunk, n_steps - first)
-        rows = np.empty((k, r, n_paths))  # step-major [1; g; g∘g]
-        rows[:, 0] = 1.0
+        rows = buf[:k]
         if nb:
-            g = rows[:, 1 : 1 + nb]
-            np.matmul(chol, gens[0].standard_normal((k, n_paths, nb)).swapaxes(1, 2), out=g)
-            g *= root
-            np.square(g, out=rows[:, 1 + nb :])
+            np.matmul(scaled, gens[0].standard_normal(out=z[:k]), out=rows[:, 1 : 1 + nb])
+            np.square(rows[:, 1 : 1 + nb], out=rows[:, 1 + nb :])
         # one Gram per step, the same numbers for any k; two distinct views make
         # numpy call gemm, which is 7x faster than syrk at this shape
         grams = rows[:, 1:] @ rows.swapaxes(1, 2)
@@ -468,6 +475,7 @@ def classical_paths(
         np.add.at(occupied, path, 1)
         for q in range(nz):
             np.add.at(totals[nb + q], path, x[:, q])
+    del z  # freed before the closed forms below, whose temporaries are the peak
 
     n_samples = n_paths * n_steps
     totals[nb:] += np.outer(empty, n_steps - occupied)  # the cells with no event hold c0

@@ -191,11 +191,13 @@ def ref_classical_paths(
     """Reference sampler: one draw and one (n_paths, nc, nc) outer product per step.
 
     The step-by-step loop that ``focksim.classical_paths`` replaced by chunks
-    of steps and sums over the jump events.  It consumes the same Philox
-    streams in the same order: each step of component j draws its total
-    Poisson(lam n_paths) from stream 1 + j and the paths of its events from
-    stream 1 + nz + j, expanded to dense counts with ``np.bincount``; a rate
-    above one jump per cell draws the counts per cell from stream 1 + j.
+    of steps and sums over the jump events.  It consumes the same SFC64
+    streams, spawned from ``SeedSequence(seed)``, in the same order: each
+    step draws its normals as one (nb, n_paths) block from stream 0, and
+    each step of component j draws its total Poisson(lam n_paths) from
+    stream 1 + j and the paths of its events from stream 1 + nz + j,
+    expanded to dense counts with ``np.bincount``; a rate above one jump per
+    cell draws the counts per cell from stream 1 + j.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -260,7 +262,8 @@ def ref_classical_paths(
     ] + [_component_label(alg, v, f"z{j}") for j, v in enumerate(levy)]
 
     gens = [
-        np.random.Generator(np.random.Philox(key=seed).jumped(task)) for task in range(1 + 2 * nz)
+        np.random.Generator(np.random.SFC64(child))
+        for child in np.random.SeedSequence(seed).spawn(1 + 2 * nz)
     ]
     totals = np.zeros((n_paths, nc))
     pair_sum = np.zeros((nc, nc))
@@ -269,7 +272,7 @@ def ref_classical_paths(
     for _ in range(n_steps):
         cols = []
         if nb:
-            cols.append(gens[0].standard_normal((n_paths, nb)) @ chol.T * root)
+            cols.append((chol @ gens[0].standard_normal((nb, n_paths))).T * root)
         for j in range(nz):
             lam = intensity[j] * dt_eff
             if lam > 1:

@@ -66,6 +66,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv, **env):
+    """``python -m itoalg.cli *argv`` in a new process that imports this itoalg, with ``env`` set."""
+    path = os.pathsep.join(
+        [str(Path(ia.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-m", "itoalg.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path, **env), check=False)
+
+
 def normalize(obj):
     """Round floats and drop timing fields so goldens are stable."""
     if isinstance(obj, dict):
@@ -354,12 +362,23 @@ def test_parser_keeps_no_state_between_calls(capsys, ito_files):
     argvs = [["represent", path, "--latex"], ["represent", path, "--json"],
              ["simulate", path, "--model", "fock", "--t", "0.5"], ["simulate", path, "--model", "fock"]]
     in_process = [run_cli(capsys, *argv) for argv in argvs]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(ia.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
     for argv, got in zip(argvs, in_process):
-        fresh = subprocess.run([sys.executable, "-m", "itoalg.cli", *argv],
-                               capture_output=True, text=True, env=env, check=False)
+        fresh = run_fresh(*argv)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_classical_sampler_does_not_depend_on_the_hash_seed(ito_files):
+    # the streams come from the seed alone: two processes with different string hashing agree
+    argv = ("simulate", ito_files["wiener+poisson"], "--model", "classical", "--json")
+    reports = []
+    for hash_seed in ("1", "2"):
+        fresh = run_fresh(*argv, PYTHONHASHSEED=hash_seed)
+        assert fresh.returncode == 0, fresh.stderr
+        report = json.loads(fresh.stdout)
+        del report["runtime_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["estimates"]
 
 
 class TestCatalogCommand:

@@ -389,6 +389,17 @@ WPP = ia.orthogonal_sum(ia.orthogonal_sum(ia.wiener(), ia.poisson()), ia.poisson
 HIGH_RATE = ia.parse("basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 0.01 dm + 1 dt\n").algebra
 # jumps of 0.5 at rate 18: 0.9 events per cell at dt = 0.05, so a few paths share cells
 CROWDED = ia.parse("basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 0.5 dm + 4.5 dt\n").algebra
+# two Brownian components with covariance [[1, 0.6], [0.6, 2]]: an off-diagonal Cholesky entry
+CORRELATED = ia.parse(
+    "basis dt a b\ndeath dt\nstate dt = 1\n"
+    "mul a a = 1 dt\nmul a b = 0.6 dt\nmul b a = 0.6 dt\nmul b b = 2 dt\n"
+).algebra
+
+
+def streams(seed: int, count: int) -> list[np.random.Generator]:
+    """The sampler's streams: SFC64 generators on the children of ``SeedSequence(seed)``."""
+    return [np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence(seed).spawn(count)]
 
 
 def state_of_power(alg, x: np.ndarray, m: int) -> float:
@@ -561,12 +572,13 @@ class TestClassicalPaths:
             ("wpp", 1000, 2 * (CHUNK_BUDGET // 3000) + 7),  # two full chunks and a short one
             ("crowded", 4, 20),                      # several events in one cell
             ("high_rate", 500, 20),                  # counts per cell
+            ("correlated", 3000, 50),                # a correlated Brownian pair
         ],
         ids=["wiener", "poisson", "newton", "wpp-one-step-chunks", "wpp-ragged-chunks",
-             "crowded", "high-rate"],
+             "crowded", "high-rate", "correlated"],
     )
     def test_chunks_match_the_step_by_step_sampler(self, name, n_paths, n_steps):
-        tables = {"wpp": WPP, "crowded": CROWDED, "high_rate": HIGH_RATE}
+        tables = {"wpp": WPP, "crowded": CROWDED, "high_rate": HIGH_RATE, "correlated": CORRELATED}
         alg = tables[name] if name in tables else getattr(ia, name)()
         args = (alg, 1.0, 1.0 / n_steps, n_paths, 2024)
         got, ref = classical_paths(*args), ref_classical_paths(*args)
@@ -583,12 +595,11 @@ class TestClassicalPaths:
         # the crowded table puts 0.9 * 4 events per step on 4 paths
         _, _, _, rates = focksim._levy_khinchin(decompose(CROWDED))
         lam = rates * 0.05
-        gens = [np.random.Generator(np.random.Philox(key=3).jumped(j)) for j in range(3)]
-        cell, counts = focksim._jump_events(gens, lam, 20, 4)
+        cell, counts = focksim._jump_events(streams(3, 3), lam, 20, 4)
         assert counts.max() >= 3
         dense = np.zeros(20 * 4)
         dense[cell] = counts[0]
-        gens = [np.random.Generator(np.random.Philox(key=3).jumped(j)) for j in range(3)]
+        gens = streams(3, 3)
         events = [gens[2].integers(0, 4, gens[1].poisson(lam[0] * 4)) + 4 * s for s in range(20)]
         assert np.array_equal(dense, np.bincount(np.concatenate(events), minlength=80))
 
@@ -620,6 +631,12 @@ class TestClassicalPaths:
         monkeypatch.undo()
         assert abs(rpt.estimate("var[dm]").value - 1.0) <= 5 * rpt.estimate("var[dm]").stderr
         assert all(abs(z) > 5 for z in jump_law_misfit(WPP, rpt))
+
+    def test_correlated_brownian_pair_meets_its_targets(self):
+        rpt = classical_paths(CORRELATED, 1.0, 0.05, 20_000, 9)
+        assert rpt.estimate("cov[a,b]").target == pytest.approx(0.6)
+        for e in rpt.estimates:
+            assert abs(e.value - e.target) <= 5 * e.stderr, e.name
 
     def test_high_rate_small_jumps_meet_their_targets(self):
         rpt = classical_paths(HIGH_RATE, 1.0, 0.05, 20_000, 8)

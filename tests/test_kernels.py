@@ -230,6 +230,8 @@ RULE_CASES = {
     "group_levy_s4": (lambda: ia.group_levy(ia.symmetric_group(4)), "join"),
     "thermal_matrix5": (lambda: ia.thermal_matrix(5, np.linspace(0.5, 2.0, 5)), "join"),
     "periodic_wiener16": (lambda: ia.periodic_wiener(16, np.linspace(0.5, 2.0, 16)), "join"),
+    # 3,528,360 pairs against n^5 = 2.6e10: the join, in chunks of _JOIN_MAX_PAIRS
+    "group_levy_s5": (lambda: ia.group_levy(ia.symmetric_group(5)), "join"),
     "rot_hp4": (lambda: rotate(ia.hp(4), 7), "dense"),
     "rot_group_levy_s4": (lambda: rotate(ia.group_levy(ia.symmetric_group(4)), 8), "dense"),
 }
@@ -240,6 +242,45 @@ def test_path_rule_decision(name):
     build, path = RULE_CASES[name]
     alg = build()
     assert core._use_join(alg.mult, alg.star) == (path == "join")
+
+
+def pairs_per_factor(alg: ia.ItoAlgebra) -> np.ndarray:
+    return core._pairs_per_factor(*np.nonzero(alg.mult), *np.nonzero(alg.star), alg.dim)
+
+
+def test_s5_join_takes_chunks():
+    alg = ia.group_levy(ia.symmetric_group(5))
+    per_i = pairs_per_factor(alg)
+    assert per_i.sum() > core._JOIN_MAX_PAIRS
+    assert len(list(core._chunks(per_i, core._JOIN_MAX_PAIRS))) >= 2
+
+
+def _bent(alg: ia.ItoAlgebra, field: str, value) -> ia.ItoAlgebra:
+    """``alg`` with ``value`` added to the first nonzero entry of ``field`` past its middle."""
+    arr = getattr(alg, field).copy()
+    flat = np.flatnonzero(arr)
+    arr.flat[flat[flat.size // 2]] += value
+    return replace(alg, **{field: arr})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ia.hp(3),
+    lambda: ia.group_levy(ia.symmetric_group(4)),
+    lambda: _bent(ia.group_levy(ia.symmetric_group(4)), "mult", 1e-3),  # nonzero residuals
+    lambda: _bent(ia.hp(3), "star", np.nan),
+], ids=["hp3", "s4", "s4_bent", "nan_star"])
+def test_join_chunks_give_the_same_bits(monkeypatch, build):
+    alg = build()
+    per_i = pairs_per_factor(alg)
+    whole = core._join_contractions(alg.mult, alg.star)
+    chunks, chunker = [], core._chunks
+    monkeypatch.setattr(core, "_chunks", lambda w, cap: chunks.extend(chunker(w, cap)) or chunks)
+    monkeypatch.setattr(core, "_JOIN_MAX_PAIRS", int(per_i.sum()) // 5)
+    assoc, antimult = core._join_contractions(alg.mult, alg.star)
+    assert len(chunks) >= 3
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]] and chunks[-1][1] == alg.dim
+    assert assoc.tobytes() == whole[0].tobytes()
+    assert np.float64(antimult).tobytes() == np.float64(whole[1]).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
