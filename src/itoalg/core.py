@@ -43,7 +43,9 @@ forms, ``P = sum_m out_m (first_m + second_m + srow_m)`` plus the two
 star joins, where ``out_m``, ``first_m`` and ``second_m`` count the
 nonzero ``c`` entries with ``m`` as output, first or second index and
 ``srow_m`` the nonzero entries of row ``m`` of ``S``.  The path rule
-``_use_join``, decided from the table before any work, takes the join when
+``_contractions`` counts ``P`` once, before any work, from the join's own
+coordinates: the per-factor counts of ``_pairs_per_factor``, which also size
+the join's chunks, plus the star's shared pairs.  It takes the join when
 ``100 * P <= n^5``.  One join pair costs 110 to 130 dense multiply-adds
 (about 130 ns against 1.0 ns on a rotated hp(4), one OpenBLAS thread of a
 2-vCPU x86-64 machine).  The join runs over consecutive first factors ``i``
@@ -520,16 +522,21 @@ _JOIN_COST = 100
 _JOIN_MAX_PAIRS = 1 << 21
 
 
-def _use_join(c: np.ndarray, S: np.ndarray) -> bool:
-    """The path rule: the coordinate join when its pairs cost less than ``n^5`` dense multiply-adds."""
-    n = c.shape[0]
-    nz = c != 0                    # NaN counts as nonzero
-    first, second, out = nz.sum(axis=(1, 2)), nz.sum(axis=(0, 2)), nz.sum(axis=(0, 1))
-    snz = S != 0
-    srow, scol = snz.sum(axis=1), snz.sum(axis=0)
-    via = scol @ nz.sum(axis=2)    # terms S[j,p] c[p,q,r] with second index q
-    pairs = int(out @ (first + second + srow) + scol @ first + scol @ via)
-    return _JOIN_COST * pairs <= n**5
+def _contractions(alg: ItoAlgebra) -> tuple[np.ndarray, float]:
+    """Per-``i`` associativity residuals and the anti-multiplicativity residual, by the cheaper path.
+
+    The path rule: the coordinate join when its pairs, the per-factor counts
+    that also size its chunks plus the star's shared ``a_j* a_q`` pairs, cost
+    at most ``n^5`` dense multiply-adds.
+    """
+    c, S, n = alg.mult, alg.star, alg.dim
+    coords = (*np.nonzero(c), *np.nonzero(S))   # I, J, M, si, sk; NaN counts as nonzero
+    per_i = _pairs_per_factor(*coords, n)
+    shared = np.bincount(coords[0], minlength=n)[coords[4]].sum()
+    if _JOIN_COST * (int(per_i.sum()) + int(shared)) <= n**5:
+        return _join_contractions(c, S, coords, per_i)
+    del coords, per_i   # the dense path needs neither
+    return _dense_contractions(alg)
 
 
 def _pairs_per_factor(I, J, M, si, sk, n: int) -> np.ndarray:
@@ -587,19 +594,20 @@ def _keyed_maxima(lhs, rhs, block: int, num: np.ndarray, scale: np.ndarray) -> N
     np.maximum.at(scale, keys // block, np.abs(sums).max(axis=0, initial=0.0))
 
 
-def _join_contractions(c: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, float]:
+def _join_contractions(c: np.ndarray, S: np.ndarray, coords, per_i: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-``i`` associativity residuals and the anti-multiplicativity residual, by join.
 
-    The first factors ``i`` go in consecutive chunks of at most
-    ``_JOIN_MAX_PAIRS`` pairs (``_chunks``).  Every key holds its first factor,
-    so each chunk's keys are complete, and a chunk is a contiguous slice of the
-    sorted coordinates, so each key adds its terms in the same order for any
-    chunking: the residuals are the same bits.
+    ``coords`` are the nonzero coordinates ``(I, J, M, si, sk)`` of ``c`` and
+    ``S``, and ``per_i`` their ``_pairs_per_factor``.  The first factors ``i``
+    go in consecutive chunks of at most ``_JOIN_MAX_PAIRS`` pairs
+    (``_chunks``).  Every key holds its first factor, so each chunk's keys are
+    complete, and a chunk is a contiguous slice of the sorted coordinates, so
+    each key adds its terms in the same order for any chunking: the residuals
+    are the same bits.
     """
     n = c.shape[0]
-    I, J, M = np.nonzero(c)
+    I, J, M, si, sk = coords
     v = c[I, J, M]
-    si, sk = np.nonzero(S)
     s = S[si, sk]
     # A non-finite entry without join partners would drop out of every sum.
     if not np.all(np.isfinite(v)):
@@ -610,7 +618,7 @@ def _join_contractions(c: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, float]
         tj, tq, tr, tv = si[p], J[q], M[q], s[p] * v[q]
     # rows: associativity per i, anti-multiplicativity per i (one residual over all i)
     num, scale = np.zeros((2, n)), np.zeros((2, n))
-    for lo, hi in _chunks(_pairs_per_factor(I, J, M, si, sk, n), _JOIN_MAX_PAIRS):
+    for lo, hi in _chunks(per_i, _JOIN_MAX_PAIRS):
         a, b = np.searchsorted(I, (lo, hi))   # the entries c[i, ., .] with lo <= i < hi
         Ic, Jc, Mc, vc = I[a:b], J[a:b], M[a:b], v[a:b]
         p, q = _join(Mc, I, n)    # (a_i a_j) a_k: c[i,j,m] c[m,k,r]
@@ -668,7 +676,7 @@ def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
         checks.append(AxiomCheck(name, bool(residual <= tol), float(residual), detail))
 
     with np.errstate(all="ignore"):
-        assoc, antimult = _join_contractions(c, S) if _use_join(c, S) else _dense_contractions(alg)
+        assoc, antimult = _contractions(alg)
         add("associativity", worst_residual(assoc))
         add("star_involution", rel_residual(np.conj(S) @ S, np.eye(n)))
         add("star_antimultiplicative", antimult)
@@ -687,12 +695,11 @@ def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
         add("gram_hermitian", rel_residual(H, H.conj().T))
         # eigvalsh cannot take a non-finite matrix; NaN then fails the check
         eigs = np.linalg.eigvalsh(Hh) if np.all(np.isfinite(Hh)) else np.full(n, np.nan)
-        min_eig = float(eigs[0])
-        # the negative part of min_eig: NaN propagates, a zero gives +0.0
+        # the negative part of the spectrum: NaN propagates, a zero gives +0.0
         add(
             "state_positive",
-            np.abs(np.minimum(0.0, min_eig)) / np.maximum(1.0, np.max(np.abs(eigs))),
-            detail=f"min Gram eigenvalue {min_eig:.3e}",
+            rel_residual(eigs, np.maximum(eigs, 0.0)),
+            detail=f"min Gram eigenvalue {eigs[0]:.3e}",
         )
 
     return AxiomReport(tuple(checks), tol)

@@ -43,14 +43,17 @@ def support_projector(rep: FundamentalRep) -> np.ndarray:
     kernel is computed from one stacked SVD rather than iterated
     intersections.
     """
-    d = rep.hdim
-    if d == 0:
-        return np.zeros((0, 0), dtype=complex)
+    return _support(rep)[0]
+
+
+def _support(rep: FundamentalRep) -> tuple[np.ndarray, np.ndarray]:
+    """``support_projector`` and the operator stack [i(a); i(a)^dag] whose null space it projects on."""
+    n, d = rep.algebra.dim, rep.hdim
     stack = np.vstack(
-        [rep.imats.reshape(-1, d), np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d)]
+        [rep.imats.reshape(n * d, d), np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(n * d, d)]
     )
     null = null_space(stack, rep.algebra.tol)
-    return null.T @ null.conj()
+    return null.T @ null.conj(), stack
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     rep = build_representation(alg)
     tol = alg.tol
     n, d = alg.dim, rep.hdim
-    P = support_projector(rep)
+    P, stack = _support(rep)
     E = np.eye(d, dtype=complex) - P
     K, l, death, A = rep.kmat, alg.state, alg.death, rep.quadruple_map
 
@@ -183,28 +186,18 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     # Levy support: on E H the operator algebra is nondegenerate, and the
     # k-image of the product span matches the Levy k-image (density in
     # finite dimension).
-    if d:
-        spans = (kprods.reshape(n * n, d).T, K @ z_basis.T)
-        ranks = {numerical_rank(m, tol) for m in (*spans, np.hstack(spans))}
-        residuals["levy_k_image"] = 0.0 if len(ranks) == 1 else 1.0
-        if z_idx:
-            istack = np.vstack(
-                [rep.imats.reshape(-1, d) @ E, np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(-1, d) @ E]
-            )
-            rank_e = int(np.round(np.trace(E).real))
-            residuals["levy_nondegenerate"] = 0.0 if numerical_rank(istack, tol) >= rank_e else 1.0
-        else:
-            residuals["levy_nondegenerate"] = 0.0
+    spans = (kprods.reshape(n * n, d).T, K @ z_basis.T)
+    ranks = {numerical_rank(m, tol) for m in (*spans, np.hstack(spans))}
+    residuals["levy_k_image"] = 0.0 if len(ranks) == 1 else 1.0
+    if z_idx:
+        rank_e = int(np.round(np.trace(E).real))
+        residuals["levy_nondegenerate"] = 0.0 if numerical_rank(stack @ E, tol) >= rank_e else 1.0
     else:
-        residuals["levy_k_image"] = 0.0
         residuals["levy_nondegenerate"] = 0.0
 
     # The two spans overlap exactly in the death line.
-    if kept:
-        rank_sum = numerical_rank(np.vstack([y_basis, z_basis]), tol)
-        residuals["intersection_death_only"] = 0.0 if rank_sum == len(kept) else 1.0
-    else:
-        residuals["intersection_death_only"] = 0.0
+    rank_sum = numerical_rank(np.vstack([y_basis, z_basis]), tol)
+    residuals["intersection_death_only"] = 0.0 if rank_sum == len(kept) else 1.0
 
     report = DecompositionReport(residuals, tol)
     brownian = (Element(alg, death),) + tuple(Element(alg, y) for y in y_basis)

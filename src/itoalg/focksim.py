@@ -146,10 +146,9 @@ def slot_increment(rep: FundamentalRep, a: Element | np.ndarray, dt: float) -> S
     M = np.zeros((1 + d, 1 + d), dtype=complex)
     root = np.sqrt(dt)
     M[0, 0] = l * dt
-    if d:
-        M[0, 1:] = kdag * root
-        M[1:, 0] = k * root
-        M[1:, 1:] = imat
+    M[0, 1:] = kdag * root
+    M[1:, 0] = k * root
+    M[1:, 1:] = imat
     return SlotIncrement(M, dt)
 
 
@@ -451,9 +450,8 @@ def classical_paths(
     for first in range(0, drawn, chunk):
         k = min(chunk, n_steps - first)
         rows = buf[:k]
-        if nb:
-            np.matmul(scaled, gens[0].standard_normal(out=z[:k]), out=rows[:, 1 : 1 + nb])
-            np.square(rows[:, 1 : 1 + nb], out=rows[:, 1 + nb :])
+        np.matmul(scaled, gens[0].standard_normal(out=z[:k]), out=rows[:, 1 : 1 + nb])
+        np.square(rows[:, 1 : 1 + nb], out=rows[:, 1 + nb :])
         # one Gram per step, the same numbers for any k; two distinct views make
         # numpy call gemm, which is 7x faster than syrk at this shape
         grams = rows[:, 1:] @ rows.swapaxes(1, 2)

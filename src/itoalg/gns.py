@@ -40,6 +40,7 @@ from .core import (
     gram_matrix,
     gram_schmidt,
     null_space,
+    numerical_rank,
     pin_phase,
     rel_residual,
     rel_residuals,
@@ -151,15 +152,15 @@ class Seminorms(NamedTuple):
 def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Kept eigenpairs of a Hermitian PSD matrix under the pinned conventions."""
     evals, evecs = np.linalg.eigh(H)
+    hdim = numerical_rank(evals, tol)
     cut = cutoff(evals, tol)
-    hdim = int(np.sum(evals > cut))
     evals = evals[::-1][:hdim]
     evecs = evecs[:, ::-1][:, :hdim]
 
     # Within a degenerate group (eigenvalues closer than the rank cutoff),
     # realign to standard basis directions in index order so the output does
     # not depend on LAPACK's arbitrary choice.
-    out_vals, out_vecs = [], []
+    pinned = np.empty((hdim, H.shape[0]), dtype=complex)   # row j: kept eigenvector j
     start = 0
     while start < evals.size:
         stop = start + 1
@@ -173,11 +174,9 @@ def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             if len(chosen) >= stop - start:
                 block = chosen[: stop - start].T
         for col in range(block.shape[1]):
-            out_vals.append(evals[start + col])
-            out_vecs.append(pin_phase(block[:, col]))
+            pinned[start + col] = pin_phase(block[:, col])
         start = stop
-    V = np.array(out_vecs).T if out_vecs else np.zeros((H.shape[0], 0), dtype=complex)
-    return np.array(out_vals), V
+    return evals, pinned.T
 
 
 def build_representation(alg: ItoAlgebra) -> FundamentalRep:
@@ -207,28 +206,25 @@ def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
     Hh = (H + H.conj().T) / 2.0
     evals, V = _pin_eigenbasis(Hh, tol)
     hdim = V.shape[1]
-    K = (np.sqrt(evals)[:, None] * V.conj().T) if hdim else np.zeros((0, n), dtype=complex)
+    K = np.sqrt(evals)[:, None] * V.conj().T
 
-    imats = np.zeros((n, hdim, hdim), dtype=complex)
-    if hdim:
-        # KP[i] = K @ mult[i].T, whose column j is k(a_i . a_j); all n systems
-        # K.T @ imats[i].T = KP[i].T share K, so one lstsq solves them stacked.
-        KP = np.swapaxes((alg.mult.reshape(n * n, n) @ K.T).reshape(n, n, hdim), 1, 2)
-        rhs = KP.transpose(2, 0, 1).reshape(n, n * hdim)
-        sol = np.linalg.lstsq(K.T, rhs, rcond=None)[0]
-        imats = np.ascontiguousarray(sol.reshape(hdim, n, hdim).transpose(1, 2, 0))
-        bad = np.flatnonzero(~(rel_residuals(imats @ K, KP) <= tol))
-        if bad.size:
-            raise RepresentationError(
-                f"GNS covariance residual above tolerance for basis element {alg.labels[bad[0]]}"
-            )
-    kdmat = (np.conj(alg.star @ K.T) if hdim else np.zeros((n, 0), dtype=complex))
+    # KP[i] = K @ mult[i].T, whose column j is k(a_i . a_j); all n systems
+    # K.T @ imats[i].T = KP[i].T share K, so one lstsq solves them stacked.
+    KP = np.swapaxes((alg.mult.reshape(n * n, n) @ K.T).reshape(n, n, hdim), 1, 2)
+    rhs = KP.transpose(2, 0, 1).reshape(n, n * hdim)
+    sol = np.linalg.lstsq(K.T, rhs, rcond=None)[0]
+    imats = np.ascontiguousarray(sol.reshape(hdim, n, hdim).transpose(1, 2, 0))
+    bad = np.flatnonzero(~(rel_residuals(imats @ K, KP) <= tol))
+    if bad.size:
+        raise RepresentationError(
+            f"GNS covariance residual above tolerance for basis element {alg.labels[bad[0]]}"
+        )
 
     return FundamentalRep(
         algebra=alg,
         hdim=hdim,
         kmat=K,
-        kdmat=kdmat.reshape(n, hdim),
+        kdmat=np.conj(alg.star @ K.T),
         imats=imats,
         eigenvalues=evals,
         vectors=V,
@@ -255,8 +251,7 @@ def minkowski_metric(hdim: int) -> np.ndarray:
     G = np.zeros((hdim + 2, hdim + 2), dtype=complex)
     G[0, -1] = 1.0
     G[-1, 0] = 1.0
-    if hdim:
-        G[1:-1, 1:-1] = np.eye(hdim)
+    G[1:-1, 1:-1] = np.eye(hdim)
     return G
 
 
@@ -299,11 +294,8 @@ def _seminorm_rows(rep: FundamentalRep, X: np.ndarray) -> Seminorms:
     alg = rep.algebra
     n, d = alg.dim, rep.hdim
     X_star = np.conj(X) @ alg.star
-    if d:
-        ops = (X @ rep.imats.reshape(n, d * d)).reshape(-1, d, d)
-        op = np.linalg.norm(ops, ord=2, axis=(1, 2))
-    else:
-        op = np.zeros(X.shape[0])
+    ops = (X @ rep.imats.reshape(n, d * d)).reshape(len(X), d, d)
+    op = np.linalg.svd(ops, compute_uv=False).max(axis=-1, initial=0.0)   # the operator norms
     plus = np.sqrt(np.maximum((row_products(alg, X_star, X) @ alg.state).real, 0.0))
     minus = np.sqrt(np.maximum((row_products(alg, X, X_star) @ alg.state).real, 0.0))
     return Seminorms(op, plus, minus, np.abs(X @ alg.state))
@@ -344,8 +336,9 @@ def verify_bstar(
     ``samples`` are elements or an (S, n) array of coefficient rows; without
     them ``count`` Gaussian samples are drawn from ``seed``.  Each sample is
     paired with the next, cyclically, and all seminorms are computed in
-    batched contractions.  Equalities are |lhs - rhs| relative to scale;
-    inequalities contribute only their violation beyond tol-scale slack.
+    batched contractions.  Every residual is ``rel_residuals``: an equality
+    compares lhs with rhs, an inequality lhs <= rhs compares max(lhs, rhs)
+    with rhs, so only its violation counts.
     """
     alg = rep.algebra
     tol = alg.tol if tol is None else tol
@@ -363,25 +356,19 @@ def verify_bstar(
     nac = _seminorm_rows(rep, row_products(alg, A, C))
     naa = _seminorm_rows(rep, row_products(alg, A, A_star))
 
-    def scale(lhs, rhs):
-        return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-
-    def eq_resid(lhs, rhs):
-        return np.abs(lhs - rhs) / scale(lhs, rhs)
-
-    def ineq_resid(lhs, rhs):
-        return np.maximum(0.0, lhs - rhs) / scale(lhs, rhs)
+    def at_most(lhs, rhs):
+        return rel_residuals(np.maximum(lhs, rhs), rhs)
 
     residuals = {
-        "star_op": eq_resid(ns.op, na.op),
-        "star_plus_minus": eq_resid(ns.plus, na.minus),
-        "star_corner": eq_resid(ns.corner, na.corner),
-        "sub_op_op": ineq_resid(nac.op, na.op * nc.op),
-        "sub_op_plus": ineq_resid(nac.plus, na.op * nc.plus),
-        "sub_minus_op": ineq_resid(nac.minus, na.minus * nc.op),
-        "sub_corner": ineq_resid(nac.corner, na.minus * nc.plus),
-        "cstar_equality": eq_resid(naa.op, na.op * ns.op),
-        "corner_equality": eq_resid(naa.corner, na.minus * ns.plus),
+        "star_op": rel_residuals(ns.op, na.op),
+        "star_plus_minus": rel_residuals(ns.plus, na.minus),
+        "star_corner": rel_residuals(ns.corner, na.corner),
+        "sub_op_op": at_most(nac.op, na.op * nc.op),
+        "sub_op_plus": at_most(nac.plus, na.op * nc.plus),
+        "sub_minus_op": at_most(nac.minus, na.minus * nc.op),
+        "sub_corner": at_most(nac.corner, na.minus * nc.plus),
+        "cstar_equality": rel_residuals(naa.op, na.op * ns.op),
+        "corner_equality": rel_residuals(naa.corner, na.minus * ns.plus),
     }
     worst = {name: worst_residual(r) for name, r in residuals.items()}
     return BStarReport(worst, tol, A.shape[0], seed)

@@ -5,6 +5,8 @@ import pytest
 
 import itoalg as ia
 from itoalg.core import rel_residual
+from itoalg.decomp import decompose, support_projector
+from itoalg.focksim import slot_increment
 from itoalg.gns import (
     NonFaithfulError,
     RepresentationError,
@@ -216,6 +218,23 @@ class TestBStar:
     "1e-10 of this faithful table is cut as noise and hdim is 1"))
 def test_tiny_weight_keeps_its_hdim():
     assert build_representation(ia.periodic_wiener(1, [1e-10])).hdim == 2
+
+
+@pytest.mark.parametrize("build", [ia.newton, ia.zero_intensity_poisson])
+def test_zero_hdim_runs_the_general_code(build):
+    """H = 0 is one instance of C + H + C: every stage returns its empty shapes and zero residuals."""
+    alg = build()
+    rep, n = alg.gns, alg.dim
+    assert rep.hdim == 0
+    assert (rep.kmat.shape, rep.kdmat.shape, rep.imats.shape) == ((0, n), (n, 0), (n, 0, 0))
+    assert support_projector(rep).shape == (0, 0)
+    x = alg.basis_element(n - 1)
+    assert slot_increment(rep, x, 0.1).matrix.shape == (1, 1)
+    assert seminorms(rep, x).op == 0
+    assert verify_bstar(rep).passed
+    if rep.kernel.size == 0:   # faithful: the decomposition is defined
+        residuals = decompose(alg).report.residuals
+        assert residuals and all(v == 0 for v in residuals.values()), residuals
 
 
 class TestErrors:

@@ -6,7 +6,7 @@ an independent computation: brute force over basis triples built on
 ``ref_multiply``/``ref_star``, or the per-pair and per-sample loops the
 batched versions replaced.  The axiom oracles run on both paths of
 ``verify_axioms``, the dense matmuls and the coordinate join, each forced
-through the private path rule ``core._use_join``.
+by replacing the private path rule ``core._contractions`` with one kernel.
 """
 
 from dataclasses import replace
@@ -32,10 +32,22 @@ def rotate(alg: ia.ItoAlgebra, seed: int) -> ia.ItoAlgebra:
 PATHS = ("dense", "join")
 
 
+def join_inputs(alg: ia.ItoAlgebra):
+    """The join's coordinates ``(I, J, M, si, sk)`` and their ``_pairs_per_factor``."""
+    coords = (*np.nonzero(alg.mult), *np.nonzero(alg.star))
+    return coords, core._pairs_per_factor(*coords, alg.dim)
+
+
+KERNELS = {
+    "dense": core._dense_contractions,
+    "join": lambda alg: core._join_contractions(alg.mult, alg.star, *join_inputs(alg)),
+}
+
+
 def axioms_on(path: str, alg: ia.ItoAlgebra) -> ia.AxiomReport:
-    """``verify_axioms`` with the path rule forced to ``path``."""
+    """``verify_axioms`` with the path rule replaced by the ``path`` kernel."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_use_join", lambda c, S: path == "join")
+        mp.setattr(core, "_contractions", KERNELS[path])
         return ia.verify_axioms(alg)
 
 
@@ -238,19 +250,24 @@ RULE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(RULE_CASES))
-def test_path_rule_decision(name):
+def test_path_rule_decision(monkeypatch, name):
     build, path = RULE_CASES[name]
     alg = build()
-    assert core._use_join(alg.mult, alg.star) == (path == "join")
+    ran = []
 
+    def spy(kernel):
+        inner = getattr(core, f"_{kernel}_contractions")
+        return lambda *args: ran.append(kernel) or inner(*args)
 
-def pairs_per_factor(alg: ia.ItoAlgebra) -> np.ndarray:
-    return core._pairs_per_factor(*np.nonzero(alg.mult), *np.nonzero(alg.star), alg.dim)
+    for kernel in PATHS:
+        monkeypatch.setattr(core, f"_{kernel}_contractions", spy(kernel))
+    ia.verify_axioms(alg)
+    assert ran == [path]
 
 
 def test_s5_join_takes_chunks():
     alg = ia.group_levy(ia.symmetric_group(5))
-    per_i = pairs_per_factor(alg)
+    _, per_i = join_inputs(alg)
     assert per_i.sum() > core._JOIN_MAX_PAIRS
     assert len(list(core._chunks(per_i, core._JOIN_MAX_PAIRS))) >= 2
 
@@ -271,12 +288,12 @@ def _bent(alg: ia.ItoAlgebra, field: str, value) -> ia.ItoAlgebra:
 ], ids=["hp3", "s4", "s4_bent", "nan_star"])
 def test_join_chunks_give_the_same_bits(monkeypatch, build):
     alg = build()
-    per_i = pairs_per_factor(alg)
-    whole = core._join_contractions(alg.mult, alg.star)
+    coords, per_i = join_inputs(alg)
+    whole = core._join_contractions(alg.mult, alg.star, coords, per_i)
     chunks, chunker = [], core._chunks
     monkeypatch.setattr(core, "_chunks", lambda w, cap: chunks.extend(chunker(w, cap)) or chunks)
     monkeypatch.setattr(core, "_JOIN_MAX_PAIRS", int(per_i.sum()) // 5)
-    assoc, antimult = core._join_contractions(alg.mult, alg.star)
+    assoc, antimult = core._join_contractions(alg.mult, alg.star, coords, per_i)
     assert len(chunks) >= 3
     assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]] and chunks[-1][1] == alg.dim
     assert assoc.tobytes() == whole[0].tobytes()
