@@ -39,7 +39,6 @@ from .decomp import Decomposition, DecompositionError, decompose, support_projec
 from .focksim import (
     Estimate,
     SimReport,
-    SlotIncrement,
     UnsupportedModelError,
     classical_paths,
     ito_product_check,
@@ -80,7 +79,6 @@ __all__ = [
     "RepresentationError",
     "Seminorms",
     "SimReport",
-    "SlotIncrement",
     "UnsupportedModelError",
     "build_representation",
     "classical_paths",

@@ -39,7 +39,7 @@ from .adsl import parse, parse_lincomb, serialize
 from .core import AlgebraError, ItoAlgebra
 from .decomp import decompose
 from .focksim import classical_paths, vacuum_moments
-from .gns import NonFaithfulError, build_representation, seminorms, triangular
+from .gns import NonFaithfulError, build_representation, seminorms
 from .ideal import faithfulness_ideal, quotient
 
 EXIT_OK = 0
@@ -239,7 +239,7 @@ def _cmd_check(alg, args):
 def _cmd_represent(alg, args):
     rep = _run_stage(build_representation, alg)
     # triangular(a) = [[0, kdag(a), l(a)], [0, i(a), k(a)], [0, 0, 0]]
-    mats = dict(zip(alg.labels, np.stack([triangular(rep, e) for e in np.eye(alg.dim)])))
+    mats = dict(zip(alg.labels, rep.mats))
 
     def payload():
         # views of one stack: _dumps formats each distinct real of the payload once

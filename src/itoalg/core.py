@@ -43,10 +43,11 @@ forms, ``P = sum_m out_m (first_m + second_m + srow_m)`` plus the two
 star joins, where ``out_m``, ``first_m`` and ``second_m`` count the
 nonzero ``c`` entries with ``m`` as output, first or second index and
 ``srow_m`` the nonzero entries of row ``m`` of ``S``.  The path rule
-``_contractions`` counts ``P`` once, before any work, from the join's own
-coordinates: the per-factor counts of ``_pairs_per_factor``, which also size
-the join's chunks, plus the star's shared pairs.  It takes the join when
-``100 * P <= n^5``.  One join pair costs 110 to 130 dense multiply-adds
+``_contractions`` counts ``P`` once, before any work, from the axis sums of
+the nonzero masks of ``c`` and ``S``: the per-factor counts of
+``_pairs_per_factor``, which also size the join's chunks, plus the star's
+shared pairs; only the join takes the nonzero coordinates.  It takes the
+join when ``100 * P <= n^5``.  One join pair costs 110 to 130 dense multiply-adds
 (about 130 ns against 1.0 ns on a rotated hp(4), one OpenBLAS thread of a
 2-vCPU x86-64 machine).  The join runs over consecutive first factors ``i``
 in chunks of at most ``_JOIN_MAX_PAIRS = 2^21`` pairs, about 100 MiB at 52
@@ -63,7 +64,7 @@ block-sparse rotated periodic_wiener(8) has 0.049.
 
 Two derived objects are cached on each algebra, which is frozen with
 read-only arrays and so cannot make them stale: ``axioms``, the report of
-``verify_axioms``, and ``gns``, the GNS quadruple of ``gns.construct_gns``.
+``verify_axioms``, and ``gns``, the triangular matrices of ``gns.construct_gns``.
 The faithfulness ideal is ``gns.kernel``, and the representation and the
 Brownian/Levy decomposition read the same ``gns``, so each algebra object
 builds it once.  ``dataclasses.replace`` makes a new object with neither.
@@ -252,7 +253,7 @@ class ItoAlgebra:
 
     @cached_property
     def gns(self) -> "FundamentalRep":
-        """``gns.construct_gns(self)``, the quadruple (l, k, kdag, i), built once and kept.
+        """``gns.construct_gns(self)``, the stack of triangular matrices, built once and kept.
 
         The faithfulness ideal is its ``kernel``; ``build_representation`` and
         ``decompose`` read the same object.  Like ``axioms`` it cannot go stale.
@@ -284,9 +285,6 @@ class ItoAlgebra:
             return self.labels.index(label)
         except ValueError:
             raise AlgebraError(f"unknown basis symbol {label!r}") from None
-
-    def zero(self) -> "Element":
-        return Element(self, np.zeros(self.dim, dtype=complex))
 
     def same_table(self, other: "ItoAlgebra") -> bool:
         """Structural equality of the defining data, within this algebra's tol."""
@@ -345,9 +343,6 @@ class Element:
 
     def state(self) -> complex:
         return state_of(self)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
     def is_zero(self, tol: float | None = None) -> bool:
         tol = self.algebra.tol if tol is None else tol
@@ -530,25 +525,26 @@ def _contractions(alg: ItoAlgebra) -> tuple[np.ndarray, float]:
     at most ``n^5`` dense multiply-adds.
     """
     c, S, n = alg.mult, alg.star, alg.dim
-    coords = (*np.nonzero(c), *np.nonzero(S))   # I, J, M, si, sk; NaN counts as nonzero
-    per_i = _pairs_per_factor(*coords, n)
-    shared = np.bincount(coords[0], minlength=n)[coords[4]].sum()
+    per_i, shared = _pairs_per_factor(c, S)
     if _JOIN_COST * (int(per_i.sum()) + int(shared)) <= n**5:
+        coords = (*np.nonzero(c), *np.nonzero(S))   # I, J, M, si, sk; NaN counts as nonzero
         return _join_contractions(c, S, coords, per_i)
-    del coords, per_i   # the dense path needs neither
     return _dense_contractions(alg)
 
 
-def _pairs_per_factor(I, J, M, si, sk, n: int) -> np.ndarray:
-    """The pairs of ``_join_contractions`` keyed by each first factor ``i``.
+def _pairs_per_factor(c: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, int]:
+    """The pairs of ``_join_contractions`` keyed by each first factor ``i``, and the shared pairs.
 
-    ``(I, J, M)`` and ``(si, sk)`` are the nonzero coordinates of ``c`` and
-    ``S``; the star's ``a_j* a_q`` terms, which every ``i`` shares, are not counted.
+    Counted from the marginals of the nonzero masks of ``c`` and ``S`` (NaN
+    counts as nonzero).  The star's ``a_j* a_q`` pairs, which every ``i``
+    shares, are the second value.
     """
-    first, out, srow, scol = (np.bincount(x, minlength=n) for x in (I, M, si, sk))
-    via = np.bincount(J, scol[I], minlength=n)   # terms S[j,p] c[p,q,r] with second index q
-    return (np.bincount(I, first[M] + out[J] + srow[M], minlength=n)
-            + np.bincount(si, via[sk], minlength=n))
+    nz, ns = c != 0, S != 0
+    ij, im = nz.sum(2), nz.sum(1)   # entries c[i, j, .] and c[i, ., m]
+    first, out, srow, scol = ij.sum(1), im.sum(0), ns.sum(1), ns.sum(0)
+    via = scol @ ij   # the star's terms S[j,p] c[p,q,r] with second index q
+    per_i = ij @ out + im @ (first + srow) + ns @ via
+    return per_i, int(scol @ first)
 
 
 def _chunks(weights: np.ndarray, cap: int):

@@ -27,7 +27,7 @@ from .core import (
     rel_residuals,
     worst_residual,
 )
-from .gns import FundamentalRep, build_representation
+from .gns import FundamentalRep, _block_columns, build_representation
 
 __all__ = ["Decomposition", "DecompositionError", "decompose", "support_projector"]
 
@@ -118,27 +118,29 @@ class DecompositionReport:
 def decompose(alg: ItoAlgebra) -> Decomposition:
     """Split the algebra into its Brownian and Levy components.
 
-    For each zero-mean basis element x the representation quadruple is
-    projected to (P k(x), kdag(x) P, 0) and its complement, and the parts are
-    pulled back through the injective map a -> (l, k, kdag, i).  A preimage
-    residual above tol means the projected quadruple leaves the algebra,
-    which the decomposition theorem rules out for consistent input.
+    For each zero-mean basis element x the triangular matrix is projected
+    to the one with kdag(x) P, P k(x) and l = i = 0, and its complement, and
+    the parts are pulled back through the injective map a -> triangular(a).
+    A preimage residual above tol means the projected matrix leaves the
+    algebra, which the decomposition theorem rules out for consistent input.
     """
     rep = build_representation(alg)
     tol = alg.tol
     n, d = alg.dim, rep.hdim
     P, stack = _support(rep)
     E = np.eye(d, dtype=complex) - P
-    K, l, death, A = rep.kmat, alg.state, alg.death, rep.quadruple_map
+    K, l, death = rep.kmat, alg.state, alg.death
+    B = _block_columns(rep.mats).T
 
-    # Row i is the zero-mean part x_i = a_i - l(a_i) death; its projected
-    # quadruple (0, P k(x), kdag(x) P, 0) is the target of the Brownian part.
+    # Row i is the zero-mean part x_i = a_i - l(a_i) death; the target of its
+    # Brownian part is the triangular matrix with kdag(x) P, P k(x), l = i = 0.
     X = np.eye(n, dtype=complex) - np.outer(l, death)
-    targets = np.hstack(
-        [np.zeros((n, 1)), X @ K.T @ P.T, X @ rep.kdmat @ P, np.zeros((n, d * d))]
-    )
-    Y = np.linalg.lstsq(A, targets.T, rcond=None)[0].T
-    resid_preimage = worst_residual(rel_residuals(Y @ A.T, targets))
+    T = np.zeros_like(rep.mats)
+    T[:, 0, 1:-1] = X @ rep.kdmat @ P
+    T[:, 1:-1, -1] = X @ K.T @ P.T
+    targets = _block_columns(T)
+    Y = np.linalg.lstsq(B, targets.T, rcond=None)[0].T
+    resid_preimage = worst_residual(rel_residuals(Y @ B.T, targets))
     if not resid_preimage <= tol:
         raise DecompositionError(
             f"projected quadruple has no preimage in the algebra (residual {resid_preimage:.3e})"

@@ -34,7 +34,6 @@ __all__ = [
     "Estimate",
     "SimReport",
     "SimulationError",
-    "SlotIncrement",
     "UnsupportedModelError",
     "classical_paths",
     "fit_loglog_slope",
@@ -55,21 +54,6 @@ class SimulationError(AlgebraError):
 
 class UnsupportedModelError(AlgebraError):
     """Classical sampling of a noncommutative table or a non-positive Brownian covariance."""
-
-
-@dataclass(frozen=True)
-class SlotIncrement:
-    """Increment of one element on a single time-slot space C + H."""
-
-    matrix: np.ndarray
-    dt: float
-
-    @property
-    def vacuum_expectation(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    def adjoint(self) -> "SlotIncrement":
-        return SlotIncrement(self.matrix.conj().T, self.dt)
 
 
 @dataclass
@@ -132,24 +116,21 @@ def fit_loglog_slope(xs, ys, floor: float = 1e-13) -> float | None:
     return float(slope)
 
 
-def slot_increment(rep: FundamentalRep, a: Element | np.ndarray, dt: float) -> SlotIncrement:
-    """Block matrix [[l dt, kdag sqrt(dt)], [k sqrt(dt), i]] of the element.
+def slot_increment(rep: FundamentalRep, a: Element | np.ndarray, dt: float) -> np.ndarray:
+    """Block matrix [[l dt, kdag sqrt(dt)], [k sqrt(dt), i]] of the element on C + H.
 
-    Linear in the element; the adjoint matrix is the increment of the starred
-    element (sqrt(dt) for the field blocks, dt for the scalar, 1 for the
-    exchange block).
+    It is triangular(a) without its first column and last row, the corner
+    moved to (0, 0).  Linear in the element; the adjoint matrix is the
+    increment of the starred element (sqrt(dt) for the field blocks, dt for
+    the scalar, 1 for the exchange block).
     """
     if not dt > 0:
         raise AlgebraError("dt must be positive")
-    l, k, kdag, imat = rep.quadruple(a)
-    d = rep.hdim
-    M = np.zeros((1 + d, 1 + d), dtype=complex)
-    root = np.sqrt(dt)
-    M[0, 0] = l * dt
-    M[0, 1:] = kdag * root
-    M[1:, 0] = k * root
-    M[1:, 1:] = imat
-    return SlotIncrement(M, dt)
+    T = triangular(rep, a)
+    M = np.roll(T[:-1, 1:], 1, axis=1) * np.sqrt(dt)
+    M[0, 0] = T[0, -1] * dt
+    M[1:, 1:] = T[1:-1, 1:-1]
+    return M
 
 
 def ito_product_check(rep, a: Element, b: Element, dts) -> SimReport:
@@ -174,9 +155,9 @@ def ito_product_check(rep, a: Element, b: Element, dts) -> SimReport:
     records = {name: [] for name in names}
     estimates: list[Estimate] = []
     for dt in dts:
-        Ma = slot_increment(rep, a, dt).matrix
-        Mb = slot_increment(rep, b, dt).matrix
-        Mab = slot_increment(rep, ab, dt).matrix
+        Ma = slot_increment(rep, a, dt)
+        Mb = slot_increment(rep, b, dt)
+        Mab = slot_increment(rep, ab, dt)
         D = Ma @ Mb - Mab
         targets = {
             "corner": abs(la * lb) * dt**2,
@@ -265,7 +246,7 @@ def vacuum_moments(rep: FundamentalRep, a: Element, t: float, n_slots: int) -> S
         raise AlgebraError("n_slots must be >= 1")
     N, pair = int(n_slots), (a.star(), a)  # a Python int: N**k must not wrap
     # N!/(N-k)! = N^k (perm(N, k) / N^k): one N per block value keeps every factor finite
-    value = _vacuum_moment([slot_increment(rep, x, t / N).matrix for x in pair] * 2, (0, 0), N,
+    value = _vacuum_moment([slot_increment(rep, x, t / N) for x in pair] * 2, (0, 0), N,
                            lambda k: math.perm(N, k) / N**k)
     target = _vacuum_moment([triangular(rep, x) for x in pair] * 2, (0, -1), t, lambda k: 1)
     # positions in the word (a*, a, a*, a): <X(a)>, |X(a) vac|^2 and |X(a*) X(a) vac|^2

@@ -11,9 +11,12 @@ quadruple ``(l, k, kdag, i)`` with
 The quadruple fills the triangular matrix [[0, kdag, l], [0, i, k], [0, 0, 0]]
 on the complex Minkowski space C + H + C, where the involution becomes
 M -> G M^dag G for the metric G that swaps the corner coordinates.
+``FundamentalRep.mats`` stacks these matrices, one per basis element, and is
+the only copy of the quadruples: ``kmat``, ``kdmat`` and ``imats`` are views
+of it, and ``triangular(rep, a)`` is one product of the coefficients with it.
 
-The algebra is faithful iff the quadruple map a -> (l, k, kdag, i) is
-injective: its kernel is the faithfulness ideal, since l(a . x) = <k(a*), k(x)>,
+The algebra is faithful iff a -> triangular(a) is injective: its kernel is
+the faithfulness ideal, since l(a . x) = <k(a*), k(x)>,
 l(x . a) = conj<k(a), k(x*)> and l(a . x . c) = kdag(a) i(x) k(c).
 ``construct_gns`` runs once per algebra object, through the cached
 ``ItoAlgebra.gns``; its ``kernel`` is that ideal.
@@ -74,25 +77,37 @@ class NonFaithfulError(AlgebraError):
 
 @dataclass(frozen=True, eq=False)
 class FundamentalRep:
-    """Canonical quadruple per basis element plus the Gram factorization data.
+    """The triangular matrix of every basis element plus the kept Gram eigenvalues.
 
-    kmat[:, i] is k(a_i); kdmat[i, :] is the covector kdag(a_i); imats[i] is
-    the operator i(a_i) on the hdim-dimensional representation space.
-    ``eigenvalues``/``vectors`` record the kept Gram eigenpairs used for the
-    basis change, for reproducibility.
+    ``mats[i]`` is triangular(a_i) = [[0, kdag, l], [0, i, k], [0, 0, 0]],
+    stored once.  ``hdim`` is read from its shape, and ``kmat`` (column i is
+    k(a_i)), ``kdmat`` (row i is the covector kdag(a_i)) and ``imats`` (the
+    operators i(a_i)) are read-only views of it.
     """
 
     algebra: ItoAlgebra
-    hdim: int
-    kmat: np.ndarray       # (hdim, n)
-    kdmat: np.ndarray      # (n, hdim)
-    imats: np.ndarray      # (n, hdim, hdim)
+    mats: np.ndarray       # (n, hdim + 2, hdim + 2)
     eigenvalues: np.ndarray
-    vectors: np.ndarray    # (n, hdim) kept eigenvectors as columns
 
     def __post_init__(self):
-        for arr in (self.kmat, self.kdmat, self.imats, self.eigenvalues, self.vectors):
-            arr.setflags(write=False)
+        self.mats.setflags(write=False)
+        self.eigenvalues.setflags(write=False)
+
+    @property
+    def hdim(self) -> int:
+        return self.mats.shape[1] - 2
+
+    @property
+    def kmat(self) -> np.ndarray:
+        return self.mats[:, 1:-1, -1].T
+
+    @property
+    def kdmat(self) -> np.ndarray:
+        return self.mats[:, 0, 1:-1]
+
+    @property
+    def imats(self) -> np.ndarray:
+        return self.mats[:, 1:-1, 1:-1]
 
     def _coeffs(self, a: Element | np.ndarray) -> np.ndarray:
         if isinstance(a, Element):
@@ -102,42 +117,39 @@ class FundamentalRep:
         return np.asarray(a, dtype=complex)
 
     def l_of(self, a) -> complex:
-        return complex(self._coeffs(a) @ self.algebra.state)
+        return complex(triangular(self, a)[0, -1])
 
     def k_of(self, a) -> np.ndarray:
-        return self.kmat @ self._coeffs(a)
+        return triangular(self, a)[1:-1, -1]
 
     def kdag_of(self, a) -> np.ndarray:
-        return self._coeffs(a) @ self.kdmat
+        return triangular(self, a)[0, 1:-1]
 
     def i_of(self, a) -> np.ndarray:
-        return (self._coeffs(a) @ self.imats.reshape(self.algebra.dim, -1)).reshape(self.hdim, self.hdim)
-
-    def quadruple(self, a) -> tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
-        """(l, k, kdag, i) of the element, from one product with ``quadruple_map``."""
-        d = self.hdim
-        v = self.quadruple_map @ self._coeffs(a)
-        return complex(v[0]), v[1 : d + 1], v[d + 1 : 2 * d + 1], v[2 * d + 1 :].reshape(d, d)
-
-    @cached_property
-    def quadruple_map(self) -> np.ndarray:
-        """The map a -> (l, k, kdag, vec i) as a (1 + 2 hdim + hdim^2, n) matrix."""
-        n, d = self.algebra.dim, self.hdim
-        out = np.vstack([self.algebra.state[None], self.kmat, self.kdmat.T, self.imats.reshape(n, d * d).T])
-        out.setflags(write=False)
-        return out
+        return triangular(self, a)[1:-1, 1:-1]
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """Orthonormal rows spanning the kernel of ``quadruple_map``, phases pinned.
+        """Orthonormal rows spanning the kernel of a -> triangular(a), phases pinned.
 
-        This is the faithfulness ideal; the rank decision is ``numerical_rank``
-        on the singular values of the map.
+        This is the faithfulness ideal, the null space of ``_block_columns``;
+        the rank decision is ``numerical_rank`` on its singular values.
         """
-        null = null_space(self.quadruple_map, self.algebra.tol)
+        null = null_space(_block_columns(self.mats).T, self.algebra.tol)
         out = np.array([pin_phase(row) for row in null], dtype=complex).reshape(-1, self.algebra.dim)
         out.setflags(write=False)
         return out
+
+
+def _block_columns(mats: np.ndarray) -> np.ndarray:
+    """Row i: the block [[kdag, l], [i, k]] of the triangular ``mats[i]``, column by column.
+
+    The block leaves out the first column and the last row, which are zero.
+    Column order (kdag and i a column at a time, then l and k) leaves the
+    least-squares preimage of ``decompose`` free of rounding noise on the
+    builtin tables, where row order does not.
+    """
+    return np.swapaxes(mats[:, :-1, 1:], 1, 2).reshape(len(mats), -1)
 
 
 class Seminorms(NamedTuple):
@@ -180,9 +192,9 @@ def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_representation(alg: ItoAlgebra) -> FundamentalRep:
-    """Canonical quadruple of a faithful algebra whose axioms pass: ``alg.gns``.
+    """Canonical representation of a faithful algebra whose axioms pass: ``alg.gns``.
 
-    Raises ``NonFaithfulError`` when the quadruple map has a kernel.
+    Raises ``NonFaithfulError`` when a -> triangular(a) has a kernel.
     """
     report = alg.axioms
     if not report.passed:
@@ -197,7 +209,7 @@ def build_representation(alg: ItoAlgebra) -> FundamentalRep:
 
 
 def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
-    """Kolmogorov/GNS construction of the quadruple, faithful or not.
+    """Kolmogorov/GNS construction of the triangular matrices, faithful or not.
 
     A covariance residual above tol raises: k(x) = 0 implies k(a . x) = 0.
     """
@@ -220,15 +232,13 @@ def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
             f"GNS covariance residual above tolerance for basis element {alg.labels[bad[0]]}"
         )
 
-    return FundamentalRep(
-        algebra=alg,
-        hdim=hdim,
-        kmat=K,
-        kdmat=np.conj(alg.star @ K.T),
-        imats=imats,
-        eigenvalues=evals,
-        vectors=V,
-    )
+    mats = np.zeros((n, hdim + 2, hdim + 2), dtype=complex)
+    mats[:, 0, 1:-1] = np.conj(alg.star @ K.T)   # kdag(a) = k(a*)^dag
+    mats[:, 0, -1] = alg.state
+    mats[:, 1:-1, 1:-1] = imats
+    mats[:, 1:-1, -1] = K.T
+    mats += 0.0   # -0.0 (from conj) -> +0.0, as triangular(rep, e_i) writes it
+    return FundamentalRep(algebra=alg, mats=mats, eigenvalues=evals)
 
 
 def _validate(rep: FundamentalRep) -> None:
@@ -241,9 +251,8 @@ def _validate(rep: FundamentalRep) -> None:
     star_i = (alg.star @ rep.imats.reshape(n, d * d)).reshape(n, d, d)
     if not rel_residual(star_i, np.conj(np.transpose(rep.imats, (0, 2, 1)))) <= tol:
         raise RepresentationError("i(a*) is not the adjoint of i(a)")
-    death = rep.quadruple_map @ alg.death
-    if not rel_residual(death, np.eye(death.size)[0]) <= tol:
-        raise RepresentationError("the quadruple of the death is not (1, 0, 0, 0)")
+    if not rel_residual(triangular(rep, alg.death), np.eye(d + 2, k=d + 1)) <= tol:
+        raise RepresentationError("the triangular matrix of the death is not the matrix unit E_0,d+1")
 
 
 def minkowski_metric(hdim: int) -> np.ndarray:
@@ -262,14 +271,8 @@ def triangular(rep: FundamentalRep, a: Element | np.ndarray) -> np.ndarray:
     homomorphism for the ordinary matrix product, and the corner entry
     recovers l(a).
     """
-    l, k, kdag, imat = rep.quadruple(a)
-    d = rep.hdim
-    M = np.zeros((d + 2, d + 2), dtype=complex)
-    M[0, 1 : d + 1] = kdag
-    M[0, d + 1] = l
-    M[1 : d + 1, 1 : d + 1] = imat
-    M[1 : d + 1, d + 1] = k
-    return M
+    n = rep.algebra.dim
+    return (rep._coeffs(a) @ rep.mats.reshape(n, -1)).reshape(rep.mats.shape[1:])
 
 
 def minkowski_adjoint(M: np.ndarray) -> np.ndarray:

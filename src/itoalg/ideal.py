@@ -1,10 +1,11 @@
 """Faithfulness ideal of an Ito *-algebra and the quotient by it.
 
 An element b lies in the ideal iff l vanishes on b and on every one- and
-two-sided product with b, that is iff its quadruple (l, k, kdag, i) in the
-GNS construction vanishes: the ideal is the kernel of the fundamental
-representation.  The state then descends to the quotient, which is
-faithful; the quotient keeps the death and its normalization.
+two-sided product with b, that is iff its triangular matrix
+[[0, kdag, l], [0, i, k], [0, 0, 0]] in the GNS construction vanishes: the
+ideal is the kernel of the fundamental representation a -> triangular(a).
+The state then descends to the quotient, which is faithful; the quotient
+keeps the death and its normalization.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class IdealBasis:
 
 
 def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
-    """Kernel of the quadruple map a -> (l(a), k(a), kdag(a), i(a)): ``alg.gns.kernel``.
+    """Kernel of the fundamental representation a -> triangular(a): ``alg.gns.kernel``.
 
     Raises ``RepresentationError`` when the GNS covariance system is
     inconsistent, which happens only for a table whose axioms fail.
@@ -65,22 +66,18 @@ def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
 class Quotient:
     """Quotient algebra together with the induced *-homomorphism.
 
-    ``matrix`` maps original coefficient vectors to quotient coordinates;
-    ``section`` embeds quotient coordinates back using the chosen complement
-    basis (rows of ``complement``).
+    ``matrix`` maps coefficient vectors of ``ideal.algebra``, the algebra
+    factored, to quotient coordinates; the rows of ``complement`` are the
+    chosen complement basis.
     """
 
     algebra: ItoAlgebra
-    source: ItoAlgebra
     matrix: np.ndarray       # (r, n)
     complement: np.ndarray   # (r, n)
     ideal: IdealBasis
 
     def map(self, a: Element) -> Element:
         return Element(self.algebra, self.matrix @ a.coeffs)
-
-    def section(self, a: Element) -> Element:
-        return Element(self.source, a.coeffs @ self.complement)
 
 
 def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
@@ -99,7 +96,7 @@ def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
     m = B.shape[0]
     if m == 0:
         ident = np.eye(n, dtype=complex)
-        return Quotient(alg, alg, ident, ident, ideal)
+        return Quotient(alg, ident, ident, ideal)
 
     rows = np.vstack([B, alg.death, np.eye(n, dtype=complex)])
     kept, _ = gram_schmidt(rows, tol)
@@ -130,4 +127,4 @@ def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:
         tol=tol,
         name=f"{alg.name}/ideal" if alg.name else None,
     )
-    return Quotient(new_alg, alg, np.linalg.inv(basis.T)[:r], C, ideal)
+    return Quotient(new_alg, np.linalg.inv(basis.T)[:r], C, ideal)

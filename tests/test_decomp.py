@@ -6,6 +6,8 @@ from itoalg.core import rel_residual
 from itoalg.decomp import decompose, support_projector
 from itoalg.gns import build_representation
 
+from test_pipeline import _random_rotation
+
 
 def span_matrix(elements):
     return np.array([e.coeffs for e in elements])
@@ -206,3 +208,53 @@ class TestDecomposeInvariants:
         d = dec.to_dict()
         assert set(d) >= {"labels", "hdim", "projector", "brownian", "levy", "report"}
         assert d["report"]["passed"] is True
+
+
+TARGET_CASES = {
+    "wiener+poisson": lambda: ia.orthogonal_sum(ia.wiener(), ia.poisson()),
+    "thermal_brownian+poisson": lambda: ia.orthogonal_sum(ia.thermal_brownian(2.0, 0.5), ia.poisson()),
+    "periodic_wiener3": lambda: ia.periodic_wiener(3, (0.5, 1.0, 2.0)),
+    "thermal_matrix2": lambda: ia.thermal_matrix(2, (2.0 / 3.0, 1.0 / 3.0)),
+    "hp2": lambda: ia.hp(2),
+    "rot_wiener+poisson": lambda: _random_rotation(
+        ia.orthogonal_sum(ia.wiener(), ia.poisson()), np.random.default_rng(6))[0],
+    "rot_thermal_brownian+poisson": lambda: _random_rotation(
+        ia.orthogonal_sum(ia.thermal_brownian(2.0, 0.5), ia.poisson()), np.random.default_rng(7))[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_CASES))
+def test_preimage_system_is_the_quadruple_system_reordered(monkeypatch, name):
+    """The block-wise preimage system of ``decompose`` against the (l, k, kdag, vec i) one.
+
+    That system stacked the quadruple map a -> (l, k, kdag, vec i) and the
+    targets (0, P k(x), kdag(x) P, 0) of the zero-mean parts x; the new one
+    flattens the blocks [[kdag, l], [i, k]] column by column.  Both must hold
+    the same numbers, reordered.
+    """
+    alg = TARGET_CASES[name]()
+    rep = build_representation(alg)   # built once per algebra, before the solve is recorded
+    solved = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, **kw: solved.append((a, b)) or lstsq(a, b, **kw))
+    decompose(alg)
+    (B, targets_t), = solved
+
+    n, d = alg.dim, rep.hdim
+    P = support_projector(rep)
+    X = np.eye(n, dtype=complex) - np.outer(alg.state, alg.death)
+    quadruple_map = np.vstack([alg.state[None], rep.kmat, rep.kdmat.T, rep.imats.reshape(n, d * d).T])
+    quadruple_targets = np.hstack(
+        [np.zeros((n, 1)), X @ rep.kmat.T @ P.T, X @ rep.kdmat @ P, np.zeros((n, d * d))]
+    )
+
+    def position(r, c):
+        """Index in (l, k, kdag, vec i) of row r, column c of the block [[kdag, l], [i, k]]."""
+        if r == 0:
+            return 0 if c == d else 1 + d + c
+        return r if c == d else 1 + 2 * d + (r - 1) * d + c
+
+    order = [position(r, c) for c in range(d + 1) for r in range(d + 1)]
+    assert sorted(order) == list(range((d + 1) ** 2))
+    np.testing.assert_array_equal(B, quadruple_map[order])
+    np.testing.assert_array_equal(targets_t.T, quadruple_targets[:, order])

@@ -32,7 +32,7 @@ def dense_moment(rep, word, t, n_slots):
     psi = np.zeros((1 + d) ** n_slots, dtype=complex)
     psi[0] = 1.0
     for x in reversed(word):
-        M = slot_increment(rep, x, t / n_slots).matrix
+        M = slot_increment(rep, x, t / n_slots)
         lam = 0
         for j in range(n_slots):
             op = np.eye(1)
@@ -81,7 +81,7 @@ def table_moment(alg, word, t):
 
 def fock_route(rep, word, t, n_slots):
     """The partition sum over slot increments with weight N!/(N-k)!, as vacuum_moments uses it."""
-    mats = [slot_increment(rep, x, t / n_slots).matrix for x in word]
+    mats = [slot_increment(rep, x, t / n_slots) for x in word]
     moment = _vacuum_moment(mats, (0, 0), n_slots, lambda k: math.perm(n_slots, k) / n_slots**k)
     return moment(tuple(range(len(word))))
 
@@ -99,39 +99,55 @@ class TestSlotIncrement:
         si = slot_increment(rep, p.death_element(), 0.25)
         expect = np.zeros((2, 2))
         expect[0, 0] = 0.25
-        assert rel_residual(si.matrix, expect) <= 1e-12
-        assert si.vacuum_expectation == pytest.approx(0.25)
+        assert rel_residual(si, expect) <= 1e-12
+        assert si[0, 0] == pytest.approx(0.25)
 
     def test_wiener_scaling(self):
         w = ia.wiener()
         rep = build_representation(w)
         si = slot_increment(rep, w.basis_element("dw"), 0.01)
-        assert abs(si.matrix[0, 1]) == pytest.approx(0.1)
-        assert abs(si.matrix[1, 0]) == pytest.approx(0.1)
-        assert si.matrix[0, 0] == 0 and si.matrix[1, 1] == 0
+        assert abs(si[0, 1]) == pytest.approx(0.1)
+        assert abs(si[1, 0]) == pytest.approx(0.1)
+        assert si[0, 0] == 0 and si[1, 1] == 0
 
     def test_adjoint_covariance(self):
         h = ia.hp(1)
         rep = build_representation(h)
         si_minus = slot_increment(rep, h.basis_element("e-"), 0.5)
         si_plus = slot_increment(rep, h.basis_element("e+"), 0.5)
-        assert rel_residual(si_minus.adjoint().matrix, si_plus.matrix) <= 1e-12
+        assert rel_residual(si_minus.conj().T, si_plus) <= 1e-12
 
     def test_adjoint_covariance_random(self, faithful_catalog):
         rng = np.random.default_rng(4)
         for alg in faithful_catalog.values():
             rep = build_representation(alg)
             a = ia.core.random_element(alg, rng)
-            lhs = slot_increment(rep, a, 0.1).matrix.conj().T
-            rhs = slot_increment(rep, a.star(), 0.1).matrix
+            lhs = slot_increment(rep, a, 0.1).conj().T
+            rhs = slot_increment(rep, a.star(), 0.1)
             assert rel_residual(lhs, rhs) <= 1e-10
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["catalog", "rotated"])
+    def test_blocks_come_from_the_accessors(self, faithful_catalog, rotated):
+        rng = np.random.default_rng(12)
+        dt = 0.3
+        for name, alg in faithful_catalog.items():
+            if rotated:
+                alg = _random_rotation(alg, rng)[0]
+            rep = build_representation(alg)
+            a = ia.core.random_element(alg, rng)
+            root = np.sqrt(dt)
+            expect = np.block([
+                [np.array([[rep.l_of(a) * dt]]), rep.kdag_of(a)[None, :] * root],
+                [rep.k_of(a)[:, None] * root, rep.i_of(a)],
+            ])
+            np.testing.assert_array_equal(slot_increment(rep, a, dt), expect, err_msg=name)
 
     def test_linearity(self):
         w = ia.wiener()
         rep = build_representation(w)
         a, b = w.basis_element("dt"), w.basis_element("dw")
-        lhs = slot_increment(rep, a + 2 * b, 0.3).matrix
-        rhs = slot_increment(rep, a, 0.3).matrix + 2 * slot_increment(rep, b, 0.3).matrix
+        lhs = slot_increment(rep, a + 2 * b, 0.3)
+        rhs = slot_increment(rep, a, 0.3) + 2 * slot_increment(rep, b, 0.3)
         assert rel_residual(lhs, rhs) <= 1e-12
 
 
@@ -188,12 +204,7 @@ class TestItoProductCheck:
     def test_nan_representation_raises(self):
         w = ia.wiener()
         rep = build_representation(w)
-        nan = dataclasses.replace(
-            rep,
-            kmat=np.full_like(rep.kmat, np.nan),
-            kdmat=np.full_like(rep.kdmat, np.nan),
-            imats=np.full_like(rep.imats, np.nan),
-        )
+        nan = dataclasses.replace(rep, mats=np.full_like(rep.mats, np.nan))
         dw = w.basis_element("dw")
         with pytest.raises(SimulationError):
             ito_product_check(nan, dw, dw, self.DTS)
@@ -343,7 +354,7 @@ class TestPartitionIdentity:
                 word = [ia.core.random_element(alg, rng, 0.5) for _ in range(length)]
                 dense = dense_moment(rep, word, 0.9, n_slots)
                 # |<vac| X(w_1) ... X(w_m) |vac>| <= prod_i N |M(w_i)|
-                mats = [slot_increment(rep, x, 0.9 / n_slots).matrix for x in word]
+                mats = [slot_increment(rep, x, 0.9 / n_slots) for x in word]
                 tol = 1e-12 * max(1.0, math.prod(n_slots * np.linalg.norm(M, 2) for M in mats))
                 assert abs(fock_route(rep, word, 0.9, n_slots) - dense) <= tol, (name, length)
 
@@ -368,7 +379,7 @@ class TestPartitionIdentity:
             rep = build_representation(alg)
             x = ia.core.random_element(alg, rng, 0.5)
             a = 0.5 * (x + x.star())
-            _, k, kdag, imat = rep.quadruple(a)
+            k, kdag, imat = rep.k_of(a), rep.kdag_of(a), rep.i_of(a)
             moments = [1.0] + [target_route(rep, [a] * m, t) for m in range(1, 7)]
             kappa = [0.0]
             for m in range(1, 7):

@@ -8,6 +8,7 @@ from itoalg.core import rel_residual
 from itoalg.decomp import decompose, support_projector
 from itoalg.focksim import slot_increment
 from itoalg.gns import (
+    FundamentalRep,
     NonFaithfulError,
     RepresentationError,
     _validate,
@@ -19,7 +20,8 @@ from itoalg.gns import (
     verify_bstar,
 )
 
-from conftest import ref_multiply, ref_star
+from conftest import make_catalog, ref_multiply, ref_star
+from test_pipeline import _random_rotation
 
 D_T = np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=complex)
 D_W = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
@@ -229,12 +231,69 @@ def test_zero_hdim_runs_the_general_code(build):
     assert (rep.kmat.shape, rep.kdmat.shape, rep.imats.shape) == ((0, n), (n, 0), (n, 0, 0))
     assert support_projector(rep).shape == (0, 0)
     x = alg.basis_element(n - 1)
-    assert slot_increment(rep, x, 0.1).matrix.shape == (1, 1)
+    assert slot_increment(rep, x, 0.1).shape == (1, 1)
     assert seminorms(rep, x).op == 0
     assert verify_bstar(rep).passed
     if rep.kernel.size == 0:   # faithful: the decomposition is defined
         residuals = decompose(alg).report.residuals
         assert residuals and all(v == 0 for v in residuals.values()), residuals
+
+
+STACK_CASES = {
+    **make_catalog(),
+    "rot_group_levy_s3": _random_rotation(ia.group_levy(ia.symmetric_group(3)), np.random.default_rng(3))[0],
+}
+
+
+class TestStack:
+    """``FundamentalRep.mats`` is the one copy of the representation."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(FundamentalRep)] == ["algebra", "mats", "eigenvalues"]
+
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_triangular_of_a_basis_element_is_its_entry(self, name):
+        rep = STACK_CASES[name].gns   # faithful or not
+        n, d = rep.algebra.dim, rep.hdim
+        assert rep.mats.shape == (n, d + 2, d + 2)
+        for i, e in enumerate(np.eye(n)):
+            assert triangular(rep, e).tobytes() == rep.mats[i].tobytes(), i   # the sign of zeros too
+        parts = rep.mats.view(np.float64)
+        assert not np.any((parts == 0) & np.signbit(parts)), "the stack holds -0.0"
+
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_stack_entries_hold_the_quadruple(self, name):
+        alg = STACK_CASES[name]
+        rep = alg.gns
+        assert np.array_equal(rep.mats[:, 0, -1], alg.state)
+        assert not np.any(rep.mats[:, :, 0]) and not np.any(rep.mats[:, -1, :])
+        # kdag(a) = k(a*)^dag
+        assert rel_residual(rep.kdmat, np.conj(alg.star @ rep.kmat.T)) <= 1e-12
+
+    def test_views_share_the_stack_and_are_read_only(self):
+        rep = build_representation(ia.orthogonal_sum(ia.thermal_brownian(2.0, 0.5), ia.poisson()))
+        d = rep.hdim
+        assert d == 3 and not rep.mats.flags.writeable
+        views = {"kmat": rep.kmat, "kdmat": rep.kdmat, "imats": rep.imats}
+        blocks = {"kmat": rep.mats[:, 1:-1, -1].T, "kdmat": rep.mats[:, 0, 1:-1], "imats": rep.mats[:, 1:-1, 1:-1]}
+        for name, view in views.items():
+            assert np.shares_memory(view, rep.mats), name
+            assert not view.flags.writeable, name
+            assert np.array_equal(view, blocks[name]), name
+            with pytest.raises(ValueError):
+                view[...] = 0
+
+    def test_accessors_are_slices_of_triangular(self):
+        alg = STACK_CASES["rot_group_levy_s3"]
+        rep = alg.gns
+        a = ia.core.random_element(alg, np.random.default_rng(2))
+        M = triangular(rep, a)
+        assert rep.l_of(a) == M[0, -1]
+        assert np.array_equal(rep.k_of(a), M[1:-1, -1])
+        assert np.array_equal(rep.kdag_of(a), M[0, 1:-1])
+        assert np.array_equal(rep.i_of(a), M[1:-1, 1:-1])
+        assert rel_residual(rep.k_of(a), rep.kmat @ a.coeffs) <= 1e-12
+        assert rel_residual(rep.l_of(a), a.coeffs @ alg.state) <= 1e-12
 
 
 class TestErrors:
@@ -252,11 +311,6 @@ class TestErrors:
 
     def test_nan_quadruple_fails_validation(self):
         rep = build_representation(ia.wiener())
-        nan = dataclasses.replace(
-            rep,
-            kmat=np.full_like(rep.kmat, np.nan),
-            kdmat=np.full_like(rep.kdmat, np.nan),
-            imats=np.full_like(rep.imats, np.nan),
-        )
+        nan = dataclasses.replace(rep, mats=np.full_like(rep.mats, np.nan))
         with pytest.raises(RepresentationError):
             _validate(nan)

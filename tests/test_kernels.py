@@ -35,7 +35,7 @@ PATHS = ("dense", "join")
 def join_inputs(alg: ia.ItoAlgebra):
     """The join's coordinates ``(I, J, M, si, sk)`` and their ``_pairs_per_factor``."""
     coords = (*np.nonzero(alg.mult), *np.nonzero(alg.star))
-    return coords, core._pairs_per_factor(*coords, alg.dim)
+    return coords, core._pairs_per_factor(alg.mult, alg.star)[0]
 
 
 KERNELS = {
@@ -298,6 +298,47 @@ def test_join_chunks_give_the_same_bits(monkeypatch, build):
     assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]] and chunks[-1][1] == alg.dim
     assert assoc.tobytes() == whole[0].tobytes()
     assert np.float64(antimult).tobytes() == np.float64(whole[1]).tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ia.hp(3),
+    lambda: ia.group_levy(ia.symmetric_group(4)),
+    lambda: rotate(ia.hp(2), 6),
+    lambda: _bent(ia.hp(3), "star", np.nan),
+], ids=["hp3", "s4", "rot_hp2", "nan_star"])
+def test_pair_count_is_the_pairs_the_join_forms(monkeypatch, build):
+    """``_pairs_per_factor`` against the pairs ``_join`` forms, before the chunks and in each chunk.
+
+    The count reads only the nonzero masks, where NaN is nonzero; the join
+    skips the star when it is not finite, so its pairs are counted on the
+    table with each NaN replaced by 1, which has the same masks.
+    """
+    alg = build()
+    per_i, shared = core._pairs_per_factor(alg.mult, alg.star)
+    probe = replace(alg, star=np.where(np.isnan(alg.star), 1.0, alg.star))
+    np.testing.assert_array_equal(core._pairs_per_factor(probe.mult, probe.star)[0], per_i)
+
+    formed = [[None, 0]]   # [(lo, hi), pairs]; the first entry holds the shared star pairs
+    chunker, joiner = core._chunks, core._join
+
+    def chunks(weights, cap):
+        for lo_hi in chunker(weights, cap):
+            formed.append([lo_hi, 0])
+            yield lo_hi
+
+    def join(left, right, n):
+        p, q = joiner(left, right, n)
+        formed[-1][1] += p.size
+        return p, q
+
+    monkeypatch.setattr(core, "_chunks", chunks)
+    monkeypatch.setattr(core, "_join", join)
+    monkeypatch.setattr(core, "_JOIN_MAX_PAIRS", int(per_i.sum()) // 5)
+    core._join_contractions(probe.mult, probe.star, *join_inputs(probe))
+    assert len(formed) >= 4
+    assert formed[0][1] == shared
+    for (lo, hi), pairs in formed[1:]:
+        assert pairs == per_i[lo:hi].sum(), (lo, hi)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
