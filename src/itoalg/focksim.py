@@ -419,41 +419,50 @@ def classical_paths(
     totals = np.zeros((nc, n_paths))
     occupied = np.zeros(n_paths, dtype=np.int64)  # event cells per path
     scaled = chol * np.sqrt(dt_eff)  # g = scaled @ z has covariance moments * dt per step
-    # doubles held per cell: normals and rows, plus the arrays of each event
-    # entry; an atom has at most one entry per cell and min(lam, 1) on average
-    width = 1 + 3 * nb + float(np.minimum(lam, 1.0).sum()) * (9 + 2 * nc + na)
-    chunk = max(1, int(CHUNK_BUDGET // (n_paths * width)))
+    # doubles held per cell by the arrays of the event entries: an atom has at
+    # most one entry per cell and min(lam, 1) on average; a block also holds
+    # per-step counts, so it is charged at least one double per step
+    events = float(np.minimum(lam, 1.0).sum()) * (9 + 2 * nc + na)
+    block = max(1, int(CHUNK_BUDGET // max(n_paths * events, 1)))
+    # a chunk holds the normals and rows, 1 + 3 nb doubles per cell
+    chunk = min(max(1, CHUNK_BUDGET // (n_paths * (1 + 3 * nb))), block)
+    block -= block % chunk
     drawn = n_steps if nc else 0  # no components, no draws
     # a chunk's normals and its step-major rows [1; g; g∘g], allocated once
     z = np.empty((min(chunk, drawn), nb, n_paths))
     buf = np.empty((len(z), r, n_paths))
     buf[:, 0] = 1.0
-    for first in range(0, drawn, chunk):
-        k = min(chunk, n_steps - first)
-        rows = buf[:k]
-        np.matmul(scaled, gens[0].standard_normal(out=z[:k]), out=rows[:, 1 : 1 + nb])
-        np.square(rows[:, 1 : 1 + nb], out=rows[:, 1 + nb :])
-        # one Gram per step, the same numbers for any k; two distinct views make
-        # numpy call gemm, which is 7x faster than syrk at this shape
-        grams = rows[:, 1:] @ rows.swapaxes(1, 2)
-        cell, counts = _jump_events(gens, lam, k, n_paths)
+    for block_start in range(0, drawn, block):
+        kb = min(block, n_steps - block_start)
+        cell, counts = _jump_events(gens, lam, kb, n_paths)
         step, path = np.divmod(cell, n_paths)
-        ev = np.empty((cell.size, r + 2 * nz))  # event cells: [1, g, g∘g, x, x∘x]
-        ev[:, :r] = rows[step, :, path]
-        x = ev[:, r : r + nz]
+        bounds = np.searchsorted(step, np.arange(kb + 1))
+        lev = np.empty((cell.size, 2 * nz))  # the block's event cells: [x, x∘x]
+        x = lev[:, :nz]
         x[:] = empty
         for j in range(na):
             x += np.outer(counts[j], jumps[:, j])
-        np.square(x, out=ev[:, r + nz :])
-        bounds = np.searchsorted(step, np.arange(k + 1))
-        for s in range(k):  # every running sum takes its steps in order
-            gram += grams[s]
-            totals[:nb] += rows[s, 1 : 1 + nb]
-            e = ev[bounds[s] : bounds[s + 1]]
-            gram_ev += e.T @ e
+        np.square(x, out=lev[:, nz:])
         np.add.at(occupied, path, 1)
         for q in range(nz):
             np.add.at(totals[nb + q], path, x[:, q])
+        for first in range(0, kb, chunk):
+            k = min(chunk, kb - first)
+            rows = buf[:k]
+            np.matmul(scaled, gens[0].standard_normal(out=z[:k]), out=rows[:, 1 : 1 + nb])
+            np.square(rows[:, 1 : 1 + nb], out=rows[:, 1 + nb :])
+            # one Gram per step, the same numbers for any k; two distinct views make
+            # numpy call gemm, which is 7x faster than syrk at this shape
+            grams = rows[:, 1:] @ rows.swapaxes(1, 2)
+            lo, hi = bounds[first], bounds[first + k]
+            ev = np.empty((hi - lo, r + 2 * nz))  # the chunk's event cells: [1, g, g∘g, x, x∘x]
+            ev[:, :r] = rows[step[lo:hi] - first, :, path[lo:hi]]
+            ev[:, r:] = lev[lo:hi]
+            for s in range(k):  # every running sum takes its steps in order
+                gram += grams[s]
+                totals[:nb] += rows[s, 1 : 1 + nb]
+                e = ev[bounds[first + s] - lo : bounds[first + s + 1] - lo]
+                gram_ev += e.T @ e
     del z  # freed before the closed forms below, whose temporaries are the peak
 
     n_samples = n_paths * n_steps

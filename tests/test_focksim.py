@@ -396,6 +396,10 @@ class TestPartitionIdentity:
 
 
 WPP = ia.orthogonal_sum(ia.orthogonal_sum(ia.wiener(), ia.poisson()), ia.poisson())
+# two Brownian and three Poisson components, the shape of the benchmark's wwmmm
+WWPPP = ia.orthogonal_sum(ia.orthogonal_sum(ia.wiener(), ia.wiener()),
+                          ia.orthogonal_sum(ia.orthogonal_sum(ia.poisson(), ia.poisson()),
+                                            ia.poisson()))
 # jumps of 0.01 at rate 10^4: 500 jumps per cell at dt = 0.05, drawn as counts per cell
 HIGH_RATE = ia.parse("basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 0.01 dm + 1 dt\n").algebra
 # jumps of 0.5 at rate 18: 0.9 events per cell at dt = 0.05, so a few paths share cells
@@ -581,12 +585,13 @@ class TestClassicalPaths:
             ("newton", 100, 10),
             ("wpp", CHUNK_BUDGET // 3 + 1, 3),       # one step per chunk
             ("wpp", 1000, 2 * (CHUNK_BUDGET // 3000) + 7),  # two full chunks and a short one
+            ("wpp", 20_000, 50),                     # event blocks of 6 chunks; the last is ragged
             ("crowded", 4, 20),                      # several events in one cell
             ("high_rate", 500, 20),                  # counts per cell
             ("correlated", 3000, 50),                # a correlated Brownian pair
         ],
         ids=["wiener", "poisson", "newton", "wpp-one-step-chunks", "wpp-ragged-chunks",
-             "crowded", "high-rate", "correlated"],
+             "wpp-event-blocks", "crowded", "high-rate", "correlated"],
     )
     def test_chunks_match_the_step_by_step_sampler(self, name, n_paths, n_steps):
         tables = {"wpp": WPP, "crowded": CROWDED, "high_rate": HIGH_RATE, "correlated": CORRELATED}
@@ -601,6 +606,27 @@ class TestClassicalPaths:
             for x, y in ((e.value, r.value), (e.stderr, r.stderr)):
                 assert abs(x - y) <= bound * max(1.0, abs(y)), (e.name, x, y)
             assert e.target == r.target, e.name
+
+    def test_jump_events_are_drawn_once_per_event_block(self, monkeypatch):
+        # wiener^2 + poisson^3 at 20000 x 200: blocks of 78 steps, Brownian chunks of 3
+        alg = WWPPP
+        n_paths, n_steps, nb, nc, na = 20_000, 200, 2, 5, 3
+        _, _, _, rates = focksim._levy_khinchin(decompose(alg))
+        lam = rates / n_steps
+        block = int(CHUNK_BUDGET // (n_paths * np.minimum(lam, 1.0).sum() * (9 + 2 * nc + na)))
+        chunk = min(CHUNK_BUDGET // (n_paths * (1 + 3 * nb)), block)
+        block -= block % chunk
+        drawn = []
+
+        def counted(gens, lam, k, n_paths):
+            drawn.append(k)
+            return jump_events(gens, lam, k, n_paths)
+
+        jump_events = focksim._jump_events
+        monkeypatch.setattr(focksim, "_jump_events", counted)
+        classical_paths(alg, 1.0, 1.0 / n_steps, n_paths, 3)
+        assert len(drawn) == math.ceil(n_steps / block) < math.ceil(n_steps / chunk), drawn
+        assert drawn[:-1] == [block] * (len(drawn) - 1) and sum(drawn) == n_steps, drawn
 
     def test_events_in_one_cell_add_up(self):
         # the crowded table puts 0.9 * 4 events per step on 4 paths
