@@ -42,7 +42,7 @@ __all__ = [
     "vacuum_moments",
 ]
 
-CHUNK_BUDGET = 2**19   # doubles in one chunk of classical steps (4 MiB)
+CHUNK_BUDGET = 2**19   # doubles in one chunk or event block of classical steps (4 MiB)
 MAX_SAMPLES = 2**53    # largest n_paths * n_steps that the float divisor holds exactly
 # largest mean count per cell that numpy's Generator.poisson accepts
 MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
@@ -350,7 +350,10 @@ def classical_paths(
     Levy-Khinchin triplet is read off the decomposition: Gaussian increments
     with covariance l(x_p . x_q) dt drive the Brownian components, and
     compensated Poisson counts of the jump atoms (``_levy_khinchin``) drive
-    the Levy components.
+    the Levy components.  The Brownian parts are independent Hermitian
+    elements of a faithful table, so their covariance is positive definite;
+    chol is the Cholesky factor of the covariance itself, with no jitter,
+    and a failed factorization is an UnsupportedModelError.
 
     Draw order: the 1 + 2 na streams are SFC64 generators on the children of
     ``SeedSequence(seed).spawn(1 + 2 na)``.  Stream 0 gives each step's
@@ -359,17 +362,25 @@ def classical_paths(
     Poisson(lam_j n_paths), from stream 1 + j and the paths of its events
     from stream 1 + na + j; with lam_j > 1 it draws a count per cell (step,
     path) from stream 1 + j.  Each stream is read step by step, so the draws
-    are the same numbers for any chunking.  A cell without an event holds
-    the constant c0 = -jumps . lam, so every sum is a closed form over the
-    empty cells plus the exact values at the event cells: the Levy rows are
-    never dense.  The Brownian sums come from one stacked Gram
+    are the same numbers however the steps are grouped.  A cell without an
+    event holds the constant c0 = -jumps . lam, so every sum is a closed
+    form over the empty cells plus the exact values at the event cells: the
+    Levy rows are never dense.  The Brownian sums come from one stacked Gram
     [g; g∘g][1; g; g∘g]^T per step, and every running sum takes its steps in
-    order, so the report is bit-identical for every CHUNK_BUDGET.  Steps go
-    in chunks of max(1, CHUNK_BUDGET // (n_paths * w)) for w = 1 + 3 nb
-    doubles per cell plus, per cell, sum_j min(lam_j, 1) event entries of
-    9 + 2 nc + na doubles each; the normals and rows of a chunk are two
-    buffers allocated once.  Memory is a few chunks of CHUNK_BUDGET doubles
-    plus O(n_paths * nc), whatever n_steps and the rates are.  At most
+    order, so the report is bit-identical for every CHUNK_BUDGET.
+
+    Both group sizes come from CHUNK_BUDGET doubles.  The jump events are
+    drawn in event blocks of CHUNK_BUDGET // (n_paths * e) steps, where a
+    cell holds on average e = sum_j min(lam_j, 1) event entries of
+    9 + 2 nc + na doubles each (a block is charged at least one double per
+    step, for its per-step counts).  A block's Levy values x, its event
+    counts per path and its Levy totals are built once.  The normals go in
+    Brownian chunks of CHUNK_BUDGET // (n_paths * (1 + 3 nb)) steps, at most
+    one block, and the block is rounded down to a whole number of chunks;
+    each chunk takes its events out of the block by step.  The normals and
+    rows of a chunk are two buffers allocated once.  Memory is a few
+    CHUNK_BUDGETs of doubles plus O(n_paths * nc), whatever n_steps and the
+    rates are.  At most
     MAX_SAMPLES = 2**53 samples n_paths * n_steps are taken, the largest
     count a float divisor holds exactly; more is an AlgebraError (CLI exit 2),
     raised before any work.  So is a mean count per cell above
@@ -395,7 +406,7 @@ def classical_paths(
     vectors = brown + levy
     moments = (pair_products(alg, vectors, vectors) @ alg.state).real  # [p, q] is l(x_p . x_q)
     try:
-        chol = np.linalg.cholesky(moments[:nb, :nb] + np.eye(nb) * alg.tol)
+        chol = np.linalg.cholesky(moments[:nb, :nb])
     except np.linalg.LinAlgError as exc:
         raise UnsupportedModelError("Brownian covariance is not positive") from exc
 

@@ -232,7 +232,7 @@ def ref_classical_paths(
         raise UnsupportedModelError("Brownian covariance is not real")
     cov = cov.real
     try:
-        chol = np.linalg.cholesky(cov + np.eye(nb) * tol) if nb else np.zeros((0, 0))
+        chol = np.linalg.cholesky(cov) if nb else np.zeros((0, 0))
     except np.linalg.LinAlgError as exc:
         raise UnsupportedModelError("Brownian covariance is not positive") from exc
 

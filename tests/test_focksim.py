@@ -675,6 +675,25 @@ class TestClassicalPaths:
         for e in rpt.estimates:
             assert abs(e.value - e.target) <= 5 * e.stderr, e.name
 
+    def test_small_brownian_variance_meets_its_targets(self):
+        # a factor of moments + tol I put var[dw] at 1.1e-8, 9 standard errors off
+        table = ia.parse("basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = 1e-8 dt\n").algebra
+        rpt = classical_paths(table, 1.0, 0.01, 20_000, 1)
+        assert rpt.estimate("var[dw]").target == pytest.approx(1e-8)
+        for e in rpt.estimates:
+            assert abs(e.value - e.target) <= 5 * e.stderr, e.name
+
+    def test_singular_brownian_covariance_is_unsupported(self, monkeypatch):
+        # the Brownian part twice: covariance [[1, 1], [1, 1]], which has no Cholesky factor
+        def twice(dec):
+            brown, levy, jumps, rates = levy_khinchin(dec)
+            return brown * 2, levy, jumps, rates
+
+        levy_khinchin = focksim._levy_khinchin
+        monkeypatch.setattr(focksim, "_levy_khinchin", twice)
+        with pytest.raises(UnsupportedModelError, match="Brownian covariance is not positive"):
+            classical_paths(ia.wiener(), 1.0, 0.1, 100, 0)
+
     def test_high_rate_small_jumps_meet_their_targets(self):
         rpt = classical_paths(HIGH_RATE, 1.0, 0.05, 20_000, 8)
         assert rpt.estimates
