@@ -332,9 +332,9 @@ def _jump_events(gens, lam: np.ndarray, k: int, n_paths: int) -> tuple[np.ndarra
             counts.append(np.ones_like(path))
     atom = np.repeat(np.arange(-1, na), [c.size for c in cells])
     cell, inverse = np.unique(np.concatenate(cells), return_inverse=True)
-    table = np.zeros((na, cell.size))
-    np.add.at(table, (atom, inverse), np.concatenate(counts))
-    return cell, table
+    # whole counts: their sums are exact in any order
+    table = np.bincount(atom * cell.size + inverse, np.concatenate(counts), na * cell.size)
+    return cell, table.reshape(na, cell.size)
 
 
 def classical_paths(
