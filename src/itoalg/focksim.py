@@ -469,10 +469,11 @@ def classical_paths(
             ev = np.empty((hi - lo, r + 2 * nz))  # the chunk's event cells: [1, g, g∘g, x, x∘x]
             ev[:, :r] = rows[step[lo:hi] - first, :, path[lo:hi]]
             ev[:, r:] = lev[lo:hi]
+            at = bounds[first : first + k + 1] - lo  # each step's rows of ev
             for s in range(k):  # every running sum takes its steps in order
                 gram += grams[s]
                 totals[:nb] += rows[s, 1 : 1 + nb]
-                e = ev[bounds[first + s] - lo : bounds[first + s + 1] - lo]
+                e = ev[at[s] : at[s + 1]]
                 gram_ev += e.T @ e
     del z  # freed before the closed forms below, whose temporaries are the peak
 
