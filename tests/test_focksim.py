@@ -676,7 +676,7 @@ class TestClassicalPaths:
             assert abs(e.value - e.target) <= 5 * e.stderr, e.name
 
     def test_small_brownian_variance_meets_its_targets(self):
-        # a factor of moments + tol I put var[dw] at 1.1e-8, 9 standard errors off
+        # a factor of moments + tol I put var[dw] at 1.09e-8, 8 standard errors off
         table = ia.parse("basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = 1e-8 dt\n").algebra
         rpt = classical_paths(table, 1.0, 0.01, 20_000, 1)
         assert rpt.estimate("var[dw]").target == pytest.approx(1e-8)
