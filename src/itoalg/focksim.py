@@ -42,7 +42,7 @@ __all__ = [
     "vacuum_moments",
 ]
 
-CHUNK_BUDGET = 2**19   # doubles in one chunk or event block of classical steps (4 MiB)
+CHUNK_BUDGET = 2**19   # doubles in one event block of classical steps (4 MiB)
 MAX_SAMPLES = 2**53    # largest n_paths * n_steps that the float divisor holds exactly
 # largest mean count per cell that numpy's Generator.poisson accepts
 MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
@@ -337,6 +337,39 @@ def _jump_events(gens, lam: np.ndarray, k: int, n_paths: int) -> tuple[np.ndarra
     return cell, table.reshape(na, cell.size)
 
 
+def _gaussian(gen: np.random.Generator, count: int, factor: np.ndarray) -> np.ndarray:
+    """``count`` rows g = factor z from ``gen``, each z one row of standard normals.
+
+    The product is summed term by term, so a row's bits do not depend on
+    how many rows are drawn with it.
+    """
+    z = gen.standard_normal((count, len(factor)))
+    g = np.zeros_like(z)
+    for i in range(len(factor)):
+        g += z[:, i : i + 1] * factor[:, i]
+    return g
+
+
+def _wishart(gen: np.random.Generator, df: int, factor: np.ndarray) -> np.ndarray:
+    """A draw of sum_k g_k g_k^T over df independent rows g_k of ``_gaussian``.
+
+    Bartlett's decomposition draws it as factor A A^T factor^T, with A lower
+    triangular, A_ii^2 ~ chi^2(df - i) and standard normals below the
+    diagonal, drawn in that order from ``gen`` (Odell and Feiveson, JASA 61,
+    1966).  Below df = dim the last chi^2(df - i) would have no degrees of
+    freedom, so the df rows are drawn and summed as they are.
+    """
+    dim = len(factor)
+    if df < dim:
+        g = _gaussian(gen, df, factor)
+        return g.T @ g
+    a = np.zeros((dim, dim))
+    a[np.diag_indices(dim)] = np.sqrt(gen.chisquare(df - np.arange(dim)))
+    a[np.tril_indices(dim, -1)] = gen.standard_normal(dim * (dim - 1) // 2)
+    la = factor @ a
+    return la @ la.T
+
+
 def classical_paths(
     alg: ItoAlgebra,
     t: float,
@@ -348,44 +381,58 @@ def classical_paths(
 
     Supported inputs are every commutative faithful algebra.  Its
     Levy-Khinchin triplet is read off the decomposition: Gaussian increments
-    with covariance l(x_p . x_q) dt drive the Brownian components, and
+    g with covariance l(x_p . x_q) dt drive the Brownian components, and
     compensated Poisson counts of the jump atoms (``_levy_khinchin``) drive
     the Levy components.  The Brownian parts are independent Hermitian
     elements of a faithful table, so their covariance is positive definite;
     chol is the Cholesky factor of the covariance itself, with no jitter,
     and a failed factorization is an UnsupportedModelError.
 
-    Draw order: the 1 + 2 na streams are SFC64 generators on the children of
-    ``SeedSequence(seed).spawn(1 + 2 na)``.  Stream 0 gives each step's
-    normals z as one (nb, n_paths) block, and g = chol sqrt(dt) z.  Jump atom
-    j with lam_j = rate_j * dt <= 1 draws the total of each step,
-    Poisson(lam_j n_paths), from stream 1 + j and the paths of its events
-    from stream 1 + na + j; with lam_j > 1 it draws a count per cell (step,
-    path) from stream 1 + j.  Each stream is read step by step, so the draws
-    are the same numbers however the steps are grouped.  A cell without an
-    event holds the constant c0 = -jumps . lam, so every sum is a closed
-    form over the empty cells plus the exact values at the event cells: the
-    Levy rows are never dense.  The Brownian sums come from one stacked Gram
-    [g; g∘g][1; g; g∘g]^T per step, and every running sum takes its steps in
-    order, so the report is bit-identical for every CHUNK_BUDGET.
+    The report reads only first- and second-order sums over the cells
+    (step, path): each path's total and sum_cells y y^T.  A cell without an
+    event holds the Levy constant c0 = -jumps . lam, and the Brownian g of
+    the m_p quiet (event-free) cells of path p enter those sums only through
+    their total T_p ~ N(0, m_p C dt), C = l(x_p . x_q) over the Brownian
+    parts, and their scatter sum g g^T.  Given the totals, the scatters of
+    all paths add up to sum_p T_p T_p^T / m_p plus one independent
+    Wishart(sum_p (m_p - 1), C dt), drawn by ``_wishart``.  So g is drawn
+    only at the event cells, and the cost grows with n_paths and the events,
+    not with n_steps.
 
-    Both group sizes come from CHUNK_BUDGET doubles.  The jump events are
-    drawn in event blocks of CHUNK_BUDGET // (n_paths * e) steps, where a
-    cell holds on average e = sum_j min(lam_j, 1) event entries of
-    9 + 2 nc + na doubles each (a block is charged at least one double per
-    step, for its per-step counts).  A block's Levy values x, its event
-    counts per path and its Levy totals are built once.  The normals go in
-    Brownian chunks of CHUNK_BUDGET // (n_paths * (1 + 3 nb)) steps, at most
-    one block, and the block is rounded down to a whole number of chunks;
-    each chunk takes its events out of the block by step.  The normals and
-    rows of a chunk are two buffers allocated once.  Memory is a few
+    Draw order: the 1 + 2 na streams are SFC64 generators on the children of
+    ``SeedSequence(seed).spawn(1 + 2 na)``.  Jump atom j with
+    lam_j = rate_j * dt <= 1 draws the total of each step,
+    Poisson(lam_j n_paths), from stream 1 + j and the paths of its events
+    from stream 1 + na + j; with lam_j > 1 it draws a count per cell from
+    stream 1 + j.  Stream 0 gives, block by block, one row of nb normals per
+    event cell in cell order (step-major); then one row per path for the
+    quiet totals; then the Wishart draw (nb chi-squares and the normals
+    below the diagonal, or its df rows when df < nb).  Every stream is read
+    in order of steps and every sum takes its terms in a fixed order: a
+    Brownian path total its events in cell order, then T_p; a Levy path
+    total n_steps c0 plus the jumps times whole-number event counts; the
+    event sums u u^T, u = [g; x; x∘x], one step at a time.  So the report
+    is bit-identical for every CHUNK_BUDGET.
+
+    Errors come from the law being sampled.  The per-cell variance of
+    y_p y_q is k4_ppqq + C_pp C_qq + C_pq^2, with C the sampled per-cell
+    covariance and k4_ppqq = sum_j lam_j jumps[p, j]^2 jumps[q, j]^2 from
+    the triplet (0 when p or q is Brownian).  The exception is the Levy
+    diagonal, which keeps the sampled sum of x^4: it is the one witness of
+    the jump law in the report (a Gaussian step with the same covariance
+    has the same second moments), and the law's k4 would hide a wrong one.
+
+    The jump events are drawn in event blocks of
+    CHUNK_BUDGET // (n_paths * e) steps, where a cell holds on average
+    e = sum_j min(lam_j, 1) event entries of 9 + 2 nc + na + 2 nb doubles
+    each (2 nb of them for the normals and g of the cell; a block is charged
+    at least one double per step, for its per-step counts).  Memory is a few
     CHUNK_BUDGETs of doubles plus O(n_paths * nc), whatever n_steps and the
-    rates are.  At most
-    MAX_SAMPLES = 2**53 samples n_paths * n_steps are taken, the largest
-    count a float divisor holds exactly; more is an AlgebraError (CLI exit 2),
-    raised before any work.  So is a mean count per cell above
-    MAX_POISSON_MEAN (about 9.2e18), numpy's Poisson limit, raised before
-    any draw.
+    rates are.  At most MAX_SAMPLES = 2**53 samples n_paths * n_steps are
+    taken, the largest count a float divisor holds exactly; more is an
+    AlgebraError (CLI exit 2), raised before any work.  So is a mean count
+    per cell above MAX_POISSON_MEAN (about 9.2e18), numpy's Poisson limit,
+    raised before any draw.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -411,7 +458,7 @@ def classical_paths(
         raise UnsupportedModelError("Brownian covariance is not positive") from exc
 
     dt_eff = t / n_steps
-    nc, r = nb + nz, 1 + 2 * nb  # r rows [1; g; g∘g] per cell for the Brownian Gram
+    nc = nb + nz
     labels = [_component_label(alg, v, f"y{i}") for i, v in enumerate(brown)]
     labels += [_component_label(alg, v, f"z{j}") for j, v in enumerate(levy)]
 
@@ -424,70 +471,61 @@ def classical_paths(
     empty = -(jumps @ lam)  # c0, the Levy value of a cell with no event
     gens = [np.random.Generator(np.random.SFC64(child))
             for child in np.random.SeedSequence(seed).spawn(1 + 2 * na)]
-    gram = np.zeros((r - 1, r))  # sums over every cell of [g; g∘g][1; g; g∘g]^T
-    # sums over the event cells of u u^T, u = [1; g; g∘g; x; x∘x]
-    gram_ev = np.zeros((r + 2 * nz,) * 2)
-    totals = np.zeros((nc, n_paths))
+    gram_ev = np.zeros((nc + nz,) * 2)  # sums over the event cells of u u^T, u = [g; x; x∘x]
+    totals = np.zeros((nc, n_paths))  # a Brownian row sums g over its event cells first
+    hits = np.zeros((na, n_paths))  # events of each atom per path: whole numbers, exact in any order
     occupied = np.zeros(n_paths, dtype=np.int64)  # event cells per path
     scaled = chol * np.sqrt(dt_eff)  # g = scaled @ z has covariance moments * dt per step
-    # doubles held per cell by the arrays of the event entries: an atom has at
-    # most one entry per cell and min(lam, 1) on average; a block also holds
-    # per-step counts, so it is charged at least one double per step
-    events = float(np.minimum(lam, 1.0).sum()) * (9 + 2 * nc + na)
+    # doubles held per cell by the arrays of the event entries, with the
+    # normals and g of the cell: an atom has at most one entry per cell and
+    # min(lam, 1) on average; a block also holds per-step counts, so it is
+    # charged at least one double per step
+    events = float(np.minimum(lam, 1.0).sum()) * (9 + 2 * nc + na + 2 * nb)
     block = max(1, int(CHUNK_BUDGET // max(n_paths * events, 1)))
-    # a chunk holds the normals and rows, 1 + 3 nb doubles per cell
-    chunk = min(max(1, CHUNK_BUDGET // (n_paths * (1 + 3 * nb))), block)
-    block -= block % chunk
-    drawn = n_steps if nc else 0  # no components, no draws
-    # a chunk's normals and its step-major rows [1; g; g∘g], allocated once
-    z = np.empty((min(chunk, drawn), nb, n_paths))
-    buf = np.empty((len(z), r, n_paths))
-    buf[:, 0] = 1.0
-    for block_start in range(0, drawn, block):
+    for block_start in range(0, n_steps if na else 0, block):
         kb = min(block, n_steps - block_start)
         cell, counts = _jump_events(gens, lam, kb, n_paths)
         step, path = np.divmod(cell, n_paths)
-        bounds = np.searchsorted(step, np.arange(kb + 1))
-        lev = np.empty((cell.size, 2 * nz))  # the block's event cells: [x, x∘x]
-        x = lev[:, :nz]
+        u = np.empty((cell.size, nc + nz))  # the block's event cells: [g, x, x∘x]
+        u[:, :nb] = _gaussian(gens[0], cell.size, scaled)
+        x = u[:, nb:nc]
         x[:] = empty
         for j in range(na):
             x += np.outer(counts[j], jumps[:, j])
-        np.square(x, out=lev[:, nz:])
-        np.add.at(occupied, path, 1)
-        for q in range(nz):
-            np.add.at(totals[nb + q], path, x[:, q])
-        for first in range(0, kb, chunk):
-            k = min(chunk, kb - first)
-            rows = buf[:k]
-            np.matmul(scaled, gens[0].standard_normal(out=z[:k]), out=rows[:, 1 : 1 + nb])
-            np.square(rows[:, 1 : 1 + nb], out=rows[:, 1 + nb :])
-            # one Gram per step, the same numbers for any k; two distinct views make
-            # numpy call gemm, which is 7x faster than syrk at this shape
-            grams = rows[:, 1:] @ rows.swapaxes(1, 2)
-            lo, hi = bounds[first], bounds[first + k]
-            ev = np.empty((hi - lo, r + 2 * nz))  # the chunk's event cells: [1, g, g∘g, x, x∘x]
-            ev[:, :r] = rows[step[lo:hi] - first, :, path[lo:hi]]
-            ev[:, r:] = lev[lo:hi]
-            at = bounds[first : first + k + 1] - lo  # each step's rows of ev
-            for s in range(k):  # every running sum takes its steps in order
-                gram += grams[s]
-                totals[:nb] += rows[s, 1 : 1 + nb]
-                e = ev[at[s] : at[s + 1]]
-                gram_ev += e.T @ e
-    del z  # freed before the closed forms below, whose temporaries are the peak
+        np.square(x, out=u[:, nc:])
+        occupied += np.bincount(path, minlength=n_paths)
+        for j in range(na):
+            hits[j] += np.bincount(path, counts[j], n_paths)
+        for p in range(nb):  # add.at adds to the running sums one event at a time, in cell order
+            np.add.at(totals[p], path, u[:, p])
+        bounds = np.searchsorted(step, np.arange(kb + 1))
+        for s in np.flatnonzero(np.diff(bounds)):  # the event sums take their steps in order
+            e = u[bounds[s] : bounds[s + 1]]
+            gram_ev += e.T @ e
 
     n_samples = n_paths * n_steps
-    totals[nb:] += np.outer(empty, n_steps - occupied)  # the cells with no event hold c0
-    # sums of [1; g; g∘g] over the cells with no event, times [x; x∘x] = [c0; c0∘c0] there
-    rest = np.r_[n_samples, gram[:, 0]] - gram_ev[:r, 0]
-    lev0 = np.r_[empty, empty**2]
-    mixed = gram_ev[1:r, r:] + np.outer(rest[1:], lev0)  # [g; g∘g][x; x∘x]^T
-    jump = gram_ev[r:, r:] + rest[0] * np.outer(lev0, lev0)  # [x; x∘x][x; x∘x]^T
-    pair_sum = np.block([[gram[:nb, 1 : 1 + nb], mixed[:nb, :nz]],
-                         [mixed[:nb, :nz].T, jump[:nz, :nz]]])
-    pair_sumsq = np.block([[gram[nb:, 1 + nb :], mixed[nb:, nz:]],
-                           [mixed[nb:, nz:].T, jump[nz:, nz:]]])
+    quiet = n_steps - occupied  # m_p, the cells of path p with no event
+    # T_p = sqrt(m_p) v_p, and the quiet scatter is sum_p v_p v_p^T plus a Wishart draw
+    v = _gaussian(gens[0], n_paths, scaled)
+    v[quiet == 0] = 0.0
+    scatter = v.T @ v + _wishart(gens[0], int(np.maximum(quiet - 1, 0).sum()), scaled)
+    v *= np.sqrt(quiet)[:, None]  # T_p
+    totals[:nb] += v.T
+    np.matmul(jumps, hits, out=totals[nb:])
+    totals[nb:] += (n_steps * empty)[:, None]  # every cell holds c0 plus its jumps
+    # y y^T summed over the quiet cells, where the Levy components hold c0
+    n_quiet = int(quiet.sum())
+    shift = np.outer(v.sum(axis=0), empty)
+    pair_sum = gram_ev[:nc, :nc] + np.block([[scatter, shift],
+                                             [shift.T, n_quiet * np.outer(empty, empty)]])
+    fourth = np.diag(gram_ev)[nc:] + n_quiet * empty**4  # sum of x^4 per Levy component
+
+    # per-cell covariance C and variance of y_p y_q: k4_ppqq + C_pp C_qq + C_pq^2
+    cov = pair_sum / n_samples
+    cell_var = np.outer(np.diag(cov), np.diag(cov)) + cov**2
+    cell_var[nb:, nb:] += (jumps**2 * lam) @ (jumps**2).T
+    levy_diag = np.arange(nb, nc)
+    cell_var[levy_diag, levy_diag] = fourth / n_samples - np.diag(cov)[nb:] ** 2
 
     estimates: list[Estimate] = []
     for p in range(nc):
@@ -496,17 +534,15 @@ def classical_paths(
         var = float(np.var(x, ddof=1))
         centered = x - m
         m2 = float(np.mean(centered**2))
-        m4 = float(np.mean(centered**4))
+        m4 = float(np.mean(np.square(centered**2)))  # ** 4 calls pow per element
         var_se = float(np.sqrt(max(m4 - m2**2, 0.0) / n_paths))
         mean_se = math.sqrt(var) / math.sqrt(n_paths)
         estimates.append(Estimate(f"mean[{labels[p]}]", m, mean_se, 0.0))
         estimates.append(Estimate(f"var[{labels[p]}]", var, var_se, float(moments[p, p]) * t))
         for q in range(p, nc):
-            mean_pq = pair_sum[p, q] / n_samples
-            var_pq = pair_sumsq[p, q] / n_samples - mean_pq**2
-            se = float(np.sqrt(max(var_pq, 0.0) / n_samples)) / dt_eff
+            se = float(np.sqrt(max(cell_var[p, q], 0.0) / n_samples)) / dt_eff
             name = f"cov[{labels[p]},{labels[q]}]"
-            estimates.append(Estimate(name, mean_pq / dt_eff, se, float(moments[p, q])))
+            estimates.append(Estimate(name, float(cov[p, q]) / dt_eff, se, float(moments[p, q])))
 
     return SimReport(
         kind="classical_paths",

@@ -190,14 +190,16 @@ def ref_classical_paths(
 ) -> SimReport:
     """Reference sampler: one draw and one (n_paths, nc, nc) outer product per step.
 
-    The step-by-step loop that ``focksim.classical_paths`` replaced by chunks
-    of steps and sums over the jump events.  It consumes the same SFC64
-    streams, spawned from ``SeedSequence(seed)``, in the same order: each
-    step draws its normals as one (nb, n_paths) block from stream 0, and
-    each step of component j draws its total Poisson(lam n_paths) from
-    stream 1 + j and the paths of its events from stream 1 + nz + j,
-    expanded to dense counts with ``np.bincount``; a rate above one jump per
-    cell draws the counts per cell from stream 1 + j.
+    The step-by-step loop that ``focksim.classical_paths`` replaced by sums
+    over the jump events and the Brownian sufficient statistics.  It spawns
+    the same SFC64 streams from ``SeedSequence(seed)``.  Each step of
+    component j draws its total Poisson(lam n_paths) from stream 1 + j and
+    the paths of its events from stream 1 + nz + j, expanded to dense
+    counts with ``np.bincount``; a rate above one jump per cell draws the
+    counts per cell from stream 1 + j.  These are the sampler's jump draws,
+    so its Levy estimates match to rounding.  Each step draws its normals
+    as one (nb, n_paths) block from stream 0, which the sampler no longer
+    does: on the Brownian side the two agree in law only.
     """
     start = time.perf_counter()
     if not commutant_check(alg):

@@ -43,6 +43,10 @@ EXTRA_TABLES = {
     "inf_literal": "basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = 1e400 dt\n",
     # jumps of 0.01 at rate 1e4: 500 events per cell at dt = 0.05, drawn per cell
     "high_rate": "basis dt dm\ndeath dt\nstate dt = 1\nmul dm dm = 0.01 dm + 1 dt\n",
+    # two Brownian components with covariance [[1, 0.6], [0.6, 2]]
+    "correlated": "basis dt a b\ndeath dt\nstate dt = 1\n"
+                  "mul a a = 1 dt\nmul a b = 0.6 dt\nmul b a = 0.6 dt\nmul b b = 2 dt\n",
+    "wiener2": serialize(ia.orthogonal_sum(ia.wiener(), ia.wiener())),
     # 16 weights: 33 symbols, and a representation of mostly zero entries
     "periodic_wiener16": serialize(ia.periodic_wiener(16, [0.5 + k / 16 for k in range(16)])),
 }
@@ -334,6 +338,15 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.count("\n") == 1
         assert strict_loads(out)["kind"] == "classical_paths"
+
+    @pytest.mark.parametrize("dt", ["1", "0.5"])
+    @pytest.mark.parametrize("table", ["wiener2", "correlated"])
+    def test_classical_run_of_one_or_two_steps_on_two_paths(self, capsys, ito_files, table, dt):
+        # too few cells for a Bartlett draw of the quiet scatter: it is summed as drawn
+        code, out, err = run_cli(capsys, "simulate", ito_files[table], "--model", "classical",
+                                 "--dt", dt, "--paths", "2", "--json")
+        assert (code, err) == (0, "")
+        assert len(strict_loads(out)["estimates"]) == 7
 
     def test_simulate_classical_noncommutative(self, capsys, ito_files):
         code, _, err = run_cli(

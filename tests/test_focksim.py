@@ -409,6 +409,8 @@ CORRELATED = ia.parse(
     "basis dt a b\ndeath dt\nstate dt = 1\n"
     "mul a a = 1 dt\nmul a b = 0.6 dt\nmul b a = 0.6 dt\nmul b b = 2 dt\n"
 ).algebra
+# the tables above by the names the sampler tests give them; any other name is a builtin
+TABLES = {"wpp": WPP, "crowded": CROWDED, "high_rate": HIGH_RATE, "correlated": CORRELATED}
 
 
 def streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -443,6 +445,25 @@ def jump_law_misfit(alg, rpt) -> list[float]:
         target = state_of_power(alg, x, 4) + 2 * dt * state_of_power(alg, x, 2) ** 2
         misfit.append((q - target) / math.sqrt(state_of_power(alg, x, 8) / (n_samples * dt)))
     return misfit
+
+
+def component_labels(alg) -> tuple[list[str], list[str]]:
+    """The Brownian and the Levy labels that classical_paths gives the table's components."""
+    brown, levy, _, _ = focksim._levy_khinchin(decompose(alg))
+    return ([focksim._component_label(alg, x, f"y{i}") for i, x in enumerate(brown)],
+            [focksim._component_label(alg, x, f"z{j}") for j, x in enumerate(levy)])
+
+
+def named_components(name: str) -> list[str]:
+    """The labels inside an estimate's brackets: mean[a] -> [a], cov[a,b] -> [a, b]."""
+    return name[name.index("[") + 1 : -1].split(",")
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|, numpy only."""
+    grid = np.concatenate([a, b])
+    cdf = [np.searchsorted(np.sort(x), grid, side="right") / len(x) for x in (a, b)]
+    return float(np.max(np.abs(cdf[0] - cdf[1])))
 
 
 class TestClassicalPaths:
@@ -580,42 +601,84 @@ class TestClassicalPaths:
     @pytest.mark.parametrize(
         "name, n_paths, n_steps",
         [
-            ("wiener", 3000, 50),
             ("poisson", 3000, 50),
             ("newton", 100, 10),
-            ("wpp", CHUNK_BUDGET // 3 + 1, 3),       # one step per chunk
-            ("wpp", 1000, 2 * (CHUNK_BUDGET // 3000) + 7),  # two full chunks and a short one
-            ("wpp", 20_000, 50),                     # event blocks of 6 chunks; the last is ragged
+            ("wpp", CHUNK_BUDGET // 3 + 1, 3),       # event blocks of one step
+            ("wpp", 30_000, 20),                     # event blocks of 9, 9 and 2 steps
+            ("wpp", 20_000, 50),                     # event blocks of 34 and 16 steps
             ("crowded", 4, 20),                      # several events in one cell
             ("high_rate", 500, 20),                  # counts per cell
-            ("correlated", 3000, 50),                # a correlated Brownian pair
         ],
-        ids=["wiener", "poisson", "newton", "wpp-one-step-chunks", "wpp-ragged-chunks",
-             "wpp-event-blocks", "crowded", "high-rate", "correlated"],
+        ids=["poisson", "newton", "wpp-one-step-chunks", "wpp-ragged-chunks", "wpp-event-blocks",
+             "crowded", "high-rate"],
     )
     def test_chunks_match_the_step_by_step_sampler(self, name, n_paths, n_steps):
-        tables = {"wpp": WPP, "crowded": CROWDED, "high_rate": HIGH_RATE, "correlated": CORRELATED}
-        alg = tables[name] if name in tables else getattr(ia, name)()
+        # the jump streams are read as the reference reads them, so every estimate
+        # of the Levy components matches it to rounding, the errors of the Levy
+        # diagonal too; the Brownian side has its own law and test below
+        alg = TABLES[name] if name in TABLES else getattr(ia, name)()
         args = (alg, 1.0, 1.0 / n_steps, n_paths, 2024)
         got, ref = classical_paths(*args), ref_classical_paths(*args)
         assert got.inputs == ref.inputs
         assert [e.name for e in got.estimates] == [e.name for e in ref.estimates]
+        brown, levy = component_labels(alg)
+        compared = 0
         for e, r in zip(got.estimates, ref.estimates):
-            # sums over the events and per-step Grams against per-step outer products: rounding only
-            bound = 1e-10 if e.name.startswith("cov[") else 1e-12
-            for x, y in ((e.value, r.value), (e.stderr, r.stderr)):
-                assert abs(x - y) <= bound * max(1.0, abs(y)), (e.name, x, y)
             assert e.target == r.target, e.name
+            if set(brown) & set(named_components(e.name)):
+                continue
+            # sums over the events against per-step outer products: rounding only
+            bound = 1e-10 if e.name.startswith("cov[") else 1e-12
+            pairs = [(e.value, r.value)]
+            if len(set(named_components(e.name))) == 1:  # an off-diagonal error is the law's
+                pairs.append((e.stderr, r.stderr))
+            for x, y in pairs:
+                assert abs(x - y) <= bound * max(1.0, abs(y)), (e.name, x, y)
+            compared += 1
+        assert compared == 2 * len(levy) + len(levy) * (len(levy) + 1) // 2
+
+    @pytest.mark.parametrize(
+        "name, n_paths, n_steps",
+        [
+            ("wiener", 1000, 20),
+            ("wpp", 1000, 50),        # 4% of the cells hold an event
+            ("correlated", 1000, 20),
+            ("crowded", 500, 20),
+            ("high_rate", 500, 20),
+        ],
+        ids=["wiener", "wpp", "correlated", "crowded", "high-rate"],
+    )
+    def test_sampler_matches_the_step_by_step_law(self, name, n_paths, n_steps):
+        # over a fixed set of seeds, every estimate has the reference's law
+        # (two-sample Kolmogorov-Smirnov at alpha = 1e-3), and its errors are
+        # calibrated: mean z within 4/sqrt(S), spread over median error in [0.8, 1.25];
+        # the errors that follow the reference's convention have its law too
+        alg = TABLES[name] if name in TABLES else getattr(ia, name)()
+        seeds = range(200)
+        got = [classical_paths(alg, 1.0, 1.0 / n_steps, n_paths, s).estimates for s in seeds]
+        ref = [ref_classical_paths(alg, 1.0, 1.0 / n_steps, n_paths, s).estimates for s in seeds]
+        _, levy = component_labels(alg)
+        bound = 1.95 * math.sqrt(2 / len(seeds))
+        for i, est in enumerate(got[0]):
+            value, se = (np.array([[getattr(g[i], f) for g in rows] for rows in (got, ref)])
+                         for f in ("value", "stderr"))
+            assert ks_statistic(*value) <= bound, (est.name, "value", ks_statistic(*value))
+            components = set(named_components(est.name))
+            if not est.name.startswith("cov[") or (components <= set(levy) and len(components) == 1):
+                assert ks_statistic(*se) <= bound, (est.name, "stderr", ks_statistic(*se))
+            z = (value[0] - est.target) / se[0]
+            assert abs(z.mean()) <= 4 / math.sqrt(len(seeds)), (est.name, z.mean())
+            spread = np.std(value[0], ddof=1) / np.median(se[0])
+            assert 0.8 <= spread <= 1.25, (est.name, spread)
 
     def test_jump_events_are_drawn_once_per_event_block(self, monkeypatch):
-        # wiener^2 + poisson^3 at 20000 x 200: blocks of 78 steps, Brownian chunks of 3
+        # wiener^2 + poisson^3 at 20000 x 200: event blocks of 67, 67 and 66 steps
         alg = WWPPP
         n_paths, n_steps, nb, nc, na = 20_000, 200, 2, 5, 3
         _, _, _, rates = focksim._levy_khinchin(decompose(alg))
         lam = rates / n_steps
-        block = int(CHUNK_BUDGET // (n_paths * np.minimum(lam, 1.0).sum() * (9 + 2 * nc + na)))
-        chunk = min(CHUNK_BUDGET // (n_paths * (1 + 3 * nb)), block)
-        block -= block % chunk
+        entry = 9 + 2 * nc + na + 2 * nb  # doubles per event entry
+        block = int(CHUNK_BUDGET // (n_paths * np.minimum(lam, 1.0).sum() * entry))
         drawn = []
 
         def counted(gens, lam, k, n_paths):
@@ -625,8 +688,46 @@ class TestClassicalPaths:
         jump_events = focksim._jump_events
         monkeypatch.setattr(focksim, "_jump_events", counted)
         classical_paths(alg, 1.0, 1.0 / n_steps, n_paths, 3)
-        assert len(drawn) == math.ceil(n_steps / block) < math.ceil(n_steps / chunk), drawn
+        assert len(drawn) == math.ceil(n_steps / block) > 1, drawn
         assert drawn[:-1] == [block] * (len(drawn) - 1) and sum(drawn) == n_steps, drawn
+        assert 0 < drawn[-1] < block, drawn
+
+    def test_rare_joint_jumps_do_not_set_their_error(self):
+        # K ~ Poisson(20) cells where both components jump drive cov[dm,dm_2]; an
+        # error read off the sampled fourth moments grows like sqrt(K), so a low K
+        # gives a small value with a small error, z ~ (K - 20) / sqrt(K)
+        alg = ia.orthogonal_sum(ia.poisson(), ia.poisson())
+        rpts = [classical_paths(alg, 1.0, 1.0 / 200, 4000, s) for s in range(150)]
+        est = [r.estimate("cov[dm,dm_2]") for r in rpts]
+        value, se = np.array([e.value for e in est]), np.array([e.stderr for e in est])
+        assert np.std(se) / np.mean(se) < 0.05, np.std(se) / np.mean(se)
+        assert abs(np.corrcoef(se, value)[0, 1]) < 0.3, np.corrcoef(se, value)[0, 1]
+
+    @pytest.mark.parametrize("df", [1, 3, 40])
+    def test_wishart_draw_has_the_wishart_moments(self, df):
+        # E W = df S and Var W_pq = df (S_pq^2 + S_pp S_qq), S = L L^T: below df = 2
+        # the rows are summed as they are, above it by Bartlett's decomposition
+        factor = np.linalg.cholesky(np.array([[1.0, 0.6], [0.6, 2.0]]))
+        scale = factor @ factor.T
+        gen = np.random.Generator(np.random.SFC64(17))
+        draws = np.array([focksim._wishart(gen, df, factor) for _ in range(4000)])
+        var = df * (scale**2 + np.outer(np.diag(scale), np.diag(scale)))
+        z = (draws.mean(axis=0) - df * scale) / np.sqrt(var / len(draws))
+        assert np.all(np.abs(z) <= 5), z
+        assert np.allclose(draws.var(axis=0) / var, 1, atol=0.15), draws.var(axis=0) / var
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    @pytest.mark.parametrize("alg", [ia.orthogonal_sum(ia.wiener(), ia.wiener()), CORRELATED],
+                             ids=["wiener2", "correlated"])
+    def test_one_or_two_steps_per_path(self, alg, n_steps):
+        # 2 paths leave sum_p (m_p - 1) = 0 or 2 degrees of freedom for the quiet scatter
+        for n_paths in (2, 3):
+            rpt = classical_paths(alg, 1.0, 1.0 / n_steps, n_paths, 5)
+            assert len(rpt.estimates) == 7
+            for e in rpt.estimates:
+                assert np.isfinite(e.value) and np.isfinite(e.stderr), e.name
+                if e.name.startswith("cov[") and len(set(named_components(e.name))) == 1:
+                    assert e.value > 0, e.name
 
     def test_events_in_one_cell_add_up(self):
         # the crowded table puts 0.9 * 4 events per step on 4 paths
@@ -645,7 +746,7 @@ class TestClassicalPaths:
     def test_report_does_not_depend_on_the_chunk_budget(self, monkeypatch, alg):
         args = (alg, 1.0, 0.02, 3000, 77)
         report = classical_paths(*args).to_dict()
-        monkeypatch.setattr(focksim, "CHUNK_BUDGET", 7)  # one step per chunk
+        monkeypatch.setattr(focksim, "CHUNK_BUDGET", 7)  # one step per event block
         tiny = classical_paths(*args).to_dict()
         assert tiny["estimates"] == report["estimates"]
 
@@ -715,7 +816,7 @@ class TestClassicalPaths:
 
         peaks = peaks_for(WPP, 20_000)
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
-        # 50 and 5 jumps per cell: every cell holds an event, in chunks of the same budget
+        # 50 and 5 jumps per cell: every cell holds an event, in blocks of the same budget
         peaks = peaks_for(HIGH_RATE, 2_000)
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
         assert peaks[1] <= 4 * 8 * CHUNK_BUDGET, peaks
