@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (
     AlgebraError, Element, ItoAlgebra, commutant_check, cutoff, gram_schmidt, null_space,
-    pair_products,
+    numerical_rank, pair_products,
 )
 from .decomp import Decomposition, decompose
 from .gns import FundamentalRep, triangular
@@ -338,16 +338,8 @@ def _jump_events(gens, lam: np.ndarray, k: int, n_paths: int) -> tuple[np.ndarra
 
 
 def _gaussian(gen: np.random.Generator, count: int, factor: np.ndarray) -> np.ndarray:
-    """``count`` rows g = factor z from ``gen``, each z one row of standard normals.
-
-    The product is summed term by term, so a row's bits do not depend on
-    how many rows are drawn with it.
-    """
-    z = gen.standard_normal((count, len(factor)))
-    g = np.zeros_like(z)
-    for i in range(len(factor)):
-        g += z[:, i : i + 1] * factor[:, i]
-    return g
+    """``count`` rows g = factor z from ``gen``, each z one row of standard normals."""
+    return gen.standard_normal((count, len(factor))) @ factor.T
 
 
 def _wishart(gen: np.random.Generator, df: int, factor: np.ndarray) -> np.ndarray:
@@ -388,31 +380,36 @@ def classical_paths(
     chol is the Cholesky factor of the covariance itself, with no jitter,
     and a failed factorization is an UnsupportedModelError.
 
-    The report reads only first- and second-order sums over the cells
-    (step, path): each path's total and sum_cells y y^T.  A cell without an
-    event holds the Levy constant c0 = -jumps . lam, and the Brownian g of
-    the m_p quiet (event-free) cells of path p enter those sums only through
-    their total T_p ~ N(0, m_p C dt), C = l(x_p . x_q) over the Brownian
-    parts, and their scatter sum g g^T.  Given the totals, the scatters of
-    all paths add up to sum_p T_p T_p^T / m_p plus one independent
-    Wishart(sum_p (m_p - 1), C dt), drawn by ``_wishart``.  So g is drawn
-    only at the event cells, and the cost grows with n_paths and the events,
-    not with n_steps.
+    The report reads only first- and second-order sums over the N cells
+    (step, path): each path's total and sum_cells y y^T.  A cell with the
+    count vector n (events of each atom) holds the Levy value
+    x = c0 + jumps n, c0 = -jumps . lam, so the Levy sums need only whole
+    numbers: the hits h_p (each atom's events on path p) and
+    N2 = sum_cells n n^T.  The pair sums are N c0 c0^T + c0 nu^T + nu c0^T
+    + jumps N2 jumps^T, nu = jumps sum_p h_p.  The Brownian g enter only
+    through A^T g and sum g g^T, where the design A = [path indicators |
+    counts] has Gram [[n_steps I, H^T], [H, N2]].  For Gaussian rows g that
+    pair has a closed law (Cochran): with v and z rows of N(0, C dt), C =
+    l(x_p . x_q) over the Brownian parts, the path totals are
+    S_p = sqrt(n_steps) v_p, G = sum_cells n g^T = H v / sqrt(n_steps) + F z
+    with F F^T = M = N2 - H H^T / n_steps (an eigh; k = numerical_rank of its
+    eigenvalues), and sum g g^T = v^T v + z^T z + an independent
+    Wishart(N - n_paths - k, C dt), drawn by ``_wishart``.  The cross sums
+    are (sum_p S_p) c0^T + G^T jumps^T.  So g is never drawn per cell, and
+    the cost grows with n_paths and the events, not with n_steps.
 
     Draw order: the 1 + 2 na streams are SFC64 generators on the children of
     ``SeedSequence(seed).spawn(1 + 2 na)``.  Jump atom j with
     lam_j = rate_j * dt <= 1 draws the total of each step,
     Poisson(lam_j n_paths), from stream 1 + j and the paths of its events
     from stream 1 + na + j; with lam_j > 1 it draws a count per cell from
-    stream 1 + j.  Stream 0 gives, block by block, one row of nb normals per
-    event cell in cell order (step-major); then one row per path for the
-    quiet totals; then the Wishart draw (nb chi-squares and the normals
-    below the diagonal, or its df rows when df < nb).  Every stream is read
-    in order of steps and every sum takes its terms in a fixed order: a
-    Brownian path total its events in cell order, then T_p; a Levy path
-    total n_steps c0 plus the jumps times whole-number event counts; the
-    event sums u u^T, u = [g; x; x∘x], one step at a time.  So the report
-    is bit-identical for every CHUNK_BUDGET.
+    stream 1 + j.  After the jumps, stream 0 gives v (n_paths rows), then z
+    (k rows), then the Wishart draw (nb chi-squares and the normals below
+    the diagonal, or its df rows when df < nb).  The event blocks add only
+    whole numbers, exact in any order below 2**53, and the one float sum,
+    sum (x^4 - c0^4) over the event cells, is a cumsum in cell order carried
+    from block to block.  So the report is bit-identical for every
+    CHUNK_BUDGET.
 
     Errors come from the law being sampled.  The per-cell variance of
     y_p y_q is k4_ppqq + C_pp C_qq + C_pq^2, with C the sampled per-cell
@@ -424,15 +421,15 @@ def classical_paths(
 
     The jump events are drawn in event blocks of
     CHUNK_BUDGET // (n_paths * e) steps, where a cell holds on average
-    e = sum_j min(lam_j, 1) event entries of 9 + 2 nc + na + 2 nb doubles
-    each (2 nb of them for the normals and g of the cell; a block is charged
-    at least one double per step, for its per-step counts).  Memory is a few
-    CHUNK_BUDGETs of doubles plus O(n_paths * nc), whatever n_steps and the
-    rates are.  At most MAX_SAMPLES = 2**53 samples n_paths * n_steps are
-    taken, the largest count a float divisor holds exactly; more is an
-    AlgebraError (CLI exit 2), raised before any work.  So is a mean count
-    per cell above MAX_POISSON_MEAN (about 9.2e18), numpy's Poisson limit,
-    raised before any draw.
+    e = sum_j min(lam_j, 1) event entries of 9 + na + 3 nz doubles each
+    (3 nz of them for the x^4 rows and their running cumsum; a block is
+    charged at least one double per step, for its per-step counts).  Memory
+    is a few CHUNK_BUDGETs of doubles plus O(n_paths * nc), whatever n_steps
+    and the rates are.  At most MAX_SAMPLES = 2**53 samples
+    n_paths * n_steps are taken, the largest count a float divisor holds
+    exactly; more is an AlgebraError (CLI exit 2), raised before any work.
+    So is a mean count per cell above MAX_POISSON_MEAN (about 9.2e18),
+    numpy's Poisson limit, raised before any draw.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -471,54 +468,44 @@ def classical_paths(
     empty = -(jumps @ lam)  # c0, the Levy value of a cell with no event
     gens = [np.random.Generator(np.random.SFC64(child))
             for child in np.random.SeedSequence(seed).spawn(1 + 2 * na)]
-    gram_ev = np.zeros((nc + nz,) * 2)  # sums over the event cells of u u^T, u = [g; x; x∘x]
-    totals = np.zeros((nc, n_paths))  # a Brownian row sums g over its event cells first
-    hits = np.zeros((na, n_paths))  # events of each atom per path: whole numbers, exact in any order
-    occupied = np.zeros(n_paths, dtype=np.int64)  # event cells per path
-    scaled = chol * np.sqrt(dt_eff)  # g = scaled @ z has covariance moments * dt per step
-    # doubles held per cell by the arrays of the event entries, with the
-    # normals and g of the cell: an atom has at most one entry per cell and
-    # min(lam, 1) on average; a block also holds per-step counts, so it is
-    # charged at least one double per step
-    events = float(np.minimum(lam, 1.0).sum()) * (9 + 2 * nc + na + 2 * nb)
+    scaled = chol * np.sqrt(dt_eff)  # g = scaled @ z has covariance moments * dt per cell
+    hits = np.zeros((na, n_paths))  # events of each atom per path
+    counts_gram = np.zeros((na, na))  # N2, the sum over the cells of n n^T
+    fourth = np.zeros(nz)  # the sum over the event cells of x^4 - c0^4, in cell order
+    # doubles held per event entry: the event arrays and, per Levy component,
+    # the cell's x^4, its copy behind the running sum and their cumsum; an atom
+    # has at most one entry per cell and min(lam, 1) on average, and a block
+    # also holds per-step counts, so it is charged at least one double per step
+    events = float(np.minimum(lam, 1.0).sum()) * (9 + na + 3 * nz)
     block = max(1, int(CHUNK_BUDGET // max(n_paths * events, 1)))
     for block_start in range(0, n_steps if na else 0, block):
-        kb = min(block, n_steps - block_start)
-        cell, counts = _jump_events(gens, lam, kb, n_paths)
-        step, path = np.divmod(cell, n_paths)
-        u = np.empty((cell.size, nc + nz))  # the block's event cells: [g, x, x∘x]
-        u[:, :nb] = _gaussian(gens[0], cell.size, scaled)
-        x = u[:, nb:nc]
-        x[:] = empty
-        for j in range(na):
-            x += np.outer(counts[j], jumps[:, j])
-        np.square(x, out=u[:, nc:])
-        occupied += np.bincount(path, minlength=n_paths)
+        cell, counts = _jump_events(gens, lam, min(block, n_steps - block_start), n_paths)
+        path = cell % n_paths
         for j in range(na):
             hits[j] += np.bincount(path, counts[j], n_paths)
-        for p in range(nb):  # add.at adds to the running sums one event at a time, in cell order
-            np.add.at(totals[p], path, u[:, p])
-        bounds = np.searchsorted(step, np.arange(kb + 1))
-        for s in np.flatnonzero(np.diff(bounds)):  # the event sums take their steps in order
-            e = u[bounds[s] : bounds[s + 1]]
-            gram_ev += e.T @ e
+        counts_gram += counts @ counts.T  # whole numbers: exact in any order below 2**53
+        x4 = np.square(np.square(jumps @ counts + empty[:, None]))  # ** 4 calls pow per element
+        # cumsum adds in cell order onto the running sum, wherever the blocks end
+        fourth = np.cumsum(np.hstack([fourth[:, None], x4 - empty[:, None] ** 4]), axis=1)[:, -1]
 
+    # the Brownian sums from the law of (A^T g, sum g g^T); M = F F^T is the
+    # Gram of the counts outside the span of the path indicators
     n_samples = n_paths * n_steps
-    quiet = n_steps - occupied  # m_p, the cells of path p with no event
-    # T_p = sqrt(m_p) v_p, and the quiet scatter is sum_p v_p v_p^T plus a Wishart draw
+    schur, basis = np.linalg.eigh(counts_gram - hits @ hits.T / n_steps)  # M, ascending
+    k = numerical_rank(schur, alg.tol)
+    factor = basis[:, na - k :] * np.sqrt(schur[na - k :])  # F
     v = _gaussian(gens[0], n_paths, scaled)
-    v[quiet == 0] = 0.0
-    scatter = v.T @ v + _wishart(gens[0], int(np.maximum(quiet - 1, 0).sum()), scaled)
-    v *= np.sqrt(quiet)[:, None]  # T_p
-    totals[:nb] += v.T
-    np.matmul(jumps, hits, out=totals[nb:])
-    totals[nb:] += (n_steps * empty)[:, None]  # every cell holds c0 plus its jumps
-    # y y^T summed over the quiet cells, where the Levy components hold c0
-    n_quiet = int(quiet.sum())
-    shift = np.outer(v.sum(axis=0), empty)
-    pair_sum = gram_ev[:nc, :nc] + np.block([[scatter, shift],
-                                             [shift.T, n_quiet * np.outer(empty, empty)]])
-    fourth = np.diag(gram_ev)[nc:] + n_quiet * empty**4  # sum of x^4 per Levy component
+    z = _gaussian(gens[0], k, scaled)
+    scatter = v.T @ v + z.T @ z + _wishart(gens[0], n_samples - n_paths - k, scaled)
+    weighted = hits @ v / math.sqrt(n_steps) + factor @ z  # G = sum_c n_c g_c^T
+    # path totals: S_p, and n_steps c0 plus the jumps times whole-number counts
+    totals = np.vstack([v.T * math.sqrt(n_steps), jumps @ hits + (n_steps * empty)[:, None]])
+    nu = jumps @ hits.sum(axis=1)
+    cross = np.outer(totals[:nb].sum(axis=1), empty) + weighted.T @ jumps.T
+    levy_pairs = (n_samples * np.outer(empty, empty) + np.outer(empty, nu) + np.outer(nu, empty)
+                  + jumps @ counts_gram @ jumps.T)
+    pair_sum = np.block([[scatter, cross], [cross.T, levy_pairs]])
+    fourth += n_samples * empty**4  # the sum of x^4 per Levy component
 
     # per-cell covariance C and variance of y_p y_q: k4_ppqq + C_pp C_qq + C_pq^2
     cov = pair_sum / n_samples

@@ -47,6 +47,9 @@ EXTRA_TABLES = {
     "correlated": "basis dt a b\ndeath dt\nstate dt = 1\n"
                   "mul a a = 1 dt\nmul a b = 0.6 dt\nmul b a = 0.6 dt\nmul b b = 2 dt\n",
     "wiener2": serialize(ia.orthogonal_sum(ia.wiener(), ia.wiener())),
+    # a jump of 100 at rate 1e-4 beside a Brownian part: the atom hardly ever fires
+    "silent_atom": "basis dt dw dm\ndeath dt\nstate dt = 1\n"
+                   "mul dw dw = 1 dt\nmul dm dm = 100 dm + 1 dt\n",
     # 16 weights: 33 symbols, and a representation of mostly zero entries
     "periodic_wiener16": serialize(ia.periodic_wiener(16, [0.5 + k / 16 for k in range(16)])),
 }
@@ -340,9 +343,10 @@ class TestExitCodes:
         assert strict_loads(out)["kind"] == "classical_paths"
 
     @pytest.mark.parametrize("dt", ["1", "0.5"])
-    @pytest.mark.parametrize("table", ["wiener2", "correlated"])
+    @pytest.mark.parametrize("table", ["wiener2", "correlated", "wiener+poisson", "silent_atom"])
     def test_classical_run_of_one_or_two_steps_on_two_paths(self, capsys, ito_files, table, dt):
-        # too few cells for a Bartlett draw of the quiet scatter: it is summed as drawn
+        # too few cells for a Bartlett draw of the Wishart part: it is summed as drawn;
+        # at one step the jump counts lie in the span of the path indicators
         code, out, err = run_cli(capsys, "simulate", ito_files[table], "--model", "classical",
                                  "--dt", dt, "--paths", "2", "--json")
         assert (code, err) == (0, "")

@@ -409,8 +409,13 @@ CORRELATED = ia.parse(
     "basis dt a b\ndeath dt\nstate dt = 1\n"
     "mul a a = 1 dt\nmul a b = 0.6 dt\nmul b a = 0.6 dt\nmul b b = 2 dt\n"
 ).algebra
+# a jump of 100 at rate 1e-4 beside a Brownian part: the atom hardly ever fires
+SILENT = ia.parse(
+    "basis dt dw dm\ndeath dt\nstate dt = 1\nmul dw dw = 1 dt\nmul dm dm = 100 dm + 1 dt\n"
+).algebra
 # the tables above by the names the sampler tests give them; any other name is a builtin
-TABLES = {"wpp": WPP, "crowded": CROWDED, "high_rate": HIGH_RATE, "correlated": CORRELATED}
+TABLES = {"wpp": WPP, "wwppp": WWPPP, "crowded": CROWDED, "high_rate": HIGH_RATE,
+          "correlated": CORRELATED, "wiener_crowded": ia.orthogonal_sum(ia.wiener(), CROWDED)}
 
 
 def streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -645,8 +650,10 @@ class TestClassicalPaths:
             ("correlated", 1000, 20),
             ("crowded", 500, 20),
             ("high_rate", 500, 20),
+            ("wiener_crowded", 500, 20),  # several events in a cell beside a Brownian part
+            ("wwppp", 1000, 50),          # the benchmark's wiener^2 + poisson^3 shape
         ],
-        ids=["wiener", "wpp", "correlated", "crowded", "high-rate"],
+        ids=["wiener", "wpp", "correlated", "crowded", "high-rate", "wiener-crowded", "wwppp"],
     )
     def test_sampler_matches_the_step_by_step_law(self, name, n_paths, n_steps):
         # over a fixed set of seeds, every estimate has the reference's law
@@ -672,12 +679,12 @@ class TestClassicalPaths:
             assert 0.8 <= spread <= 1.25, (est.name, spread)
 
     def test_jump_events_are_drawn_once_per_event_block(self, monkeypatch):
-        # wiener^2 + poisson^3 at 20000 x 200: event blocks of 67, 67 and 66 steps
+        # wiener^2 + poisson^3 at 20000 x 200: event blocks of 116 and 84 steps
         alg = WWPPP
-        n_paths, n_steps, nb, nc, na = 20_000, 200, 2, 5, 3
+        n_paths, n_steps, nz, na = 20_000, 200, 3, 3
         _, _, _, rates = focksim._levy_khinchin(decompose(alg))
         lam = rates / n_steps
-        entry = 9 + 2 * nc + na + 2 * nb  # doubles per event entry
+        entry = 9 + na + 3 * nz  # doubles per event entry
         block = int(CHUNK_BUDGET // (n_paths * np.minimum(lam, 1.0).sum() * entry))
         drawn = []
 
@@ -717,16 +724,25 @@ class TestClassicalPaths:
         assert np.allclose(draws.var(axis=0) / var, 1, atol=0.15), draws.var(axis=0) / var
 
     @pytest.mark.parametrize("n_steps", [1, 2])
-    @pytest.mark.parametrize("alg", [ia.orthogonal_sum(ia.wiener(), ia.wiener()), CORRELATED],
-                             ids=["wiener2", "correlated"])
+    @pytest.mark.parametrize(
+        "alg",
+        [ia.orthogonal_sum(ia.wiener(), ia.wiener()), CORRELATED, WPP,
+         ia.group_levy(ia.cyclic_group(5)), SILENT],
+        ids=["wiener2", "correlated", "wpp", "z5", "silent"],
+    )
     def test_one_or_two_steps_per_path(self, alg, n_steps):
-        # 2 paths leave sum_p (m_p - 1) = 0 or 2 degrees of freedom for the quiet scatter
+        # 2 paths leave N - rank A = 0 or 2 degrees of freedom for the Wishart part of
+        # sum g g^T; at one step the counts lie in the paths' span (M = 0, k = 0); z5
+        # has more atoms than N - n_paths, and the silent atom a zero row of counts
+        brown, levy = component_labels(alg)
+        nc = len(brown) + len(levy)
         for n_paths in (2, 3):
             rpt = classical_paths(alg, 1.0, 1.0 / n_steps, n_paths, 5)
-            assert len(rpt.estimates) == 7
+            assert len(rpt.estimates) == 2 * nc + nc * (nc + 1) // 2
             for e in rpt.estimates:
                 assert np.isfinite(e.value) and np.isfinite(e.stderr), e.name
-                if e.name.startswith("cov[") and len(set(named_components(e.name))) == 1:
+                names = set(named_components(e.name))
+                if e.name.startswith("cov[") and len(names) == 1 and names <= set(brown):
                     assert e.value > 0, e.name
 
     def test_events_in_one_cell_add_up(self):
