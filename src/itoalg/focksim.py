@@ -522,7 +522,8 @@ def classical_paths(
         centered = x - m
         m2 = float(np.mean(centered**2))
         m4 = float(np.mean(np.square(centered**2)))  # ** 4 calls pow per element
-        var_se = float(np.sqrt(max(m4 - m2**2, 0.0) / n_paths))
+        # Var(s^2) = (mu4 - sigma^4) / n + 2 sigma^4 / (n (n - 1)): at n = 2, m4 = m2^2
+        var_se = math.sqrt(max(m4 - m2**2, 0.0) / n_paths + 2 * m2**2 / (n_paths * (n_paths - 1)))
         mean_se = math.sqrt(var) / math.sqrt(n_paths)
         estimates.append(Estimate(f"mean[{labels[p]}]", m, mean_se, 0.0))
         estimates.append(Estimate(f"var[{labels[p]}]", var, var_se, float(moments[p, p]) * t))

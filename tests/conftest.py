@@ -1,3 +1,4 @@
+import math
 import re
 import time
 
@@ -298,7 +299,7 @@ def ref_classical_paths(
         centered = x - m
         m2 = float(np.mean(centered**2))
         m4 = float(np.mean(centered**4))
-        var_se = float(np.sqrt(max(m4 - m2**2, 0.0) / n_paths))
+        var_se = math.sqrt(max(m4 - m2**2, 0.0) / n_paths + 2 * m2**2 / (n_paths * (n_paths - 1)))
         estimates.append(
             Estimate(f"mean[{labels[p]}]", m, float(np.std(x, ddof=1) / np.sqrt(n_paths)), 0.0)
         )

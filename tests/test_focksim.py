@@ -745,6 +745,16 @@ class TestClassicalPaths:
                 if e.name.startswith("cov[") and len(names) == 1 and names <= set(brown):
                     assert e.value > 0, e.name
 
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    @pytest.mark.parametrize("alg", [ia.orthogonal_sum(ia.wiener(), ia.wiener()), CORRELATED],
+                             ids=["wiener2", "correlated"])
+    def test_variance_errors_are_positive_at_two_paths(self, alg, n_steps):
+        # two points always give m4 = m2^2: only the finite-sample term 2 s^4 / (n (n - 1)) is left
+        rpt = classical_paths(alg, 1.0, 1.0 / n_steps, 2, 5)
+        for e in rpt.estimates:
+            if e.name.startswith("var["):
+                assert 0 < e.stderr < math.inf, (e.name, e.stderr)
+
     def test_events_in_one_cell_add_up(self):
         # the crowded table puts 0.9 * 4 events per step on 4 paths
         _, _, _, rates = focksim._levy_khinchin(decompose(CROWDED))
