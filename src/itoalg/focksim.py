@@ -381,21 +381,23 @@ def classical_paths(
     and a failed factorization is an UnsupportedModelError.
 
     The report reads only first- and second-order sums over the N cells
-    (step, path): each path's total and sum_cells y y^T.  A cell with the
-    count vector n (events of each atom) holds the Levy value
-    x = c0 + jumps n, c0 = -jumps . lam, so the Levy sums need only whole
-    numbers: the hits h_p (each atom's events on path p) and
-    N2 = sum_cells n n^T.  The pair sums are N c0 c0^T + c0 nu^T + nu c0^T
-    + jumps N2 jumps^T, nu = jumps sum_p h_p.  The Brownian g enter only
-    through A^T g and sum g g^T, where the design A = [path indicators |
-    counts] has Gram [[n_steps I, H^T], [H, N2]].  For Gaussian rows g that
-    pair has a closed law (Cochran): with v and z rows of N(0, C dt), C =
+    (step, path): each path's total and sum_cells y y^T.  A cell whose atoms
+    fire n times (a count vector) holds the Levy value x = c0 + jumps n,
+    c0 = -jumps . lam.  The sums take the counts as d = n - m, m = floor(lam),
+    so that sums of large counts do not cancel: x = c1 + jumps d with
+    c1 = jumps (m - lam).  Then the Levy sums need only whole numbers: the
+    per-path sums H of d and D2 = sum_cells d d^T.  The pair sums are
+    N c1 c1^T + c1 nu^T + nu c1^T + jumps D2 jumps^T, nu = jumps sum_p H_p,
+    and a path total is n_steps c1 + jumps H_p.  The Brownian g enter only
+    through A^T g and sum g g^T, where the design A = [path indicators | d]
+    has Gram [[n_steps I, H^T], [H, D2]].  For Gaussian rows g that pair has
+    a closed law (Cochran): with v and z rows of N(0, C dt), C =
     l(x_p . x_q) over the Brownian parts, the path totals are
-    S_p = sqrt(n_steps) v_p, G = sum_cells n g^T = H v / sqrt(n_steps) + F z
-    with F F^T = M = N2 - H H^T / n_steps (an eigh; k = numerical_rank of its
+    S_p = sqrt(n_steps) v_p, G = sum_cells d g^T = H v / sqrt(n_steps) + F z
+    with F F^T = M = D2 - H H^T / n_steps (an eigh; k = numerical_rank of its
     eigenvalues), and sum g g^T = v^T v + z^T z + an independent
     Wishart(N - n_paths - k, C dt), drawn by ``_wishart``.  The cross sums
-    are (sum_p S_p) c0^T + G^T jumps^T.  So g is never drawn per cell, and
+    are (sum_p S_p) c1^T + G^T jumps^T.  So g is never drawn per cell, and
     the cost grows with n_paths and the events, not with n_steps.
 
     Draw order: the 1 + 2 na streams are SFC64 generators on the children of
@@ -407,9 +409,9 @@ def classical_paths(
     (k rows), then the Wishart draw (nb chi-squares and the normals below
     the diagonal, or its df rows when df < nb).  The event blocks add only
     whole numbers, exact in any order below 2**53, and the one float sum,
-    sum (x^4 - c0^4) over the event cells, is a cumsum in cell order carried
-    from block to block.  So the report is bit-identical for every
-    CHUNK_BUDGET.
+    sum x^4 over the cells with an event, is a cumsum in cell order carried
+    from block to block; the cells without one add m m^T and c0^4 each.  So
+    the report is bit-identical for every CHUNK_BUDGET.
 
     Errors come from the law being sampled.  The per-cell variance of
     y_p y_q is k4_ppqq + C_pp C_qq + C_pq^2, with C the sampled per-cell
@@ -421,9 +423,10 @@ def classical_paths(
 
     The jump events are drawn in event blocks of
     CHUNK_BUDGET // (n_paths * e) steps, where a cell holds on average
-    e = sum_j min(lam_j, 1) event entries of 9 + na + 3 nz doubles each
-    (3 nz of them for the x^4 rows and their running cumsum; a block is
-    charged at least one double per step, for its per-step counts).  Memory
+    e = sum_j min(lam_j, 1) event entries of 9 + 2 na + 3 nz doubles each
+    (2 na for the counts and d, 3 nz for the x^4 rows and their running
+    cumsum; a block is charged at least one double per step, for its
+    per-step counts).  Memory
     is a few CHUNK_BUDGETs of doubles plus O(n_paths * nc), whatever n_steps
     and the rates are.  At most MAX_SAMPLES = 2**53 samples
     n_paths * n_steps are taken, the largest count a float divisor holds
@@ -466,46 +469,53 @@ def classical_paths(
             f"sampler's limit {MAX_POISSON_MEAN:.3g}; take a smaller dt"
         )
     empty = -(jumps @ lam)  # c0, the Levy value of a cell with no event
+    # the sums take the counts as d = n - base, whole numbers near 0, so they do not cancel
+    base = np.floor(lam)
+    offset = jumps @ (base - lam)  # the Levy value of a cell with d = 0
     gens = [np.random.Generator(np.random.SFC64(child))
             for child in np.random.SeedSequence(seed).spawn(1 + 2 * na)]
     scaled = chol * np.sqrt(dt_eff)  # g = scaled @ z has covariance moments * dt per cell
     hits = np.zeros((na, n_paths))  # events of each atom per path
-    counts_gram = np.zeros((na, na))  # N2, the sum over the cells of n n^T
-    fourth = np.zeros(nz)  # the sum over the event cells of x^4 - c0^4, in cell order
-    # doubles held per event entry: the event arrays and, per Levy component,
-    # the cell's x^4, its copy behind the running sum and their cumsum; an atom
-    # has at most one entry per cell and min(lam, 1) on average, and a block
-    # also holds per-step counts, so it is charged at least one double per step
-    events = float(np.minimum(lam, 1.0).sum()) * (9 + na + 3 * nz)
+    counts_gram = np.zeros((na, na))  # D2, the sum over the cells of d d^T
+    fourth = np.zeros(nz)  # the sum of x^4 over the cells with an event, in cell order
+    listed = 0  # cells with an event
+    # doubles per event entry (at most one per atom and cell, min(lam, 1) on average):
+    # the event arrays, counts and d, and per Levy component x^4, its copy and cumsum;
+    # a block also holds per-step counts, so it is charged at least one double per step
+    events = float(np.minimum(lam, 1.0).sum()) * (9 + 2 * na + 3 * nz)
     block = max(1, int(CHUNK_BUDGET // max(n_paths * events, 1)))
     for block_start in range(0, n_steps if na else 0, block):
         cell, counts = _jump_events(gens, lam, min(block, n_steps - block_start), n_paths)
         path = cell % n_paths
         for j in range(na):
             hits[j] += np.bincount(path, counts[j], n_paths)
-        counts_gram += counts @ counts.T  # whole numbers: exact in any order below 2**53
-        x4 = np.square(np.square(jumps @ counts + empty[:, None]))  # ** 4 calls pow per element
+        d = counts - base[:, None]
+        counts_gram += d @ d.T  # whole numbers: exact in any order below 2**53
+        listed += cell.size
+        x4 = np.square(np.square(jumps @ d + offset[:, None]))  # ** 4 calls pow per element
         # cumsum adds in cell order onto the running sum, wherever the blocks end
-        fourth = np.cumsum(np.hstack([fourth[:, None], x4 - empty[:, None] ** 4]), axis=1)[:, -1]
+        fourth = np.cumsum(np.hstack([fourth[:, None], x4]), axis=1)[:, -1]
 
-    # the Brownian sums from the law of (A^T g, sum g g^T); M = F F^T is the
-    # Gram of the counts outside the span of the path indicators
     n_samples = n_paths * n_steps
+    eventless = n_samples - listed  # cells with d = -base and the Levy value c0
+    counts_gram += eventless * np.outer(base, base)
+    fourth += eventless * empty**4  # the sum of x^4 per Levy component
+    hits -= n_steps * base[:, None]  # the sum of d over the cells of each path
+    # the law of (A^T g, sum g g^T); M = F F^T is the Gram of d outside the paths' span
     schur, basis = np.linalg.eigh(counts_gram - hits @ hits.T / n_steps)  # M, ascending
     k = numerical_rank(schur, alg.tol)
     factor = basis[:, na - k :] * np.sqrt(schur[na - k :])  # F
     v = _gaussian(gens[0], n_paths, scaled)
     z = _gaussian(gens[0], k, scaled)
     scatter = v.T @ v + z.T @ z + _wishart(gens[0], n_samples - n_paths - k, scaled)
-    weighted = hits @ v / math.sqrt(n_steps) + factor @ z  # G = sum_c n_c g_c^T
-    # path totals: S_p, and n_steps c0 plus the jumps times whole-number counts
-    totals = np.vstack([v.T * math.sqrt(n_steps), jumps @ hits + (n_steps * empty)[:, None]])
+    weighted = hits @ v / math.sqrt(n_steps) + factor @ z  # G = sum_c d_c g_c^T
+    # path totals: S_p, and n_steps times the value at d = 0 plus the jumps times the d
+    totals = np.vstack([v.T * math.sqrt(n_steps), jumps @ hits + (n_steps * offset)[:, None]])
     nu = jumps @ hits.sum(axis=1)
-    cross = np.outer(totals[:nb].sum(axis=1), empty) + weighted.T @ jumps.T
-    levy_pairs = (n_samples * np.outer(empty, empty) + np.outer(empty, nu) + np.outer(nu, empty)
-                  + jumps @ counts_gram @ jumps.T)
+    cross = np.outer(totals[:nb].sum(axis=1), offset) + weighted.T @ jumps.T
+    levy_pairs = (n_samples * np.outer(offset, offset) + np.outer(offset, nu)
+                  + np.outer(nu, offset) + jumps @ counts_gram @ jumps.T)
     pair_sum = np.block([[scatter, cross], [cross.T, levy_pairs]])
-    fourth += n_samples * empty**4  # the sum of x^4 per Levy component
 
     # per-cell covariance C and variance of y_p y_q: k4_ppqq + C_pp C_qq + C_pq^2
     cov = pair_sum / n_samples
