@@ -503,7 +503,7 @@ def classical_paths(
     hits -= n_steps * base[:, None]  # the sum of d over the cells of each path
     # the law of (A^T g, sum g g^T); M = F F^T is the Gram of d outside the paths' span
     schur, basis = np.linalg.eigh(counts_gram - hits @ hits.T / n_steps)  # M, ascending
-    k = numerical_rank(schur, alg.tol)
+    k = min(numerical_rank(schur, alg.tol), n_samples - n_paths)  # rank A <= N despite rounding
     factor = basis[:, na - k :] * np.sqrt(schur[na - k :])  # F
     v = _gaussian(gens[0], n_paths, scaled)
     z = _gaussian(gens[0], k, scaled)

@@ -759,6 +759,14 @@ class TestClassicalPaths:
             if e.name.startswith("var["):
                 assert 0 < e.stderr < math.inf, (e.name, e.stderr)
 
+    def test_rounded_counts_never_exceed_the_rank_of_the_design(self):
+        # 5e17 events per cell: d d^T leaves the whole floats, and the Gram M of 4 atoms
+        # can round to more than N - n_paths = 2 nonzero eigenvalues
+        alg = ia.group_levy(ia.cyclic_group(5))
+        for seed in range(5):
+            rpt = classical_paths(alg, 1e18, 5e17, 2, seed)
+            assert all(np.isfinite(e.value) and np.isfinite(e.stderr) for e in rpt.estimates)
+
     def test_events_in_one_cell_add_up(self):
         # the crowded table puts 0.9 * 4 events per step on 4 paths
         _, _, _, rates = focksim._levy_khinchin(decompose(CROWDED))
@@ -825,11 +833,15 @@ class TestClassicalPaths:
         with pytest.raises(UnsupportedModelError, match="Brownian covariance is not positive"):
             classical_paths(ia.wiener(), 1.0, 0.1, 100, 0)
 
-    @pytest.mark.parametrize("alg, dt", [(HIGH_RATE, 0.05), (HUGE_RATE, 0.1)],
-                             ids=["high-rate", "huge-rate"])
-    def test_high_rate_small_jumps_meet_their_targets(self, alg, dt):
-        # at 1e7 events per cell, sums of whole counts n near 1e7 would cancel to noise
-        rpt = classical_paths(alg, 1.0, dt, 20_000, 8)
+    def test_high_rate_small_jumps_meet_their_targets(self):
+        rpt = classical_paths(HIGH_RATE, 1.0, 0.05, 20_000, 8)
+        assert rpt.estimates
+        for e in rpt.estimates:
+            assert abs(e.value - e.target) <= 5 * e.stderr, e.name
+
+    def test_huge_rate_small_jumps_meet_their_targets(self):
+        # 1e7 events per cell: x^4 - c0^4 summed over the cells cancels to a zero error
+        rpt = classical_paths(HUGE_RATE, 1.0, 0.1, 20_000, 8)
         assert rpt.estimates
         for e in rpt.estimates:
             assert e.stderr > 0 and abs(e.value - e.target) <= 5 * e.stderr, e.name
