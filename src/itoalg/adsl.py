@@ -35,15 +35,17 @@ each table becomes its vectors by one ``np.add.at`` scatter (``_vectors``).
 ``parse_lincomb`` is ``_lincomb`` and that scatter on one line.
 
 The parser is total: any input yields an algebra or diagnostics, never an
-exception.  Serialization is canonical (declaration order above, table rows
-lexicographic, reals printed with 17 significant digits), so
-parse(serialize(alg)) reproduces the algebra bit-exactly up to the sign of
-a zero: a -0.0 part is not written and reads back as 0.0.  ``serialize``
-refuses a basis above the format's capacity of ``MAX_BASIS`` symbols, a
-label or name that this parser would not read back, and a structure
-constant, star entry or state value that is not finite.  It writes
-each table with one ``%`` format: a template assembled from one piece per
-coefficient form and label, and one flat tuple of the reals.
+exception.  It only reads text and checks no axiom: each consumer checks
+the one report kept on the algebra.  Serialization is canonical
+(declaration order above, table rows lexicographic, reals printed with 17
+significant digits), so parse(serialize(alg)) reproduces the algebra
+bit-exactly up to the sign of a zero: a -0.0 part is not written and reads
+back as 0.0.  ``serialize`` refuses a basis above the format's capacity of
+``MAX_BASIS`` symbols, a label or name that this parser would not read
+back, and a structure constant, star entry or state value that is not
+finite.  It writes each table with one ``%`` format: a template assembled
+from one piece per coefficient form and label, and one flat tuple of the
+reals.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ MAX_BASIS = 64        # hard capacity of the text format (desk-scale algebras)
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error" | "warning"
+    severity: str  # "error"
     line: int
     column: int
     message: str
@@ -98,9 +100,6 @@ class ParseResult:
 
     def errors(self) -> list[ParseDiagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
-
-    def warnings(self) -> list[ParseDiagnostic]:
-        return [d for d in self.diagnostics if d.severity == "warning"]
 
 
 class ParseFailure(ValueError):
@@ -358,9 +357,9 @@ def _rows(table: _Lincombs, n_sym: int, n: int) -> tuple[tuple[np.ndarray, ...],
 def parse(text: str, tol: float = 1e-9) -> ParseResult:
     """Parse an algebra definition; diagnostics carry line and column.
 
-    On success the algebra is verified against the axioms, and any failing
-    axiom is reported as a warning with its residual.  A ``tol`` that is not
-    finite and nonnegative is an error.
+    On success the diagnostics are empty and the algebra carries ``tol``; its
+    axioms are not checked here.  A ``tol`` that is not finite and
+    nonnegative is an error.
     """
     if not 0 <= tol < np.inf:
         diag = ParseDiagnostic("error", 0, 0, "tol must be finite and nonnegative")
@@ -406,18 +405,6 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
         tol=tol,
         name=name,
     )
-    try:
-        report = alg.axioms
-    except Exception as exc:  # totality: verification must never crash the parser
-        diags.append(ParseDiagnostic("warning", 0, 0, f"axiom verification failed: {exc}"))
-        return ParseResult(alg, diags)
-    for check in report.failures():
-        diags.append(
-            ParseDiagnostic(
-                "warning", 0, 0,
-                f"axiom {check.name} fails with residual {check.residual:.3e}",
-            )
-        )
     return ParseResult(alg, diags)
 
 

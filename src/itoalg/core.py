@@ -67,7 +67,7 @@ read-only arrays and so cannot make them stale: ``axioms``, the report of
 ``verify_axioms``, and ``gns``, the triangular matrices of ``gns.construct_gns``.
 The faithfulness ideal is ``gns.kernel``, and the representation and the
 Brownian/Levy decomposition read the same ``gns``, so each algebra object
-builds it once.  ``dataclasses.replace`` makes a new object with neither.
+computes each once, whoever asks first; ``dataclasses.replace`` keeps neither.
 """
 
 from __future__ import annotations
@@ -244,12 +244,12 @@ class ItoAlgebra:
 
     @cached_property
     def axioms(self) -> "AxiomReport":
-        """``verify_axioms(self)``, computed on first access and kept.
+        """The axiom report of ``verify_axioms``, computed on first access and kept.
 
         The algebra is frozen with read-only arrays, so the report cannot go
         stale; ``dataclasses.replace`` builds a new object with no report.
         """
-        return verify_axioms(self)
+        return _axiom_report(self)
 
     @cached_property
     def gns(self) -> "FundamentalRep":
@@ -662,8 +662,14 @@ def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
     ``rel_residual``, and the check reports the worst block.  Sparse tables
     take the coordinate join for it and for star anti-multiplicativity,
     dense tables the blockwise matmuls; the module docstring states the rule.
-    Both paths report the same residuals up to rounding.
+    Both paths report the same residuals up to rounding.  Every call returns
+    the one report kept on the algebra object, ``alg.axioms``.
     """
+    return alg.axioms
+
+
+def _axiom_report(alg: ItoAlgebra) -> AxiomReport:
+    """The report of ``verify_axioms``, computed; only ``ItoAlgebra.axioms`` calls it."""
     c, S, l, d, tol = alg.mult, alg.star, alg.state, alg.death, alg.tol
     n = alg.dim
     checks = []

@@ -46,6 +46,8 @@ CHUNK_BUDGET = 2**19   # doubles in one event block of classical steps (4 MiB)
 MAX_SAMPLES = 2**53    # largest n_paths * n_steps that the float divisor holds exactly
 # largest mean count per cell that numpy's Generator.poisson accepts
 MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+# the var error sums n_paths (v z^2)^2 for a path total's variance v and standard scores z;
+VAR_HEADROOM = 32.0  # the sum is finite while the mean of z^4 is up to 32^2 (Gaussian: 3)
 
 
 class SimulationError(AlgebraError):
@@ -314,7 +316,7 @@ def _jump_events(gens, lam: np.ndarray, k: int, n_paths: int) -> tuple[np.ndarra
     independent Poisson counts given their sum are multinomial (Kingman,
     Poisson Processes, 1993, section 2).  An atom with lam[j] > 1 draws a count
     per cell from gens[1 + j] and keeps the nonzero ones.  Returns the sorted
-    cells with an event and their (na, cells) counts.
+    cells with an event and their (na, cells) counts, as floats for every block.
     """
     na = len(lam)
     # one (cell, count) entry per event or nonzero cell; the empty first entry,
@@ -332,9 +334,9 @@ def _jump_events(gens, lam: np.ndarray, k: int, n_paths: int) -> tuple[np.ndarra
             counts.append(np.ones_like(path))
     atom = np.repeat(np.arange(-1, na), [c.size for c in cells])
     cell, inverse = np.unique(np.concatenate(cells), return_inverse=True)
-    # whole counts: their sums are exact in any order
+    # whole counts: their sums are exact in any order; bincount of no cells gives integers
     table = np.bincount(atom * cell.size + inverse, np.concatenate(counts), na * cell.size)
-    return cell, table.reshape(na, cell.size)
+    return cell, table.astype(float, copy=False).reshape(na, cell.size)
 
 
 def _gaussian(gen: np.random.Generator, count: int, factor: np.ndarray) -> np.ndarray:
@@ -432,7 +434,8 @@ def classical_paths(
     n_paths * n_steps are taken, the largest count a float divisor holds
     exactly; more is an AlgebraError (CLI exit 2), raised before any work.
     So is a mean count per cell above MAX_POISSON_MEAN (about 9.2e18),
-    numpy's Poisson limit, raised before any draw.
+    numpy's Poisson limit, and a path total's variance t l(x_p . x_p) above
+    sqrt(max float / n_paths) / VAR_HEADROOM; both are raised before any draw.
     """
     start = time.perf_counter()
     if not commutant_check(alg):
@@ -468,6 +471,9 @@ def classical_paths(
             f"a jump rate gives {np.max(lam):.3g} mean events per cell, above the Poisson "
             f"sampler's limit {MAX_POISSON_MEAN:.3g}; take a smaller dt"
         )
+    variance = float(np.max(np.abs(np.diag(moments)), initial=0.0)) * t  # the widest path total's
+    if not variance <= math.sqrt(np.finfo(float).max / n_paths) / VAR_HEADROOM:
+        raise AlgebraError(f"a path total has variance {variance:.3g}: its var error would overflow")
     empty = -(jumps @ lam)  # c0, the Levy value of a cell with no event
     # the sums take the counts as d = n - base, whole numbers near 0, so they do not cancel
     base = np.floor(lam)

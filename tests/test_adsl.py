@@ -78,22 +78,22 @@ class TestParseBasics:
         result2 = parse("basis dt\ndeath dt\nstate dt = 2\n")
         assert not result2.ok
 
-    def test_axiom_warning_on_bad_table(self):
-        # l(dw.dw) = -1 makes the Gram indefinite: parsed with a warning
+    def test_bad_table_parses_and_fails_its_axioms(self):
+        # l(dw.dw) = -1 makes the Gram indefinite: the text is well formed, the axioms fail
         text = "basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = -1 dt\n"
         result = parse(text)
-        assert result.ok
-        assert any("state_positive" in d.message for d in result.warnings())
+        assert result.ok and not result.diagnostics
+        assert {c.name for c in ia.verify_axioms(result.algebra).failures()} == {"state_positive"}
 
     def test_large_basis_is_verified(self):
-        # 49 basis symbols: parse verifies the axioms at every size up to MAX_BASIS
+        # 49 basis symbols: the axioms are checked at every size up to MAX_BASIS
         text = serialize(ia.hp(6))
-        assert not parse(text).warnings()
+        assert ia.verify_axioms(parse(text).algebra).passed
         corrupted = text.replace("mul e-^1 e^1_1 = 1 e-^1", "mul e-^1 e^1_1 = 2 e-^1")
         assert corrupted != text
         result = parse(corrupted)
-        assert result.ok
-        assert any("associativity" in d.message for d in result.warnings())
+        assert result.ok and not result.diagnostics
+        assert "associativity" in {c.name for c in ia.verify_axioms(result.algebra).failures()}
 
     def test_error_column_position(self):
         result = parse("basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = 1 dq\n")

@@ -50,6 +50,9 @@ EXTRA_TABLES = {
     # a jump of 100 at rate 1e-4 beside a Brownian part: the atom hardly ever fires
     "silent_atom": "basis dt dw dm\ndeath dt\nstate dt = 1\n"
                    "mul dw dw = 1 dt\nmul dm dm = 100 dm + 1 dt\n",
+    # a 1e-6 associativity defect, which also breaks star anti-multiplicativity
+    "assoc_defect": "basis dt dw dm\ndeath dt\nstate dt = 1\nmul dw dw = 1 dt\n"
+                    "mul dm dm = 1 dm + 1 dt\nmul dw dm = 1e-6 dm\n",
     # 16 weights: 33 symbols, and a representation of mostly zero entries
     "periodic_wiener16": serialize(ia.periodic_wiener(16, [0.5 + k / 16 for k in range(16)])),
 }
@@ -155,6 +158,20 @@ class TestExitCodes:
         assert "FAIL  state_positive" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [("check",), ("check", "--json"), ("represent",), ("decompose",),
+         ("norms", "--element", "1 dt"), ("simulate", "--model", "fock"),
+         ("simulate", "--model", "classical", "--paths", "100")],
+        ids=["check", "check-json", "represent", "decompose", "norms", "fock", "classical"],
+    )
+    def test_each_failed_axiom_is_reported_once(self, capsys, ito_files, argv):
+        code, out, err = run_cli(capsys, argv[0], ito_files["assoc_defect"], *argv[1:])
+        assert code == 2
+        assert "line 0, col 0" not in err
+        for name in ("associativity", "star_antimultiplicative"):
+            assert (out + err).count(name) == 1, (name, out, err)
+
+    @pytest.mark.parametrize(
         "target, argv, message",
         [
             (
@@ -213,6 +230,12 @@ class TestExitCodes:
                 "error: n_paths * n_steps must not exceed 2**53",
             ),
             (
+                ("simulate", "wiener", "--model", "classical", "--t", "1e300", "--dt", "1e299",
+                 "--paths", "2"),
+                2,
+                "error: a path total has variance 1e+300: its var error would overflow",
+            ),
+            (
                 ("simulate", "oversized_rate", "--model", "classical", "--dt", "1", "--paths", "2"),
                 2,
                 "error: a jump rate gives 1e+22 mean events per cell, above the Poisson sampler's "
@@ -247,7 +270,8 @@ class TestExitCodes:
         ],
         ids=[
             "fock-t-nan", "fock-t-inf", "fock-ratio-overflow", "classical-t-inf",
-            "classical-ratio-overflow", "classical-step-budget", "classical-oversized-rate",
+            "classical-ratio-overflow", "classical-step-budget", "classical-variance-overflow",
+            "classical-oversized-rate",
             "classical-seed-negative", "classical-seed-too-large",
             "check-tol-nan", "check-tol-inf", "check-tol-negative", "check-inf-literal",
             "norms-inf-coefficient",
@@ -269,21 +293,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: cannot read {f}: ") and err.count("\n") == 1
 
-    def test_check_tol_applies_from_the_parse_on(self, capsys, tmp_path):
-        # a 1e-6 associativity defect: judged at --tol 1e-3 from the parse on
-        f = tmp_path / "defect.ito"
-        f.write_text(
-            "basis dt dw dm\ndeath dt\nstate dt = 1\nmul dw dw = 1 dt\n"
-            "mul dm dm = 1 dm + 1 dt\nmul dw dm = 1e-6 dm\n"
-        )
-        code, out, err = run_cli(capsys, "check", str(f), "--tol", "1e-3")
+    def test_check_tol_applies_from_the_parse_on(self, capsys, ito_files):
+        # the 1e-6 associativity defect is judged at --tol 1e-3 from the parse on
+        f = ito_files["assoc_defect"]
+        code, out, err = run_cli(capsys, "check", f, "--tol", "1e-3")
         assert code == 0
         assert err == ""
         assert "FAIL" not in out
-        code, out, err = run_cli(capsys, "check", str(f))
+        code, out, err = run_cli(capsys, "check", f)
         assert code == 2
-        assert "axiom associativity fails with residual 1.000e-06" in err
-        assert "FAIL  associativity" in out
+        assert err == ""
+        assert "FAIL  associativity            residual=1.000e-06" in out.splitlines()
 
     def test_simulate_fock_fine_grid(self, capsys, ito_files):
         # 1000 slots on hp(3) (hdim 12); one representative slot stands for all

@@ -133,6 +133,10 @@ class TestVerifyAxioms:
         report = ia.verify_axioms(ia.parse(text).algebra)
         assert {c.name for c in report.failures()} == {"associativity"}
 
+    def test_report_is_computed_once_and_kept(self):
+        alg = ia.parse(ia.serialize(ia.wiener())).algebra
+        assert ia.verify_axioms(alg) is ia.verify_axioms(alg) is alg.axioms
+
     def test_report_shape(self, catalog):
         report = ia.verify_axioms(catalog["wiener"])
         d = report.to_dict()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -600,6 +601,20 @@ class TestClassicalPaths:
         with pytest.raises(LookupError):  # 1e18 per cell is below the limit
             classical_paths(table, 1.0, 1e-4, 2, 0)
 
+    @pytest.mark.parametrize("t, n_paths", [(1e300, 2), (1.3e154, 100)])
+    def test_overflowing_variance_is_refused_before_any_draw(self, monkeypatch, t, n_paths):
+        # the var error sums the path totals' fourth powers; at t = 1.3e154 the sample
+        # variance of 100 paths passes sqrt(max) and its square overflowed
+        def drawn(*args):
+            raise LookupError("a normal was drawn")
+
+        monkeypatch.setattr(focksim, "_gaussian", drawn)
+        with pytest.raises(AlgebraError, match=re.escape(f"variance {t:.3g}: its var error would overflow")):
+            classical_paths(ia.wiener(), t, t / 10, n_paths, 0)
+        monkeypatch.undo()
+        rpt = classical_paths(ia.wiener(), 1e150, 1e149, n_paths, 0)
+        assert all(np.isfinite(e.value) and np.isfinite(e.stderr) for e in rpt.estimates)
+
     def test_poisson_limit_is_numpys(self):
         rng = np.random.default_rng(0)
         rng.poisson(focksim.MAX_POISSON_MEAN)
@@ -759,6 +774,13 @@ class TestClassicalPaths:
         for seed in range(5):
             rpt = classical_paths(alg, 1e18, 5e17, 2, seed)
             assert all(np.isfinite(e.value) and np.isfinite(e.stderr) for e in rpt.estimates)
+
+    def test_jump_counts_are_floats_in_every_block(self):
+        # 2e-12 mean events per step draw none; 3.6 per step draw some
+        silent, none = focksim._jump_events(streams(3, 3), np.array([1e-12]), 2, 2)
+        busy, some = focksim._jump_events(streams(3, 3), np.array([0.9]), 20, 4)
+        assert none.shape == (1, 0) and some.shape == (1, busy.size) and busy.size
+        assert none.dtype == some.dtype == np.float64
 
     def test_events_in_one_cell_add_up(self):
         # the crowded table puts 0.9 * 4 events per step on 4 paths

@@ -174,4 +174,5 @@ def test_random_sum_roundtrip_through_rotation(scenario):
     assert np.array_equal(again.algebra.mult, rotated.mult)
     assert np.array_equal(again.algebra.star, rotated.star)
     assert np.array_equal(again.algebra.state, rotated.state)
-    assert not again.warnings()
+    assert not again.diagnostics
+    assert ia.verify_axioms(again.algebra).passed

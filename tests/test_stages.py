@@ -3,9 +3,8 @@
 The stage functions are wrapped wherever they are bound in an ``itoalg.*``
 module namespace, found by object identity, so aliases such as
 ``cli.faithfulness_ideal`` and the calls behind ``ItoAlgebra.axioms`` and
-``ItoAlgebra.gns`` are counted too.  The GNS quadruple is built once per
-algebra object, whether the faithfulness ideal, the representation or the
-decomposition asks for it.
+``ItoAlgebra.gns`` are counted too.  The axiom report and the GNS quadruple
+are each computed once per algebra object, whoever asks for them first.
 """
 
 import dataclasses
@@ -21,7 +20,8 @@ from itoalg.cli import main
 from test_pipeline import _random_rotation
 
 STAGES = {
-    ia.core.verify_axioms: "verify_axioms",
+    ia.core._axiom_report: "axiom_report",
+    ia.core._contractions: "contractions",
     ia.ideal.faithfulness_ideal: "faithfulness_ideal",
     ia.gns.build_representation: "build_representation",
     ia.gns.construct_gns: "construct_gns",
@@ -77,7 +77,7 @@ def test_each_stage_runs_once(ito_paths, capsys, stage_calls, name, command):
     code = main([sub, str(ito_paths[name]), *COMMANDS[command]])
     capsys.readouterr()
     assert code in (0, 2, 3)
-    assert stage_calls["verify_axioms"] == 1
+    assert stage_calls["axiom_report"] == 1
     assert stage_calls["faithfulness_ideal"] <= 1
     assert stage_calls["build_representation"] <= 1
     assert stage_calls["construct_gns"] <= 1
@@ -90,7 +90,7 @@ def test_check_tol_verifies_the_axioms_once(ito_paths, capsys, stage_calls):
     code = main(["check", str(ito_paths["hp2"]), "--tol", "1e-3"])
     capsys.readouterr()
     assert code == 0
-    assert stage_calls["verify_axioms"] == 1
+    assert stage_calls["axiom_report"] == 1
 
 
 def _library_pipeline(alg):
@@ -114,6 +114,15 @@ def test_library_pipeline_builds_gns_once_per_algebra(stage_calls):
     assert q.algebra is not rotated
     assert stage_calls["construct_gns"] == 2
     assert "gns" in vars(rotated) and "gns" in vars(q.algebra)
+
+
+def test_library_pipeline_checks_the_axioms_once_per_algebra(ito_paths, stage_calls):
+    # the parsed table and its quotient are the two algebra objects, whoever asks first
+    parsed = ia.parse(ito_paths["rot_hp3+zip"].read_text(encoding="utf-8")).algebra
+    assert ia.verify_axioms(parsed).passed
+    q = _library_pipeline(parsed)
+    assert q.algebra is not parsed
+    assert stage_calls["contractions"] == 2
 
 
 def test_classical_paths_reuses_gns(stage_calls):
