@@ -106,95 +106,128 @@ class SimReport:
         }
 
 
-def fit_loglog_slope(xs, ys, floor: float = 1e-13) -> float | None:
-    """Least-squares slope of log(y) against log(x), ignoring values below floor."""
-    xs = np.asarray(xs, dtype=float)
+def fit_loglog_slope(xs, ys, floor: float = 1e-13) -> float | None | list[float | None]:
+    """Least-squares slope of log(y) against log(x), ignoring values below floor.
+
+    ``ys`` is one row or a stack of rows, and ``xs`` broadcasts against it;
+    a stack gives a list with one slope per row.  The slope is the closed
+    form sum dx dy / sum dx^2 over the kept points, dx and dy the logs less
+    their means.  A row is None when fewer than two points are kept or the
+    kept log xs are all equal.
+    """
     ys = np.asarray(ys, dtype=float)
-    mask = ys > floor
-    if int(mask.sum()) < 2:
-        return None
-    lx, ly = np.log(xs[mask]), np.log(ys[mask])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
+    keep = ys > floor
+    n = np.maximum(keep.sum(axis=-1, keepdims=True), 1)
+    lx = np.where(keep, np.log(np.asarray(xs, dtype=float)), 0.0)
+    ly = np.log(np.where(keep, ys, 1.0))  # 0 where not kept
+    dx = np.where(keep, lx - lx.sum(axis=-1, keepdims=True) / n, 0.0)
+    dy = np.where(keep, ly - ly.sum(axis=-1, keepdims=True) / n, 0.0)
+    spread = np.where(keep, lx, -np.inf).max(axis=-1) > np.where(keep, lx, np.inf).min(axis=-1)
+    sxy, sxx = (dx * dy).sum(axis=-1).tolist(), (dx * dx).sum(axis=-1).tolist()
+    if ys.ndim == 1:
+        return sxy / sxx if spread else None
+    return [s / q if ok else None for s, q, ok in zip(sxy, sxx, spread.tolist())]
+
+
+def _increments(T: np.ndarray, dts) -> np.ndarray:
+    """The (len(dts), h+1, h+1) stack of slot increments of the element with triangular matrix T.
+
+    The increment at dt is diag(sqrt(dt), 1, ...) B diag(sqrt(dt), 1, ...)
+    with B = [[l, kdag], [k, i]] read from T = [[0, kdag, l], [0, i, k],
+    [0, 0, 0]]: the corner is l dt, the field blocks carry sqrt(dt).
+    """
+    dts = np.asarray(dts, dtype=float)
+    root = np.sqrt(dts)[:, None]
+    M = np.empty((len(dts), len(T) - 1, len(T) - 1), dtype=np.result_type(T, dts))
+    M[:, 0, 0] = T[0, -1] * dts
+    M[:, 0, 1:] = T[0, 1:-1] * root
+    M[:, 1:, 0] = T[1:-1, -1] * root
+    M[:, 1:, 1:] = T[1:-1, 1:-1]
+    return M
 
 
 def slot_increment(rep: FundamentalRep, a: Element | np.ndarray, dt: float) -> np.ndarray:
     """Block matrix [[l dt, kdag sqrt(dt)], [k sqrt(dt), i]] of the element on C + H.
 
-    It is triangular(a) without its first column and last row, the corner
-    moved to (0, 0).  Linear in the element; the adjoint matrix is the
-    increment of the starred element (sqrt(dt) for the field blocks, dt for
-    the scalar, 1 for the exchange block).
+    It is diag(sqrt(dt), 1, ...) B diag(sqrt(dt), 1, ...), where
+    B = [[l, kdag], [k, i]] is triangular(a) without its first column and
+    last row, the corner moved to (0, 0).  Linear in the element; the
+    adjoint matrix is the increment of the starred element (sqrt(dt) for the
+    field blocks, dt for the scalar, 1 for the exchange block).
     """
     if not dt > 0:
         raise AlgebraError("dt must be positive")
-    T = triangular(rep, a)
-    M = np.roll(T[:-1, 1:], 1, axis=1) * np.sqrt(dt)
-    M[0, 0] = T[0, -1] * dt
-    M[1:, 1:] = T[1:-1, 1:-1]
-    return M
+    return _increments(triangular(rep, a), [dt])[0]
 
 
 def ito_product_check(rep, a: Element, b: Element, dts) -> SimReport:
     """Blockwise mismatch of increment(a) increment(b) against increment(a.b).
 
-    The corner mismatch is |l(a)l(b)| dt^2, the creation/annihilation blocks
-    scale as dt^(3/2) and the exchange block as dt; log-log slopes of the
-    recorded norms are fitted per block.
+    Every increment is diag(sqrt(dt), 1, ...) B diag(sqrt(dt), 1, ...) with
+    B read from the triangular matrix, so triangular(a), triangular(b) and
+    triangular(a.b) are taken once and every dt is one slice of a stacked
+    product.  The corner mismatch is |l(a)l(b)| dt^2, the
+    creation/annihilation blocks scale as dt^(3/2) and the exchange block as
+    dt; log-log slopes of the recorded norms are fitted per block.  A dt that
+    is not finite, or at which a mismatch or its closed form is not finite
+    while the triangular matrices are, is an AlgebraError; a mismatch off its
+    closed form is a SimulationError for the first (dt, block) in dt order.
     """
     start = time.perf_counter()
     dts = [float(x) for x in dts]
     if not dts or any(x <= 0 for x in dts):
         raise AlgebraError("dt list must contain positive values")
+    for dt in dts:
+        if not math.isfinite(dt):
+            raise AlgebraError(f"dt={dt} is not finite")
     if any(x2 >= x1 for x1, x2 in zip(dts, dts[1:])):
         raise AlgebraError("dt list must be strictly decreasing")
 
-    la, ka = rep.l_of(a), rep.k_of(a)
-    lb, kdb = rep.l_of(b), rep.kdag_of(b)
-    ab = a * b
-
+    Ta, Tb, Tab = (triangular(rep, e) for e in (a, b, a * b))
+    la, lb = Ta[0, -1], Tb[0, -1]
+    x = np.array(dts)
+    Ma, Mb = _increments(Ta, x), _increments(Tb, x)
+    scale = np.maximum(1.0, np.maximum(np.abs(Ma).max(axis=(1, 2)), np.abs(Mb).max(axis=(1, 2))))
+    with np.errstate(all="ignore"):  # a non-finite mismatch or target is reported below
+        D = Ma @ Mb - _increments(Tab, x)
+        sq = D.real**2 + D.imag**2
+        values = np.empty((len(dts), 4))
+        values[:, 0] = np.abs(D[:, 0, 0])
+        values[:, 1] = np.sqrt(sq[:, 1:, 0].sum(axis=1))
+        values[:, 2] = np.sqrt(sq[:, 0, 1:].sum(axis=1))
+        values[:, 3] = np.sqrt(sq[:, 1:, 1:].sum(axis=(1, 2)))
+        ka, kdb = np.linalg.norm(Ta[1:-1, -1]), np.linalg.norm(Tb[0, 1:-1])  # |k(a)|, |kdag(b)|
+        rates = np.array([abs(la * lb), abs(lb) * ka, abs(la) * kdb, ka * kdb])
+        targets = rates * x[:, None] ** np.array([2.0, 1.5, 1.5, 1.0])
+        corner = la * lb * x**2  # the corner of D is l(a)l(b) dt^2 exactly
+        # per dt: the four blocks against their closed forms, then the product's corner
+        deviations = np.column_stack([np.abs(values - targets), np.abs(D[:, 0, 0] - corner)])
+        failed = ~(deviations <= rep.algebra.tol * scale[:, None])
+    finite = np.isfinite(values).all(axis=1) & np.isfinite(targets).all(axis=1)
+    if not finite.all() and all(np.isfinite(T).all() for T in (Ta, Tb, Tab)):
+        raise AlgebraError(f"dt={dts[np.argmin(finite)]} is out of range: "
+                           "a product mismatch or its closed form is not finite there")
     names = ("corner", "creation", "annihilation", "exchange")
-    records = {name: [] for name in names}
-    estimates: list[Estimate] = []
-    for dt in dts:
-        Ma = slot_increment(rep, a, dt)
-        Mb = slot_increment(rep, b, dt)
-        Mab = slot_increment(rep, ab, dt)
-        D = Ma @ Mb - Mab
-        targets = {
-            "corner": abs(la * lb) * dt**2,
-            "creation": abs(lb) * float(np.linalg.norm(ka)) * dt**1.5,
-            "annihilation": abs(la) * float(np.linalg.norm(kdb)) * dt**1.5,
-            "exchange": float(np.linalg.norm(np.outer(ka, kdb))) * dt,
-        }
-        values = {
-            "corner": abs(D[0, 0]),
-            "creation": float(np.linalg.norm(D[1:, 0])),
-            "annihilation": float(np.linalg.norm(D[0, 1:])),
-            "exchange": float(np.linalg.norm(D[1:, 1:])),
-        }
-        scale = max(1.0, float(np.max(np.abs(Ma))), float(np.max(np.abs(Mb))))
-        for name in names:
-            records[name].append(values[name])
-            if not abs(values[name] - targets[name]) <= rep.algebra.tol * scale:
-                raise SimulationError(f"{name} mismatch deviates from its closed form at dt={dt}")
-            estimates.append(
-                Estimate(f"{name}_mismatch[dt={dt:g}]", values[name], None, targets[name])
+    if failed.any():
+        i, j = divmod(int(np.argmax(failed)), len(names) + 1)
+        if j < len(names):
+            raise SimulationError(
+                f"{names[j]} mismatch deviates from its closed form at dt={dts[i]}"
             )
-        if not abs(complex(D[0, 0]) - la * lb * dt**2) <= rep.algebra.tol * scale:
-            raise SimulationError("corner of the product is not l(a.b) dt + l(a)l(b) dt^2")
+        raise SimulationError("corner of the product is not l(a.b) dt + l(a)l(b) dt^2")
 
-    slopes = {}
-    for name in names:
-        slope = fit_loglog_slope(dts, records[name])
-        if slope is not None:
-            slopes[name] = slope
+    estimates = [
+        Estimate(f"{name}_mismatch[dt={dt:g}]", v, None, t)
+        for dt, vs, ts in zip(dts, values.tolist(), targets.tolist())
+        for name, v, t in zip(names, vs, ts)
+    ]
+    fitted = fit_loglog_slope(x, values.T)
     return SimReport(
         kind="ito_product_check",
         inputs={"dts": dts, "a": str(a), "b": str(b)},
         seed=None,
         estimates=estimates,
-        slopes=slopes,
+        slopes={name: s for name, s in zip(names, fitted) if s is not None},
         runtime_ms=(time.perf_counter() - start) * 1e3,
     )
 
@@ -248,9 +281,10 @@ def vacuum_moments(rep: FundamentalRep, a: Element, t: float, n_slots: int) -> S
         raise AlgebraError("n_slots must be >= 1")
     N, pair = int(n_slots), (a.star(), a)  # a Python int: N**k must not wrap
     # N!/(N-k)! = N^k (perm(N, k) / N^k): one N per block value keeps every factor finite
-    value = _vacuum_moment([slot_increment(rep, x, t / N) for x in pair] * 2, (0, 0), N,
+    mats = [triangular(rep, x) for x in pair]
+    value = _vacuum_moment([_increments(T, [t / N])[0] for T in mats] * 2, (0, 0), N,
                            lambda k: math.perm(N, k) / N**k)
-    target = _vacuum_moment([triangular(rep, x) for x in pair] * 2, (0, -1), t, lambda k: 1)
+    target = _vacuum_moment(mats * 2, (0, -1), t, lambda k: 1)
     # positions in the word (a*, a, a*, a): <X(a)>, |X(a) vac|^2 and |X(a*) X(a) vac|^2
     estimates = [Estimate("mean", value((1,)), None, target((1,)))]
     for name, pos in (("second_moment", (0, 1)), ("fourth_moment", (0, 1, 2, 3))):

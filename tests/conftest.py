@@ -11,7 +11,9 @@ from itoalg.core import (
     AlgebraError, Element, ItoAlgebra, commutant_check, pair_products, rel_residual,
 )
 from itoalg.decomp import decompose
-from itoalg.focksim import Estimate, SimReport, UnsupportedModelError, _component_label
+from itoalg.focksim import (
+    Estimate, SimReport, SimulationError, UnsupportedModelError, _component_label, slot_increment,
+)
 
 
 def make_catalog() -> dict[str, ia.ItoAlgebra]:
@@ -321,4 +323,69 @@ def ref_classical_paths(
         estimates=estimates,
         slopes={},
         runtime_ms=(time.perf_counter() - start) * 1e3,
+    )
+
+
+def ref_ito_product_check(rep, a: Element, b: Element, dts) -> SimReport:
+    """Reference product check: one dt at a time, three ``slot_increment`` calls each.
+
+    The per-dt loop that ``focksim.ito_product_check`` replaced by one
+    stacked product over every dt: per-block ``np.linalg.norm`` and the
+    closed forms as Python floats, checked block by block in the same order
+    and with the same messages; the slopes are ``np.polyfit`` fits of the
+    logs of the values above 1e-13.
+    """
+    dts = [float(x) for x in dts]
+    if not dts or any(x <= 0 for x in dts):
+        raise AlgebraError("dt list must contain positive values")
+    if any(x2 >= x1 for x1, x2 in zip(dts, dts[1:])):
+        raise AlgebraError("dt list must be strictly decreasing")
+
+    la, ka = rep.l_of(a), rep.k_of(a)
+    lb, kdb = rep.l_of(b), rep.kdag_of(b)
+    ab = a * b
+
+    names = ("corner", "creation", "annihilation", "exchange")
+    records = {name: [] for name in names}
+    estimates: list[Estimate] = []
+    for dt in dts:
+        Ma = slot_increment(rep, a, dt)
+        Mb = slot_increment(rep, b, dt)
+        Mab = slot_increment(rep, ab, dt)
+        D = Ma @ Mb - Mab
+        targets = {
+            "corner": abs(la * lb) * dt**2,
+            "creation": abs(lb) * float(np.linalg.norm(ka)) * dt**1.5,
+            "annihilation": abs(la) * float(np.linalg.norm(kdb)) * dt**1.5,
+            "exchange": float(np.linalg.norm(np.outer(ka, kdb))) * dt,
+        }
+        values = {
+            "corner": abs(D[0, 0]),
+            "creation": float(np.linalg.norm(D[1:, 0])),
+            "annihilation": float(np.linalg.norm(D[0, 1:])),
+            "exchange": float(np.linalg.norm(D[1:, 1:])),
+        }
+        scale = max(1.0, float(np.max(np.abs(Ma))), float(np.max(np.abs(Mb))))
+        for name in names:
+            records[name].append(values[name])
+            if not abs(values[name] - targets[name]) <= rep.algebra.tol * scale:
+                raise SimulationError(f"{name} mismatch deviates from its closed form at dt={dt}")
+            estimates.append(
+                Estimate(f"{name}_mismatch[dt={dt:g}]", values[name], None, targets[name])
+            )
+        if not abs(complex(D[0, 0]) - la * lb * dt**2) <= rep.algebra.tol * scale:
+            raise SimulationError("corner of the product is not l(a.b) dt + l(a)l(b) dt^2")
+
+    slopes = {}
+    for name in names:
+        ys = np.array(records[name])
+        keep = ys > 1e-13
+        if keep.sum() >= 2:
+            slopes[name] = float(np.polyfit(np.log(np.array(dts)[keep]), np.log(ys[keep]), 1)[0])
+    return SimReport(
+        kind="ito_product_check",
+        inputs={"dts": dts, "a": str(a), "b": str(b)},
+        seed=None,
+        estimates=estimates,
+        slopes=slopes,
     )

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from itoalg.focksim import (
 )
 from itoalg.gns import build_representation, triangular
 
-from conftest import ref_classical_paths
+from conftest import ref_classical_paths, ref_ito_product_check
 from test_pipeline import _random_rotation
 
 
@@ -209,6 +210,155 @@ class TestItoProductCheck:
         dw = w.basis_element("dw")
         with pytest.raises(SimulationError):
             ito_product_check(nan, dw, dw, self.DTS)
+
+    @pytest.mark.parametrize("dts", [[math.inf, 1.0], [math.nan], [1e300, 1.0], [1e200, 1.0]])
+    @pytest.mark.parametrize("name", ["wiener", "poisson"])
+    def test_dt_out_of_range_is_an_algebra_error(self, dts, name):
+        # dw dw on the Wiener table (l = 0, a 0 * inf closed form) and dt + dm on
+        # the Poisson table (l = 1, an overflowing one) at a dt too large or not finite
+        alg = ia.wiener() if name == "wiener" else ia.poisson()
+        rep = build_representation(alg)
+        a = alg.basis_element(alg.labels[1]) + (name == "poisson") * alg.death_element()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AlgebraError, match=re.escape(f"dt={dts[0]}")) as err:
+                ito_product_check(rep, a, a.star(), dts)
+        assert not isinstance(err.value, SimulationError)
+
+    @staticmethod
+    def _pairs(alg, rng):
+        """Each basis element with its adjoint, two random pairs, a random element with its adjoint."""
+        basis = [alg.basis_element(i) for i in range(alg.dim)]
+        rand = [ia.core.random_element(alg, rng) for _ in range(3)]
+        pairs = [(rand[0], rand[1]), (rand[1], rand[0]), (rand[2], rand[2].star())]
+        return [(x, x.star()) for x in basis] + pairs
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["catalog", "rotated"])
+    def test_matches_the_per_dt_reference(self, faithful_catalog, rotated):
+        """The stacked kernel against the per-dt loop: the faithful catalog, and 5 of it rotated."""
+        rng = np.random.default_rng(30)
+        tables = list(faithful_catalog.items())
+        if rotated:
+            picks = ("hp2", "thermal_brownian", "periodic_wiener", "group_levy_s3", "wiener+poisson")
+            tables = [(name, _random_rotation(faithful_catalog[name], rng)[0]) for name in picks]
+        for name, alg in tables:
+            rep = build_representation(alg)
+            for a, b in self._pairs(alg, rng):
+                got = ito_product_check(rep, a, b, self.DTS)
+                ref = ref_ito_product_check(rep, a, b, self.DTS)
+                assert [e.name for e in got.estimates] == [e.name for e in ref.estimates], name
+                for field in ("value", "target"):
+                    lhs = [getattr(e, field) for e in got.estimates]
+                    rhs = [getattr(e, field) for e in ref.estimates]
+                    assert rel_residual(lhs, rhs) <= 1e-12, (name, field)
+                assert got.slopes.keys() == ref.slopes.keys(), name
+                for block, slope in ref.slopes.items():
+                    assert got.slopes[block] == pytest.approx(slope, abs=1e-9), (name, block)
+                assert got.inputs == ref.inputs
+
+    @pytest.mark.parametrize("entry, block", [
+        ((0, -1), "corner"), ((1, -1), "creation"), ((0, 1), "annihilation"),
+    ])
+    def test_one_failing_block_raises_the_reference_message(self, entry, block):
+        # dw dw = dt on the Wiener table, with one entry of triangular(dt) moved by eps:
+        # the block's mismatch deviates by eps dt (corner) or eps sqrt(dt) (fields),
+        # which passes the tolerance at every dt but the first
+        w = ia.wiener()
+        rep = build_representation(w)
+        dt0 = self.DTS[0]
+        eps = 1.2 * w.tol / (dt0 if block == "corner" else math.sqrt(dt0))
+        mats = rep.mats.copy()
+        mats[0][entry] += eps
+        bent = dataclasses.replace(rep, mats=mats)
+        dw = w.basis_element("dw")
+        with pytest.raises(SimulationError) as ref:
+            ref_ito_product_check(bent, dw, dw, self.DTS)
+        assert str(ref.value) == f"{block} mismatch deviates from its closed form at dt={dt0}"
+        with pytest.raises(SimulationError) as got:
+            ito_product_check(bent, dw, dw, self.DTS)
+        assert str(got.value) == str(ref.value)
+        # the same eps is inside the tolerance from the second dt on
+        ito_product_check(bent, dw, dw, self.DTS[1:])
+        ref_ito_product_check(bent, dw, dw, self.DTS[1:])
+
+    def test_the_first_failing_dt_comes_before_an_earlier_block(self):
+        # a = c dt + dm on a Poisson table whose dm.dm carries an extra eps dm.  The
+        # tolerance scale max(1, c dt) shrinks with dt, so the exchange block (off by
+        # eps) fails from dt = 2^-5 on and the field blocks (off by eps sqrt(dt)) only
+        # at 2^-9 and 2^-10: dt order reports the exchange block, block order would not
+        p = ia.poisson()
+        rep = build_representation(p)
+        c, dm = 1024.0, p.labels.index("dm")
+        mult = p.mult.copy()
+        mult[dm, dm, dm] += 1.5 * p.tol * math.sqrt(c)
+        bent = dataclasses.replace(p, mult=mult)
+        a = c * bent.death_element() + bent.basis_element("dm")
+        for dts, block, dt in ((self.DTS, "exchange", 2**-5), (self.DTS[-2:], "creation", 2**-9)):
+            message = f"{block} mismatch deviates from its closed form at dt={dt}"
+            for check in (ref_ito_product_check, ito_product_check):
+                with pytest.raises(SimulationError, match=re.escape(message) + "$"):
+                    check(rep, a, a, dts)
+
+    def test_perturbed_representations_fail_like_the_reference(self):
+        # one block of every non-death triangular matrix moved by about tol, and
+        # a = c death + random with |l(a)| up to 1e3, so the tolerance scale
+        # max(1, |Ma|, |Mb|) shrinks with dt: checks pass or fail at various (dt, block)
+        rng = np.random.default_rng(31)
+        blocks = [(0, -1), (slice(1, -1), -1), (0, slice(1, -1)), (slice(1, -1), slice(1, -1))]
+        outcomes = set()
+        for alg in (ia.poisson(), ia.hp(1), ia.thermal_brownian(2.0, 0.5)):
+            rep = build_representation(alg)
+            for _ in range(60):
+                mask = np.zeros(rep.mats.shape[1:], dtype=bool)
+                mask[blocks[rng.integers(4)]] = True
+                noise = (rng.standard_normal(rep.mats.shape)
+                         + 1j * rng.standard_normal(rep.mats.shape)) * mask
+                noise[0] = 0.0
+                size = alg.tol * 10 ** rng.uniform(-1, 1)
+                bent = dataclasses.replace(rep, mats=rep.mats + size * noise)
+                a = 10 ** rng.uniform(0, 3) * alg.death_element() + ia.core.random_element(alg, rng)
+                messages = []
+                for check in (ref_ito_product_check, ito_product_check):
+                    try:
+                        check(bent, a, a.star(), self.DTS)
+                        messages.append(None)
+                    except SimulationError as exc:
+                        messages.append(str(exc))
+                assert messages[0] == messages[1]
+                outcomes.add(messages[0])
+        assert None in outcomes
+        assert "corner of the product is not l(a.b) dt + l(a)l(b) dt^2" in outcomes
+        assert any(m is not None and not m.endswith(f"dt={self.DTS[0]}") for m in outcomes)
+
+
+class TestFitLoglogSlope:
+    def test_power_laws_match_polyfit(self):
+        xs = np.geomspace(0.1, 1e-4, 9)
+        for power in (1.0, 1.5, 2.0):
+            ys = 3.0 * xs**power * (1 + 1e-3 * np.sin(np.arange(9)))
+            ys[[2, 6]] = 1e-15  # below the floor: left out of the fit
+            keep = ys > 1e-13
+            want = np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0]
+            assert fit_loglog_slope(xs, ys) == pytest.approx(want, abs=1e-12)
+
+    def test_no_spread_in_x_gives_none(self, capfd):
+        assert fit_loglog_slope([1.0, 1.0], [1.0, 2.0]) is None
+        # the mean of three equal log(0.03) rounds off it: the spread is judged on the xs
+        assert fit_loglog_slope([0.03] * 3, [1.0, 2.0, 3.0]) is None
+        assert fit_loglog_slope([0.03] * 3, [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]) == [None, None]
+        assert fit_loglog_slope([0.1, 0.2, 0.1], [1.0, 1e-20, 3.0]) is None  # kept xs equal
+        assert fit_loglog_slope([0.1, 0.2], [1.0, 0.0]) is None  # one point kept
+        assert capfd.readouterr().err == ""
+
+    def test_a_stack_gives_the_rows_slopes(self):
+        rng = np.random.default_rng(5)
+        xs = np.geomspace(1.0, 1e-3, 6)
+        ys = np.exp(rng.standard_normal((5, 6))) * xs ** rng.uniform(0.5, 2.5, (5, 1))
+        ys[1, 1:] = 0.0  # one point kept
+        ys[3, ::2] = 1e-14
+        rows = [fit_loglog_slope(xs, y) for y in ys]
+        assert rows[1] is None and all(r is not None for r in rows[:1] + rows[2:])
+        assert fit_loglog_slope(xs, ys) == rows
 
 
 class TestVacuumMoments:
