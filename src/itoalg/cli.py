@@ -11,11 +11,13 @@ The JSON form is strict RFC 8259 JSON on one line: keys sorted, no spaces
 after separators, and a non-finite number (a NaN residual, an overflowing
 moment) written as the string ``"nan"``, ``"inf"`` or ``"-inf"``, which
 ``float()`` reads back.  A payload may hold complex ndarrays, written as
-``core.complex_pairs`` writes them: ``_dumps`` writes an array at a time,
-one ``%`` format of words into a bracket template cached by shape, and
-formats each distinct real (by bit pattern) once.  ``represent`` hands it
-views of one stack of triangular matrices, so the quadruples, which repeat
-the matrices' entries, format nothing again.  The argument parser is built
+``core.complex_pairs`` writes them.  ``_dumps`` walks the payload once: a
+dict key by key in sorted order, a list whole through the C encoder unless
+it holds an array or a non-finite float, and an array as one ``%`` format
+of words into a bracket template cached by shape, each distinct real (by
+bit pattern) formatted once per payload.  ``represent`` hands it views of
+one stack of triangular matrices, so the quadruples, which repeat the
+matrices' entries, format nothing again.  The argument parser is built
 once per process.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 axiom failure or any other
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -119,8 +120,8 @@ def _run_stage(stage, alg, *args):
 
 @functools.lru_cache(maxsize=64)
 def _template(shape: tuple) -> str:
-    """The bracket text of an array of ``shape``, with ``%s`` for each entry."""
-    text = "%s"
+    """The bracket text of a complex array of ``shape``, with ``[%s,%s]`` for each entry."""
+    text = "[%s,%s]"
     for size in reversed(shape):
         text = "[" + ",".join([text] * size) + "]"
     return text
@@ -138,77 +139,50 @@ def _array_text(a: np.ndarray, words: dict) -> str:
     """The JSON text of ``complex_pairs(a)``, each real looked up in or added to ``words``.
 
     ``words`` maps the bit pattern of a real to its word: ``repr``, or the
-    string "nan", "inf" or "-inf".  Each distinct (re, im) pattern of ``a``
-    becomes one word ``[re,im]``, and the bracket template of ``a``'s shape
-    takes them in one ``%`` format.
+    string "nan", "inf" or "-inf".  The bracket template of ``a``'s shape
+    takes the words of its reals, real and imaginary parts in turn, in one
+    ``%`` format.
     """
     reals, index = _distinct(np.asarray(a, dtype=complex).ravel().view(np.uint64))
-    n = len(reals)
-    pairs, index = _distinct(index[0::2] * n + index[1::2])
     real_words = []
     for bits, x in zip(reals.tolist(), reals.view(np.float64).tolist()):
         if bits not in words:
             words[bits] = repr(x) if math.isfinite(x) else f'"{x}"'
         real_words.append(words[bits])
-    pair_words = np.array([f"[{real_words[k // n]},{real_words[k % n]}]" for k in pairs.tolist()],
-                          dtype=object)
-    return _template(a.shape) % tuple(pair_words[index].tolist())
+    return _template(a.shape) % tuple(np.array(real_words, dtype=object)[index].tolist())
 
 
 def _dumps(obj) -> str:
     """``obj`` as compact JSON with sorted keys, a complex ndarray written as ``complex_pairs``.
 
-    The C encoder writes ``obj`` with a placeholder string for each array,
-    and ``_array_text`` writes each array in place of its placeholder; a real
-    that several arrays share is formatted once.  A payload string can spell
-    the placeholder, so its count is checked, and a miscount retries with
-    another placeholder.
+    One walk: a list or tuple with no array and no non-finite float in it is
+    written whole by the C encoder, a NaN or inf is written as its string,
+    and a real that several arrays share is formatted once.
     """
-    arrays = []
-
-    def mark(a):
-        if not isinstance(a, np.ndarray):
-            raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
-        arrays.append(a)
-        return placeholder
-
-    for nonce in itertools.count():
-        placeholder = f"\x00ndarray{nonce}"
-        arrays.clear()
-        # no indent: an indent forces the pure-Python encoder, many times slower than the C one
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                          check_circular=False, default=mark)
-        parts = text.split(json.dumps(placeholder))
-        if len(parts) == len(arrays) + 1:
-            break
     words: dict[int, str] = {}
-    pieces = [parts[0]]
-    for a, part in zip(arrays, parts[1:]):
-        pieces += (_array_text(a, words), part)
-    return "".join(pieces)
 
+    def walk(obj) -> str:
+        if isinstance(obj, np.ndarray):
+            return _array_text(obj, words)
+        if isinstance(obj, dict):
+            return "{" + ",".join(f"{json.dumps(key)}:{walk(obj[key])}" for key in sorted(obj)) + "}"
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return f'"{obj}"'
+        if isinstance(obj, (list, tuple)):
+            try:
+                # no indent: an indent forces the pure-Python encoder, many times slower
+                return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            except (TypeError, ValueError):  # it holds an array or a NaN or inf
+                return "[" + ",".join(map(walk, obj)) + "]"
+        return json.dumps(obj)
 
-def _nonfinite_as_strings(obj):
-    """``obj`` with every non-finite float replaced by its ``str``: "nan", "inf" or "-inf"."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else str(obj)
-    if isinstance(obj, dict):
-        return {key: _nonfinite_as_strings(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_nonfinite_as_strings(value) for value in obj]
-    return obj
+    return walk(obj)
 
 
 def _emit(as_json: bool, payload, lines) -> None:
     """The one writer: ``payload()`` as JSON under ``--json``, else the text ``lines``."""
     if as_json:
-        obj = payload()
-        try:
-            text = _dumps(obj)
-        except ValueError:
-            # a NaN or inf, which strict JSON has no token for; only this path walks obj
-            text = _dumps(_nonfinite_as_strings(obj))
-        print(text)
+        print(_dumps(payload()))
     else:
         for line in lines:
             print(line)

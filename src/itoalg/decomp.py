@@ -178,8 +178,9 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
         rel_residuals(w, np.outer(w @ l, death))
     )
 
-    # pi kills products; the Levy zero-mean span must absorb them.
-    kprods = pair_products(alg, Y + Z, Y + Z) @ K.T  # k(x_i . x_j) as [i, j]
+    # pi kills products; the Levy zero-mean span must absorb them.  The death
+    # annihilates, so x_i . x_j = a_i . a_j and k of it reads off the table.
+    kprods = alg.mult @ K.T  # k(x_i . x_j) as [i, j]
     kept = y_idx + z_idx
     residuals["pi_kills_products"] = worst_residual(
         rel_residuals((kprods[np.ix_(kept, kept)] @ P.T).reshape(len(kept) ** 2, d), 0.0)

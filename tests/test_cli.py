@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -568,13 +569,31 @@ REALS = st.one_of(st.sampled_from(SPECIAL_REALS), st.floats(width=64))
 COMPLEX_ARRAYS = hnp.arrays(
     complex, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
     elements=st.builds(complex, REALS, REALS))
-# strings that spell the writer's placeholders, end in one, or hold format characters
+# strings with a control character, a quote or a % format, which the writer passes through
+# byte for byte beside the array text it formats
 WRITER_STRINGS = ["\x00ndarray0", "\x00ndarray1", '"\x00ndarray0', "\x00ndarray0\"", "%s", "%%", "x"]
 
 
 def stdlib_compact(obj) -> str:
     """``obj`` as the stdlib encoder writes it compactly, each ndarray as ``complex_pairs``."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=complex_pairs)
+
+
+def nonfinite_as_strings(obj):
+    """``obj`` with every non-finite float replaced by its ``str``: "nan", "inf" or "-inf"."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: nonfinite_as_strings(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [nonfinite_as_strings(value) for value in obj]
+    return obj
+
+
+def writer_reference(obj) -> str:
+    """The writer's bytes from the stdlib encoder: non-finite floats as strings, arrays as pairs."""
+    return json.dumps(nonfinite_as_strings(obj), sort_keys=True, separators=(",", ":"),
+                      default=lambda a: nonfinite_as_strings(complex_pairs(a)))
 
 
 def represent_reference(alg) -> str:
@@ -636,22 +655,36 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(a=COMPLEX_ARRAYS)
     def test_array_is_the_stdlib_encoding_of_its_pairs(self, a):
-        assert cli._dumps(a) == json.dumps(
-            cli._nonfinite_as_strings(complex_pairs(a)), separators=(",", ":"))
+        assert cli._dumps(a) == writer_reference(a)
 
     @settings(max_examples=150, deadline=None)
     @given(arrays=st.lists(COMPLEX_ARRAYS, min_size=1, max_size=3),
-           strings=st.lists(st.sampled_from(WRITER_STRINGS), max_size=4))
-    def test_payload_is_the_stdlib_encoding(self, arrays, strings):
-        # arrays share values, sit beside strings that spell the placeholders, and key a dict
-        obj = {"arrays": arrays, "strings": strings, "views": [a[..., ::-1] if a.ndim else a for a in arrays],
-               "keyed": dict(zip(strings, arrays))}
-        expected = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                              default=lambda a: cli._nonfinite_as_strings(complex_pairs(a)))
-        assert cli._dumps(obj) == expected
+           strings=st.lists(st.sampled_from(WRITER_STRINGS), max_size=4),
+           reals=st.lists(REALS, max_size=4))
+    def test_payload_is_the_stdlib_encoding(self, arrays, strings, reals):
+        # every shape the writer branches on: arrays that share values beside strings that hold
+        # control and format characters, lists and tuples, NaN and inf in and out of lists
+        zero_d = [np.asarray(a.flat[0]) for a in arrays if a.size]
+        obj = {
+            "arrays": arrays,
+            "strings": strings,
+            "views": [a[..., ::-1] if a.ndim else a for a in arrays],
+            "keyed": dict(zip(strings, arrays)),
+            # represent's quadruples: a list of dicts that hold arrays, 0-d ones among them
+            "quadruples": [{"label": s, "l": z, "k": a} for s, z, a in zip(strings, zero_d, arrays)],
+            "tuple": (tuple(reals), strings, zero_d),
+            # the axiom report's checks: a list of dicts whose keys are not in sorted order
+            "checks": [{"residual": x, "name": s} for s, x in zip(strings, [0.5, *reals])],
+            "nested": [[0.5, *reals, -1.0], [[2.0], reals], [1, "x", {"z": 1, "a": [2]}]],
+            "reals": dict(zip(("a", "b", "c", "d"), reals)),
+            "nonfinite": {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")},
+            "empty": [[], {}, (), {"e": []}, np.zeros((0, 2), complex)],
+        }
+        assert cli._dumps(obj) == writer_reference(obj)
+        assert cli._dumps(list(obj.values())) == writer_reference(list(obj.values()))
 
     def test_label_spelling_the_placeholder(self, capsys, tmp_path):
-        # a payload string equal to the writer's first placeholder, or ending in '"' and it
+        # labels with a control character, a quote or a % format pass through byte for byte
         labels = ("dt", "\x00ndarray0", '"\x00ndarray0', "%s")
         alg = dataclasses.replace(ia.hp(1), labels=labels)
         path = tmp_path / "placeholder.ito"
