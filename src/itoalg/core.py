@@ -18,7 +18,9 @@ zero blocks of ``ideal.quotient``, by the component supports and moving
 atoms of the classical sampler and by the positivity of ``group_levy``'s
 weights.  The one exception is the ``sqrt(tol)`` Gram-Schmidt that realigns
 a degenerate GNS eigenspace: it picks directions, not a rank, and another
-cut could move the pinned eigenbases.
+cut could move the pinned eigenbases.  ``gram_schmidt`` measures a row's
+distance to the rows kept before it by classical Gram-Schmidt applied twice
+against the whole kept block, two matrix-vector products per pass.
 
 ``subalgebra`` is the one basis transport: it re-expresses the structure
 constants on the rows of any basis of a closed span, with ``np.linalg.solve``
@@ -396,24 +398,28 @@ def row_products(alg: ItoAlgebra, U, V) -> np.ndarray:
 
 
 def gram_schmidt(rows, cut: float) -> tuple[list[int], np.ndarray]:
-    """Modified Gram-Schmidt selection of independent rows, in the given order.
+    """Gram-Schmidt selection of independent rows, in the given order.
 
     A row ``v`` is kept when its part orthogonal to the rows kept before it
-    has norm above ``cutoff(|v|, cut)``.  Returns the kept indices and the
-    orthonormal rows, shape ``(len(indices), n)``.
+    has norm above ``cutoff(|v|, cut)``.  That part is classical Gram-Schmidt
+    applied twice: ``v`` minus its projection on the whole kept block, then
+    the result minus its own projection, which leaves it orthogonal to
+    working precision ("twice is enough", Giraud et al., Numer. Math. 2005).
+    Returns the kept indices and the orthonormal rows, shape
+    ``(len(indices), n)``.
     """
     rows = np.asarray(rows, dtype=complex)
     kept: list[int] = []
-    ortho: list[np.ndarray] = []
+    ortho = np.zeros_like(rows)
     for idx, v in enumerate(rows):
-        w = v.copy()
-        for u in ortho:
-            w -= (np.conj(u) @ w) * u
+        q = ortho[: len(kept)]
+        w = v - (q.conj() @ v) @ q
+        w -= (q.conj() @ w) @ q
         norm = float(np.linalg.norm(w))
         if norm > cutoff(np.linalg.norm(v), cut):
-            ortho.append(w / norm)
+            ortho[len(kept)] = w / norm
             kept.append(idx)
-    return kept, np.array(ortho).reshape(len(kept), rows.shape[-1])
+    return kept, ortho[: len(kept)].reshape(len(kept), rows.shape[-1])
 
 
 def pin_phase(vec: np.ndarray) -> np.ndarray:

@@ -43,17 +43,17 @@ def support_projector(rep: FundamentalRep) -> np.ndarray:
     kernel is computed from one stacked SVD rather than iterated
     intersections.
     """
-    return _support(rep)[0]
+    null = _support(rep)[0]
+    return null.T @ null.conj()
 
 
 def _support(rep: FundamentalRep) -> tuple[np.ndarray, np.ndarray]:
-    """``support_projector`` and the operator stack [i(a); i(a)^dag] whose null space it projects on."""
+    """Orthonormal rows spanning the common null space of the operator stack [i(a); i(a)^dag], and the stack."""
     n, d = rep.algebra.dim, rep.hdim
     stack = np.vstack(
         [rep.imats.reshape(n * d, d), np.conj(np.transpose(rep.imats, (0, 2, 1))).reshape(n * d, d)]
     )
-    null = null_space(stack, rep.algebra.tol)
-    return null.T @ null.conj(), stack
+    return null_space(stack, rep.algebra.tol), stack
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     rep = build_representation(alg)
     tol = alg.tol
     n, d = alg.dim, rep.hdim
-    P, stack = _support(rep)
+    null, stack = _support(rep)
+    P = null.T @ null.conj()
     E = np.eye(d, dtype=complex) - P
     K, l, death = rep.kmat, alg.state, alg.death
     B = _block_columns(rep.mats).T
@@ -193,7 +194,7 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     ranks = {numerical_rank(m, tol) for m in (*spans, np.hstack(spans))}
     residuals["levy_k_image"] = 0.0 if len(ranks) == 1 else 1.0
     if z_idx:
-        rank_e = int(np.round(np.trace(E).real))
+        rank_e = d - len(null)   # the rank of E, from the SVD that cut P
         residuals["levy_nondegenerate"] = 0.0 if numerical_rank(stack @ E, tol) >= rank_e else 1.0
     else:
         residuals["levy_nondegenerate"] = 0.0

@@ -19,7 +19,16 @@ The algebra is faithful iff a -> triangular(a) is injective: its kernel is
 the faithfulness ideal, since l(a . x) = <k(a*), k(x)>,
 l(x . a) = conj<k(a), k(x*)> and l(a . x . c) = kdag(a) i(x) k(c).
 ``construct_gns`` runs once per algebra object, through the cached
-``ItoAlgebra.gns``; its ``kernel`` is that ideal.
+``ItoAlgebra.gns``; its ``kernel`` is that ideal.  The rows of
+K = diag(sqrt(lambda)) V^dag are orthogonal, so V diag(1/sqrt(lambda)) is its
+exact right inverse and i(a_i) is k(a_i . -) times it: nothing is solved.
+
+The B*-seminorms of a are the norms of the blocks of triangular(a): the
+operator norm of i(a), the norms of k(a) and kdag(a), which are
+l(a* . a)^1/2 and l(a . a*)^1/2 by the Kolmogorov identity, and |l(a)|.
+``seminorms`` divides the coefficients by a power of 2 near the largest and
+multiplies the norms back, exact in binary, so only a seminorm above the
+float range overflows, and it reads ``inf``.
 
 The representation is unique only up to unitaries on the middle block; this
 module pins one representative: eigenbasis ordered by descending eigenvalue,
@@ -180,11 +189,11 @@ def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             stop += 1
         block = evecs[:, start:stop]
         if stop - start > 1:
-            proj = block @ block.conj().T
-            # sqrt(tol), not cutoff: this picks directions, and another cut could move them
-            _, chosen = gram_schmidt(proj.T, np.sqrt(tol))
+            # u -> u @ block.T maps row r of block.conj() isometrically to column r of the
+            # projector.  sqrt(tol), not cutoff: this picks directions, another cut could move them
+            _, chosen = gram_schmidt(block.conj(), np.sqrt(tol))
             if len(chosen) >= stop - start:
-                block = chosen[: stop - start].T
+                block = block @ chosen.T
         for col in range(block.shape[1]):
             pinned[start + col] = pin_phase(block[:, col])
         start = stop
@@ -220,12 +229,10 @@ def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
     hdim = V.shape[1]
     K = np.sqrt(evals)[:, None] * V.conj().T
 
-    # KP[i] = K @ mult[i].T, whose column j is k(a_i . a_j); all n systems
-    # K.T @ imats[i].T = KP[i].T share K, so one lstsq solves them stacked.
+    # KP[i] = K @ mult[i].T, whose column j is k(a_i . a_j).  K has orthogonal
+    # rows, so V diag(1/sqrt(evals)) is its exact right inverse (its pseudoinverse).
     KP = np.swapaxes((alg.mult.reshape(n * n, n) @ K.T).reshape(n, n, hdim), 1, 2)
-    rhs = KP.transpose(2, 0, 1).reshape(n, n * hdim)
-    sol = np.linalg.lstsq(K.T, rhs, rcond=None)[0]
-    imats = np.ascontiguousarray(sol.reshape(hdim, n, hdim).transpose(1, 2, 0))
+    imats = KP @ (V / np.sqrt(evals))
     bad = np.flatnonzero(~(rel_residuals(imats @ K, KP) <= tol))
     if bad.size:
         raise RepresentationError(
@@ -288,20 +295,26 @@ def minkowski_adjoint(M: np.ndarray) -> np.ndarray:
 
 
 def seminorms(rep: FundamentalRep, a: Element | np.ndarray) -> Seminorms:
-    """Four seminorms (|i(a)|_op, l(a*.a)^1/2, l(a.a*)^1/2, |l(a)|)."""
+    """Four seminorms (|i(a)|_op, l(a*.a)^1/2, l(a.a*)^1/2, |l(a)|), the block norms of triangular(a).
+
+    Plus and minus are |k(a)| and |kdag(a)| by the Kolmogorov identity.  The
+    coefficients are scaled by a power of 2 first, so a seminorm above the
+    float range reads ``inf``; a non-finite coefficient gives four NaNs.
+    """
     return Seminorms(*(float(v[0]) for v in _seminorm_rows(rep, rep._coeffs(a)[np.newaxis])))
 
 
 def _seminorm_rows(rep: FundamentalRep, X: np.ndarray) -> Seminorms:
-    """The four seminorms of every row of ``X`` (shape (S, n)), as arrays."""
-    alg = rep.algebra
-    n, d = alg.dim, rep.hdim
-    X_star = np.conj(X) @ alg.star
-    ops = (X @ rep.imats.reshape(n, d * d)).reshape(len(X), d, d)
-    op = np.linalg.svd(ops, compute_uv=False).max(axis=-1, initial=0.0)   # the operator norms
-    plus = np.sqrt(np.maximum((row_products(alg, X_star, X) @ alg.state).real, 0.0))
-    minus = np.sqrt(np.maximum((row_products(alg, X, X_star) @ alg.state).real, 0.0))
-    return Seminorms(op, plus, minus, np.abs(X @ alg.state))
+    """The four seminorms of every row of ``X`` (shape (S, n)), as arrays; NaN for non-finite rows."""
+    finite = np.isfinite(X).all(axis=1)
+    parts = np.where(finite[:, np.newaxis], X, 0.0).view(np.float64)
+    exp = np.frexp(np.abs(parts).max(axis=1))[1]   # each row is divided by 2^exp, exactly
+    T = np.tensordot(np.ldexp(parts, -exp[:, np.newaxis]).view(complex), rep.mats, 1)
+    op = np.linalg.svd(T[:, 1:-1, 1:-1], compute_uv=False).max(axis=-1, initial=0.0)
+    norms = (op, np.linalg.norm(T[:, 1:-1, -1], axis=-1), np.linalg.norm(T[:, 0, 1:-1], axis=-1),
+             np.abs(T[:, 0, -1]))
+    with np.errstate(over="ignore"):
+        return Seminorms(*(np.where(finite, np.ldexp(v, exp), np.nan) for v in norms))
 
 
 @dataclass(frozen=True)
@@ -341,37 +354,45 @@ def verify_bstar(
     paired with the next, cyclically, and all seminorms are computed in
     batched contractions.  Every residual is ``rel_residuals``: an equality
     compares lhs with rhs, an inequality lhs <= rhs compares max(lhs, rhs)
-    with rhs, so only its violation counts.
+    with rhs, so only its violation counts.  A sample whose products
+    overflow, or a non-finite one, gives NaN seminorms and fails every
+    identity it enters; no sample at all raises ``AlgebraError``.
     """
     alg = rep.algebra
     tol = alg.tol if tol is None else tol
     if samples is None:
+        if count < 1:
+            raise AlgebraError(f"verify_bstar needs at least one sample, got count={count}")
         z = np.random.default_rng(seed).standard_normal((count, 2, alg.dim))
         A = z[:, 0] + 1j * z[:, 1]
     else:
         A = np.array([rep._coeffs(a) for a in samples], dtype=complex).reshape(-1, alg.dim)
+        if not len(A):
+            raise AlgebraError("verify_bstar needs at least one sample, got an empty list")
         seed = None
-    C = np.roll(A, -1, axis=0)
-    A_star = np.conj(A) @ alg.star
-    na = _seminorm_rows(rep, A)
-    ns = _seminorm_rows(rep, A_star)
-    nc = Seminorms(*(np.roll(v, -1) for v in na))
-    nac = _seminorm_rows(rep, row_products(alg, A, C))
-    naa = _seminorm_rows(rep, row_products(alg, A, A_star))
 
     def at_most(lhs, rhs):
         return rel_residuals(np.maximum(lhs, rhs), rhs)
 
-    residuals = {
-        "star_op": rel_residuals(ns.op, na.op),
-        "star_plus_minus": rel_residuals(ns.plus, na.minus),
-        "star_corner": rel_residuals(ns.corner, na.corner),
-        "sub_op_op": at_most(nac.op, na.op * nc.op),
-        "sub_op_plus": at_most(nac.plus, na.op * nc.plus),
-        "sub_minus_op": at_most(nac.minus, na.minus * nc.op),
-        "sub_corner": at_most(nac.corner, na.minus * nc.plus),
-        "cstar_equality": rel_residuals(naa.op, na.op * ns.op),
-        "corner_equality": rel_residuals(naa.corner, na.minus * ns.plus),
-    }
+    # an overflow gives a non-finite product, whose NaN seminorms fail the identities
+    with np.errstate(all="ignore"):
+        C = np.roll(A, -1, axis=0)
+        A_star = np.conj(A) @ alg.star
+        na = _seminorm_rows(rep, A)
+        ns = _seminorm_rows(rep, A_star)
+        nc = Seminorms(*(np.roll(v, -1) for v in na))
+        nac = _seminorm_rows(rep, row_products(alg, A, C))
+        naa = _seminorm_rows(rep, row_products(alg, A, A_star))
+        residuals = {
+            "star_op": rel_residuals(ns.op, na.op),
+            "star_plus_minus": rel_residuals(ns.plus, na.minus),
+            "star_corner": rel_residuals(ns.corner, na.corner),
+            "sub_op_op": at_most(nac.op, na.op * nc.op),
+            "sub_op_plus": at_most(nac.plus, na.op * nc.plus),
+            "sub_minus_op": at_most(nac.minus, na.minus * nc.op),
+            "sub_corner": at_most(nac.corner, na.minus * nc.plus),
+            "cstar_equality": rel_residuals(naa.op, na.op * ns.op),
+            "corner_equality": rel_residuals(naa.corner, na.minus * ns.plus),
+        }
     worst = {name: worst_residual(r) for name, r in residuals.items()}
     return BStarReport(worst, tol, A.shape[0], seed)

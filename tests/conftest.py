@@ -8,12 +8,14 @@ import pytest
 import itoalg as ia
 from itoalg.adsl import _Fault, _is_token, _symbol_problem
 from itoalg.core import (
-    AlgebraError, Element, ItoAlgebra, commutant_check, pair_products, rel_residual,
+    AlgebraError, Element, ItoAlgebra, commutant_check, cutoff, gram_matrix, numerical_rank,
+    pair_products, pin_phase, rel_residual, row_products,
 )
 from itoalg.decomp import decompose
 from itoalg.focksim import (
     Estimate, SimReport, SimulationError, UnsupportedModelError, _component_label, slot_increment,
 )
+from itoalg.gns import Seminorms
 
 
 def make_catalog() -> dict[str, ia.ItoAlgebra]:
@@ -182,6 +184,81 @@ def ref_faithfulness_ideal(alg: ia.ItoAlgebra) -> np.ndarray:
     system = np.vstack([l[np.newaxis, :], L2, L2.T, triple])
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
     return vh[ia.core.numerical_rank(svals, alg.tol):].conj()
+
+
+def ref_gram_schmidt(rows, cut: float) -> tuple[list[int], np.ndarray]:
+    """Reference selection: modified Gram-Schmidt, one kept vector at a time.
+
+    The loop that ``core.gram_schmidt`` replaced by classical Gram-Schmidt
+    applied twice against the whole kept block; the keep rule is the same.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    kept: list[int] = []
+    ortho: list[np.ndarray] = []
+    for idx, v in enumerate(rows):
+        w = v.copy()
+        for u in ortho:
+            w -= (np.conj(u) @ w) * u
+        norm = float(np.linalg.norm(w))
+        if norm > cutoff(np.linalg.norm(v), cut):
+            ortho.append(w / norm)
+            kept.append(idx)
+    return kept, np.array(ortho).reshape(len(kept), rows.shape[-1])
+
+
+def ref_seminorms(rep, X: np.ndarray) -> Seminorms:
+    """Reference seminorms of the rows of ``X``: plus and minus from table products.
+
+    The route that ``gns._seminorm_rows`` replaced by the block norms of
+    triangular(x): l(x*.x) and l(x.x*) through two ``row_products`` with the
+    starred rows, clamped at zero, and the operator norm of i(x).
+    """
+    alg = rep.algebra
+    n, d = alg.dim, rep.hdim
+    X = np.asarray(X, dtype=complex).reshape(-1, n)
+    X_star = np.conj(X) @ alg.star
+    ops = (X @ rep.imats.reshape(n, d * d)).reshape(len(X), d, d)
+    op = np.linalg.svd(ops, compute_uv=False).max(axis=-1, initial=0.0)
+    plus = np.sqrt(np.maximum((row_products(alg, X_star, X) @ alg.state).real, 0.0))
+    minus = np.sqrt(np.maximum((row_products(alg, X, X_star) @ alg.state).real, 0.0))
+    return Seminorms(op, plus, minus, np.abs(X @ alg.state))
+
+
+def ref_gns_operators(alg: ItoAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ``(kmat, imats)`` of the GNS construction, built through least squares.
+
+    The route that ``gns.construct_gns`` replaced: a degenerate Gram
+    eigenspace is pinned by Gram-Schmidt over the columns of its n x n
+    projector, and the operators i(a_i) solve K.T @ imats[i].T = KP[i].T in
+    one stacked ``np.linalg.lstsq``.
+    """
+    n, tol = alg.dim, alg.tol
+    H = gram_matrix(alg)
+    evals, evecs = np.linalg.eigh((H + H.conj().T) / 2.0)
+    hdim = numerical_rank(evals, tol)
+    cut = cutoff(evals, tol)
+    evals = evals[::-1][:hdim]
+    evecs = evecs[:, ::-1][:, :hdim]
+    pinned = np.empty((hdim, n), dtype=complex)
+    start = 0
+    while start < hdim:
+        stop = start + 1
+        while stop < hdim and abs(evals[stop] - evals[start]) <= cut:
+            stop += 1
+        block = evecs[:, start:stop]
+        if stop - start > 1:
+            proj = block @ block.conj().T
+            _, chosen = ref_gram_schmidt(proj.T, np.sqrt(tol))
+            if len(chosen) >= stop - start:
+                block = chosen[: stop - start].T
+        for col in range(block.shape[1]):
+            pinned[start + col] = pin_phase(block[:, col])
+        start = stop
+    K = np.sqrt(evals)[:, None] * pinned.conj()
+    KP = np.swapaxes((alg.mult.reshape(n * n, n) @ K.T).reshape(n, n, hdim), 1, 2)
+    rhs = KP.transpose(2, 0, 1).reshape(n, n * hdim)
+    sol = np.linalg.lstsq(K.T, rhs, rcond=None)[0]
+    return K, sol.reshape(hdim, n, hdim).transpose(1, 2, 0)
 
 
 def ref_classical_paths(

@@ -543,6 +543,13 @@ class TestNorms:
         code, _, err = run_cli(capsys, "norms", ito_files["wiener"], "--element", "1 nope")
         assert code == 1
 
+    def test_seminorm_whose_square_overflows(self, ito_files):
+        # l(a.a*) = 1e400 is above the float range; the norm of kdag(a) is 1e200
+        fresh = run_fresh("norms", ito_files["hp1"], "--element", "1e200 e-")
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        lines = dict(line.split(":") for line in fresh.stdout.strip().splitlines())
+        assert lines["minus"].strip() == "1e+200"
+
     def test_json(self, capsys, ito_files):
         code, out, _ = run_cli(
             capsys, "norms", ito_files["wiener"], "--element", "1 dt + 2i dw", "--json"

@@ -189,6 +189,18 @@ class TestSeminorms:
         rep = build_representation(h)
         assert seminorms(rep, h.basis_element("e")).op == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_nonfinite_coefficient_reads_nan(self, value):
+        rep = build_representation(ia.hp(1))
+        assert all(np.isnan(seminorms(rep, [value, 0, 0, 0])))
+
+    def test_seminorm_above_the_float_range_reads_inf(self):
+        tb = ia.thermal_brownian(2.0, 0.5)
+        norms = seminorms(build_representation(tb), 1.5e308 * tb.basis_element("dw").coeffs)
+        # minus = 1.5e308 * sqrt(2) overflows; plus = 1.5e308 * sqrt(0.5) does not
+        assert norms.minus == np.inf
+        assert norms.plus == pytest.approx(1.5e308 * np.sqrt(0.5))
+
 
 class TestBStar:
     def test_builtins_pass(self, faithful_catalog):
@@ -206,6 +218,23 @@ class TestBStar:
         norms = seminorms(rep, a)
         lhs = seminorms(rep, a * a.star()).corner
         assert lhs == pytest.approx(norms.minus * seminorms(rep, a.star()).plus, rel=1e-10)
+
+    def test_overflowing_sample_fails(self):
+        # RuntimeWarnings are errors in this suite: the overflow must give a failing entry, quietly
+        report = verify_bstar(build_representation(ia.hp(1)), samples=[[1e308] * 4])
+        assert not report.passed
+        assert np.isnan(report.residuals["cstar_equality"])
+
+    def test_nan_sample_fails(self):
+        rep = build_representation(ia.poisson())
+        report = verify_bstar(rep, samples=[[1.0, 2.0], [np.nan, 0.0]])
+        assert not report.passed
+
+    @pytest.mark.parametrize("kwargs", [{"count": 0}, {"count": -1}, {"samples": []}],
+                             ids=["count-0", "count-negative", "no-samples"])
+    def test_no_sample_is_an_error(self, kwargs):
+        with pytest.raises(ia.AlgebraError, match="at least one sample"):
+            verify_bstar(build_representation(ia.wiener()), **kwargs)
 
     def test_death_trivial_case(self):
         w = ia.wiener()

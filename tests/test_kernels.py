@@ -1,7 +1,8 @@
 """Structure-constant kernels against loop-based oracles.
 
-The axiom checks, the pair-product primitive, the decomposition residuals
-and the B* residuals are batched contractions.  Each is compared here with
+The axiom checks, the pair-product primitive, the decomposition residuals,
+the B* residuals, the seminorms, the GNS operators and the Gram-Schmidt
+selection are batched contractions.  Each is compared here with
 an independent computation: brute force over basis triples built on
 ``ref_multiply``/``ref_star``, or the per-pair and per-sample loops the
 batched versions replaced.  The axiom oracles run on both paths of
@@ -18,12 +19,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
-from itoalg import core
-from itoalg.core import gram_schmidt, pair_products, random_element, rel_residual, row_products
+from itoalg import builtins, core, decomp, focksim, gns, ideal
+from itoalg.builtins import _zero_mean_basis
+from itoalg.core import (
+    commutant_check, gram_schmidt, pair_products, random_element, rel_residual, rel_residuals, row_products,
+)
 from itoalg.decomp import support_projector
-from itoalg.gns import build_representation, seminorms, verify_bstar
+from itoalg.gns import _seminorm_rows, build_representation, seminorms, verify_bstar
 
-from conftest import make_catalog, ref_multiply, ref_star
+from conftest import (
+    make_catalog, ref_gns_operators, ref_gram_schmidt, ref_multiply, ref_seminorms, ref_star,
+)
 from test_pipeline import _random_rotation
 
 
@@ -519,3 +525,137 @@ def test_bstar_residuals_match_loops(name):
     seeded = [alg.element(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
               for _ in range(15)]
     _assert_same_dict(verify_bstar(rep, count=15, seed=3).residuals, loop_bstar_residuals(rep, seeded))
+
+
+# -- seminorms, GNS operators and Gram-Schmidt against the routes they replaced --
+
+FAITHFUL = {name: _faithful(alg) for name, alg in ALGEBRAS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(FAITHFUL))
+def test_block_norms_match_table_products(name):
+    alg = FAITHFUL[name]
+    rep = build_representation(alg)
+    z = np.random.default_rng(7).standard_normal((2, 20, alg.dim))
+    X = z[0] + 1j * z[1]
+    got, ref = _seminorm_rows(rep, X), ref_seminorms(rep, X)
+    for field, g, r in zip(got._fields, got, ref):
+        assert np.max(rel_residuals(g, r)) <= 1e-12, field
+
+
+@pytest.mark.parametrize("k", [600, -600])
+@pytest.mark.parametrize("name", ["hp1", "poisson", "thermal_brownian", "rot_group_levy_s3"])
+def test_seminorms_are_homogeneous_under_powers_of_two(name, k):
+    alg = FAITHFUL[name]
+    rep = build_representation(alg)
+    a = random_element(alg, np.random.default_rng(8)).coeffs
+    assert seminorms(rep, 2.0**k * a) == tuple(2.0**k * v for v in seminorms(rep, a))
+
+
+def unitary_rotation(alg: ia.ItoAlgebra, seed: int) -> ia.ItoAlgebra:
+    """The algebra on the death plus a random unitary mix of its zero-mean basis.
+
+    A unitary keeps the Gram spectrum, so a degenerate eigenspace stays
+    degenerate and gets complex eigenvectors.
+    """
+    rng = np.random.default_rng(seed)
+    keep = _zero_mean_basis(alg)
+    q, _ = np.linalg.qr(rng.standard_normal((len(keep),) * 2) + 1j * rng.standard_normal((len(keep),) * 2))
+    return ia.subalgebra(alg, [alg.death, *(q @ keep)])
+
+
+PINNED = ("hp3", "thermal_matrix3_flat", "group_levy_s4", "unitary_hp3")
+DEGENERATE = {   # the pinning branch runs on the PINNED tables
+    **FAITHFUL,
+    "thermal_matrix3_flat": ia.thermal_matrix(3, [1.0, 1.0, 1.0]),
+    "group_levy_s4": ia.group_levy(ia.symmetric_group(4)),
+    "rot_hp3": rotate(ia.hp(3), 9),
+    "unitary_hp3": unitary_rotation(ia.hp(3), 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_gns_operators_match_least_squares(name):
+    alg = DEGENERATE[name]
+    rep = gns.construct_gns(alg)
+    K, imats = ref_gns_operators(alg)
+    assert rel_residual(rep.kmat, K) <= 1e-12
+    assert rel_residual(rep.imats, imats) <= 1e-12
+
+
+def test_degenerate_cases_take_the_pinning_branch():
+    for name in PINNED:
+        evals = gns.construct_gns(DEGENERATE[name]).eigenvalues
+        assert np.any(np.abs(np.diff(evals)) <= core.cutoff(evals, 1e-9)), name
+
+
+def gram_schmidt_inputs() -> list[tuple[np.ndarray, float]]:
+    """Every ``(rows, cut)`` a call site passes to ``gram_schmidt`` on the ALGEBRAS.
+
+    The call sites: the zero-mean basis of a builtin, the GNS eigenbasis
+    pinning, the quotient's complement, the Brownian/Levy bases of
+    ``decompose`` and the Hermitian components of the classical sampler.
+    """
+    calls = []
+
+    def spy(rows, cut):
+        calls.append((np.array(rows, dtype=complex), cut))
+        return gram_schmidt(rows, cut)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (builtins, decomp, focksim, gns, ideal):
+            mp.setattr(module, "gram_schmidt", spy)
+        for alg in ALGEBRAS.values():
+            _zero_mean_basis(alg)
+            gns.construct_gns(alg)
+            faithful = ia.quotient(alg, ia.faithfulness_ideal(alg)).algebra
+            dec = ia.decompose(faithful)
+            if commutant_check(faithful):
+                focksim._levy_khinchin(dec)
+    return calls
+
+
+def integer_dependent_rows(seed: int) -> np.ndarray:
+    """Rows of small integers, some exact integer combinations of earlier rows, shuffled."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-3, 4, (5, 8)) + 1j * rng.integers(-3, 4, (5, 8))
+    mix = rng.integers(-2, 3, (4, 5))
+    rows = np.vstack([base, mix @ base, np.zeros((1, 8))])
+    return rows[rng.permutation(len(rows))]
+
+
+def nearly_dependent_rows(seed: int) -> np.ndarray:
+    """Integer rows, then rows 1e-2 away from some of them: classical Gram-Schmidt
+    applied once leaves these about 1e-10 from orthogonal, twice about 1e-15."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-3, 4, (5, 8)) + 1j * rng.integers(-3, 4, (5, 8))
+    return np.vstack([base, base[:3] + 1e-2 * rng.standard_normal((3, 8))])
+
+
+GS_INPUTS = gram_schmidt_inputs() + [
+    (integer_dependent_rows(seed), cut) for seed in range(6) for cut in (1e-9, np.sqrt(1e-9))
+] + [(nearly_dependent_rows(seed), 1e-9) for seed in range(6)]
+
+
+def test_gram_schmidt_sees_every_call_site():
+    assert len(GS_INPUTS) >= 60
+    # the pinning passes the short rows of an eigenvector block, at sqrt(tol)
+    assert any(cut == np.sqrt(1e-9) and rows.shape[0] > rows.shape[1] for rows, cut in GS_INPUTS)
+
+
+@pytest.mark.parametrize("case", range(len(GS_INPUTS)))
+def test_gram_schmidt_matches_modified_gram_schmidt(case):
+    rows, cut = GS_INPUTS[case]
+    kept, ortho = gram_schmidt(rows, cut)
+    ref_kept, ref_ortho = ref_gram_schmidt(rows, cut)
+    # every row's distance to the span of the rows kept before it is far from its cut,
+    # so rounding cannot move a selection
+    for idx, v in enumerate(rows):
+        q = ref_ortho[[i for i, j in enumerate(ref_kept) if j < idx]]
+        w = v - (q.conj() @ v) @ q
+        w -= (q.conj() @ w) @ q
+        ratio = np.linalg.norm(w) / core.cutoff(np.linalg.norm(v), cut)
+        assert not 1e-3 < ratio < 1e3, (idx, ratio)
+    assert kept == ref_kept
+    assert rel_residual(ortho, ref_ortho) <= 1e-12
+    assert rel_residual(ortho @ ortho.conj().T, np.eye(len(kept))) <= 1e-12
