@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ItoAlgebra
+from .core import ItoAlgebra, rel_residual, rel_residuals
 
 __all__ = ["ParseDiagnostic", "ParseResult", "parse", "parse_strict", "parse_lincomb", "serialize"]
 
@@ -378,7 +378,7 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
     n = len(labels)
     death = declared["death"][()]
     dval = declared["state"].get((death,), 0j)
-    if abs(dval - 1.0) > tol:  # at the death's state value, else at the death's symbol
+    if not rel_residual(dval, 1.0) <= tol:  # at the death's state value, else at the death's symbol
         lineno, token = declared_at.get(("state", (death,))), 3
         if lineno is None:
             lineno, token = declared_at["death", ()], 1
@@ -466,7 +466,7 @@ def serialize(alg: ItoAlgebra) -> str:
     if n > MAX_BASIS:
         raise ValueError(f"a basis of {n} symbols exceeds the format capacity of {MAX_BASIS} symbols")
     eye = np.eye(n, dtype=complex)
-    death_hits = np.flatnonzero(np.abs(alg.death - eye).max(axis=1) <= alg.tol)
+    death_hits = np.flatnonzero(rel_residuals(alg.death, eye) <= alg.tol)
     if len(death_hits) != 1:
         raise ValueError(
             "only algebras whose death is a basis element can be serialized; "

@@ -6,21 +6,26 @@ a star matrix ``S`` with ``a_i* = sum_k S[i,k] a_k``, a distinguished
 self-adjoint annihilator (the death, representing dt) and the state
 functional ``l`` with ``l(death) = 1``.  Elements are coefficient vectors.
 
-All equality decisions go through one per-algebra tolerance, relative to
-the largest magnitude entering the comparison (with an absolute floor of 1).
-Every rank, support and degeneracy threshold is ``cutoff(values, tol) =
-tol * max(1, max(values))``, and nothing else computes one.  It is read by
+The algebra object is the one source of membership and of tolerance.
+Element arithmetic, the triangular representation, a quotient map and
+``subalgebra`` take only elements of that same object (``is``, read by
+``ItoAlgebra.coeffs_of``) and raise ``AlgebraError`` for any other.  ``tol``
+is set when the object is made and no check takes its own: another
+tolerance is another object, ``dataclasses.replace(alg, tol=t)``.  Every
+equality decision is ``rel_residual(s) <= tol``, relative to the largest
+magnitude compared with a floor of 1.  Every rank, support and degeneracy
+threshold is ``cutoff(values, tol) = tol * max(1, max(values))``, and
+nothing else computes one.  It is read by
 ``numerical_rank`` (the faithfulness ideal and the Brownian support, each the
 ``null_space`` that cut leaves; the independence check of ``subalgebra``; the
 rank checks of ``decomp.decompose``), by the ``gram_schmidt`` keep rule, by
 the GNS space and its degenerate window in ``gns._pin_eigenbasis``, by the
 zero blocks of ``ideal.quotient``, by the component supports and moving
 atoms of the classical sampler and by the positivity of ``group_levy``'s
-weights.  The one exception is the ``sqrt(tol)`` Gram-Schmidt that realigns
-a degenerate GNS eigenspace: it picks directions, not a rank, and another
-cut could move the pinned eigenbases.  ``gram_schmidt`` measures a row's
-distance to the rows kept before it by classical Gram-Schmidt applied twice
-against the whole kept block, two matrix-vector products per pass.
+weights.  Two bounds scale by hand, on purpose: ``ito_product_check`` judges
+each dt at tol * max(1, |M_a|, |M_b|), the scale of its inputs, and the
+Gram-Schmidt that realigns a degenerate GNS eigenspace cuts at ``sqrt(tol)``:
+it picks directions, not a rank, and another cut could move the eigenbases.
 
 ``subalgebra`` is the one basis transport: it re-expresses the structure
 constants on the rows of any basis of a closed span, with ``np.linalg.solve``
@@ -282,6 +287,14 @@ class ItoAlgebra:
     def death_element(self) -> "Element":
         return Element(self, self.death.copy())
 
+    def coeffs_of(self, a: "Element | np.ndarray") -> np.ndarray:
+        """``a.coeffs`` for an element of this object, ``a`` as a complex array; another object's raises."""
+        if isinstance(a, Element):
+            if a.algebra is not self:
+                raise AlgebraError("element belongs to another algebra object")
+            return a.coeffs
+        return np.asarray(a, dtype=complex)
+
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -346,18 +359,18 @@ class Element:
     def state(self) -> complex:
         return state_of(self)
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        tol = self.algebra.tol if tol is None else tol
-        return float(np.max(np.abs(self.coeffs))) <= tol
+    def is_zero(self) -> bool:
+        """True iff ``rel_residual(coeffs, 0)`` is within the algebra's tol."""
+        return rel_residual(self.coeffs, 0.0) <= self.algebra.tol
 
-    def allclose(self, other: "Element", tol: float | None = None) -> bool:
+    def allclose(self, other: "Element") -> bool:
+        """True iff ``rel_residual`` of the two coefficient vectors is within the algebra's tol."""
         self._check_same(other)
-        tol = self.algebra.tol if tol is None else tol
-        return rel_residual(self.coeffs, other.coeffs) <= tol
+        return rel_residual(self.coeffs, other.coeffs) <= self.algebra.tol
 
     def _check_same(self, other: "Element") -> None:
-        if other.algebra is not self.algebra and other.algebra.dim != self.algebra.dim:
-            raise AlgebraError("elements belong to algebras of different dimension")
+        if other.algebra is not self.algebra:
+            raise AlgebraError("elements belong to different algebra objects")
 
     def __repr__(self) -> str:
         terms = []
@@ -727,15 +740,11 @@ def subalgebra(
 ) -> ItoAlgebra:
     """Restrict the algebra to the span of the given coefficient vectors.
 
-    The span must contain the death and be closed under product and star
-    (verified within tol); the induced structure constants are obtained by
-    expressing products back in the given spanning vectors.
+    The vectors are elements of ``alg`` or coefficient vectors; their span
+    must contain the death and be closed under product and star (verified
+    within tol).  The induced structure constants express products in them.
     """
-    rows = []
-    for v in vectors:
-        vec = v.coeffs if isinstance(v, Element) else np.asarray(v, dtype=complex)
-        rows.append(vec.reshape(-1))
-    B = np.array(rows, dtype=complex)
+    B = np.array([np.ravel(alg.coeffs_of(v)) for v in vectors], dtype=complex)
     if B.ndim != 2 or B.shape[1] != alg.dim:
         raise AlgebraError("spanning vectors must match the algebra dimension")
     m = B.shape[0]

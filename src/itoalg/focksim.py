@@ -24,8 +24,8 @@ from functools import cache
 import numpy as np
 
 from .core import (
-    AlgebraError, Element, ItoAlgebra, commutant_check, cutoff, gram_schmidt, null_space,
-    numerical_rank, pair_products,
+    AlgebraError, Element, ItoAlgebra, commutant_check, cutoff, gram_schmidt, numerical_rank,
+    pair_products, rel_residual,
 )
 from .decomp import Decomposition, decompose
 from .gns import FundamentalRep, triangular
@@ -303,7 +303,7 @@ def vacuum_moments(rep: FundamentalRep, a: Element, t: float, n_slots: int) -> S
 
 def _component_label(alg: ItoAlgebra, vec: np.ndarray, fallback: str) -> str:
     support = np.where(np.abs(vec) > cutoff(np.abs(vec), alg.tol))[0]
-    if support.size == 1 and abs(vec[support[0]] - 1.0) <= alg.tol:
+    if support.size == 1 and rel_residual(vec[support[0]], 1.0) <= alg.tol:
         return alg.labels[support[0]]
     return fallback
 
@@ -313,8 +313,9 @@ def _levy_khinchin(dec: Decomposition) -> tuple[list, list, np.ndarray, np.ndarr
 
     The components are the independent Hermitian parts (x + x*)/2 and
     (x - x*)/2i of the Brownian, then of the Levy zero-mean basis.  The atoms
-    are the joint eigenvectors u_j of the commuting Hermitian i(x_p) on E H,
-    from one eigh of a fixed generic combination of them.  Atom j moves
+    are the joint eigenvectors u_j of the commuting Hermitian i(x_p), from one
+    eigh of a fixed generic combination of them on all of H; the vectors in
+    P H, where every i(x) vanishes, move nothing and are cut.  Atom j moves
     component p by jumps[p, j] = <u_j, i(x_p) u_j> at rate
     rates[j] = |<u_j, k(x_p)>|^2 / jumps[p, j]^2, the same for every p that it
     moves (k(x_p . x_q) = i(x_p) k(x_q) is symmetric), here a ratio of sums
@@ -330,9 +331,8 @@ def _levy_khinchin(dec: Decomposition) -> tuple[list, list, np.ndarray, np.ndarr
     brown, levy = hermitian_parts(dec.brownian_zero_mean), hermitian_parts(dec.levy_zero_mean)
     x = np.array(levy).reshape(len(levy), alg.dim)
     imats = np.tensordot(x, dec.rep.imats, 1)  # i(x_p)
-    basis = null_space(dec.projector, tol).T  # orthonormal columns spanning E H
     mix = np.random.default_rng(0).standard_normal(len(levy))  # a fixed generic combination
-    atoms = basis @ np.linalg.eigh(basis.conj().T @ np.tensordot(mix, imats, 1) @ basis)[1]
+    atoms = np.linalg.eigh(np.tensordot(mix, imats, 1))[1]
     jumps = np.einsum("dj,pde,ej->pj", atoms.conj(), imats, atoms).real
     moved = np.abs(jumps) > cutoff(np.abs(jumps), tol)
     first = np.sum(np.cumsum(moved, axis=0) == 0, axis=0)  # the first component each atom moves

@@ -118,13 +118,6 @@ class FundamentalRep:
     def imats(self) -> np.ndarray:
         return self.mats[:, 1:-1, 1:-1]
 
-    def _coeffs(self, a: Element | np.ndarray) -> np.ndarray:
-        if isinstance(a, Element):
-            if a.algebra.dim != self.algebra.dim:
-                raise AlgebraError("element does not belong to the represented algebra")
-            return a.coeffs
-        return np.asarray(a, dtype=complex)
-
     def l_of(self, a) -> complex:
         return complex(triangular(self, a)[0, -1])
 
@@ -279,7 +272,7 @@ def triangular(rep: FundamentalRep, a: Element | np.ndarray) -> np.ndarray:
     recovers l(a).
     """
     n = rep.algebra.dim
-    return (rep._coeffs(a) @ rep.mats.reshape(n, -1)).reshape(rep.mats.shape[1:])
+    return (rep.algebra.coeffs_of(a) @ rep.mats.reshape(n, -1)).reshape(rep.mats.shape[1:])
 
 
 def minkowski_adjoint(M: np.ndarray) -> np.ndarray:
@@ -301,7 +294,7 @@ def seminorms(rep: FundamentalRep, a: Element | np.ndarray) -> Seminorms:
     coefficients are scaled by a power of 2 first, so a seminorm above the
     float range reads ``inf``; a non-finite coefficient gives four NaNs.
     """
-    return Seminorms(*(float(v[0]) for v in _seminorm_rows(rep, rep._coeffs(a)[np.newaxis])))
+    return Seminorms(*(float(v[0]) for v in _seminorm_rows(rep, rep.algebra.coeffs_of(a)[np.newaxis])))
 
 
 def _seminorm_rows(rep: FundamentalRep, X: np.ndarray) -> Seminorms:
@@ -345,28 +338,26 @@ def verify_bstar(
     samples: list[Element] | np.ndarray | None = None,
     count: int = 100,
     seed: int = 0,
-    tol: float | None = None,
 ) -> BStarReport:
     """Check the star symmetries, submultiplicativity and the two B*-equalities.
 
-    ``samples`` are elements or an (S, n) array of coefficient rows; without
-    them ``count`` Gaussian samples are drawn from ``seed``.  Each sample is
-    paired with the next, cyclically, and all seminorms are computed in
-    batched contractions.  Every residual is ``rel_residuals``: an equality
-    compares lhs with rhs, an inequality lhs <= rhs compares max(lhs, rhs)
-    with rhs, so only its violation counts.  A sample whose products
-    overflow, or a non-finite one, gives NaN seminorms and fails every
-    identity it enters; no sample at all raises ``AlgebraError``.
+    ``samples`` are elements of ``rep.algebra`` or an (S, n) array of
+    coefficient rows; without them ``count`` Gaussian samples are drawn from
+    ``seed``.  Each sample is paired with the next, cyclically, in batched
+    contractions.  Each residual is ``rel_residuals``, judged at the
+    algebra's tol: an equality compares lhs with rhs, an inequality lhs <= rhs
+    compares max(lhs, rhs) with rhs, so only its violation counts.  A sample
+    whose products overflow, or a non-finite one, gives NaN seminorms and
+    fails every identity it enters; no sample at all raises ``AlgebraError``.
     """
     alg = rep.algebra
-    tol = alg.tol if tol is None else tol
     if samples is None:
         if count < 1:
             raise AlgebraError(f"verify_bstar needs at least one sample, got count={count}")
         z = np.random.default_rng(seed).standard_normal((count, 2, alg.dim))
         A = z[:, 0] + 1j * z[:, 1]
     else:
-        A = np.array([rep._coeffs(a) for a in samples], dtype=complex).reshape(-1, alg.dim)
+        A = np.array([alg.coeffs_of(a) for a in samples], dtype=complex).reshape(-1, alg.dim)
         if not len(A):
             raise AlgebraError("verify_bstar needs at least one sample, got an empty list")
         seed = None
@@ -395,4 +386,4 @@ def verify_bstar(
             "corner_equality": rel_residuals(naa.corner, na.minus * ns.plus),
         }
     worst = {name: worst_residual(r) for name, r in residuals.items()}
-    return BStarReport(worst, tol, A.shape[0], seed)
+    return BStarReport(worst, alg.tol, A.shape[0], seed)

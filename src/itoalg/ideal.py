@@ -47,10 +47,10 @@ class IdealBasis:
     def elements(self) -> list[Element]:
         return [Element(self.algebra, row) for row in self.matrix]
 
-    def contains(self, vec: np.ndarray, tol: float | None = None) -> bool:
-        tol = self.algebra.tol if tol is None else tol
+    def contains(self, vec: np.ndarray) -> bool:
+        """True iff ``vec`` is within the algebra's tol of its projection on the ideal."""
         proj = (np.conj(self.matrix) @ vec) @ self.matrix
-        return rel_residual(proj, vec) <= tol
+        return rel_residual(proj, vec) <= self.algebra.tol
 
 
 def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
@@ -67,8 +67,8 @@ class Quotient:
     """Quotient algebra together with the induced *-homomorphism.
 
     ``matrix`` maps coefficient vectors of ``ideal.algebra``, the algebra
-    factored, to quotient coordinates; the rows of ``complement`` are the
-    chosen complement basis.
+    factored, to quotient coordinates, and ``map`` takes no other elements;
+    the rows of ``complement`` are the chosen complement basis.
     """
 
     algebra: ItoAlgebra
@@ -77,7 +77,7 @@ class Quotient:
     ideal: IdealBasis
 
     def map(self, a: Element) -> Element:
-        return Element(self.algebra, self.matrix @ a.coeffs)
+        return Element(self.algebra, self.matrix @ self.ideal.algebra.coeffs_of(a))
 
 
 def quotient(alg: ItoAlgebra, ideal: IdealBasis) -> Quotient:

@@ -158,7 +158,7 @@ def test_c6_bstar_identities():
     with criterion("6 bstar-identities"):
         for name, alg in faithful(make_catalog()).items():
             rep = build_representation(alg)
-            report = verify_bstar(rep, count=100, seed=20260810, tol=1e-8)
+            report = verify_bstar(rep, count=100, seed=20260810)
             assert report.samples == 100
             assert report.passed, (name, report.residuals)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,3 +299,50 @@ class TestImmutability:
         a = w.basis_element("dw")
         with pytest.raises(ValueError):
             a.coeffs[0] = 1.0
+
+
+def _sum_of_elements(p):
+    return ia.wiener().basis_element("dw") + p.basis_element("dm")
+
+
+def _seminorms(p):
+    return ia.seminorms(ia.build_representation(ia.wiener()), p.basis_element("dm"))
+
+
+def _triangular(p):
+    return ia.triangular(ia.build_representation(ia.wiener()), p.basis_element("dm"))
+
+
+def _quotient_map(p):
+    z = ia.zero_intensity_poisson()
+    return ia.quotient(z, ia.faithfulness_ideal(z)).map(p.basis_element("dm"))
+
+
+def _subalgebra(p):
+    return ia.subalgebra(ia.wiener(), [p.basis_element("dt"), p.basis_element("dm")])
+
+
+class TestOneAlgebraObject:
+    @pytest.mark.parametrize(
+        "entry", [_sum_of_elements, _seminorms, _triangular, _quotient_map, _subalgebra],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_an_element_of_another_algebra_object_raises(self, entry):
+        # every operand has dimension 2: only the algebra object tells them apart
+        with pytest.raises(AlgebraError, match="algebra object"):
+            entry(ia.poisson())
+
+    def test_an_equal_copy_is_another_object(self):
+        w = ia.wiener()
+        with pytest.raises(AlgebraError):
+            w.basis_element("dw") + dataclasses.replace(w).basis_element("dw")
+
+    def test_every_decision_follows_the_objects_tol(self):
+        for t, loose in ((1e-9, False), (1e-3, True)):
+            w = dataclasses.replace(ia.wiener(), tol=t)
+            small = 5e-4 * w.basis_element("dw")
+            assert small.is_zero() is loose
+            assert (w.death_element() + small).allclose(w.death_element()) is loose
+            z = dataclasses.replace(ia.zero_intensity_poisson(), tol=t)
+            assert ia.faithfulness_ideal(z).contains(np.array([5e-4, 1.0])) is loose
+            assert ia.verify_bstar(ia.build_representation(w), count=3).tol == t

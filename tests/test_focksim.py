@@ -22,7 +22,7 @@ from itoalg.focksim import (
     slot_increment,
     vacuum_moments,
 )
-from itoalg.gns import build_representation, triangular
+from itoalg.gns import FundamentalRep, build_representation, triangular
 
 from conftest import ref_classical_paths, ref_ito_product_check
 from test_pipeline import _random_rotation
@@ -285,13 +285,15 @@ class TestItoProductCheck:
         # a = c dt + dm on a Poisson table whose dm.dm carries an extra eps dm.  The
         # tolerance scale max(1, c dt) shrinks with dt, so the exchange block (off by
         # eps) fails from dt = 2^-5 on and the field blocks (off by eps sqrt(dt)) only
-        # at 2^-9 and 2^-10: dt order reports the exchange block, block order would not
+        # at 2^-9 and 2^-10: dt order reports the exchange block, block order would not.
+        # The intact table's matrices are attached to the bent table, whose elements they take
         p = ia.poisson()
-        rep = build_representation(p)
         c, dm = 1024.0, p.labels.index("dm")
         mult = p.mult.copy()
         mult[dm, dm, dm] += 1.5 * p.tol * math.sqrt(c)
         bent = dataclasses.replace(p, mult=mult)
+        intact = build_representation(p)
+        rep = FundamentalRep(bent, intact.mats, intact.eigenvalues)
         a = c * bent.death_element() + bent.basis_element("dm")
         for dts, block, dt in ((self.DTS, "exchange", 2**-5), (self.DTS[-2:], "creation", 2**-9)):
             message = f"{block} mismatch deviates from its closed form at dt={dt}"
@@ -699,6 +701,19 @@ class TestClassicalPaths:
                 if q != p:
                     target = complex(multiply(x, y).coeffs @ alg.state)
                     assert abs(rates @ (jumps[p] * jumps[q]) - target) <= 1e-9, (p, q)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_jump_atoms_of_a_cyclic_group_are_its_characters(self, n):
+        # group_levy(Z_n) at its default weights: n atoms of rate 1/n, and atom k moves
+        # the component x by sum_g x[d_g] chi_k(g), a real or imaginary part of a character
+        alg = ia.group_levy(ia.cyclic_group(n))
+        _, levy, jumps, rates = focksim._levy_khinchin(decompose(alg))
+        chars = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n)   # chi_k(g) at [g, k]
+        expected = np.array(levy)[:, 1:] @ chars
+        assert jumps.shape == (n, n)
+        np.testing.assert_allclose(rates, np.full(n, 1 / n), rtol=0, atol=1e-12)
+        close = np.abs(jumps[:, :, None] - expected[:, None, :]).max(axis=0) <= 1e-12
+        assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all()
 
     def test_newton_smooth_only(self):
         rpt = classical_paths(ia.newton(), t=1.0, dt=0.1, n_paths=100, seed=0)
