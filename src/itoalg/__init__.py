@@ -24,9 +24,10 @@ from .builtins import (
 )
 from .core import (
     AlgebraError,
-    AxiomReport,
+    Check,
     Element,
     ItoAlgebra,
+    Report,
     commutant_check,
     gram_matrix,
     multiply,
@@ -63,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraError",
-    "AxiomReport",
+    "Check",
     "Decomposition",
     "DecompositionError",
     "Element",
@@ -76,6 +77,7 @@ __all__ = [
     "ParseDiagnostic",
     "ParseResult",
     "Quotient",
+    "Report",
     "RepresentationError",
     "Seminorms",
     "SimReport",

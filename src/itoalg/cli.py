@@ -220,6 +220,7 @@ def _cmd_represent(alg, args):
         return {
             "hdim": rep.hdim,
             "labels": list(alg.labels),
+            "report": rep.report.to_dict(),
             "quadruples": [
                 {
                     "label": lab,
@@ -263,7 +264,7 @@ def _cmd_decompose(alg, args):
             yield f"{title} ({len(elems)} elements):"
             yield from (f"  {e}" for e in elems)
         yield f"verification: {'pass' if dec.report.passed else 'FAIL'}"
-        yield from (f"  {name:24s} {resid:.3e}" for name, resid in dec.report.residuals.items())
+        yield dec.report.summary()
 
     return (EXIT_OK if dec.report.passed else EXIT_AXIOMS), dec.to_dict, lines()
 

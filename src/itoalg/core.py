@@ -13,7 +13,11 @@ Element arithmetic, the triangular representation, a quotient map and
 is set when the object is made and no check takes its own: another
 tolerance is another object, ``dataclasses.replace(alg, tol=t)``.  Every
 equality decision is ``rel_residual(s) <= tol``, relative to the largest
-magnitude compared with a floor of 1.  Every rank, support and degeneracy
+magnitude compared with a floor of 1.  A stage names each residual in a
+``Check`` and returns them in one ``Report``, whose ``passed`` is the one
+comparison with ``tol``: the axioms (``verify_axioms``), the representation
+(``FundamentalRep.report``), the decomposition (``Decomposition.report``) and
+the B* identities (``verify_bstar``).  Every rank, support and degeneracy
 threshold is ``cutoff(values, tol) = tol * max(1, max(values))``, and
 nothing else computes one.  It is read by
 ``numerical_rank`` (the faithfulness ideal and the Brownian support, each the
@@ -79,7 +83,7 @@ computes each once, whoever asks first; ``dataclasses.replace`` keeps neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -90,10 +94,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AlgebraError",
-    "AxiomCheck",
-    "AxiomReport",
+    "Check",
     "Element",
     "ItoAlgebra",
+    "Report",
     "commutant_check",
     "complex_pairs",
     "cutoff",
@@ -250,7 +254,7 @@ class ItoAlgebra:
         return len(self.labels)
 
     @cached_property
-    def axioms(self) -> "AxiomReport":
+    def axioms(self) -> "Report":
         """The axiom report of ``verify_axioms``, computed on first access and kept.
 
         The algebra is frozen with read-only arrays, so the report cannot go
@@ -483,40 +487,55 @@ def commutant_check(alg: ItoAlgebra) -> bool:
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
+class Check:
+    """One named residual of a stage; the stage's ``Report`` judges it."""
+
     name: str
-    passed: bool
     residual: float
     detail: str = ""
 
 
 @dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
+class Report:
+    """The checks of one stage, judged at one tol: the one verdict of every stage.
+
+    A check passes iff ``residual <= tol``, so a NaN residual fails.  The
+    axioms (``verify_axioms``), the representation (``FundamentalRep.report``),
+    the decomposition (``Decomposition.report``) and the B* identities
+    (``verify_bstar``) each return one.  ``inputs`` records what the checks
+    were computed from (``verify_bstar``'s samples and seed); ``to_dict``
+    spreads it beside ``passed``, ``tol`` and ``checks``.
+    """
+
+    checks: tuple[Check, ...]
     tol: float
+    inputs: Mapping = field(default_factory=dict)
+
+    def _holds(self, check: Check) -> bool:
+        return check.residual <= self.tol
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(map(self._holds, self.checks))
+
+    def failures(self) -> list[Check]:
+        return [c for c in self.checks if not self._holds(c)]
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        return worst_residual([c.residual for c in self.checks])
 
-    def failures(self) -> list[AxiomCheck]:
-        return [c for c in self.checks if not c.passed]
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {c.name: c.residual for c in self.checks}
 
     def to_dict(self) -> dict:
         return {
+            **self.inputs,
             "passed": self.passed,
             "tol": self.tol,
             "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "detail": c.detail,
-                }
+                {"name": c.name, "passed": self._holds(c), "residual": c.residual, "detail": c.detail}
                 for c in self.checks
             ],
         }
@@ -524,7 +543,7 @@ class AxiomReport:
     def summary(self) -> str:
         lines = []
         for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
+            status = "pass" if self._holds(c) else "FAIL"
             extra = f"  ({c.detail})" if c.detail else ""
             lines.append(f"{status}  {c.name:24s} residual={c.residual:.3e}{extra}")
         return "\n".join(lines)
@@ -668,7 +687,7 @@ def _dense_contractions(alg: ItoAlgebra) -> tuple[np.ndarray, float]:
     return assoc, rel_residual(prod_star, star_prod)
 
 
-def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
+def verify_axioms(alg: ItoAlgebra) -> Report:
     """Check every defining axiom, reporting a named residual per check.
 
     Covers associativity, the star involution and its anti-multiplicativity,
@@ -687,14 +706,14 @@ def verify_axioms(alg: ItoAlgebra) -> AxiomReport:
     return alg.axioms
 
 
-def _axiom_report(alg: ItoAlgebra) -> AxiomReport:
+def _axiom_report(alg: ItoAlgebra) -> Report:
     """The report of ``verify_axioms``, computed; only ``ItoAlgebra.axioms`` calls it."""
     c, S, l, d, tol = alg.mult, alg.star, alg.state, alg.death, alg.tol
     n = alg.dim
     checks = []
 
     def add(name, residual, detail=""):
-        checks.append(AxiomCheck(name, bool(residual <= tol), float(residual), detail))
+        checks.append(Check(name, float(residual), detail))
 
     with np.errstate(all="ignore"):
         assoc, antimult = _contractions(alg)
@@ -723,7 +742,7 @@ def _axiom_report(alg: ItoAlgebra) -> AxiomReport:
             detail=f"min Gram eigenvalue {eigs[0]:.3e}",
         )
 
-    return AxiomReport(tuple(checks), tol)
+    return Report(tuple(checks), tol)
 
 
 def random_element(alg: ItoAlgebra, rng: np.random.Generator, scale: float = 1.0) -> Element:

@@ -16,8 +16,10 @@ import numpy as np
 
 from .core import (
     AlgebraError,
+    Check,
     Element,
     ItoAlgebra,
+    Report,
     complex_pairs,
     gram_schmidt,
     null_space,
@@ -62,7 +64,7 @@ class Decomposition:
 
     ``brownian`` and ``levy`` both start with the death element; the
     remaining entries span the zero-mean parts.  ``report`` holds the named
-    verification residuals.
+    verification checks.
     """
 
     algebra: ItoAlgebra
@@ -71,7 +73,7 @@ class Decomposition:
     support: np.ndarray    # E = I - P
     brownian: tuple[Element, ...]
     levy: tuple[Element, ...]
-    report: "DecompositionReport"
+    report: Report
 
     def __post_init__(self):
         self.projector.setflags(write=False)
@@ -102,27 +104,15 @@ class Decomposition:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    residuals: dict[str, float]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tol for v in self.residuals.values())
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "tol": self.tol, "residuals": dict(self.residuals)}
-
-
 def decompose(alg: ItoAlgebra) -> Decomposition:
     """Split the algebra into its Brownian and Levy components.
 
     For each zero-mean basis element x the triangular matrix is projected
     to the one with kdag(x) P, P k(x) and l = i = 0, and its complement, and
     the parts are pulled back through the injective map a -> triangular(a).
-    A preimage residual above tol means the projected matrix leaves the
-    algebra, which the decomposition theorem rules out for consistent input.
+    A failing ``preimage`` check raises ``DecompositionError``: the projected
+    matrix leaves the algebra, which the decomposition theorem rules out for
+    consistent input.  Every other check is reported in ``report``.
     """
     rep = build_representation(alg)
     tol = alg.tol
@@ -141,10 +131,10 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     T[:, 1:-1, -1] = X @ K.T @ P.T
     targets = _block_columns(T)
     Y = np.linalg.lstsq(B, targets.T, rcond=None)[0].T
-    resid_preimage = worst_residual(rel_residuals(Y @ B.T, targets))
-    if not resid_preimage <= tol:
+    preimage = Check("preimage", worst_residual(rel_residuals(Y @ B.T, targets)))
+    if not Report((preimage,), tol).passed:
         raise DecompositionError(
-            f"projected quadruple has no preimage in the algebra (residual {resid_preimage:.3e})"
+            f"projected quadruple has no preimage in the algebra (residual {preimage.residual:.3e})"
         )
     Z = X - Y
 
@@ -153,58 +143,42 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     y_basis = Y[y_idx]
     z_basis = Z[z_idx]
 
-    residuals: dict[str, float] = {"preimage": resid_preimage}
-    residuals["projector_idempotent"] = rel_residual(P @ P, P)
-    residuals["projector_hermitian"] = rel_residual(P, P.conj().T)
-    residuals["projector_kills_operators"] = worst_residual(
-        rel_residuals(rep.imats @ P, 0.0), rel_residuals(P @ rep.imats, 0.0)
-    )
-
     def pairs(U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Products u . v of every pair, one per row."""
         return pair_products(alg, U, V).reshape(-1, n)
 
-    residuals["cross_products"] = worst_residual(
-        rel_residuals(pairs(y_basis, z_basis), 0.0), rel_residuals(pairs(z_basis, y_basis), 0.0)
-    )
     y_star = np.conj(y_basis) @ alg.star
-    residuals["orthogonality"] = worst_residual(
-        np.abs(pairs(y_star, z_basis) @ l), np.abs(pairs(z_basis, y_star) @ l)
-    )
-    residuals["reconstruction"] = worst_residual(
-        rel_residuals(np.outer(l, death) + Y + Z, np.eye(n))
-    )
     w = pairs(y_basis, y_basis)
-    residuals["brownian_second_order"] = worst_residual(
-        rel_residuals(w, np.outer(w @ l, death))
-    )
-
-    # pi kills products; the Levy zero-mean span must absorb them.  The death
-    # annihilates, so x_i . x_j = a_i . a_j and k of it reads off the table.
+    # The death annihilates, so x_i . x_j = a_i . a_j and k of it reads off the table.
     kprods = alg.mult @ K.T  # k(x_i . x_j) as [i, j]
     kept = y_idx + z_idx
-    residuals["pi_kills_products"] = worst_residual(
-        rel_residuals((kprods[np.ix_(kept, kept)] @ P.T).reshape(len(kept) ** 2, d), 0.0)
-    )
-
     # Levy support: on E H the operator algebra is nondegenerate, and the
     # k-image of the product span matches the Levy k-image (density in
     # finite dimension).
     spans = (kprods.reshape(n * n, d).T, K @ z_basis.T)
     ranks = {numerical_rank(m, tol) for m in (*spans, np.hstack(spans))}
-    residuals["levy_k_image"] = 0.0 if len(ranks) == 1 else 1.0
-    if z_idx:
-        rank_e = d - len(null)   # the rank of E, from the SVD that cut P
-        residuals["levy_nondegenerate"] = 0.0 if numerical_rank(stack @ E, tol) >= rank_e else 1.0
-    else:
-        residuals["levy_nondegenerate"] = 0.0
-
-    # The two spans overlap exactly in the death line.
+    rank_e = d - len(null)   # the rank of E, from the SVD that cut P
     rank_sum = numerical_rank(np.vstack([y_basis, z_basis]), tol)
-    residuals["intersection_death_only"] = 0.0 if rank_sum == len(kept) else 1.0
-
-    report = DecompositionReport(residuals, tol)
+    checks = (
+        preimage,
+        Check("projector_idempotent", rel_residual(P @ P, P)),
+        Check("projector_hermitian", rel_residual(P, P.conj().T)),
+        Check("projector_kills_operators", worst_residual(
+            rel_residuals(rep.imats @ P, 0.0), rel_residuals(P @ rep.imats, 0.0))),
+        Check("cross_products", worst_residual(
+            rel_residuals(pairs(y_basis, z_basis), 0.0), rel_residuals(pairs(z_basis, y_basis), 0.0))),
+        Check("orthogonality", worst_residual(
+            rel_residuals(pairs(y_star, z_basis) @ l, 0.0), rel_residuals(pairs(z_basis, y_star) @ l, 0.0))),
+        Check("reconstruction", worst_residual(rel_residuals(np.outer(l, death) + Y + Z, np.eye(n)))),
+        Check("brownian_second_order", worst_residual(rel_residuals(w, np.outer(w @ l, death)))),
+        # pi kills products; the Levy zero-mean span must absorb them
+        Check("pi_kills_products", worst_residual(
+            rel_residuals((kprods[np.ix_(kept, kept)] @ P.T).reshape(len(kept) ** 2, d), 0.0))),
+        Check("levy_k_image", 0.0 if len(ranks) == 1 else 1.0),
+        Check("levy_nondegenerate", 0.0 if not z_idx or numerical_rank(stack @ E, tol) >= rank_e else 1.0),
+        # the two spans overlap exactly in the death line
+        Check("intersection_death_only", 0.0 if rank_sum == len(kept) else 1.0),
+    )
     brownian = (Element(alg, death),) + tuple(Element(alg, y) for y in y_basis)
     levy = (Element(alg, death),) + tuple(Element(alg, z) for z in z_basis)
-    return Decomposition(alg, rep, P, E, brownian, levy, report)
-
+    return Decomposition(alg, rep, P, E, brownian, levy, Report(checks, tol))

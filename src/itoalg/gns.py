@@ -22,6 +22,12 @@ l(x . a) = conj<k(a), k(x*)> and l(a . x . c) = kdag(a) i(x) k(c).
 ``ItoAlgebra.gns``; its ``kernel`` is that ideal.  The rows of
 K = diag(sqrt(lambda)) V^dag are orthogonal, so V diag(1/sqrt(lambda)) is its
 exact right inverse and i(a_i) is k(a_i . -) times it: nothing is solved.
+The identities above are the ``covariance``, ``kolmogorov`` and
+``star_adjoint`` checks of ``FundamentalRep.report``, with ``death_unit``:
+triangular(death) is the matrix unit in the corner.  The report is a
+``core.Report``, computed once per representation from ``mats`` and the
+table; ``construct_gns`` raises on a failing covariance, and
+``build_representation`` on any failing check.
 
 The B*-seminorms of a are the norms of the blocks of triangular(a): the
 operator norm of i(a), the norms of k(a) and kdag(a), which are
@@ -46,8 +52,10 @@ import numpy as np
 
 from .core import (
     AlgebraError,
+    Check,
     Element,
     ItoAlgebra,
+    Report,
     cutoff,
     gram_matrix,
     gram_schmidt,
@@ -61,7 +69,6 @@ from .core import (
 )
 
 __all__ = [
-    "BStarReport",
     "FundamentalRep",
     "NonFaithfulError",
     "RepresentationError",
@@ -142,6 +149,33 @@ class FundamentalRep:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def _covariance(self) -> Check:
+        """i(a_i) k(a_j) = k(a_i . a_j), the check ``construct_gns`` raises on; ``report`` reads it."""
+        n, d, K = self.algebra.dim, self.hdim, self.kmat
+        with np.errstate(all="ignore"):   # an overflow gives NaN, which fails
+            KP = np.swapaxes((self.algebra.mult.reshape(n * n, n) @ K.T).reshape(n, n, d), 1, 2)
+            return Check("covariance", worst_residual(rel_residuals(self.imats @ K, KP)))
+
+    @cached_property
+    def report(self) -> Report:
+        """The identities of the representation, computed once from ``mats`` and the table.
+
+        ``covariance``: i(a_i) k(a_j) = k(a_i . a_j); ``kolmogorov``:
+        kdag(a_i) k(a_j) = l(a_i . a_j); ``star_adjoint``: i(a_i*) = i(a_i)^dag;
+        ``death_unit``: triangular(death) is the matrix unit E_0,hdim+1.
+        """
+        alg, n, d = self.algebra, self.algebra.dim, self.hdim
+        with np.errstate(all="ignore"):
+            star_i = (alg.star @ self.imats.reshape(n, d * d)).reshape(n, d, d)
+            checks = (
+                self._covariance,
+                Check("kolmogorov", rel_residual(self.kdmat @ self.kmat, alg.mult @ alg.state)),
+                Check("star_adjoint", rel_residual(star_i, np.conj(np.swapaxes(self.imats, 1, 2)))),
+                Check("death_unit", rel_residual(triangular(self, alg.death), np.eye(d + 2, k=d + 1))),
+            )
+        return Report(checks, alg.tol)
+
 
 def _block_columns(mats: np.ndarray) -> np.ndarray:
     """Row i: the block [[kdag, l], [i, k]] of the triangular ``mats[i]``, column by column.
@@ -196,7 +230,8 @@ def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def build_representation(alg: ItoAlgebra) -> FundamentalRep:
     """Canonical representation of a faithful algebra whose axioms pass: ``alg.gns``.
 
-    Raises ``NonFaithfulError`` when a -> triangular(a) has a kernel.
+    Raises ``NonFaithfulError`` when a -> triangular(a) has a kernel, and
+    ``RepresentationError`` naming the failed checks of ``alg.gns.report``.
     """
     report = alg.axioms
     if not report.passed:
@@ -206,14 +241,18 @@ def build_representation(alg: ItoAlgebra) -> FundamentalRep:
     dim = rep.kernel.shape[0]
     if dim:
         raise NonFaithfulError(f"faithfulness ideal has dimension {dim}; factor it out with quotient() first")
-    _validate(rep)
+    failed = ", ".join(c.name for c in rep.report.failures())
+    if failed:
+        raise RepresentationError(f"representation identities fail: {failed}")
     return rep
 
 
 def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
     """Kolmogorov/GNS construction of the triangular matrices, faithful or not.
 
-    A covariance residual above tol raises: k(x) = 0 implies k(a . x) = 0.
+    A failing ``covariance`` check of the result's report raises, alone of
+    its four: k(x) = 0 implies k(a . x) = 0, so only a table whose axioms
+    fail gets there.
     """
     n, tol = alg.dim, alg.tol
     H = gram_matrix(alg)
@@ -225,34 +264,16 @@ def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
     # KP[i] = K @ mult[i].T, whose column j is k(a_i . a_j).  K has orthogonal
     # rows, so V diag(1/sqrt(evals)) is its exact right inverse (its pseudoinverse).
     KP = np.swapaxes((alg.mult.reshape(n * n, n) @ K.T).reshape(n, n, hdim), 1, 2)
-    imats = KP @ (V / np.sqrt(evals))
-    bad = np.flatnonzero(~(rel_residuals(imats @ K, KP) <= tol))
-    if bad.size:
-        raise RepresentationError(
-            f"GNS covariance residual above tolerance for basis element {alg.labels[bad[0]]}"
-        )
-
     mats = np.zeros((n, hdim + 2, hdim + 2), dtype=complex)
     mats[:, 0, 1:-1] = np.conj(alg.star @ K.T)   # kdag(a) = k(a*)^dag
     mats[:, 0, -1] = alg.state
-    mats[:, 1:-1, 1:-1] = imats
+    mats[:, 1:-1, 1:-1] = KP @ (V / np.sqrt(evals))
     mats[:, 1:-1, -1] = K.T
     mats += 0.0   # -0.0 (from conj) -> +0.0, as triangular(rep, e_i) writes it
-    return FundamentalRep(algebra=alg, mats=mats, eigenvalues=evals)
-
-
-def _validate(rep: FundamentalRep) -> None:
-    alg = rep.algebra
-    tol, n = alg.tol, alg.dim
-    L2 = alg.mult @ alg.state
-    if not rel_residual(rep.kdmat @ rep.kmat, L2) <= tol:
-        raise RepresentationError("Kolmogorov identity fails")
-    d = rep.hdim
-    star_i = (alg.star @ rep.imats.reshape(n, d * d)).reshape(n, d, d)
-    if not rel_residual(star_i, np.conj(np.transpose(rep.imats, (0, 2, 1)))) <= tol:
-        raise RepresentationError("i(a*) is not the adjoint of i(a)")
-    if not rel_residual(triangular(rep, alg.death), np.eye(d + 2, k=d + 1)) <= tol:
-        raise RepresentationError("the triangular matrix of the death is not the matrix unit E_0,d+1")
+    rep = FundamentalRep(algebra=alg, mats=mats, eigenvalues=evals)
+    if not Report((rep._covariance,), tol).passed:
+        raise RepresentationError(f"GNS covariance residual {rep._covariance.residual:.3e} above tolerance")
+    return rep
 
 
 def minkowski_metric(hdim: int) -> np.ndarray:
@@ -310,43 +331,22 @@ def _seminorm_rows(rep: FundamentalRep, X: np.ndarray) -> Seminorms:
         return Seminorms(*(np.where(finite, np.ldexp(v, exp), np.nan) for v in norms))
 
 
-@dataclass(frozen=True)
-class BStarReport:
-    """Worst residuals of the B*-algebra identities over the sampled elements."""
-
-    residuals: dict[str, float]
-    tol: float
-    samples: int
-    seed: int | None
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= self.tol for r in self.residuals.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tol": self.tol,
-            "samples": self.samples,
-            "seed": self.seed,
-            "residuals": dict(self.residuals),
-        }
-
-
 def verify_bstar(
     rep: FundamentalRep,
     samples: list[Element] | np.ndarray | None = None,
     count: int = 100,
     seed: int = 0,
-) -> BStarReport:
+) -> Report:
     """Check the star symmetries, submultiplicativity and the two B*-equalities.
 
     ``samples`` are elements of ``rep.algebra`` or an (S, n) array of
     coefficient rows; without them ``count`` Gaussian samples are drawn from
     ``seed``.  Each sample is paired with the next, cyclically, in batched
-    contractions.  Each residual is ``rel_residuals``, judged at the
-    algebra's tol: an equality compares lhs with rhs, an inequality lhs <= rhs
-    compares max(lhs, rhs) with rhs, so only its violation counts.  A sample
+    contractions.  Each identity is one check of the returned ``Report``, the
+    worst ``rel_residuals`` over the samples: an equality compares lhs with
+    rhs, an inequality lhs <= rhs compares max(lhs, rhs) with rhs, so only its
+    violation counts.  The report's ``inputs`` hold ``samples``, their count,
+    and ``seed``, None for given samples.  A sample
     whose products overflow, or a non-finite one, gives NaN seminorms and
     fails every identity it enters; no sample at all raises ``AlgebraError``.
     """
@@ -385,5 +385,5 @@ def verify_bstar(
             "cstar_equality": rel_residuals(naa.op, na.op * ns.op),
             "corner_equality": rel_residuals(naa.corner, na.minus * ns.plus),
         }
-    worst = {name: worst_residual(r) for name, r in residuals.items()}
-    return BStarReport(worst, alg.tol, A.shape[0], seed)
+    checks = tuple(Check(name, worst_residual(r)) for name, r in residuals.items())
+    return Report(checks, alg.tol, {"samples": A.shape[0], "seed": seed})

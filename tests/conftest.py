@@ -186,6 +186,34 @@ def ref_faithfulness_ideal(alg: ia.ItoAlgebra) -> np.ndarray:
     return vh[ia.core.numerical_rank(svals, alg.tol):].conj()
 
 
+def ref_brownian_space(alg: ia.ItoAlgebra) -> np.ndarray:
+    """Reference B0: orthonormal rows spanning the zero-mean x with a_i . x and x . a_i
+    on the death line for every basis element a_i, built from the table alone.
+
+    In a faithful table B0 is the Brownian zero-mean span of ``decompose``: i(x) = 0
+    and k(x) in PH give a corner-only triangular(a . x), and conversely i(x) = 0
+    kills k(a . x).  The rank cut is this oracle's own, 1e-9 of the largest
+    singular value with a floor of 1.
+    """
+    n = alg.dim
+    d = alg.death / np.linalg.norm(alg.death)
+    off = np.eye(n) - np.outer(d.conj(), d)   # v @ off: the row v less its part on the death
+    left = alg.mult @ off                     # x @ left[i]: a_i . x off the death line
+    right = np.swapaxes(alg.mult, 0, 1) @ off   # x @ right[i]: x . a_i off the death line
+    system = np.hstack([alg.state[:, None], *left, *right])   # x @ system = 0
+    _, svals, vh = np.linalg.svd(system.T, full_matrices=False)
+    return vh[int(np.sum(svals > 1e-9 * max(1.0, svals.max(initial=0.0)))):].conj()
+
+
+def same_row_span(a, b, tol: float = 1e-8) -> bool:
+    """True iff the rows of ``a`` and of ``b`` each have full rank and span one space."""
+    def rank(m):
+        return np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.abs(m).max()))) if m.size else 0
+
+    a, b = np.asarray(a), np.asarray(b)
+    return rank(a) == len(a) == len(b) == rank(b) == rank(np.vstack([a, b]))
+
+
 def ref_gram_schmidt(rows, cut: float) -> tuple[list[int], np.ndarray]:
     """Reference selection: modified Gram-Schmidt, one kept vector at a time.
 

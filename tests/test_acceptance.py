@@ -159,7 +159,7 @@ def test_c6_bstar_identities():
         for name, alg in faithful(make_catalog()).items():
             rep = build_representation(alg)
             report = verify_bstar(rep, count=100, seed=20260810)
-            assert report.samples == 100
+            assert report.inputs["samples"] == 100
             assert report.passed, (name, report.residuals)
 
 

@@ -613,7 +613,7 @@ def represent_reference(alg) -> str:
         for lab, M in mats.items()
     ]
     payload = {"hdim": rep.hdim, "labels": list(alg.labels), "quadruples": quadruples,
-               "triangular": mats}
+               "report": rep.report.to_dict(), "triangular": mats}
     return stdlib_compact(payload) + "\n"
 
 
@@ -849,6 +849,28 @@ class TestGolden:
             assert code in (2, 3)
 
         check_golden(name.replace("+", "_plus_"), record)
+
+    @pytest.mark.parametrize("name", FAITHFUL)
+    def test_represent_json_carries_the_gns_report(self, capsys, ito_files, name):
+        code, out, _ = run_cli(capsys, "represent", ito_files[name], "--json")
+        assert code == 0
+        report = strict_loads(out)["report"]
+        assert (report["passed"], report["tol"]) == (True, 1e-9)
+        assert [c["name"] for c in report["checks"]] == [
+            "covariance", "kolmogorov", "star_adjoint", "death_unit"]
+        assert all(c["passed"] and c["residual"] <= 1e-9 and c["detail"] == "" for c in report["checks"])
+
+    def test_decompose_prints_the_report_summary(self, capsys, ito_files):
+        code, out, _ = run_cli(capsys, "decompose", ito_files["wiener+poisson"])
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("verification: pass")
+        report = ia.decompose(parse(Path(ito_files["wiener+poisson"]).read_text()).algebra).report
+        assert lines[at + 1:] == report.summary().splitlines()
+        assert [line.split()[1] for line in lines[at + 1:]][:2] == ["preimage", "projector_idempotent"]
+        code, out, _ = run_cli(capsys, "decompose", ito_files["wiener+poisson"], "--json")
+        checks = strict_loads(out)["report"]["checks"]
+        assert [c["name"] for c in checks] == [c.name for c in report.checks]
 
     def test_latex_output(self, capsys, ito_files):
         code, out, _ = run_cli(capsys, "represent", ito_files["wiener"], "--latex")

@@ -146,6 +146,73 @@ class TestVerifyAxioms:
         assert {c["name"] for c in d["checks"]} >= {"associativity", "state_positive"}
 
 
+def _stage_reports() -> dict:
+    """The report of each stage on wiener + poisson: axioms, representation, decomposition, B*."""
+    alg = ia.orthogonal_sum(ia.wiener(), ia.poisson())
+    rep = ia.build_representation(alg)
+    return {"axioms": alg.axioms, "gns": rep.report, "decompose": ia.decompose(alg).report,
+            "bstar": ia.verify_bstar(rep, count=10, seed=1)}
+
+
+STAGE_REPORTS = _stage_reports()
+
+
+def _with_residual(report: ia.Report, index: int, residual: float) -> ia.Report:
+    checks = list(report.checks)
+    checks[index] = dataclasses.replace(checks[index], residual=residual)
+    return dataclasses.replace(report, checks=tuple(checks))
+
+
+class TestOneReport:
+    """Every stage is judged by one ``core.Report``: ``residual <= tol``, a NaN failing."""
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_REPORTS))
+    def test_every_stage_returns_the_one_report(self, stage):
+        report = STAGE_REPORTS[stage]
+        assert type(report) is ia.Report and report.passed and report.tol == 1e-9
+        assert report.checks and all(type(c) is ia.Check for c in report.checks)
+        assert report.residuals == {c.name: c.residual for c in report.checks}
+
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("stage", sorted(STAGE_REPORTS))
+    def test_a_nan_residual_fails(self, stage, index):
+        bad = _with_residual(STAGE_REPORTS[stage], index, float("nan"))
+        assert not bad.passed
+        assert bad.failures() == [bad.checks[index]]
+        assert np.isnan(bad.max_residual)
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_REPORTS))
+    def test_the_verdict_is_residual_at_most_tol(self, stage):
+        report = STAGE_REPORTS[stage]
+        assert _with_residual(report, 0, report.tol).passed
+        for residual in (np.nextafter(report.tol, 1.0), np.inf):
+            bad = _with_residual(report, 0, residual)
+            assert bad.failures() == [bad.checks[0]]
+
+    @pytest.mark.parametrize("failing", [(), (0,), (0, -1)], ids=["none", "first", "first-last"])
+    @pytest.mark.parametrize("stage", sorted(STAGE_REPORTS))
+    def test_dict_and_summary_agree_with_the_verdict(self, stage, failing):
+        report = STAGE_REPORTS[stage]
+        for index in failing:
+            report = _with_residual(report, index, float("nan"))
+        d = report.to_dict()
+        assert (d["passed"], d["tol"]) == (report.passed, report.tol)
+        assert [c["name"] for c in d["checks"]] == [c.name for c in report.checks]
+        assert [c["residual"] for c in d["checks"]] == [c.residual for c in report.checks]
+        failed = [c.name for c in report.failures()]
+        assert [c["name"] for c in d["checks"] if not c["passed"]] == failed
+        lines = report.summary().splitlines()
+        assert len(lines) == len(report.checks)
+        assert [line.split()[1] for line in lines if line.startswith("FAIL")] == failed
+        assert all(line.startswith(("pass  ", "FAIL  ")) for line in lines)
+
+    def test_inputs_are_spread_into_the_dict(self):
+        d = STAGE_REPORTS["bstar"].to_dict()
+        assert (d["samples"], d["seed"]) == (10, 1)
+        assert set(d) == {"passed", "tol", "checks", "samples", "seed"}
+        assert set(STAGE_REPORTS["axioms"].to_dict()) == {"passed", "tol", "checks"}
+
+
 class TestCommutant:
     def test_examples(self, catalog):
         assert ia.commutant_check(catalog["wiener"])

@@ -16,7 +16,7 @@ from itoalg.builtins import _zero_mean_basis
 from itoalg.core import rel_residual
 from itoalg.gns import build_representation, minkowski_metric, triangular, verify_bstar
 
-from conftest import make_catalog
+from conftest import make_catalog, ref_brownian_space, same_row_span
 
 
 def _component(kind: str, rng: np.random.Generator):
@@ -152,6 +152,9 @@ def test_random_sum_roundtrip_through_rotation(scenario):
     assert dec.report.passed, dec.report.residuals
     assert len(dec.brownian_zero_mean) == nb
     assert len(dec.levy_zero_mean) == nz
+    # the Brownian zero-mean span is the table-only space B0
+    brownian = np.array([e.coeffs for e in dec.brownian_zero_mean]).reshape(-1, rotated.dim)
+    assert same_row_span(brownian, ref_brownian_space(rotated))
 
     # map the recovered spans back to the original coordinates and compare
     def back(elements):
