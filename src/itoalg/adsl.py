@@ -11,9 +11,10 @@ Grammar (UTF-8, one declaration per line, ``#`` starts a comment):
 
 A lincomb is ``coef sym [+ coef sym ...]`` or the literal ``0``, the only
 way to write zero: an empty lincomb is an error.  Complex literals are
-``a``, ``ai``, ``a+bi`` or ``a-bi`` with decimal reals; a literal, or a sum
-of coefficients of one symbol, that is not finite is an error.  A basis
-symbol is one token that is not a keyword, ``+``, ``=`` or a complex literal.
+``a``, ``ai``, ``a+bi`` or ``a-bi`` with decimal reals in ASCII digits; a
+literal, or a sum of coefficients of one symbol, that is not finite is an
+error.  A basis symbol is one token that is not a keyword, ``+``, ``=`` or a
+complex literal, so a non-ASCII digit such as ``٣`` is a symbol.
 
 ``death``, ``state``, ``star`` and ``mul`` are rows of one declaration
 table (``_DECLARATIONS``): how many symbols the keyword names, what follows
@@ -24,15 +25,18 @@ token in token order, and a line with a fault stores nothing.
 
 The text is read once, a line at a time.  Each ``star`` and ``mul`` line
 converts its own lincomb (``_lincomb``): its shape (``+`` separators, a
-symbol after every coefficient), one ``translate`` that checks the
-characters of its joined coefficient column, one ``map(complex, ...)``, one
-dictionary lookup per symbol, and a finiteness check of each symbol's sum
-only when the line repeats a symbol.  The line keeps Python lists of values
-and symbol indices; only on a fault are its terms walked in token order
-for the first bad token.  An accepted line appends its values and symbol
-indices to its table's two flat lists (``_Lincombs``); after the last line,
-each table becomes its vectors by one ``np.add.at`` scatter (``_vectors``).
-``parse_lincomb`` is ``_lincomb`` and that scatter on one line.
+symbol after every coefficient), C-level scans of its joined coefficient
+column for what ``complex`` reads beyond the grammar (non-ASCII text,
+``inf``/``nan``, parentheses, underscores, ``j``, a lone ``i``), one
+``map(complex, ...)`` that checks the rest, one dictionary lookup per
+symbol, and a finiteness check of each symbol's sum only when the line
+repeats a symbol.  The line keeps Python lists of values and symbol
+indices; only on a fault are its terms walked in token order, over the
+values read, for the first bad token.  An accepted line appends its values
+and symbol indices to its table's two flat lists (``_Lincombs``); after the
+last line, each table becomes its vectors by one ``np.add.at`` scatter
+(``_vectors``).  ``parse_lincomb`` is ``_lincomb`` and that scatter on one
+line.
 
 The parser is total: any input yields an algebra or diagnostics, never an
 exception.  It only reads text and checks no axiom: each consumer checks
@@ -50,7 +54,6 @@ reals.
 
 from __future__ import annotations
 
-import re
 from cmath import isfinite
 from dataclasses import dataclass
 
@@ -60,9 +63,9 @@ from .core import ItoAlgebra, rel_residual, rel_residuals
 
 __all__ = ["ParseDiagnostic", "ParseResult", "parse", "parse_strict", "parse_lincomb", "serialize"]
 
-# the characters of a literal besides its decimal digits, and an i after neither digit nor point
-_PUNCTUATION = str.maketrans("", "", ".eE+-i ")
-_LONE_I = (" i", "+i", "-i", "ei", "Ei")
+# what complex() reads beyond the grammar: inf and nan in any case (each holds an n or N),
+# parentheses, underscores, j, and an i after a space or a sign
+_BEYOND = ("n", "N", "(", ")", "_", "j", "J", " i", "+i", "-i")
 _COEFFICIENT = "expected a complex coefficient, got {!r}"
 
 # keyword: (symbols it names, its value after '=', its duplicate message).
@@ -119,15 +122,15 @@ class _Fault(Exception):
     def diagnostic(self, lineno: int, line: str) -> ParseDiagnostic:
         """The error on ``line``, at the 1-based column of the token (past the last if none)."""
         code = line.split("#", 1)[0]
-        starts = [m.start() + 1 for m in re.finditer(r"\S+", code)]
-        column = starts[self.token] if self.token < len(starts) else len(code.rstrip()) + 1
+        rest = code.split(None, self.token)   # rest[token] is the line from that token on
+        column = len(code) - len(rest[-1]) + 1 if len(rest) > self.token else len(code.rstrip()) + 1
         return ParseDiagnostic("error", lineno, column, self.message)
 
 
 def parse_complex(token: str) -> complex | None:
     """The complex literal ``token``, or None if it is not one."""
-    vals = None if " " in token else _complexes([token])
-    return None if vals is None else vals[0]
+    vals = _complexes([token]) if _is_token(token) else []
+    return vals[0] if vals else None
 
 
 def _is_token(text: str) -> bool:
@@ -143,27 +146,34 @@ def _symbol_problem(sym: str) -> str | None:
     return None
 
 
-def _complexes(coefs: list[str]) -> list[complex] | None:
-    """The values of the literals ``coefs``, or None if one of them is not a literal.
+def _complexes(coefs: list[str]) -> list[complex]:
+    """The values of the literals that start ``coefs``, up to the first token that is not one.
 
-    A literal is a token of decimal digits, ``.``, ``e``, ``E``, ``+``, ``-``
-    and ``i``, with a digit or a point before every ``i``, that ``complex``
-    reads with ``j`` for ``i``: Python's complex syntax without its
-    parentheses, underscores, ``inf``, ``nan`` and bare ``j``.  The column is
-    checked with one ``translate`` and read with one ``map(complex, ...)``,
-    each in linear time.
+    A literal is an ASCII token that ``complex`` reads with ``j`` for ``i``,
+    less what ``complex`` accepts beyond the grammar: non-ASCII digits,
+    ``inf`` and ``nan`` (each holds an ``n`` or ``N``), parentheses,
+    underscores, ``j``, and an ``i`` that starts a token or follows a sign
+    (``i``, ``+i``, ``1-i``), the only lone ``i`` that ``complex`` reads.
+    Those are found by C-level scans of the joined column, and the one
+    ``map(complex, ...)`` that converts the tokens before the first of them
+    checks the rest of the syntax, stopping at the first token it cannot
+    read.  Each is linear in the column.
     """
-    if not coefs:
-        return []
     column = " ".join(coefs)
-    spaced = " " + column
-    if not column.translate(_PUNCTUATION).isdecimal() or (
-            "i" in column and any(s in spaced for s in _LONE_I)):
-        return None
+    good = len(coefs) if column.isascii() else list(map(str.isascii, coefs)).index(False)
+    hits = [p for p in map(column.find, _BEYOND) if p >= 0]
+    if hits:
+        good = min(good, column.count(" ", 0, min(hits) + 1))
+    if column.startswith("i"):
+        good = 0
+    if good < len(coefs):
+        column = " ".join(coefs[:good])
+    vals: list[complex] = []
     try:
-        return list(map(complex, column.replace("i", "j").split(" ")))
-    except ValueError:  # the characters of a literal, out of order: 1e, 1+2, 1.2.3
-        return None
+        vals.extend(map(complex, column.replace("i", "j").split(" ")))
+    except ValueError:  # list.extend keeps the values before it: 1e, 1+2, 1.2.3, 1ei, x, no token
+        pass
+    return vals
 
 
 def _read_terms(coefs: list[str], syms: list[str], index: dict[str, int], start: int = 0,
@@ -173,17 +183,16 @@ def _read_terms(coefs: list[str], syms: list[str], index: dict[str, int], start:
     The two columns interleave as a lincomb written from token ``start``:
     ``coefs[t]`` is token ``start + 3t`` and ``syms[t]`` token ``start + 3t + 1``.
     Each column is converted at once; on a fault, the terms are walked in
-    token order and the first bad token is the fault.
+    token order over the values read and the first bad token is the fault.
     """
     vals = _complexes(coefs)
     cols = list(map(index.get, syms))
-    if vals is not None and all(map(isfinite, vals)) and None not in cols:
+    if len(vals) == len(coefs) and all(map(isfinite, vals)) and None not in cols:
         return vals, cols
     for t, coef in enumerate(coefs):
-        z = parse_complex(coef)
-        if z is None:
+        if t == len(vals):
             raise _Fault(start + 3 * t, malformed.format(coef))
-        if not isfinite(z):
+        if not isfinite(vals[t]):
             raise _Fault(start + 3 * t, "non-finite coefficient")
         if t < len(syms) and cols[t] is None:
             raise _Fault(start + 3 * t + 1, f"unknown basis symbol {syms[t]!r}")

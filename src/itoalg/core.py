@@ -378,7 +378,7 @@ class Element:
 
     def __repr__(self) -> str:
         terms = []
-        for coef, sym in zip(self.coeffs, self.algebra.labels):
+        for coef, sym in zip(self.coeffs.tolist(), self.algebra.labels):
             if coef != 0:
                 terms.append(f"({coef:.6g})*{sym}")
         return " + ".join(terms) if terms else "0"

@@ -32,6 +32,9 @@ table; ``construct_gns`` raises on a failing covariance, and
 The B*-seminorms of a are the norms of the blocks of triangular(a): the
 operator norm of i(a), the norms of k(a) and kdag(a), which are
 l(a* . a)^1/2 and l(a . a*)^1/2 by the Kolmogorov identity, and |l(a)|.
+The operator norm is the square root of the top eigenvalue of
+i(a)^dag i(a), from one batched Hermitian eigensolve; i(a) is divided by a
+power of 2 near its largest part first, so that Gram does not overflow.
 ``seminorms`` divides the coefficients by a power of 2 near the largest and
 multiplies the norms back, exact in binary, so only a seminorm above the
 float range overflows, and it reads ``inf``.
@@ -324,11 +327,37 @@ def _seminorm_rows(rep: FundamentalRep, X: np.ndarray) -> Seminorms:
     parts = np.where(finite[:, np.newaxis], X, 0.0).view(np.float64)
     exp = np.frexp(np.abs(parts).max(axis=1))[1]   # each row is divided by 2^exp, exactly
     T = np.tensordot(np.ldexp(parts, -exp[:, np.newaxis]).view(complex), rep.mats, 1)
-    op = np.linalg.svd(T[:, 1:-1, 1:-1], compute_uv=False).max(axis=-1, initial=0.0)
-    norms = (op, np.linalg.norm(T[:, 1:-1, -1], axis=-1), np.linalg.norm(T[:, 0, 1:-1], axis=-1),
-             np.abs(T[:, 0, -1]))
+    plus, minus = np.linalg.norm(T[:, 1:-1, -1], axis=-1), np.linalg.norm(T[:, 0, 1:-1], axis=-1)
+    corner = np.abs(T[:, 0, -1])
+    norms = (_op_norms(T[:, 1:-1, 1:-1]), plus, minus, corner)
     with np.errstate(over="ignore"):
         return Seminorms(*(np.where(finite, np.ldexp(v, exp), np.nan) for v in norms))
+
+
+# the Grams of ``_op_norms`` are formed for about this many entries of the stack at a time
+_GRAM_ENTRIES = 1 << 14
+
+
+def _op_norms(J: np.ndarray) -> np.ndarray:
+    """The operator norm of every matrix of the stack ``J``, which it overwrites; NaN for a non-finite one.
+
+    |J|_op is the square root of the top eigenvalue of J^dag J, from one
+    Hermitian eigensolve per matrix.  Each matrix is first divided by 2^e,
+    exactly, with 2^e taken from its largest part, so its Gram does not
+    overflow where it does not.  The conjugate and the Gram are temporaries
+    of about ``_GRAM_ENTRIES`` entries each, not two more copies of ``J``.
+    """
+    parts = J.view(np.float64)
+    big = np.maximum(parts.max(axis=(1, 2), initial=0.0), -parts.min(axis=(1, 2), initial=0.0))
+    e = np.frexp(big)[1]
+    np.ldexp(parts, -e[:, np.newaxis, np.newaxis], out=parts)
+    finite = np.isfinite(big)
+    J[~finite] = 0.0   # it reads NaN below; a non-finite Gram can fail the eigensolve
+    step = _GRAM_ENTRIES // max(1, J.shape[1] ** 2) + 1
+    top = np.concatenate([np.linalg.eigvalsh(np.conj(j).swapaxes(1, 2) @ j).max(axis=-1, initial=0.0)
+                          for j in np.split(J, np.arange(step, len(J), step))])
+    op = np.ldexp(np.sqrt(np.where(top > 0.0, top, 0.0)), e)   # a zero matrix's top can be -0.0 or -1e-17
+    return np.where(finite, op, np.nan)
 
 
 def verify_bstar(

@@ -122,7 +122,7 @@ def ref_serialize(alg: ia.ItoAlgebra) -> str:
 
 # the literal grammar as a regular expression: a, ai, a+bi or a-bi with decimal reals
 _REF_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-REF_COMPLEX_RE = re.compile(rf"[+-]?{_REF_UNSIGNED}(?:[+-]{_REF_UNSIGNED})?i|[+-]?{_REF_UNSIGNED}")
+REF_COMPLEX_RE = re.compile(rf"[+-]?{_REF_UNSIGNED}(?:[+-]{_REF_UNSIGNED})?i|[+-]?{_REF_UNSIGNED}", re.ASCII)
 
 
 def ref_parse_complex(token: str) -> complex | None:

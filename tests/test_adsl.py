@@ -177,6 +177,33 @@ def test_diagnostic_contract(text, expected):
     assert [(d.line, d.column, d.message) for d in result.diagnostics] == expected
 
 
+# an Arabic-Indic three and a fullwidth three: digits to str.isdecimal and complex, not ASCII
+NON_ASCII_DIGITS = pytest.mark.parametrize("digit", ["٣", "３"], ids=["arabic-indic", "fullwidth"])
+
+
+class TestAsciiLiterals:
+    """A literal is ASCII: a non-ASCII digit is no number, so it can be a basis symbol."""
+
+    @NON_ASCII_DIGITS
+    def test_rejected_as_a_coefficient(self, digit):
+        result = parse(HEAD + f"mul dw dw = {digit} dt\n")
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+            (4, 13, f"expected a complex coefficient, got {digit!r}")]
+
+    @NON_ASCII_DIGITS
+    def test_rejected_as_a_state_value(self, digit):
+        result = parse(f"basis dt dw\ndeath dt\nstate dt = {digit}\n")
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+            (3, 12, f"bad complex literal {digit!r}")]
+
+    @NON_ASCII_DIGITS
+    def test_accepted_as_a_basis_symbol(self, digit):
+        alg = parse_strict(f"basis dt {digit}\ndeath dt\nstate dt = 1\nmul {digit} {digit} = 3 dt\n")
+        assert alg.labels == ("dt", digit)
+        assert alg.mult[1, 1, 0] == 3
+        assert parse_complex(digit) is None and parse_complex(f"1+{digit}i") is None
+
+
 class TestComplexLiterals:
     @pytest.mark.parametrize(
         "token,expected",
@@ -211,9 +238,12 @@ class TestComplexLiterals:
                 assert parse_complex(token) == ref_parse_complex(token), token
 
     @settings(max_examples=2000, deadline=None)
-    @given(st.text(st.sampled_from(list("0123456789.eE+-iIjJ_()nafty٣x \t")), max_size=14))
-    def test_token_matches_the_grammar(self, token):
-        # complex's own syntax (inf, nan, 1_0, (1+2j), j, 1J) is not a literal
+    @given(st.sampled_from(["", "i"]),
+           st.text(st.sampled_from(list("0123456789.eE+-iIjJ_()naftyNF٣３x \t")), max_size=14))
+    def test_token_matches_the_grammar(self, head, tail):
+        # complex's own syntax (inf, NAN, Infinity, 1_0, (1+2j), j, 1J, non-ASCII digits)
+        # is not a literal, and neither is an i that starts a token: i, i1, i+1
+        token = head + tail
         assert parse_complex(token) == ref_parse_complex(token)
 
 
@@ -366,14 +396,19 @@ class TestTableCodec:
 
     def test_bad_literal_is_rejected_in_linear_time(self):
         # literals are checked in linear time; a backtracking pattern for the
-        # reals, such as \d+\.?\d*, takes seconds to reject this token
-        token = "1" * 5000 + "x"
-        start = time.perf_counter()
-        vec, diags = parse_lincomb(f"{token} dt", ["dt"])
-        assert time.perf_counter() - start < 0.5
-        assert vec is None
-        message = f"expected a complex coefficient, got {token!r}"
-        assert diags == [ParseDiagnostic("error", 1, 1, message)]
+        # reals, such as \d+\.?\d*, takes seconds to reject the long token, and
+        # the bad token after a 2 MB column of good literals is found without
+        # reading each of them again
+        long_token = "1" * 5000 + "x"
+        column = "1+1i dt + " * 200_000
+        cases = [(f"{long_token} dt", long_token, 1), (column + "1x dt", "1x", len(column) + 1)]
+        for text, bad, column_no in cases:
+            start = time.perf_counter()
+            vec, diags = parse_lincomb(text, ["dt"])
+            assert time.perf_counter() - start < 0.5
+            assert vec is None
+            message = f"expected a complex coefficient, got {bad!r}"
+            assert diags == [ParseDiagnostic("error", 1, column_no, message)]
 
     def test_faults_in_a_dense_table(self):
         # a dense 24-symbol table: each fault is reported at its own line, and a faulted line

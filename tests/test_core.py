@@ -368,6 +368,28 @@ class TestImmutability:
             a.coeffs[0] = 1.0
 
 
+# the parts of a coefficient whose text is pinned: signed zeros, infinities, nan, extremes, 1/3
+EDGE_PARTS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 1 / 3, -1 / 3]
+
+
+class TestElementRepr:
+    def test_pinned_text(self):
+        w = ia.wiener()
+        assert repr(ia.Element(w, [0, complex(np.nan, np.inf)])) == "(nan+infj)*dw"
+        assert repr(ia.Element(w, [1, complex(-0.0, 1e300)])) == "(1+0j)*dt + (-0+1e+300j)*dw"
+        assert repr(ia.Element(w, [-0.0, complex(1 / 3, -0.0)])) == "(0.333333-0j)*dw"
+        assert repr(ia.Element(w, [complex(0.0, -0.0), 0])) == "0"
+
+    @pytest.mark.parametrize("real", EDGE_PARTS)
+    def test_edge_parts_print_as_python_complexes(self, real):
+        # a zero coefficient (either sign of either part) is left out; any other prints with .6g
+        w = ia.wiener()
+        for imag in EDGE_PARTS:
+            z = complex(real, imag)
+            want = "(1+0j)*dt" + ("" if z == 0 else f" + ({z:.6g})*dw")
+            assert repr(ia.Element(w, [1, z])) == want, z
+
+
 def _sum_of_elements(p):
     return ia.wiener().basis_element("dw") + p.basis_element("dm")
 

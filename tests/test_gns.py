@@ -11,6 +11,7 @@ from itoalg.gns import (
     FundamentalRep,
     NonFaithfulError,
     RepresentationError,
+    _seminorm_rows,
     build_representation,
     minkowski_adjoint,
     minkowski_metric,
@@ -200,6 +201,63 @@ class TestSeminorms:
         # minus = 1.5e308 * sqrt(2) overflows; plus = 1.5e308 * sqrt(0.5) does not
         assert norms.minus == np.inf
         assert norms.plus == pytest.approx(1.5e308 * np.sqrt(0.5))
+
+
+FAITHFUL_NAMES = [name for name in make_catalog() if name != "zero_intensity_poisson"]
+
+
+def _random_rows(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """Gaussian complex rows, each scaled by a power of ten in [1e-30, 1e30]."""
+    z = rng.standard_normal((count, 2, n))
+    return (z[:, 0] + 1j * z[:, 1]) * 10.0 ** rng.uniform(-30, 30, (count, 1))
+
+
+class TestOperatorSeminorm:
+    """The op seminorm is the largest singular value of i(a), read from one Hermitian eigensolve."""
+
+    @pytest.mark.parametrize("name", FAITHFUL_NAMES)
+    def test_op_is_the_largest_singular_value(self, name):
+        # 200 random rows on the table and on one rotation of it, against a batched SVD of i(a)
+        alg = make_catalog()[name]
+        rng = np.random.default_rng(FAITHFUL_NAMES.index(name))
+        for table in (alg, _random_rotation(alg, rng)[0]):
+            rep = build_representation(table)
+            X = _random_rows(rng, 200, table.dim)
+            op = _seminorm_rows(rep, X).op
+            want = np.linalg.svd(np.tensordot(X, rep.imats, 1), compute_uv=False).max(axis=-1, initial=0.0)
+            assert np.all(np.abs(op - want) <= 8 * rep.hdim * np.finfo(float).eps * want), name
+
+    @pytest.mark.parametrize("build", [ia.wiener, lambda: ia.periodic_wiener(2, (2.0, 3.0))],
+                             ids=["wiener", "periodic_wiener"])
+    def test_zero_block_is_exactly_zero(self, build):
+        alg = build()
+        op = _seminorm_rows(alg.gns, _random_rows(np.random.default_rng(5), 200, alg.dim)).op
+        assert np.all(op == 0.0) and not np.any(np.signbit(op))
+
+    def test_non_finite_row_stays_nan(self):
+        alg = ia.hp(2)
+        X = _random_rows(np.random.default_rng(6), 4, alg.dim)
+        X[1, 2] = np.nan
+        X[3, 0] = complex(0, np.inf)
+        op = _seminorm_rows(alg.gns, X).op
+        assert np.isnan(op[[1, 3]]).all() and np.isfinite(op[[0, 2]]).all()
+
+    def test_block_that_overflows_reads_nan(self):
+        # i blocks of 1.5e308 sum past the float range: op is NaN, and no eigensolve fails
+        h = ia.hp(3)
+        mats = h.gns.mats.copy()
+        mats[1:, 1:-1, 1:-1] = 1.5e308
+        rep = FundamentalRep(algebra=h, mats=mats, eigenvalues=h.gns.eigenvalues.copy())
+        with np.errstate(all="ignore"):   # the product overflows, and inf * 0 is NaN
+            assert np.isnan(seminorms(rep, np.ones(h.dim)).op)
+
+    def test_block_above_the_square_root_of_the_float_range(self):
+        # |i(e)| = 2^600: its Gram, 2^1200, overflows unless the block is scaled first
+        h = ia.hp(1)
+        mats = h.gns.mats.copy()
+        mats[3, 1:-1, 1:-1] *= 2.0 ** 600
+        rep = FundamentalRep(algebra=h, mats=mats, eigenvalues=h.gns.eigenvalues.copy())
+        assert seminorms(rep, h.basis_element("e")).op == 2.0 ** 600
 
 
 class TestBStar:

@@ -38,6 +38,9 @@ RULES = [
     Rule("no_solve", r"lstsq|linalg\.solve", ("src/itoalg/gns.py",), (),
          "K = diag(sqrt(evals)) V^dag has orthogonal rows: V diag(1/sqrt(evals)) is its exact right inverse",
          "    imats = np.linalg.lstsq(K.T, KP.T, rcond=None)[0]"),
+    Rule("no_svd_in_gns", r"linalg\.svd", ("src/itoalg/gns.py",), (),
+         "rank decisions go through core.null_space/numerical_rank, the op seminorm through one eigvalsh",
+         "    op = np.linalg.svd(T[:, 1:-1, 1:-1], compute_uv=False).max(axis=-1, initial=0.0)"),
     Rule("reader", r"\.axioms\b|verify_axioms", ("src/itoalg/adsl.py",), (),
          "parse only reads text: each consumer checks the axiom report kept on the algebra",
          "    if not alg.axioms.passed:"),
