@@ -363,7 +363,7 @@ def _rows(table: _Lincombs, n_sym: int, n: int) -> tuple[tuple[np.ndarray, ...],
     return tuple(keys.T), _vectors(list(table.values()), table.vals, table.cols, n)
 
 
-def parse(text: str, tol: float = 1e-9) -> ParseResult:
+def parse(text: str, tol: float = ItoAlgebra.tol) -> ParseResult:
     """Parse an algebra definition; diagnostics carry line and column.
 
     On success the diagnostics are empty and the algebra carries ``tol``; its
@@ -417,8 +417,8 @@ def parse(text: str, tol: float = 1e-9) -> ParseResult:
     return ParseResult(alg, diags)
 
 
-def parse_strict(text: str, tol: float = 1e-9) -> ItoAlgebra:
-    result = parse(text, tol=tol)
+def parse_strict(text: str) -> ItoAlgebra:
+    result = parse(text)
     if not result.ok:
         raise ParseFailure(result.errors())
     return result.algebra

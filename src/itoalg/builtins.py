@@ -2,7 +2,8 @@
 
 Every builtin shares one presentation, set in one place, ``_algebra``: the
 death is basis element 0, labelled ``dt``, the state is ``l = e_0`` and the
-result is verified (the axiom suite is run on it and a failure raises).  Each
+result is verified (the axiom suite is run on it and a failure raises) at
+``ItoAlgebra.tol``, or ``orthogonal_sum``'s larger summand tolerance.  Each
 constructor states only its own table, as ``(i, j, k, value)`` entries for
 ``_table``, and its star, a permutation of the basis given as ``np.eye(n)[perm]``;
 ``orthogonal_sum`` alone passes the star matrix transported from its summands.
@@ -47,11 +48,12 @@ def _table(n: int, entries: Sequence[tuple[int, int, int, complex]]) -> np.ndarr
 
 
 def _algebra(
-    labels: Sequence[str], mult: np.ndarray, star: np.ndarray, tol: float, name: str
+    labels: Sequence[str], mult: np.ndarray, star: np.ndarray, name: str, summands: Sequence[ItoAlgebra] = ()
 ) -> ItoAlgebra:
     """The builtin presentation of a table: death ``dt`` at index 0 and ``l = e_0``, verified."""
     state = np.zeros(len(labels))
     state[0] = 1.0
+    tol = max((part.tol for part in summands), default=ItoAlgebra.tol)
     alg = ItoAlgebra(labels=labels, mult=mult, star=star, death=0, state=state, tol=tol, name=name)
     report = alg.axioms
     if not report.passed:
@@ -60,32 +62,32 @@ def _algebra(
     return alg
 
 
-def newton(tol: float = 1e-9) -> ItoAlgebra:
+def newton() -> ItoAlgebra:
     """One-dimensional algebra of smooth motion: dt^2 = 0, l(dt) = 1."""
-    return _algebra(("dt",), _table(1, []), np.eye(1), tol, "newton")
+    return _algebra(("dt",), _table(1, []), np.eye(1), "newton")
 
 
-def wiener(tol: float = 1e-9) -> ItoAlgebra:
+def wiener() -> ItoAlgebra:
     """Standard Brownian differentials: dw^2 = dt, dw dt = 0 = dt dw."""
-    return _algebra(("dt", "dw"), _table(2, [(1, 1, 0, 1.0)]), np.eye(2), tol, "wiener")
+    return _algebra(("dt", "dw"), _table(2, [(1, 1, 0, 1.0)]), np.eye(2), "wiener")
 
 
-def poisson(tol: float = 1e-9) -> ItoAlgebra:
+def poisson() -> ItoAlgebra:
     """Compensated Poisson differentials: dm^2 = dm + dt."""
     mult = _table(2, [(1, 1, 0, 1.0), (1, 1, 1, 1.0)])
-    return _algebra(("dt", "dm"), mult, np.eye(2), tol, "poisson")
+    return _algebra(("dt", "dm"), mult, np.eye(2), "poisson")
 
 
-def zero_intensity_poisson(tol: float = 1e-9) -> ItoAlgebra:
+def zero_intensity_poisson() -> ItoAlgebra:
     """Poisson differentials at zero intensity: e^2 = e, l(e) = 0.
 
     The unique non-faithful case; its faithfulness ideal is the span of e.
     """
     mult = _table(2, [(1, 1, 1, 1.0)])
-    return _algebra(("dt", "e"), mult, np.eye(2), tol, "zero_intensity_poisson")
+    return _algebra(("dt", "e"), mult, np.eye(2), "zero_intensity_poisson")
 
 
-def hp(d: int, tol: float = 1e-9) -> ItoAlgebra:
+def hp(d: int) -> ItoAlgebra:
     """Hudson-Parthasarathy algebra of a d-mode quantum noise.
 
     Basis: dt, annihilators e-^i, creators e+_j and exchange units e^i_j,
@@ -123,10 +125,10 @@ def hp(d: int, tol: float = 1e-9) -> ItoAlgebra:
     entries += [(exc(i, j), exc(j, m), exc(i, m), 1.0) for i in modes for j in modes for m in modes]
     perm = [0] + [cre(i) for i in modes] + [ann(i) for i in modes]
     perm += [exc(j, i) for i in modes for j in modes]
-    return _algebra(labels, _table(n, entries), np.eye(n)[perm], tol, f"hp{d}")
+    return _algebra(labels, _table(n, entries), np.eye(n)[perm], f"hp{d}")
 
 
-def thermal_brownian(rho_plus: float, rho_minus: float, tol: float = 1e-9) -> ItoAlgebra:
+def thermal_brownian(rho_plus: float, rho_minus: float) -> ItoAlgebra:
     """Quantum Brownian pair at finite temperature.
 
     Table: dw . dw* = rho_plus dt, dw* . dw = rho_minus dt, squares zero.
@@ -138,10 +140,10 @@ def thermal_brownian(rho_plus: float, rho_minus: float, tol: float = 1e-9) -> It
     if not 0 <= rho_minus < np.inf:
         raise AlgebraError("rho_minus must be a nonnegative finite real")
     mult = _table(3, [(1, 2, 0, rho_plus), (2, 1, 0, rho_minus)])
-    return _algebra(("dt", "dw", "dw*"), mult, np.eye(3)[[0, 2, 1]], tol, "thermal_brownian")
+    return _algebra(("dt", "dw", "dw*"), mult, np.eye(3)[[0, 2, 1]], "thermal_brownian")
 
 
-def periodic_wiener(K: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgebra:
+def periodic_wiener(K: int, rho: Sequence[float]) -> ItoAlgebra:
     """Finite truncation of the quantum Wiener periodic motion.
 
     Modes k = +-1..+-K with d_k* = d_{-k} and the self-inverse spectral
@@ -160,7 +162,7 @@ def periodic_wiener(K: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgeb
     perm = [0] + [1 + (idx + K) % (2 * K) for idx in range(2 * K)]
     mult = _table(1 + 2 * K, [(i, perm[i], 0, w) for i, w in enumerate(weights, 1)])
     labels = ["dt"] + [f"d{k + 1}" for k in range(K)] + [f"d{-(k + 1)}" for k in range(K)]
-    return _algebra(labels, mult, np.eye(1 + 2 * K)[perm], tol, f"periodic_wiener{K}")
+    return _algebra(labels, mult, np.eye(1 + 2 * K)[perm], f"periodic_wiener{K}")
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,6 @@ def symmetric_group(n: int) -> FiniteGroup:
 def group_levy(
     group: FiniteGroup,
     lam: Mapping[str, complex] | Sequence[complex] | None = None,
-    tol: float = 1e-9,
 ) -> ItoAlgebra:
     """Quantum compensated Poisson motion over a finite group.
 
@@ -268,16 +269,16 @@ def group_levy(
         if lam_vec.shape != (m,):
             raise AlgebraError("lam must assign one value per group element")
 
-    if not rel_residual(lam_vec[inv], np.conj(lam_vec)) <= tol:
+    if not rel_residual(lam_vec[inv], np.conj(lam_vec)) <= ItoAlgebra.tol:
         raise AlgebraError("lam violates the star symmetry lam(g^-1) = conj(lam(g))")
     conv = np.conj(lam_vec[table[:, inv]]) @ lam_vec
     delta = np.zeros(m, dtype=complex)
     delta[e] = 1.0
-    if not rel_residual(conv, delta) <= tol:
+    if not rel_residual(conv, delta) <= ItoAlgebra.tol:
         raise AlgebraError("lam is not self-inverse under convolution")
     gram = lam_vec[table[inv]]
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    if eigs.size and eigs[0] < -cutoff(np.abs(eigs), tol):
+    if eigs.size and eigs[0] < -cutoff(np.abs(eigs), ItoAlgebra.tol):
         raise AlgebraError("lam is not positive definite on the group")
 
     pairs = [(g, h, table[g, h]) for g in range(m) for h in range(m)]
@@ -285,10 +286,10 @@ def group_levy(
     entries += [(1 + g, 1 + h, 1 + gh, 1.0) for g, h, gh in pairs]
     labels = ["dt"] + [f"d_{name}" for name in group.names]
     star = np.eye(1 + m)[[0, *(1 + inv)]]
-    return _algebra(labels, _table(1 + m, entries), star, tol, f"group_levy_{group.name}")
+    return _algebra(labels, _table(1 + m, entries), star, f"group_levy_{group.name}")
 
 
-def thermal_matrix(n: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgebra:
+def thermal_matrix(n: int, rho: Sequence[float]) -> ItoAlgebra:
     """Thermal Levy motion over the full matrix algebra with diagonal weights.
 
     Basis: dt plus the matrix units x_pq; the weighted trace
@@ -313,7 +314,7 @@ def thermal_matrix(n: int, rho: Sequence[float], tol: float = 1e-9) -> ItoAlgebr
     perm = [0] + [unit(q, p) for p, q in units]
     labels = ["dt"] + [f"x{p + 1}{q + 1}" for p, q in units]
     dim = 1 + n * n
-    return _algebra(labels, _table(dim, entries), np.eye(dim)[perm], tol, f"thermal_matrix{n}")
+    return _algebra(labels, _table(dim, entries), np.eye(dim)[perm], f"thermal_matrix{n}")
 
 
 def _zero_mean_basis(alg: ItoAlgebra) -> np.ndarray:
@@ -322,14 +323,13 @@ def _zero_mean_basis(alg: ItoAlgebra) -> np.ndarray:
     return vectors[gram_schmidt(vectors, alg.tol)[0]]
 
 
-def orthogonal_sum(a1: ItoAlgebra, a2: ItoAlgebra, tol: float | None = None) -> ItoAlgebra:
+def orthogonal_sum(a1: ItoAlgebra, a2: ItoAlgebra) -> ItoAlgebra:
     """Orthogonal sum sharing the death: all cross products vanish.
 
     The zero-mean parts of the summands are placed side by side; products,
     star and state act blockwise with the dt contribution redirected to the
-    shared death.
+    shared death.  The sum carries the larger of the summands' tolerances.
     """
-    tol = max(a1.tol, a2.tol) if tol is None else tol
     zm1 = _zero_mean_basis(a1)
     zm2 = _zero_mean_basis(a2)
     n = 1 + len(zm1) + len(zm2)
@@ -348,4 +348,4 @@ def orthogonal_sum(a1: ItoAlgebra, a2: ItoAlgebra, tol: float | None = None) -> 
         star_m[np.ix_(block[1:], block)] = sub.star[1:]
         offset += len(zm)
     name = f"{a1.name or 'a'}+{a2.name or 'b'}"
-    return _algebra(labels, mult, star_m, tol, name)
+    return _algebra(labels, mult, star_m, name, (a1, a2))

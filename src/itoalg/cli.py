@@ -49,7 +49,7 @@ EXIT_AXIOMS = 2
 EXIT_NONFAITHFUL = 3
 
 
-def _group_levy(group: str, **kwargs):
+def _group_levy(group: str):
     """``group_levy`` over the symmetric group ``sN`` or the cyclic group ``zN``."""
     group = group.lower()
     if group.startswith("s"):
@@ -58,13 +58,12 @@ def _group_levy(group: str, **kwargs):
         finite_group = catalog_mod.cyclic_group(int(group[1:] or 2))
     else:
         raise ValueError(f"unknown group {group!r} (use sN or zN)")
-    return catalog_mod.group_levy(finite_group, None, **kwargs)
+    return catalog_mod.group_levy(finite_group)
 
 
-def _orthogonal_sum(of: list, **kwargs):
+def _orthogonal_sum(of: list):
     """Orthogonal sum of the named builtins, each at its catalog defaults."""
-    summands = [_make_builtin(name, None) for name in of]
-    return functools.reduce(lambda a, b: catalog_mod.orthogonal_sum(a, b, **kwargs), summands)
+    return functools.reduce(catalog_mod.orthogonal_sum, [_make_builtin(name, None) for name in of])
 
 
 _CATALOG = {
@@ -318,18 +317,21 @@ def _cmd_simulate(alg, args):
     return EXIT_OK, rpt.to_dict, lines()
 
 
-def _parse_params(raw: str | None, defaults: dict) -> dict:
-    """The defaults updated from ``key=value,...``, each value read as the type of its default.
+def _parse_params(name: str, raw: str | None) -> dict:
+    """``name``'s catalog defaults updated from ``key=value,...``, each value read as its default's type.
 
     A list default splits its value on ':' and reads each item as the type of
-    the default's items; a key with no default is read as a float.
+    the default's items; a key that is not one of the defaults is an error.
     """
+    defaults = _CATALOG[name][1]
     out = dict(defaults)
     for chunk in filter(str.strip, (raw or "").split(",")):
         if "=" not in chunk:
             raise ValueError(f"bad parameter {chunk!r}, expected key=value")
         key, value = (part.strip() for part in chunk.split("=", 1))
-        default = defaults.get(key, 0.0)
+        if key not in defaults:
+            raise ValueError(f"unknown parameter {key!r} for {name}")
+        default = defaults[key]
         if isinstance(default, list):
             out[key] = [type(default[0])(item.strip()) for item in value.split(":")]
         else:
@@ -341,8 +343,7 @@ def _make_builtin(name: str, raw_params: str | None):
     """The builtin ``name`` at its catalog defaults updated from ``--params`` text."""
     if name not in _CATALOG:
         raise ValueError(f"unknown builtin {name!r}")
-    fn, defaults = _CATALOG[name]
-    return fn(**_parse_params(raw_params, defaults))
+    return _CATALOG[name][0](**_parse_params(name, raw_params))
 
 
 def _cmd_catalog(args) -> int:

@@ -10,8 +10,9 @@ The algebra object is the one source of membership and of tolerance.
 Element arithmetic, the triangular representation, a quotient map and
 ``subalgebra`` take only elements of that same object (``is``, read by
 ``ItoAlgebra.coeffs_of``) and raise ``AlgebraError`` for any other.  ``tol``
-is set when the object is made and no check takes its own: another
-tolerance is another object, ``dataclasses.replace(alg, tol=t)``.  Every
+is the field ``ItoAlgebra.tol``, whose default is the only one written; no
+check or builtin takes its own.  It is set only by ``dataclasses.replace(alg,
+tol=t)``, ``adsl.parse(text, tol=)`` and ``check --tol``.  Every
 equality decision is ``rel_residual(s) <= tol``, relative to the largest
 magnitude compared with a floor of 1.  A stage names each residual in a
 ``Check`` and returns them in one ``Report``, whose ``passed`` is the one

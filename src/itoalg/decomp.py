@@ -70,14 +70,12 @@ class Decomposition:
     algebra: ItoAlgebra
     rep: FundamentalRep
     projector: np.ndarray  # P, Brownian support in the representation space
-    support: np.ndarray    # E = I - P
     brownian: tuple[Element, ...]
     levy: tuple[Element, ...]
     report: Report
 
     def __post_init__(self):
         self.projector.setflags(write=False)
-        self.support.setflags(write=False)
 
     @property
     def brownian_zero_mean(self) -> tuple[Element, ...]:
@@ -181,4 +179,4 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     )
     brownian = (Element(alg, death),) + tuple(Element(alg, y) for y in y_basis)
     levy = (Element(alg, death),) + tuple(Element(alg, z) for z in z_basis)
-    return Decomposition(alg, rep, P, E, brownian, levy, Report(checks, tol))
+    return Decomposition(alg, rep, P, brownian, levy, Report(checks, tol))

@@ -326,11 +326,10 @@ def _seminorm_rows(rep: FundamentalRep, X: np.ndarray) -> Seminorms:
     finite = np.isfinite(X).all(axis=1)
     parts = np.where(finite[:, np.newaxis], X, 0.0).view(np.float64)
     exp = np.frexp(np.abs(parts).max(axis=1))[1]   # each row is divided by 2^exp, exactly
-    T = np.tensordot(np.ldexp(parts, -exp[:, np.newaxis]).view(complex), rep.mats, 1)
-    plus, minus = np.linalg.norm(T[:, 1:-1, -1], axis=-1), np.linalg.norm(T[:, 0, 1:-1], axis=-1)
-    corner = np.abs(T[:, 0, -1])
-    norms = (_op_norms(T[:, 1:-1, 1:-1]), plus, minus, corner)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):   # past the float range an op reads NaN and a norm inf, unwarned
+        T = np.tensordot(np.ldexp(parts, -exp[:, np.newaxis]).view(complex), rep.mats, 1)
+        plus, minus = np.linalg.norm(T[:, 1:-1, -1], axis=-1), np.linalg.norm(T[:, 0, 1:-1], axis=-1)
+        norms = (_op_norms(T[:, 1:-1, 1:-1]), plus, minus, np.abs(T[:, 0, -1]))
         return Seminorms(*(np.where(finite, np.ldexp(v, exp), np.nan) for v in norms))
 
 

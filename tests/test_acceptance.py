@@ -22,7 +22,7 @@ from itoalg.focksim import classical_paths, fit_loglog_slope, ito_product_check,
 from itoalg.gns import build_representation, minkowski_metric, triangular, verify_bstar
 from itoalg.ideal import faithfulness_ideal, quotient
 
-from conftest import make_catalog
+from conftest import make_catalog, same_row_span
 
 TOL = 1e-9
 
@@ -117,10 +117,7 @@ def test_c4_faithfulness():
 def _assert_same_span(elements, expected_rows):
     got = np.array([e.coeffs for e in elements])
     exp = np.asarray(expected_rows, dtype=complex)
-    assert got.shape[0] == exp.shape[0]
-    stacked = np.vstack([got, exp])
-    scale = max(1.0, float(np.max(np.abs(stacked))))
-    assert np.linalg.matrix_rank(stacked, tol=TOL * scale) == exp.shape[0]
+    assert same_row_span(got, exp, TOL)
     # every returned vector reproduces inside the expected span (residual <= tol)
     sol, *_ = np.linalg.lstsq(exp.T, got.T, rcond=None)
     assert rel_residual(sol.T @ exp, got) <= TOL

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
+from itoalg import cli
 from itoalg.core import AlgebraError
 
 
@@ -235,6 +238,18 @@ class TestOrthogonalSum:
         s = ia.orthogonal_sum(ia.wiener(), ia.poisson())
         dec = ia.decompose(s)
         assert len(dec.brownian) == 2 and len(dec.levy) == 2
+
+    def test_sum_carries_the_larger_tolerance(self):
+        loose = dataclasses.replace(ia.wiener(), tol=1e-6)
+        assert ia.orthogonal_sum(loose, ia.poisson()).tol == 1e-6
+        assert ia.orthogonal_sum(ia.poisson(), loose).tol == 1e-6
+        with pytest.raises(TypeError):
+            ia.orthogonal_sum(loose, ia.poisson(), tol=1e-3)
+
+
+@pytest.mark.parametrize("name", list(cli._CATALOG))
+def test_catalog_builtin_is_made_at_the_default_tolerance(name):
+    assert cli._make_builtin(name, None).tol == ia.ItoAlgebra.tol
 
 
 @settings(max_examples=20, deadline=None)

@@ -497,8 +497,12 @@ class TestCatalogCommand:
             ("group_levy", "group=q3", "error: unknown group 'q3' (use sN or zN)"),
             ("orthogonal_sum", "of=wiener:nope", "error: unknown builtin 'nope'"),
             ("hp", "d=8", "error: a basis of 81 symbols exceeds the format capacity of 64 symbols"),
+            ("hp", "d=2,tol=1e-3", "error: unknown parameter 'tol' for hp"),
+            ("hp", "D=3", "error: unknown parameter 'D' for hp"),
+            ("orthogonal_sum", "tol=1", "error: unknown parameter 'tol' for orthogonal_sum"),
         ],
-        ids=["int-param-as-float", "unknown-group", "unknown-summand", "hp-over-capacity"],
+        ids=["int-param-as-float", "unknown-group", "unknown-summand", "hp-over-capacity",
+             "tol-is-no-param", "unknown-param", "sum-takes-no-tol"],
     )
     def test_bad_param_exits_1_with_one_line(self, capsys, tmp_path, name, params, message):
         # a refused builtin writes no file, not even one that check would reject

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,17 @@ class TestOperatorSeminorm:
         rep = FundamentalRep(algebra=h, mats=mats, eigenvalues=h.gns.eigenvalues.copy())
         with np.errstate(all="ignore"):   # the product overflows, and inf * 0 is NaN
             assert np.isnan(seminorms(rep, np.ones(h.dim)).op)
+
+    def test_block_that_overflows_warns_nothing(self):
+        # every caller of the seminorms gets the NaN without a RuntimeWarning
+        h = ia.hp(3)
+        mats = h.gns.mats.copy()
+        mats[1:, 1:-1, 1:-1] = 1.5e308
+        rep = FundamentalRep(algebra=h, mats=mats, eigenvalues=h.gns.eigenvalues.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = seminorms(rep, np.ones(h.dim))
+        assert np.isnan(norms.op) and np.isfinite([norms.plus, norms.minus, norms.corner]).all()
 
     def test_block_above_the_square_root_of_the_float_range(self):
         # |i(e)| = 2^600: its Gram, 2^1200, overflows unless the block is scaled first

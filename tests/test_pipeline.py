@@ -165,10 +165,7 @@ def test_random_sum_roundtrip_through_rotation(scenario):
         if not len(expected):
             assert rows.shape[0] == 0
             continue
-        exp = np.array(expected)
-        stacked = np.vstack([rows, exp])
-        scale = max(1.0, float(np.max(np.abs(stacked))))
-        assert np.linalg.matrix_rank(stacked, tol=1e-8 * scale) == exp.shape[0]
+        assert same_row_span(rows, expected, 1e-8)
 
     # canonical text form survives ugly floating-point tables bit-exactly
     text = serialize(rotated)

@@ -57,6 +57,12 @@ RULES = [
          ("src/itoalg/decomp.py", "src/itoalg/gns.py"), (),
          "judge a stage's residuals with core.Report: no stage compares a residual against tol",
          "    if not residual <= tol:"),
+    Rule("no_builtin_tol", r"\bdef\b.*\btol\b|^\s*tol\s*:", ("src/itoalg/builtins.py",), (),
+         "a builtin is made at ItoAlgebra.tol: another tolerance is dataclasses.replace(alg, tol=t)",
+         "def wiener(tol: float = 1e-9) -> ItoAlgebra:"),
+    Rule("one_default_tol", r"(?<![\w.])1e-9\b", ("src/itoalg/**/*.py",), ("src/itoalg/core.py",),
+         "the default tolerance is written once, as ItoAlgebra.tol: read it from there",
+         "def parse(text: str, tol: float = 1e-9) -> ParseResult:"),
 ]
 
 
