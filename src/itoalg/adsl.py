@@ -83,13 +83,12 @@ MAX_BASIS = 64        # hard capacity of the text format (desk-scale algebras)
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error"
     line: int
     column: int
     message: str
 
     def __str__(self) -> str:
-        return f"{self.severity}: line {self.line}, col {self.column}: {self.message}"
+        return f"error: line {self.line}, col {self.column}: {self.message}"
 
 
 @dataclass
@@ -100,9 +99,6 @@ class ParseResult:
     @property
     def ok(self) -> bool:
         return self.algebra is not None
-
-    def errors(self) -> list[ParseDiagnostic]:
-        return [d for d in self.diagnostics if d.severity == "error"]
 
 
 class ParseFailure(ValueError):
@@ -124,7 +120,7 @@ class _Fault(Exception):
         code = line.split("#", 1)[0]
         rest = code.split(None, self.token)   # rest[token] is the line from that token on
         column = len(code) - len(rest[-1]) + 1 if len(rest) > self.token else len(code.rstrip()) + 1
-        return ParseDiagnostic("error", lineno, column, self.message)
+        return ParseDiagnostic(lineno, column, self.message)
 
 
 def parse_complex(token: str) -> complex | None:
@@ -371,16 +367,16 @@ def parse(text: str, tol: float = ItoAlgebra.tol) -> ParseResult:
     nonnegative is an error.
     """
     if not 0 <= tol < np.inf:
-        diag = ParseDiagnostic("error", 0, 0, "tol must be finite and nonnegative")
+        diag = ParseDiagnostic(0, 0, "tol must be finite and nonnegative")
         return ParseResult(None, [diag])
     lines = text.splitlines()
     name, labels, declared, declared_at, diags = _read(lines)
 
     end = len(lines) + 1
     if labels is None:
-        diags.append(ParseDiagnostic("error", end, 1, "missing basis declaration"))
+        diags.append(ParseDiagnostic(end, 1, "missing basis declaration"))
     if () not in declared["death"]:
-        diags.append(ParseDiagnostic("error", end, 1, "missing death declaration"))
+        diags.append(ParseDiagnostic(end, 1, "missing death declaration"))
     if diags:
         return ParseResult(None, diags)
 
@@ -420,7 +416,7 @@ def parse(text: str, tol: float = ItoAlgebra.tol) -> ParseResult:
 def parse_strict(text: str) -> ItoAlgebra:
     result = parse(text)
     if not result.ok:
-        raise ParseFailure(result.errors())
+        raise ParseFailure(result.diagnostics)
     return result.algebra
 
 

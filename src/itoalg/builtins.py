@@ -55,10 +55,7 @@ def _algebra(
     state[0] = 1.0
     tol = max((part.tol for part in summands), default=ItoAlgebra.tol)
     alg = ItoAlgebra(labels=labels, mult=mult, star=star, death=0, state=state, tol=tol, name=name)
-    report = alg.axioms
-    if not report.passed:
-        failed = ", ".join(c.name for c in report.failures())
-        raise AlgebraError(f"constructed algebra violates axioms: {failed}")
+    alg.axioms.require(AlgebraError, "constructed algebra violates axioms")
     return alg
 
 

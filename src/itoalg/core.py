@@ -18,9 +18,10 @@ magnitude compared with a floor of 1.  A stage names each residual in a
 ``Check`` and returns them in one ``Report``, whose ``passed`` is the one
 comparison with ``tol``: the axioms (``verify_axioms``), the representation
 (``FundamentalRep.report``), the decomposition (``Decomposition.report``) and
-the B* identities (``verify_bstar``).  Every rank, support and degeneracy
-threshold is ``cutoff(values, tol) = tol * max(1, max(values))``, and
-nothing else computes one.  It is read by
+the B* identities (``verify_bstar``); ``Report.require`` is the one way a
+failure raises.  Every rank, support and degeneracy threshold is
+``cutoff(values, tol) = tol * max(1, max(values))``, and nothing else
+computes one.  It is read by
 ``numerical_rank`` (the faithfulness ideal and the Brownian support, each the
 ``null_space`` that cut leaves; the independence check of ``subalgebra``; the
 rank checks of ``decomp.decompose``), by the ``gram_schmidt`` keep rule, by
@@ -269,6 +270,7 @@ class ItoAlgebra:
 
         The faithfulness ideal is its ``kernel``; ``build_representation`` and
         ``decompose`` read the same object.  Like ``axioms`` it cannot go stale.
+        When ``axioms`` fails it raises ``RepresentationError`` and keeps nothing.
         """
         from . import gns
 
@@ -293,12 +295,16 @@ class ItoAlgebra:
         return Element(self, self.death.copy())
 
     def coeffs_of(self, a: "Element | np.ndarray") -> np.ndarray:
-        """``a.coeffs`` for an element of this object, ``a`` as a complex array; another object's raises."""
+        """``a.coeffs`` for an element of this object, ``a`` as a complex ``(dim,)`` vector; all else raises."""
         if isinstance(a, Element):
             if a.algebra is not self:
                 raise AlgebraError("element belongs to another algebra object")
             return a.coeffs
-        return np.asarray(a, dtype=complex)
+        coeffs = np.asarray(a, dtype=complex)
+        if coeffs.shape != (self.dim,):
+            got = f"length {coeffs.size}" if coeffs.ndim == 1 else f"shape {coeffs.shape}"
+            raise AlgebraError(f"coefficient vector has {got}, expected {self.dim}")
+        return coeffs
 
     def index(self, label: str) -> int:
         try:
@@ -330,11 +336,7 @@ class Element:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex).reshape(-1)
-        if coeffs.shape != (self.algebra.dim,):
-            raise AlgebraError(
-                f"coefficient vector has length {coeffs.size}, expected {self.algebra.dim}"
-            )
+        coeffs = self.algebra.coeffs_of(np.array(self.coeffs, dtype=complex).reshape(-1))
         object.__setattr__(self, "coeffs", _freeze(coeffs))
 
     def __add__(self, other: "Element") -> "Element":
@@ -503,9 +505,10 @@ class Report:
     A check passes iff ``residual <= tol``, so a NaN residual fails.  The
     axioms (``verify_axioms``), the representation (``FundamentalRep.report``),
     the decomposition (``Decomposition.report``) and the B* identities
-    (``verify_bstar``) each return one.  ``inputs`` records what the checks
-    were computed from (``verify_bstar``'s samples and seed); ``to_dict``
-    spreads it beside ``passed``, ``tol`` and ``checks``.
+    (``verify_bstar``) each return one, and raise on it only by ``require``.
+    ``inputs`` records what the checks were computed from (``verify_bstar``'s
+    samples and seed); ``to_dict`` spreads it beside ``passed``, ``tol`` and
+    ``checks``.
     """
 
     checks: tuple[Check, ...]
@@ -521,6 +524,13 @@ class Report:
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not self._holds(c)]
+
+    def require(self, error: type[Exception], what: str) -> "Report":
+        """This report if it passed, else raise ``error("<what>: <name> (residual r), ...")``."""
+        failed = ", ".join(f"{c.name} (residual {c.residual:.3e})" for c in self.failures())
+        if failed:
+            raise error(f"{what}: {failed}")
+        return self
 
     @property
     def max_residual(self) -> float:
@@ -764,10 +774,12 @@ def subalgebra(
     must contain the death and be closed under product and star (verified
     within tol).  The induced structure constants express products in them.
     """
-    B = np.array([np.ravel(alg.coeffs_of(v)) for v in vectors], dtype=complex)
-    if B.ndim != 2 or B.shape[1] != alg.dim:
-        raise AlgebraError("spanning vectors must match the algebra dimension")
+    B = np.array([alg.coeffs_of(v) for v in vectors], dtype=complex).reshape(-1, alg.dim)
     m = B.shape[0]
+    if not m:
+        raise AlgebraError("subalgebra needs at least one spanning vector")
+    if not np.isfinite(B).all():
+        raise AlgebraError("spanning vectors must be finite")
     if numerical_rank(B, alg.tol) != m:
         raise AlgebraError("spanning vectors are linearly dependent")
 

@@ -130,10 +130,7 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     targets = _block_columns(T)
     Y = np.linalg.lstsq(B, targets.T, rcond=None)[0].T
     preimage = Check("preimage", worst_residual(rel_residuals(Y @ B.T, targets)))
-    if not Report((preimage,), tol).passed:
-        raise DecompositionError(
-            f"projected quadruple has no preimage in the algebra (residual {preimage.residual:.3e})"
-        )
+    Report((preimage,), tol).require(DecompositionError, "projected quadruple has no preimage in the algebra")
     Z = X - Y
 
     y_idx, _ = gram_schmidt(Y, tol)

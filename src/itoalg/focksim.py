@@ -157,6 +157,8 @@ def slot_increment(rep: FundamentalRep, a: Element | np.ndarray, dt: float) -> n
     """
     if not dt > 0:
         raise AlgebraError("dt must be positive")
+    if not math.isfinite(dt):
+        raise AlgebraError(f"dt={dt} is not finite")
     return _increments(triangular(rep, a), [dt])[0]
 
 
@@ -277,6 +279,8 @@ def vacuum_moments(rep: FundamentalRep, a: Element, t: float, n_slots: int) -> S
     start = time.perf_counter()
     if not t > 0:
         raise AlgebraError("t must be positive")
+    if not math.isfinite(t):
+        raise AlgebraError(f"t={t} is not finite")
     if n_slots < 1:
         raise AlgebraError("n_slots must be >= 1")
     N, pair = int(n_slots), (a.star(), a)  # a Python int: N**k must not wrap

@@ -19,15 +19,18 @@ The algebra is faithful iff a -> triangular(a) is injective: its kernel is
 the faithfulness ideal, since l(a . x) = <k(a*), k(x)>,
 l(x . a) = conj<k(a), k(x*)> and l(a . x . c) = kdag(a) i(x) k(c).
 ``construct_gns`` runs once per algebra object, through the cached
-``ItoAlgebra.gns``; its ``kernel`` is that ideal.  The rows of
+``ItoAlgebra.gns``, and only on a table whose axioms pass: a failing
+``alg.axioms`` raises ``RepresentationError("axioms fail: ...")`` before
+anything is built.  Its ``kernel`` is that ideal.  The rows of
 K = diag(sqrt(lambda)) V^dag are orthogonal, so V diag(1/sqrt(lambda)) is its
 exact right inverse and i(a_i) is k(a_i . -) times it: nothing is solved.
 The identities above are the ``covariance``, ``kolmogorov`` and
 ``star_adjoint`` checks of ``FundamentalRep.report``, with ``death_unit``:
 triangular(death) is the matrix unit in the corner.  The report is a
-``core.Report``, computed once per representation from ``mats`` and the
-table; ``construct_gns`` raises on a failing covariance, and
-``build_representation`` on any failing check.
+``core.Report``, computed on first access from ``mats`` and the table, and
+``build_representation`` raises on any failing check; the kernel reads
+none of them.  Every raise names the failing checks through
+``Report.require``.
 
 The B*-seminorms of a are the norms of the blocks of triangular(a): the
 operator norm of i(a), the norms of k(a) and kdag(a), which are
@@ -153,26 +156,21 @@ class FundamentalRep:
         return out
 
     @cached_property
-    def _covariance(self) -> Check:
-        """i(a_i) k(a_j) = k(a_i . a_j), the check ``construct_gns`` raises on; ``report`` reads it."""
-        n, d, K = self.algebra.dim, self.hdim, self.kmat
-        with np.errstate(all="ignore"):   # an overflow gives NaN, which fails
-            KP = np.swapaxes((self.algebra.mult.reshape(n * n, n) @ K.T).reshape(n, n, d), 1, 2)
-            return Check("covariance", worst_residual(rel_residuals(self.imats @ K, KP)))
-
-    @cached_property
     def report(self) -> Report:
-        """The identities of the representation, computed once from ``mats`` and the table.
+        """The identities of the representation, computed on first access from ``mats`` and the table.
 
         ``covariance``: i(a_i) k(a_j) = k(a_i . a_j); ``kolmogorov``:
         kdag(a_i) k(a_j) = l(a_i . a_j); ``star_adjoint``: i(a_i*) = i(a_i)^dag;
-        ``death_unit``: triangular(death) is the matrix unit E_0,hdim+1.
+        ``death_unit``: triangular(death) is the matrix unit E_0,hdim+1.  An
+        overflow gives a NaN residual, which fails.  The kernel needs none of
+        them, so ``faithfulness_ideal`` computes no identity.
         """
-        alg, n, d = self.algebra, self.algebra.dim, self.hdim
+        alg, n, d, K = self.algebra, self.algebra.dim, self.hdim, self.kmat
         with np.errstate(all="ignore"):
+            KP = np.swapaxes((alg.mult.reshape(n * n, n) @ K.T).reshape(n, n, d), 1, 2)
             star_i = (alg.star @ self.imats.reshape(n, d * d)).reshape(n, d, d)
             checks = (
-                self._covariance,
+                Check("covariance", worst_residual(rel_residuals(self.imats @ K, KP))),
                 Check("kolmogorov", rel_residual(self.kdmat @ self.kmat, alg.mult @ alg.state)),
                 Check("star_adjoint", rel_residual(star_i, np.conj(np.swapaxes(self.imats, 1, 2)))),
                 Check("death_unit", rel_residual(triangular(self, alg.death), np.eye(d + 2, k=d + 1))),
@@ -233,34 +231,29 @@ def _pin_eigenbasis(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def build_representation(alg: ItoAlgebra) -> FundamentalRep:
     """Canonical representation of a faithful algebra whose axioms pass: ``alg.gns``.
 
-    Raises ``NonFaithfulError`` when a -> triangular(a) has a kernel, and
+    Raises ``RepresentationError("axioms fail: ...")`` from ``construct_gns``,
+    ``NonFaithfulError`` when a -> triangular(a) has a kernel, and
     ``RepresentationError`` naming the failed checks of ``alg.gns.report``.
     """
-    report = alg.axioms
-    if not report.passed:
-        failed = ", ".join(c.name for c in report.failures())
-        raise RepresentationError(f"axioms fail: {failed}")
     rep = alg.gns
     dim = rep.kernel.shape[0]
     if dim:
         raise NonFaithfulError(f"faithfulness ideal has dimension {dim}; factor it out with quotient() first")
-    failed = ", ".join(c.name for c in rep.report.failures())
-    if failed:
-        raise RepresentationError(f"representation identities fail: {failed}")
+    rep.report.require(RepresentationError, "representation identities fail")
     return rep
 
 
 def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
     """Kolmogorov/GNS construction of the triangular matrices, faithful or not.
 
-    A failing ``covariance`` check of the result's report raises, alone of
-    its four: k(x) = 0 implies k(a . x) = 0, so only a table whose axioms
-    fail gets there.
+    The table's axioms are the one gate: when ``alg.axioms`` fails it raises
+    ``RepresentationError("axioms fail: ...")`` naming the failed checks and
+    builds nothing.  It computes no identity of the result's ``report``.
     """
-    n, tol = alg.dim, alg.tol
+    alg.axioms.require(RepresentationError, "axioms fail")
+    n = alg.dim
     H = gram_matrix(alg)
-    Hh = (H + H.conj().T) / 2.0
-    evals, V = _pin_eigenbasis(Hh, tol)
+    evals, V = _pin_eigenbasis((H + H.conj().T) / 2.0, alg.tol)
     hdim = V.shape[1]
     K = np.sqrt(evals)[:, None] * V.conj().T
 
@@ -273,10 +266,7 @@ def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
     mats[:, 1:-1, 1:-1] = KP @ (V / np.sqrt(evals))
     mats[:, 1:-1, -1] = K.T
     mats += 0.0   # -0.0 (from conj) -> +0.0, as triangular(rep, e_i) writes it
-    rep = FundamentalRep(algebra=alg, mats=mats, eigenvalues=evals)
-    if not Report((rep._covariance,), tol).passed:
-        raise RepresentationError(f"GNS covariance residual {rep._covariance.residual:.3e} above tolerance")
-    return rep
+    return FundamentalRep(algebra=alg, mats=mats, eigenvalues=evals)
 
 
 def minkowski_metric(hdim: int) -> np.ndarray:

@@ -56,8 +56,7 @@ class IdealBasis:
 def faithfulness_ideal(alg: ItoAlgebra) -> IdealBasis:
     """Kernel of the fundamental representation a -> triangular(a): ``alg.gns.kernel``.
 
-    Raises ``RepresentationError`` when the GNS covariance system is
-    inconsistent, which happens only for a table whose axioms fail.
+    Raises ``RepresentationError("axioms fail: ...")`` when ``alg.axioms`` fails.
     """
     return IdealBasis(alg, alg.gns.kernel)
 

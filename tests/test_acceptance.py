@@ -271,4 +271,4 @@ def test_c9_parser():
             assert np.array_equal(q.state, alg.state)
         for text in _fuzz_corpus(10_000):
             result = parse(text)  # must never raise
-            assert result.ok or result.errors()
+            assert result.ok or result.diagnostics

@@ -52,29 +52,29 @@ class TestParseBasics:
         text = WIENER_FILE + "mul dw dw = 2 dt\n"
         result = parse(text)
         assert not result.ok
-        err = result.errors()[0]
+        err = result.diagnostics[0]
         assert err.line == 6
         assert "duplicate table entry" in err.message
 
     def test_unknown_symbol(self):
         result = parse("basis dt\ndeath dt\nstate dt = 1\nmul dt dq = 0\n")
         assert not result.ok
-        assert any("unknown basis symbol" in d.message for d in result.errors())
+        assert any("unknown basis symbol" in d.message for d in result.diagnostics)
 
     def test_missing_death(self):
         result = parse("basis dt dw\nstate dt = 1\n")
         assert not result.ok
-        assert any("missing death" in d.message for d in result.errors())
+        assert any("missing death" in d.message for d in result.diagnostics)
 
     def test_missing_basis(self):
         result = parse("death dt\n")
         assert not result.ok
-        assert any("basis must be declared" in d.message for d in result.errors())
+        assert any("basis must be declared" in d.message for d in result.diagnostics)
 
     def test_death_state_must_be_one(self):
         result = parse("basis dt\ndeath dt\n")
         assert not result.ok
-        assert any("death state must be 1" in d.message for d in result.errors())
+        assert any("death state must be 1" in d.message for d in result.diagnostics)
         result2 = parse("basis dt\ndeath dt\nstate dt = 2\n")
         assert not result2.ok
 
@@ -97,7 +97,7 @@ class TestParseBasics:
 
     def test_error_column_position(self):
         result = parse("basis dt dw\ndeath dt\nstate dt = 1\nmul dw dw = 1 dq\n")
-        err = result.errors()[0]
+        err = result.diagnostics[0]
         assert err.line == 4
         assert err.column == 15
 
@@ -262,7 +262,7 @@ class TestLincomb:
     def test_dangling_plus(self):
         result = parse("basis dt a\ndeath dt\nstate dt = 1\nmul a a = 1 dt +\n")
         assert not result.ok
-        assert any("dangling" in d.message for d in result.errors())
+        assert any("dangling" in d.message for d in result.diagnostics)
 
     def test_coefficient_required(self):
         result = parse("basis dt a\ndeath dt\nstate dt = 1\nmul a a = dt\n")
@@ -354,7 +354,7 @@ class TestTableCodec:
         assert text == ref_serialize(alg)
         with np.errstate(all="ignore"):  # the axiom check of a random table overflows
             back = parse(text)
-        assert back.ok, back.errors()
+        assert back.ok, back.diagnostics
         assert back.algebra.labels == labels
         for got, want in [(back.algebra.mult, alg.mult), (back.algebra.star, alg.star),
                           (back.algebra.state, alg.state)]:
@@ -408,7 +408,7 @@ class TestTableCodec:
             assert time.perf_counter() - start < 0.5
             assert vec is None
             message = f"expected a complex coefficient, got {bad!r}"
-            assert diags == [ParseDiagnostic("error", 1, column_no, message)]
+            assert diags == [ParseDiagnostic(1, column_no, message)]
 
     def test_faults_in_a_dense_table(self):
         # a dense 24-symbol table: each fault is reported at its own line, and a faulted line
@@ -428,7 +428,7 @@ class TestTableCodec:
         lines.append("mul zz dt = 1 dt")
         with np.errstate(all="ignore"):
             result = parse("\n".join(lines) + "\n")
-        assert [(d.line, d.column, d.message) for d in result.errors()] == [
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
             (first + 1, len(" ".join(early[:4])) + 2, "non-finite coefficient"),
             (late + 1, len(" ".join(bad[:7])) + 2, "expected a complex coefficient, got '1x'"),
             (len(lines), 5, "unknown basis symbol 'zz'"),
@@ -441,7 +441,7 @@ class TestTableCodec:
         monkeypatch.setattr(adsl, "_declare", lambda *args: calls.append(args[0]) or declare(*args))
         text = WIENER_FILE + "star dw = 1 dw\nmul dt dw = 0\nmul dw dt = 1x dt\n"
         result = parse(text)
-        assert [(d.line, d.column, d.message) for d in result.errors()] == [
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
             (8, 13, "expected a complex coefficient, got '1x'")]
         assert [tokens[0] for tokens in calls] == ["death", "state", "mul", "star", "mul", "mul"]
 
@@ -452,7 +452,7 @@ class TestTotality:
     def test_arbitrary_text_never_raises(self, text):
         result = parse(text)
         assert isinstance(result, ParseResult)
-        assert result.ok or result.errors()
+        assert result.ok or result.diagnostics
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -468,7 +468,7 @@ class TestTotality:
             lines.append(" ".join(rng.choice(pool) for _ in range(k)))
         result = parse("\n".join(lines))
         assert isinstance(result, ParseResult)
-        assert result.ok or result.errors()
+        assert result.ok or result.diagnostics
 
     def test_mutated_builtin_files(self, catalog):
         rng = np.random.default_rng(99)
@@ -491,7 +491,7 @@ class TestTotality:
     def test_invalid_tol_is_an_error_diagnostic(self, tol):
         result = parse(WIENER_FILE, tol=tol)
         assert not result.ok
-        assert [d.message for d in result.errors()] == ["tol must be finite and nonnegative"]
+        assert [d.message for d in result.diagnostics] == ["tol must be finite and nonnegative"]
 
     def test_oversized_basis_rejected(self):
         # the basis line's symbols are declared, so the later lines are read against them

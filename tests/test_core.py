@@ -206,6 +206,20 @@ class TestOneReport:
         assert [line.split()[1] for line in lines if line.startswith("FAIL")] == failed
         assert all(line.startswith(("pass  ", "FAIL  ")) for line in lines)
 
+    @pytest.mark.parametrize("failing", [(), (0,), (0, -1)], ids=["none", "first", "first-last"])
+    @pytest.mark.parametrize("stage", sorted(STAGE_REPORTS))
+    def test_require_raises_for_the_failed_checks(self, stage, failing):
+        report = STAGE_REPORTS[stage]
+        for index in failing:
+            report = _with_residual(report, index, float("nan"))
+        if not failing:
+            assert report.require(AlgebraError, "stage fails") is report
+            return
+        with pytest.raises(AlgebraError) as info:
+            report.require(AlgebraError, "stage fails")
+        named = ", ".join(f"{c.name} (residual nan)" for c in report.failures())
+        assert str(info.value) == f"stage fails: {named}"
+
     def test_inputs_are_spread_into_the_dict(self):
         d = STAGE_REPORTS["bstar"].to_dict()
         assert (d["samples"], d["seed"]) == (10, 1)
@@ -293,6 +307,14 @@ class TestSubalgebra:
         h = ia.hp(1)
         with pytest.raises(AlgebraError):
             ia.subalgebra(h, [h.basis_element("dt"), h.basis_element("e-"), h.basis_element("e")])
+
+    def test_no_vector_raises(self):
+        with pytest.raises(AlgebraError, match="at least one spanning vector"):
+            ia.subalgebra(ia.wiener(), [])
+
+    def test_non_finite_vector_raises(self):
+        with pytest.raises(AlgebraError, match="must be finite"):
+            ia.subalgebra(ia.wiener(), [[1.0, 0.0], [0.0, np.nan]])
 
 
 class TestNumericalRank:
@@ -420,6 +442,22 @@ class TestOneAlgebraObject:
         # every operand has dimension 2: only the algebra object tells them apart
         with pytest.raises(AlgebraError, match="algebra object"):
             entry(ia.poisson())
+
+    @pytest.mark.parametrize("entry", [
+        lambda rep, v: ia.verify_bstar(rep, samples=[v, [4, 5, 6]]),
+        lambda rep, v: ia.verify_bstar(rep, samples=[v]),
+        ia.triangular,
+        ia.seminorms,
+        lambda rep, v: ia.quotient(rep.algebra, ia.faithfulness_ideal(rep.algebra)).map(v),
+    ], ids=["verify_bstar_pair", "verify_bstar_one", "triangular", "seminorms", "quotient_map"])
+    def test_a_vector_of_another_length_raises(self, entry):
+        # six numbers are not three coefficient vectors of wiener
+        with pytest.raises(AlgebraError, match="coefficient vector has length 3, expected 2"):
+            entry(ia.build_representation(ia.wiener()), [1, 2, 3])
+
+    def test_a_column_is_not_a_vector(self):
+        with pytest.raises(AlgebraError, match=r"has shape \(2, 1\), expected 2"):
+            ia.triangular(ia.build_representation(ia.wiener()), np.ones((2, 1)))
 
     def test_an_equal_copy_is_another_object(self):
         w = ia.wiener()

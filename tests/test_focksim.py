@@ -112,6 +112,11 @@ class TestSlotIncrement:
         assert abs(si[1, 0]) == pytest.approx(0.1)
         assert si[0, 0] == 0 and si[1, 1] == 0
 
+    def test_infinite_dt_is_refused(self):
+        w = ia.wiener()
+        with pytest.raises(AlgebraError, match="dt=inf is not finite"):
+            slot_increment(build_representation(w), w.basis_element("dw"), float("inf"))
+
     def test_adjoint_covariance(self):
         h = ia.hp(1)
         rep = build_representation(h)
@@ -364,6 +369,11 @@ class TestFitLoglogSlope:
 
 
 class TestVacuumMoments:
+    def test_infinite_t_is_refused(self):
+        w = ia.wiener()
+        with pytest.raises(AlgebraError, match="t=inf is not finite"):
+            vacuum_moments(build_representation(w), w.basis_element("dw"), float("inf"), 3)
+
     def test_death_deterministic(self):
         w = ia.wiener()
         rep = build_representation(w)

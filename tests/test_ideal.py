@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -72,8 +74,26 @@ class TestFaithfulnessIdeal:
         mult[2, 1, 2] = 1.0  # y . x = y
         alg = ia.ItoAlgebra(("dt", "x", "y"), mult, np.eye(3), 0, np.array([1.0, 0.0, 0.0]))
         assert not alg.axioms.passed
-        with pytest.raises(RepresentationError, match="covariance"):
+        with pytest.raises(RepresentationError, match="axioms fail"):
             faithfulness_ideal(alg)
+
+    @pytest.mark.parametrize("entries", [{(1, 1, 0): np.nan}, {(1, 1, 0): 1e308, (1, 1, 1): 1e308}],
+                             ids=["nan", "overflow"])
+    @pytest.mark.parametrize("stage", [faithfulness_ideal, lambda alg: alg.gns], ids=["ideal", "gns"])
+    def test_no_gns_for_a_table_whose_axioms_fail(self, entries, stage):
+        # wiener with dw . dw = nan dt, or = 1e308 dt + 1e308 dw
+        mult = np.array(ia.wiener().mult)
+        for key, value in entries.items():
+            mult[key] = value
+        alg = ia.ItoAlgebra(("dt", "dw"), mult, np.eye(2), 0, np.array([1.0, 0.0]))
+        failed = [c.name for c in alg.axioms.failures()]
+        assert failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RepresentationError, match="^axioms fail: ") as info:
+                stage(alg)
+        assert [part.split(" (")[0] for part in str(info.value).split(": ", 1)[1].split(", ")] == failed
+        assert "gns" not in vars(alg)
 
     def test_wiener_and_hp_trivial(self):
         # Hand-checked: for wiener the rows l(x) = x_0 and l(dw.x) = x_1

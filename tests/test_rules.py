@@ -63,6 +63,9 @@ RULES = [
     Rule("one_default_tol", r"(?<![\w.])1e-9\b", ("src/itoalg/**/*.py",), ("src/itoalg/core.py",),
          "the default tolerance is written once, as ItoAlgebra.tol: read it from there",
          "def parse(text: str, tol: float = 1e-9) -> ParseResult:"),
+    Rule("one_failure_path", r"\.failures\(\)", ("src/itoalg/**/*.py",), ("src/itoalg/core.py",),
+         "raise a stage's failed checks with core.Report.require: it writes the one message form",
+         '    failed = ", ".join(c.name for c in report.failures())'),
 ]
 
 

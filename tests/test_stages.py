@@ -85,6 +85,18 @@ def test_each_stage_runs_once(ito_paths, capsys, stage_calls, name, command):
         assert stage_calls["construct_gns"] == 1
 
 
+@pytest.mark.parametrize("command, computed", [("check", ["kernel"]), ("represent", ["kernel", "report"])],
+                         ids=["check", "represent"])
+def test_only_a_representation_computes_its_identities(ito_paths, capsys, monkeypatch, command, computed):
+    # the cached properties of the kept alg.gns: check reads the kernel only, represent its report too
+    built, construct = [], ia.gns.construct_gns
+    monkeypatch.setattr(ia.gns, "construct_gns", lambda alg: built.append(construct(alg)) or built[-1])
+    assert main([command, str(ito_paths["hp2"])]) == 0
+    capsys.readouterr()
+    [rep] = built
+    assert sorted(set(vars(rep)) - {"algebra", "mats", "eigenvalues"}) == computed
+
+
 def test_check_tol_verifies_the_axioms_once(ito_paths, capsys, stage_calls):
     # the file is parsed at the --tol it is checked at, not re-verified after
     code = main(["check", str(ito_paths["hp2"]), "--tol", "1e-3"])
