@@ -23,18 +23,25 @@ duplicate rule and storage are the same code for all four.  A line reports
 at most one fault, at the column of the token it names: the earliest bad
 token in token order, and a line with a fault stores nothing.
 
-The text is read once, a line at a time.  Each ``star`` and ``mul`` line
-converts its own lincomb (``_lincomb``): its shape (``+`` separators, a
-symbol after every coefficient), C-level scans of its joined coefficient
-column for what ``complex`` reads beyond the grammar (non-ASCII text,
-``inf``/``nan``, parentheses, underscores, ``j``, a lone ``i``), one
-``map(complex, ...)`` that checks the rest, one dictionary lookup per
-symbol, and a finiteness check of each symbol's sum only when the line
-repeats a symbol.  The line keeps Python lists of values and symbol
-indices; only on a fault are its terms walked in token order, over the
-values read, for the first bad token.  An accepted line appends its values
-and symbol indices to its table's two flat lists (``_Lincombs``); after the
-last line, each table becomes its vectors by one ``np.add.at`` scatter
+The lines are read in order, and the ``star`` and ``mul`` lines are
+converted a batch at a time (``_Batch``).  Such a line gets the checks that need
+no conversion as it is read (usage and ``=``, key symbols, a duplicate key,
+``+`` separators, a symbol after every coefficient); its key is stored and
+its coefficient and symbol tokens are staged in its table (``_Lincombs``).
+Once a batch holds ``_BATCH_TERMS`` terms, and at the end of the text, its
+staged terms are converted at once (``_terms``): one ASCII test, one
+``bytes.translate`` for bytes outside the literals' alphabet, one numpy scan
+for a lone ``i``, one ``map(complex, ...)``, one ``map(index.get, ...)``,
+one vectorized finiteness test, and a check of each symbol's sum only on a
+line that repeats a symbol.  A batch with any fault is read again, from the
+tables as they were before it, by the line reader (``_declare``,
+``_lincomb``): C-level scans of a line's coefficient column for what
+``complex`` reads beyond the grammar (non-ASCII text, ``inf``/``nan``,
+parentheses, underscores, ``j``, a lone ``i``), one ``map(complex, ...)``,
+and a walk of its terms in token order for the first bad token.  So every
+diagnostic and stored line is the line reader's, and a batch holds a
+bounded share of the text.  A table keeps its converted terms as arrays;
+after the last line it becomes its vectors by one ``np.add.at`` scatter
 (``_vectors``).  ``parse_lincomb`` is ``_lincomb`` and that scatter on one
 line.
 
@@ -67,6 +74,9 @@ __all__ = ["ParseDiagnostic", "ParseResult", "parse", "parse_strict", "parse_lin
 # parentheses, underscores, j, and an i after a space or a sign
 _BEYOND = ("n", "N", "(", ")", "_", "j", "J", " i", "+i", "-i")
 _COEFFICIENT = "expected a complex coefficient, got {!r}"
+# the bytes of a column of literals: ASCII digits, '.', exponents, signs, i and the separator
+_LITERAL_BYTES = b"0123456789.eE+-i "
+_BATCH_TERMS = 4096  # a batch of star and mul lines is converted once it holds this many terms
 
 # keyword: (symbols it names, its value after '=', its duplicate message).
 # A declaration without a value, the death, is made once for the algebra.
@@ -124,8 +134,13 @@ class _Fault(Exception):
 
 
 def parse_complex(token: str) -> complex | None:
-    """The complex literal ``token``, or None if it is not one."""
-    vals = _complexes([token]) if _is_token(token) else []
+    """The complex literal ``token``, or None if it is not one.
+
+    A token with a character outside the literals' alphabet is refused
+    before any conversion.
+    """
+    plain = _is_token(token) and token.isascii() and not token.encode().translate(None, _LITERAL_BYTES)
+    vals = _complexes([token]) if plain else []
     return vals[0] if vals else None
 
 
@@ -218,26 +233,34 @@ def _lincomb(tokens: list[str], start: int, index: dict[str, int]) -> tuple[list
     vals, cols = _read_terms(coefs, syms, index, start)
     if shape is not None:
         raise shape
-    if len(set(cols)) < len(cols):  # finite coefficients can sum to inf
-        sums: dict[int, complex] = {}
-        for col, val in zip(cols, vals):
-            sums[col] = sums.get(col, 0j) + val
-        if not all(map(isfinite, sums.values())):
-            raise _Fault(start, "non-finite coefficient")
+    if len(set(cols)) < len(cols) and not _sums_finite(vals, cols):
+        raise _Fault(start, "non-finite coefficient")
     return vals, cols
 
 
-def _vectors(counts: list[int], vals: list[complex], cols: list[int], n: int) -> np.ndarray:
+def _sums_finite(vals: list[complex], cols: list[int]) -> bool:
+    """Whether each symbol's coefficients sum, in term order, to a finite value.
+
+    Finite coefficients can sum to inf; the sum starts from 0j, as the
+    scatter of ``_vectors`` does.
+    """
+    sums: dict[int, complex] = {}
+    for col, val in zip(cols, vals):
+        sums[col] = sums.get(col, 0j) + val
+    return all(map(isfinite, sums.values()))
+
+
+def _vectors(counts: list[int], vals, cols, n: int) -> np.ndarray:
     """The length-``n`` vectors of lincombs read by ``_lincomb``, built by one scatter.
 
     Lincomb ``r`` has ``counts[r]`` terms, which follow the terms of the
-    lincombs before it in the flat lists ``vals`` and ``cols``.  ``np.add.at``
-    sums the coefficients of a repeated symbol in the order ``_lincomb``
-    summed them to check them.
+    lincombs before it in the flat sequences ``vals`` and ``cols``.
+    ``np.add.at`` sums the coefficients of a repeated symbol in the order
+    ``_sums_finite`` summed them to check them.
     """
     out = np.zeros((len(counts), n), dtype=complex)
     rows = np.repeat(np.arange(len(counts)), counts)
-    np.add.at(out, (rows, np.fromiter(cols, np.intp, len(cols))), np.fromiter(vals, complex, len(vals)))
+    np.add.at(out, (rows, np.asarray(cols, np.intp)), np.asarray(vals, complex))
     return out
 
 
@@ -256,20 +279,11 @@ def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagn
     return _vectors([len(cols)], vals, cols, len(index))[0], []
 
 
-class _Lincombs(dict):
-    """A ``star`` or ``mul`` table: key -> term count, with the terms of its lines in flat lists."""
-
-    def __init__(self):
-        super().__init__()
-        self.vals: list[complex] = []
-        self.cols: list[int] = []
-
-
 def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tuple:
     """Store one ``death``, ``state``, ``star`` or ``mul`` line in its ``table``; return its key.
 
     A lincomb's values and symbol indices, as ``_lincomb`` reads them, are
-    appended to the flat lists of its ``_Lincombs`` table.
+    appended to the term arrays of its ``_Lincombs`` table.
     """
     n_sym, value, duplicate = row
     eq = 1 + n_sym
@@ -290,31 +304,174 @@ def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tupl
         (stored,), _ = _read_terms(tokens[eq + 1:], [], index, eq + 1, "bad complex literal {!r}")
     elif value == "<lincomb>":
         vals, cols = _lincomb(tokens, eq + 1, index)
-        table.vals += vals
-        table.cols += cols
+        table.vals.append(np.array(vals, complex))
+        table.cols.append(np.array(cols, np.intp))
         stored = len(cols)
     table[key] = stored
     return key
 
 
+def _terms(coefs: list[str], syms: list[str], repeats: list[tuple[int, int]],
+           index: dict[str, int]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The values and symbol indices of a batch's terms, or None if any term is faulty.
+
+    ``coefs[t]`` and ``syms[t]`` are the coefficient and symbol tokens of term
+    ``t``; ``repeats`` holds the (start, stop) terms of each line that
+    repeats a symbol.  The batch is accepted exactly when ``_lincomb`` accepts
+    each of its lines: every literal is read as the grammar reads it, every
+    symbol is known, and every value and every sum of one line's repeated
+    symbol is finite.  The joined coefficient column is checked by one ASCII
+    test and one ``bytes.translate`` for bytes outside the literals'
+    alphabet, and its lone ``i`` by one numpy scan: past that alphabet, an
+    ``i`` that ``complex`` would read alone starts the column or follows a
+    space or a sign, the only bytes below ``.``.  Then it is converted by one
+    ``map(complex, ...)``, its symbols by one ``map(index.get, ...)``.
+    """
+    if not coefs:
+        return np.empty(0, complex), np.empty(0, np.intp)
+    column = " ".join(coefs)
+    if not column.isascii():
+        return None
+    raw = column.encode("ascii")
+    text = np.frombuffer(raw, np.uint8)
+    before_i = text[np.flatnonzero(text == ord("i")) - 1]
+    if raw.translate(None, _LITERAL_BYTES) or column.startswith("i") or (before_i < ord(".")).any():
+        return None
+    try:
+        vals = np.fromiter(map(complex, column.replace("i", "j").split(" ")), complex, len(coefs))
+        cols = np.fromiter(map(index.get, syms), np.intp, len(syms))
+    except (ValueError, TypeError):  # a literal complex() cannot read, or an unknown symbol (None)
+        return None
+    if not np.isfinite(vals).all():
+        return None
+    for start, stop in repeats:
+        if not _sums_finite(vals[start:stop].tolist(), cols[start:stop].tolist()):
+            return None
+    return vals, cols
+
+
+class _Lincombs(dict):
+    """A ``star`` or ``mul`` table: key -> term count, and the terms of its lines.
+
+    ``vals`` and ``cols`` hold the converted terms, one array per batch (or
+    per line read on its own), in line order.  ``coefs``, ``syms`` and
+    ``repeats`` hold the terms staged since the last conversion.
+    """
+
+    def __init__(self, n_sym: int):
+        super().__init__()
+        self.eq = 1 + n_sym  # the index of the '=' token
+        self.vals: list[np.ndarray] = [np.empty(0, complex)]
+        self.cols: list[np.ndarray] = [np.empty(0, np.intp)]
+        self.coefs: list[str] = []
+        self.syms: list[str] = []
+        self.repeats: list[tuple[int, int]] = []
+
+    def stage(self, tokens: list[str], index: dict[str, int]) -> int | None:
+        """Store the line's key and stage its terms; their count, or None on a fault found unconverted.
+
+        Those faults are a wrong usage or ``=``, an unknown key symbol, a
+        duplicate key, a missing ``+``, a coefficient without a symbol and a
+        dangling ``+``; a line with one of them stores nothing.
+        """
+        eq = self.eq
+        key = tuple(map(index.get, tokens[1:eq]))
+        body = tokens[eq + 1:]
+        plus = body[2::3]
+        if (len(body) % 3 != 2 and body != ["0"] or tokens[eq] != "=" or plus.count("+") != len(plus)
+                or None in key or key in self):
+            return None
+        if body == ["0"]:
+            self[key] = 0
+            return 0
+        syms = body[1::3]
+        if len(syms) > 1 and len(set(syms)) < len(syms):
+            self.repeats.append((len(self.coefs), len(self.coefs) + len(syms)))
+        self.coefs += body[::3]
+        self.syms += syms
+        self[key] = len(syms)
+        return len(syms)
+
+
+class _Batch:
+    """The ``star`` and ``mul`` lines of ``lines`` read since the last conversion of their terms.
+
+    ``add`` stages a line in its table (``_Lincombs.stage``).  The staged
+    terms are converted by ``_terms``, one call per table, once they number
+    ``_BATCH_TERMS`` and at the end of the text.  A batch that holds any
+    fault is re-read a line at a time by ``_declare``, from the tables as
+    they were before it, so its diagnostics and stored lines are those of
+    that reader: a faulty line stores nothing, and a later line with its key
+    is no duplicate.
+    """
+
+    def __init__(self, lines: list[str], tables: dict[str, _Lincombs], index: dict[str, int]):
+        self.lines, self.tables, self.index = lines, tables, index
+        self.start = 0  # the line number of the batch's first line, 0 for an empty batch
+        self.sizes: list[int] = []  # the tables' sizes before the batch
+        self.terms = 0
+
+    def add(self, lineno: int, tokens: list[str]) -> list[ParseDiagnostic]:
+        """Stage line ``lineno``; the batch's diagnostics if it is converted now."""
+        if not self.start:
+            self.start, self.sizes = lineno, [len(t) for t in self.tables.values()]
+        count = self.tables[tokens[0]].stage(tokens, self.index)
+        if count is None:
+            return self.flush(lineno, faulted=True)
+        self.terms += count
+        return self.flush(lineno) if self.terms >= _BATCH_TERMS else []
+
+    def flush(self, end: int, faulted: bool = False) -> list[ParseDiagnostic]:
+        """Convert the batch, which ends at line ``end``, or re-read it on a fault; its diagnostics."""
+        tables = list(self.tables.values())
+        terms = [] if faulted else [_terms(t.coefs, t.syms, t.repeats, self.index) for t in tables]
+        for t in tables:
+            t.coefs, t.syms, t.repeats = [], [], []
+        diags = []
+        if faulted or any(term is None for term in terms):
+            for table, size in zip(tables, self.sizes):
+                while len(table) > size:
+                    table.popitem()  # the batch's keys, stored last
+            for lineno in range(self.start, end + 1):
+                line = self.lines[lineno - 1]
+                tokens = line.split("#", 1)[0].split()
+                if tokens and tokens[0] in self.tables:
+                    try:
+                        _declare(tokens, _DECLARATIONS[tokens[0]], self.index, self.tables[tokens[0]])
+                    except _Fault as fault:
+                        diags.append(fault.diagnostic(lineno, line))
+        else:
+            for table, (vals, cols) in zip(tables, terms):
+                table.vals.append(vals)
+                table.cols.append(cols)
+        self.start, self.terms = 0, 0
+        return diags
+
+
 def _read(lines: list[str]):
     """Every declaration of ``lines``: name, labels, declared, declared_at, diagnostics.
 
-    Each line is read once and reports at most one fault; a line with a
-    fault stores nothing.
+    Each line reports at most one fault, and a line with a fault stores
+    nothing.  The ``star`` and ``mul`` lines are read in batches (``_Batch``),
+    whose diagnostics come when a batch is converted; the diagnostics are
+    returned in line order.
     """
     diags: list[ParseDiagnostic] = []
     name: str | None = None
     labels: list[str] | None = None
     index: dict[str, int] = {}
-    declared: dict[str, dict] = {kw: _Lincombs() if row[1] == "<lincomb>" else {}
+    declared: dict[str, dict] = {kw: _Lincombs(row[0]) if row[1] == "<lincomb>" else {}
                                  for kw, row in _DECLARATIONS.items()}
-    declared_at: dict[tuple, int] = {}  # (keyword, key) -> line number
+    batch = _Batch(lines, {kw: t for kw, t in declared.items() if isinstance(t, _Lincombs)}, index)
+    declared_at: dict[tuple, int] = {}  # (keyword, key) -> line number, for the death and states
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
         kw = tokens[0]
+        if kw in batch.tables and labels is not None:
+            diags += batch.add(lineno, tokens)
+            continue
         try:
             if kw == "algebra":
                 if len(tokens) != 2:
@@ -350,13 +507,17 @@ def _read(lines: list[str]):
                 raise _Fault(0, f"unknown keyword {kw!r}")
         except _Fault as fault:
             diags.append(fault.diagnostic(lineno, line))
+    if batch.start:
+        diags += batch.flush(len(lines))
+    diags.sort(key=lambda d: d.line)  # stable: one diagnostic per line
     return name, labels, declared, declared_at, diags
 
 
 def _rows(table: _Lincombs, n_sym: int, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """A ``star`` or ``mul`` table: one index array per key symbol, and the vectors."""
     keys = np.array(list(table), dtype=np.intp).reshape(-1, n_sym)
-    return tuple(keys.T), _vectors(list(table.values()), table.vals, table.cols, n)
+    return tuple(keys.T), _vectors(list(table.values()), np.concatenate(table.vals),
+                                   np.concatenate(table.cols), n)
 
 
 def parse(text: str, tol: float = ItoAlgebra.tol) -> ParseResult:

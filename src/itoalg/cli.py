@@ -39,7 +39,7 @@ from . import builtins as catalog_mod
 from .adsl import parse, parse_lincomb, serialize
 from .core import AlgebraError, ItoAlgebra
 from .decomp import decompose
-from .focksim import classical_paths, vacuum_moments
+from .focksim import _vacuum_reports, classical_paths
 from .gns import NonFaithfulError, build_representation, seminorms
 from .ideal import faithfulness_ideal, quotient
 
@@ -281,17 +281,14 @@ def _cmd_norms(alg, args):
 
 
 def _fock_reports(alg, t: float, dt: float) -> list:
-    """Vacuum moments of every basis element on round(t / dt) slots."""
+    """Vacuum moments of every basis element on round(t / dt) slots, from one stacked call."""
     if not dt > 0:
         raise AlgebraError("dt must be positive")
     if not np.isfinite(t / dt):
         raise AlgebraError("t/dt must be finite")
     rep = build_representation(alg)
     n_slots = max(1, int(round(t / dt)))
-    reports = [vacuum_moments(rep, alg.basis_element(i), t, n_slots) for i in range(alg.dim)]
-    for rpt, lab in zip(reports, alg.labels):
-        rpt.inputs["element"] = lab
-    return reports
+    return _vacuum_reports(rep, np.eye(alg.dim, dtype=complex), t, n_slots, list(alg.labels))
 
 
 def _cmd_simulate(alg, args):

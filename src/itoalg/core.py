@@ -336,7 +336,7 @@ class Element:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = self.algebra.coeffs_of(np.array(self.coeffs, dtype=complex).reshape(-1))
+        coeffs = self.algebra.coeffs_of(np.array(self.coeffs, dtype=complex))
         object.__setattr__(self, "coeffs", _freeze(coeffs))
 
     def __add__(self, other: "Element") -> "Element":
@@ -778,6 +778,9 @@ def subalgebra(
     m = B.shape[0]
     if not m:
         raise AlgebraError("subalgebra needs at least one spanning vector")
+    labels = [f"b{i}" for i in range(m)] if labels is None else list(labels)
+    if len(labels) != m:
+        raise AlgebraError(f"expected {m} labels, one per spanning vector, got {len(labels)}")
     if not np.isfinite(B).all():
         raise AlgebraError("spanning vectors must be finite")
     if numerical_rank(B, alg.tol) != m:
@@ -798,8 +801,6 @@ def subalgebra(
     star_m = coords(np.conj(B) @ alg.star, lambda s: f"star of {s}")
     death = coords(alg.death[np.newaxis], lambda s: "death")[0]
     state = B @ alg.state
-    if labels is None:
-        labels = [f"b{i}" for i in range(m)]
     return ItoAlgebra(
         labels=tuple(labels),
         mult=mult,

@@ -130,19 +130,21 @@ def fit_loglog_slope(xs, ys, floor: float = 1e-13) -> float | None | list[float 
 
 
 def _increments(T: np.ndarray, dts) -> np.ndarray:
-    """The (len(dts), h+1, h+1) stack of slot increments of the element with triangular matrix T.
+    """The (len(dts), ..., h+1, h+1) slot increments of the elements with triangular matrices T.
 
-    The increment at dt is diag(sqrt(dt), 1, ...) B diag(sqrt(dt), 1, ...)
-    with B = [[l, kdag], [k, i]] read from T = [[0, kdag, l], [0, i, k],
+    ``T`` is one triangular matrix or a stack of them, (..., h+2, h+2).  The
+    increment at dt is diag(sqrt(dt), 1, ...) B diag(sqrt(dt), 1, ...) with
+    B = [[l, kdag], [k, i]] read from T = [[0, kdag, l], [0, i, k],
     [0, 0, 0]]: the corner is l dt, the field blocks carry sqrt(dt).
     """
     dts = np.asarray(dts, dtype=float)
-    root = np.sqrt(dts)[:, None]
-    M = np.empty((len(dts), len(T) - 1, len(T) - 1), dtype=np.result_type(T, dts))
-    M[:, 0, 0] = T[0, -1] * dts
-    M[:, 0, 1:] = T[0, 1:-1] * root
-    M[:, 1:, 0] = T[1:-1, -1] * root
-    M[:, 1:, 1:] = T[1:-1, 1:-1]
+    dt = dts.reshape(dts.shape + (1,) * (T.ndim - 2))  # one dt per leading entry of the result
+    root = np.sqrt(dt)[..., np.newaxis]
+    M = np.empty(dt.shape[:1] + T.shape[:-2] + (T.shape[-1] - 1,) * 2, dtype=np.result_type(T, dts))
+    M[..., 0, 0] = T[..., 0, -1] * dt
+    M[..., 0, 1:] = T[..., 0, 1:-1] * root
+    M[..., 1:, 0] = T[..., 1:-1, -1] * root
+    M[..., 1:, 1:] = T[..., 1:-1, 1:-1]
     return M
 
 
@@ -247,23 +249,71 @@ def _set_partitions(pos: tuple[int, ...]) -> tuple:
     )
 
 
-def _vacuum_moment(mats, corner: tuple[int, int], scale: float, weight):
-    """The map pos -> sum_pi weight(|pi|) prod_{B in pi} scale * (M_b1 ... M_bk)[corner].
+def _corner_products(mats: list[np.ndarray], corner: tuple[int, int], scale) -> list[list[complex]]:
+    """Entry ``corner`` of scale * M_b1 ... M_bk for every subset {b1 < ... < bk} of the positions.
 
-    pi runs over the set partitions of the word positions ``pos``.  Row B of
-    ``rows`` is row ``corner[0]`` of scale * M_b1 ... M_bk for the block with
-    bitmask B: the row of B without its last position, times M_bk.
+    ``mats`` holds one stack of S matrices per word position; the result
+    holds S rows, each with the value of the subset with bitmask B at B.
+    Row B of an element's (2^m, d) block is row ``corner[0]`` of
+    scale * M_b1 ... M_bk: the row of B without its last position, times
+    M_bk, so the m positions are m batched matmuls.
     """
-    rows = np.zeros((2 ** len(mats), len(mats[0])), dtype=complex)
-    rows[0, corner[0]] = scale
+    S, d = len(mats[0]), mats[0].shape[-1]
+    rows = np.zeros((S, 2 ** len(mats), d), dtype=complex)
+    rows[:, 0, corner[0]] = scale
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as inf/nan
         for m, M in enumerate(mats):
-            rows[2**m : 2 ** (m + 1)] = rows[: 2**m] @ M
-    value = rows[:, corner[1]].tolist()
-    w = [weight(k) for k in range(len(mats) + 1)]
-    return lambda pos: sum(
-        w[len(part)] * math.prod(value[b] for b in part) for part in _set_partitions(pos)
-    )
+            rows[:, 2**m : 2 ** (m + 1)] = rows[:, : 2**m] @ M
+    return rows[:, :, corner[1]].tolist()
+
+
+def _partition_sum(value: list[complex], weights: list, pos: tuple[int, ...]):
+    """sum_pi weights[|pi|] prod_{B in pi} value[B] over the set partitions pi of positions ``pos``."""
+    return sum(weights[len(part)] * math.prod(map(value.__getitem__, part))
+               for part in _set_partitions(pos))
+
+
+def _vacuum_reports(rep: FundamentalRep, X: np.ndarray, t: float, n_slots: int,
+                    names: list[str]) -> list[SimReport]:
+    """The ``vacuum_moments`` report of every coefficient row of ``X`` (S, n), named ``names``.
+
+    triangular(x*) and triangular(x) of every row come from one product with
+    ``rep.mats``, row by row as ``triangular`` forms them, and the corner
+    values of the word (a*, a, a*, a) from ``_corner_products`` on their
+    stacks; the set-partition sums are a Python loop over each row's values.
+    Every report's ``runtime_ms`` is the call's wall time over S.
+    """
+    start = time.perf_counter()
+    if not t > 0:
+        raise AlgebraError("t must be positive")
+    if not math.isfinite(t):
+        raise AlgebraError(f"t={t} is not finite")
+    if n_slots < 1:
+        raise AlgebraError("n_slots must be >= 1")
+    N, alg = int(n_slots), rep.algebra  # a Python int: N**k must not wrap
+    X = X[:, np.newaxis]  # rows of one: each product below is formed as for a single element
+    pair = np.concatenate([np.conj(X) @ alg.star, X])  # x* then x
+    mats = (pair @ rep.mats.reshape(alg.dim, -1)).reshape((2, len(X)) + rep.mats.shape[1:])
+    # N!/(N-k)! = N^k (perm(N, k) / N^k): one N per block value keeps every factor finite
+    values = _corner_products([*_increments(mats, [t / N])[0]] * 2, (0, 0), N)
+    targets = _corner_products([*mats] * 2, (0, -1), t)
+    slot_weights, limit_weights = [math.perm(N, k) / N**k for k in range(5)], [1] * 5
+    reports = []
+    for name, value, target in zip(names, values, targets):
+        # positions in the word (a*, a, a*, a): <X(a)>, |X(a) vac|^2 and |X(a*) X(a) vac|^2
+        estimates = [Estimate("mean", _partition_sum(value, slot_weights, (1,)), None,
+                              _partition_sum(target, limit_weights, (1,)))]
+        for moment, pos in (("second_moment", (0, 1)), ("fourth_moment", (0, 1, 2, 3))):
+            v = _partition_sum(value, slot_weights, pos).real
+            limit = _partition_sum(target, limit_weights, pos).real
+            estimates.append(Estimate(moment, v, None, limit))
+            estimates.append(Estimate(f"{moment}_deviation", v - limit, None, None))
+        inputs = {"t": t, "n_slots": n_slots, "element": name}
+        reports.append(SimReport(kind="vacuum_moments", inputs=inputs, seed=None, estimates=estimates))
+    runtime_ms = (time.perf_counter() - start) * 1e3 / len(reports)
+    for report in reports:
+        report.runtime_ms = runtime_ms
+    return reports
 
 
 def vacuum_moments(rep: FundamentalRep, a: Element, t: float, n_slots: int) -> SimReport:
@@ -274,35 +324,12 @@ def vacuum_moments(rep: FundamentalRep, a: Element, t: float, n_slots: int) -> S
     (0, 0) with w(k) = N!/(N-k)!, the k blocks placed on distinct slots, and
     for the target triangular matrices read at (0, -1), i.e. l(a_b1 ... a_bk),
     with w(k) = t^k.  Mean and second moment are exact for every N, the fourth
-    is O(1/N) off; the cost does not depend on N.
+    is O(1/N) off; the cost does not depend on N.  This is the stack of one
+    of the kernel ``_vacuum_reports``, which ``simulate --model fock`` runs
+    on every basis element at once.
     """
-    start = time.perf_counter()
-    if not t > 0:
-        raise AlgebraError("t must be positive")
-    if not math.isfinite(t):
-        raise AlgebraError(f"t={t} is not finite")
-    if n_slots < 1:
-        raise AlgebraError("n_slots must be >= 1")
-    N, pair = int(n_slots), (a.star(), a)  # a Python int: N**k must not wrap
-    # N!/(N-k)! = N^k (perm(N, k) / N^k): one N per block value keeps every factor finite
-    mats = [triangular(rep, x) for x in pair]
-    value = _vacuum_moment([_increments(T, [t / N])[0] for T in mats] * 2, (0, 0), N,
-                           lambda k: math.perm(N, k) / N**k)
-    target = _vacuum_moment(mats * 2, (0, -1), t, lambda k: 1)
-    # positions in the word (a*, a, a*, a): <X(a)>, |X(a) vac|^2 and |X(a*) X(a) vac|^2
-    estimates = [Estimate("mean", value((1,)), None, target((1,)))]
-    for name, pos in (("second_moment", (0, 1)), ("fourth_moment", (0, 1, 2, 3))):
-        v, limit = value(pos).real, target(pos).real
-        estimates.append(Estimate(name, v, None, limit))
-        estimates.append(Estimate(f"{name}_deviation", v - limit, None, None))
-    return SimReport(
-        kind="vacuum_moments",
-        inputs={"t": t, "n_slots": n_slots, "element": str(a)},
-        seed=None,
-        estimates=estimates,
-        slopes={},
-        runtime_ms=(time.perf_counter() - start) * 1e3,
-    )
+    coeffs = rep.algebra.coeffs_of(a)
+    return _vacuum_reports(rep, coeffs[np.newaxis], t, n_slots, [str(a)])[0]
 
 
 def _component_label(alg: ItoAlgebra, vec: np.ndarray, fallback: str) -> str:

@@ -328,25 +328,29 @@ _GRAM_ENTRIES = 1 << 14
 
 
 def _op_norms(J: np.ndarray) -> np.ndarray:
-    """The operator norm of every matrix of the stack ``J``, which it overwrites; NaN for a non-finite one.
+    """The operator norm of every matrix of the stack ``J``, which it rescales; NaN if not finite.
 
     |J|_op is the square root of the top eigenvalue of J^dag J, from one
-    Hermitian eigensolve per matrix.  Each matrix is first divided by 2^e,
-    exactly, with 2^e taken from its largest part, so its Gram does not
-    overflow where it does not.  The conjugate and the Gram are temporaries
-    of about ``_GRAM_ENTRIES`` entries each, not two more copies of ``J``.
+    Hermitian eigensolve per matrix that is finite and nonzero; a zero
+    matrix reads +0.0 with no eigensolve.  Each matrix is first divided by
+    2^e, exactly, with 2^e taken from its largest part, so its Gram does not
+    overflow where it does not.  The matrices, their conjugates and Grams
+    are temporaries of about ``_GRAM_ENTRIES`` entries each, not more copies
+    of ``J``.
     """
     parts = J.view(np.float64)
     big = np.maximum(parts.max(axis=(1, 2), initial=0.0), -parts.min(axis=(1, 2), initial=0.0))
     e = np.frexp(big)[1]
     np.ldexp(parts, -e[:, np.newaxis, np.newaxis], out=parts)
     finite = np.isfinite(big)
-    J[~finite] = 0.0   # it reads NaN below; a non-finite Gram can fail the eigensolve
+    # a zero matrix reads 0 and a non-finite one NaN unsolved: a non-finite Gram can fail the eigensolve
+    live = np.flatnonzero(finite & (big > 0.0))
     step = _GRAM_ENTRIES // max(1, J.shape[1] ** 2) + 1
-    top = np.concatenate([np.linalg.eigvalsh(np.conj(j).swapaxes(1, 2) @ j).max(axis=-1, initial=0.0)
-                          for j in np.split(J, np.arange(step, len(J), step))])
-    op = np.ldexp(np.sqrt(np.where(top > 0.0, top, 0.0)), e)   # a zero matrix's top can be -0.0 or -1e-17
-    return np.where(finite, op, np.nan)
+    top = np.zeros(len(J))   # a scaled live matrix has an entry of modulus >= 1/2, so its top is >= 1/4
+    for chunk in np.split(live, np.arange(step, len(live), step)):
+        j = J[chunk]
+        top[chunk] = np.linalg.eigvalsh(np.conj(j).swapaxes(1, 2) @ j).max(axis=-1, initial=0.0)
+    return np.where(finite, np.ldexp(np.sqrt(top), e), np.nan)
 
 
 def verify_bstar(

@@ -435,7 +435,8 @@ class TestTableCodec:
         ]
 
     def test_file_is_read_once(self, monkeypatch):
-        # a bad literal on the last line is that line's diagnostic, without a second reading
+        # a bad literal on the last line is that line's diagnostic; the line reader reads each
+        # line once, in order: the star and mul lines when their batch's conversion finds the fault
         calls = []
         declare = adsl._declare
         monkeypatch.setattr(adsl, "_declare", lambda *args: calls.append(args[0]) or declare(*args))
@@ -444,6 +445,96 @@ class TestTableCodec:
         assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
             (8, 13, "expected a complex coefficient, got '1x'")]
         assert [tokens[0] for tokens in calls] == ["death", "state", "mul", "star", "mul", "mul"]
+
+
+def _read_in_batches(text: str, terms: int) -> tuple:
+    """The diagnostics and stored star and mul tables of ``text``, read ``terms`` terms a batch."""
+    with pytest.MonkeyPatch.context() as m, np.errstate(all="ignore"):
+        m.setattr(adsl, "_BATCH_TERMS", terms)
+        _, labels, declared, _, diags = adsl._read(text.splitlines())
+        n = len(labels or [])
+        tables = [(np.stack(where).tobytes(), vecs.tobytes())
+                  for where, vecs in (adsl._rows(declared[kw], len(key), n)
+                                      for kw, key in (("star", "a"), ("mul", "ab")))]
+        return diags, tables
+
+
+class TestBatches:
+    """The star and mul lines are converted a batch at a time; a faulty batch is re-read by line."""
+
+    def test_faulty_line_stores_nothing_and_its_key_is_stored_later(self):
+        # the first line faults in conversion; the second, with the same key, is no duplicate
+        lines = "basis dt a b\ndeath dt\nstate dt = 1\nmul a b = 1x a\nmul a b = 1 a\n".splitlines()
+        _, _, declared, _, diags = adsl._read(lines)
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (4, 11, "expected a complex coefficient, got '1x'")]
+        where, vecs = adsl._rows(declared["mul"], 2, 3)
+        assert [w.tolist() for w in where] == [[1], [2]] and vecs.tolist() == [[0, 1, 0]]
+
+    def test_diagnostics_come_in_line_order(self):
+        # a fault found when the batch is converted, at the end, precedes the later lines' faults
+        result = parse(HEAD_A + "mul a a = 1x dt\nmult a a = 1 dt\nstate a = x\n")
+        assert [(d.line, d.message) for d in result.diagnostics] == [
+            (4, "expected a complex coefficient, got '1x'"), (5, "unknown keyword 'mult'"),
+            (6, "bad complex literal 'x'")]
+
+    @pytest.mark.parametrize("bad,problem", [
+        ("\u0663", "non-ASCII digit"), ("inf", "inf"), ("i", "lone i"), ("1+i", "i after a sign"),
+        ("1j", "j"), ("1_0", "underscore"), ("(1)", "parentheses"), ("1e400", "non-finite"),
+    ])
+    @pytest.mark.parametrize("first", [True, False], ids=["leading", "inner"])
+    def test_literal_refused_inside_a_batch(self, bad, problem, first):
+        # the bad literal first in the batch's column (a leading i) or after good ones (' i')
+        keys = ["a a", "a b", "b c", "c c", "b a", "c a"]
+        good = [f"mul {key} = 1 dt + {k}.5i a" for k, key in enumerate(keys)]
+        line = f"mul dt a = {bad} a + 2 dt"
+        body = [line, *good] if first else [*good[:3], line, *good[3:]]
+        result = parse("basis dt a b c\ndeath dt\nstate dt = 1\n" + "\n".join(body) + "\n")
+        lineno = 4 + body.index(line)
+        message = ("non-finite coefficient" if bad == "1e400"
+                   else f"expected a complex coefficient, got {bad!r}")
+        found = [(d.line, d.column, d.message) for d in result.diagnostics]
+        assert found == [(lineno, 12, message)], problem
+
+    def test_fault_in_a_later_batch(self):
+        # a 24-symbol dense table spans several batches; faults in the second are reported at
+        # their lines, and the tables stored are those of the line-at-a-time reader
+        n = 24
+        alg = _random_table(n, 3, ("dt", *(f"s{k}" for k in range(n - 1))))
+        lines = serialize(alg).splitlines()
+        terms = [len(line.split()) // 3 if line.startswith(("star", "mul")) else 0 for line in lines]
+        assert sum(terms) > 3 * adsl._BATCH_TERMS
+        second = next(k for k in range(len(lines)) if sum(terms[:k]) > adsl._BATCH_TERMS) + 3
+        bad = lines[second].split()
+        bad[7] = "1x"
+        lines[second] = " ".join(bad)
+        lines.insert(second + 1, " ".join(bad[:4] + ["1", "dt"]))  # its key again: stored
+        lines.insert(second + 2, " ".join(bad[:4] + ["2", "dt"]))  # a duplicate of that line
+        head = lines[second + 5].split()[:4]
+        lines[second + 5] = " ".join(head + ["1e308", "s1", "+", "1e308", "s1"])  # a non-finite sum
+        text = "\n".join(lines) + "\n"
+        diags, tables = _read_in_batches(text, adsl._BATCH_TERMS)
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (second + 1, len(" ".join(bad[:7])) + 2, "expected a complex coefficient, got '1x'"),
+            (second + 3, 5, f"duplicate table entry for {bad[1]} {bad[2]}"),
+            (second + 6, len(" ".join(head)) + 2, "non-finite coefficient"),
+        ]
+        assert (diags, tables) == _read_in_batches(text, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6))
+    def test_batch_size_changes_nothing(self, seed, terms):
+        # star and mul lines of token soup: any budget gives what one batch per text gives
+        rng = np.random.default_rng(seed)
+        pool = ["dt", "dw", "dm", "=", "+", "+", "0", "1", "2i", "1+2i", "i", "1+i", "1e308",
+                "1e999", "\u0663", "1j", "x"]
+        lines = ["basis dt dw dm", "death dt", "state dt = 1"]
+        for _ in range(rng.integers(0, 16)):
+            kw = str(rng.choice(["star", "mul", "mul"]))
+            keys = rng.choice(["dt", "dw", "dm"], 1 if kw == "star" else 2).tolist()
+            lines.append(" ".join([kw, *keys, "=", *rng.choice(pool, rng.integers(0, 8)).tolist()]))
+        text = "\n".join(lines)
+        assert _read_in_batches(text, terms) == _read_in_batches(text, 10**9)
 
 
 class TestTotality:

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -27,6 +28,7 @@ from itoalg import cli
 from itoalg.adsl import parse, serialize
 from itoalg.cli import main
 from itoalg.core import complex_pairs
+from itoalg.focksim import vacuum_moments
 
 from conftest import make_catalog
 
@@ -392,6 +394,35 @@ class TestExitCodes:
     def test_catalog_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "catalog", "--name", "nope")
         assert code == 1
+
+
+# the size ladder of the benchmark, at fixed weights
+LADDER = {
+    **{f"hp{d}": (lambda d=d: ia.hp(d)) for d in range(2, 7)},
+    "s4": lambda: ia.group_levy(ia.symmetric_group(4)),
+    "tm5": lambda: ia.thermal_matrix(5, [0.5, 1.0, 1.5, 2.0, 2.5]),
+    "pw16": lambda: ia.periodic_wiener(16, [0.5 + k / 16 for k in range(16)]),
+}
+
+
+@pytest.mark.parametrize("name", FAITHFUL + [f"ladder_{rung}" for rung in LADDER])
+def test_fock_reports_are_the_per_element_reports(tmp_path, capsys, name):
+    # one stacked call over the basis prints, byte for byte, one vacuum_moments call per element
+    rung = name.removeprefix("ladder_")
+    text = serialize(LADDER[rung]() if rung in LADDER else make_catalog()[name])
+    path = tmp_path / "table.ito"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--model", "fock", "--json")
+    assert code == 0
+    alg = parse(text).algebra
+    rep = ia.build_representation(alg)
+    reports = []
+    for i, label in enumerate(alg.labels):
+        report = vacuum_moments(rep, alg.basis_element(i), 1.0, 100).to_dict()
+        report["inputs"]["element"] = label
+        reports.append(report)
+    runtime = re.compile(r'"runtime_ms":[^,}]*,')
+    assert runtime.sub("", out) == runtime.sub("", cli._dumps(reports) + "\n")
 
 
 def test_parser_keeps_no_state_between_calls(capsys, ito_files):

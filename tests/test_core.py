@@ -316,6 +316,10 @@ class TestSubalgebra:
         with pytest.raises(AlgebraError, match="must be finite"):
             ia.subalgebra(ia.wiener(), [[1.0, 0.0], [0.0, np.nan]])
 
+    def test_label_count_is_named(self):
+        with pytest.raises(AlgebraError, match="expected 2 labels, one per spanning vector, got 1"):
+            ia.subalgebra(ia.wiener(), np.eye(2), labels=["a"])
+
 
 class TestNumericalRank:
     def test_cut_sits_at_tol_times_top_value(self):
@@ -392,6 +396,18 @@ class TestImmutability:
 
 # the parts of a coefficient whose text is pinned: signed zeros, infinities, nan, extremes, 1/3
 EDGE_PARTS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 1 / 3, -1 / 3]
+
+
+class TestElementShape:
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1,), ()])
+    def test_shape_is_checked_before_any_reshape(self, shape):
+        # an element takes a (dim,) vector, as triangular and coeffs_of do: (2, 1) is no vector
+        w = ia.wiener()
+        with pytest.raises(AlgebraError, match="expected 2") as caught:
+            ia.Element(w, np.ones(shape))
+        with pytest.raises(AlgebraError) as also:
+            ia.triangular(w.gns, np.ones(shape))
+        assert str(caught.value) == str(also.value)
 
 
 class TestElementRepr:

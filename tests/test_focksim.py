@@ -15,7 +15,8 @@ from itoalg.focksim import (
     CHUNK_BUDGET,
     SimulationError,
     UnsupportedModelError,
-    _vacuum_moment,
+    _corner_products,
+    _partition_sum,
     classical_paths,
     fit_loglog_slope,
     ito_product_check,
@@ -83,15 +84,17 @@ def table_moment(alg, word, t):
 
 def fock_route(rep, word, t, n_slots):
     """The partition sum over slot increments with weight N!/(N-k)!, as vacuum_moments uses it."""
-    mats = [slot_increment(rep, x, t / n_slots) for x in word]
-    moment = _vacuum_moment(mats, (0, 0), n_slots, lambda k: math.perm(n_slots, k) / n_slots**k)
-    return moment(tuple(range(len(word))))
+    mats = [slot_increment(rep, x, t / n_slots)[np.newaxis] for x in word]
+    value = _corner_products(mats, (0, 0), n_slots)[0]
+    weights = [math.perm(n_slots, k) / n_slots**k for k in range(len(word) + 1)]
+    return _partition_sum(value, weights, tuple(range(len(word))))
 
 
 def target_route(rep, word, t):
     """The partition sum over triangular matrices with weight t^k, as vacuum_moments uses it."""
-    mats = [triangular(rep, x) for x in word]
-    return _vacuum_moment(mats, (0, -1), t, lambda k: 1)(tuple(range(len(word))))
+    mats = [triangular(rep, x)[np.newaxis] for x in word]
+    value = _corner_products(mats, (0, -1), t)[0]
+    return _partition_sum(value, [1] * (len(word) + 1), tuple(range(len(word))))
 
 
 class TestSlotIncrement:

@@ -12,6 +12,7 @@ from itoalg.gns import (
     FundamentalRep,
     NonFaithfulError,
     RepresentationError,
+    _op_norms,
     _seminorm_rows,
     build_representation,
     minkowski_adjoint,
@@ -242,6 +243,23 @@ class TestOperatorSeminorm:
         X[3, 0] = complex(0, np.inf)
         op = _seminorm_rows(alg.gns, X).op
         assert np.isnan(op[[1, 3]]).all() and np.isfinite(op[[0, 2]]).all()
+
+    def test_zero_and_non_finite_blocks_are_not_eigensolved(self, monkeypatch):
+        # a stack of zero, NaN, inf and ordinary blocks: +0.0, NaN, NaN and the largest singular
+        # value, with only the ordinary blocks eigensolved
+        rng = np.random.default_rng(9)
+        J = np.zeros((6, 3, 3), dtype=complex)
+        J[[1, 4]] = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        J[2, 0, 1], J[3, 2, 2] = np.nan, complex(0, -np.inf)
+        want = np.linalg.svd(J[[1, 4]], compute_uv=False).max(axis=-1)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        op = _op_norms(J)
+        assert sum(solved) == 2
+        assert op[0] == op[5] == 0.0 and not np.signbit(op[[0, 5]]).any()
+        assert np.isnan(op[[2, 3]]).all()
+        assert np.all(np.abs(op[[1, 4]] - want) <= 8 * np.finfo(float).eps * want)
 
     def test_block_that_overflows_reads_nan(self):
         # i blocks of 1.5e308 sum past the float range: op is NaN, and no eigensolve fails
