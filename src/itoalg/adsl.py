@@ -18,32 +18,28 @@ complex literal, so a non-ASCII digit such as ``٣`` is a symbol.
 
 ``death``, ``state``, ``star`` and ``mul`` are rows of one declaration
 table (``_DECLARATIONS``): how many symbols the keyword names, what follows
-``=`` and what a duplicate is called.  Their usage text, symbol lookup,
-duplicate rule and storage are the same code for all four.  A line reports
+``=`` and what a duplicate is called.  Their usage text, symbol lookup and
+duplicate rule are the same code for all four.  A line reports
 at most one fault, at the column of the token it names: the earliest bad
 token in token order, and a line with a fault stores nothing.
 
-The lines are read in order, and the ``star`` and ``mul`` lines are
-converted a batch at a time (``_Batch``).  Such a line gets the checks that need
-no conversion as it is read (usage and ``=``, key symbols, a duplicate key,
-``+`` separators, a symbol after every coefficient); its key is stored and
-its coefficient and symbol tokens are staged in its table (``_Lincombs``).
-Once a batch holds ``_BATCH_TERMS`` terms, and at the end of the text, its
-staged terms are converted at once (``_terms``): one ASCII test, one
-``bytes.translate`` for bytes outside the literals' alphabet, one numpy scan
-for a lone ``i``, one ``map(complex, ...)``, one ``map(index.get, ...)``,
-one vectorized finiteness test, and a check of each symbol's sum only on a
-line that repeats a symbol.  A batch with any fault is read again, from the
-tables as they were before it, by the line reader (``_declare``,
-``_lincomb``): C-level scans of a line's coefficient column for what
-``complex`` reads beyond the grammar (non-ASCII text, ``inf``/``nan``,
-parentheses, underscores, ``j``, a lone ``i``), one ``map(complex, ...)``,
-and a walk of its terms in token order for the first bad token.  So every
-diagnostic and stored line is the line reader's, and a batch holds a
-bounded share of the text.  A table keeps its converted terms as arrays;
-after the last line it becomes its vectors by one ``np.add.at`` scatter
-(``_vectors``).  ``parse_lincomb`` is ``_lincomb`` and that scatter on one
-line.
+Lines end at ``\n``, ``\r\n`` or ``\r``, the line ends that text-mode
+``open()`` reads; every other whitespace character separates tokens.  The
+lines are read in order, and a ``star`` or ``mul`` line is converted and
+stored one way, by its table (``_Lincombs``).  As the line is read it gets
+the checks that need no conversion (usage and ``=``, key symbols, a
+duplicate key, ``+`` separators, a symbol after every coefficient); its key
+is stored and its coefficient and symbol tokens are staged.  Once a table's
+staged lines hold ``_BATCH_TERMS`` terms, and at the end of the text, they
+are converted at once (``_terms``): the one literal rule (``_literals``) on
+the joined coefficient column, one ``map(index.get, ...)``, one
+``np.add.at`` scatter into their vectors and one finiteness test of those.
+A conversion that finds a fault takes the staged keys back and stages and
+converts each staged line alone.  The per-line code only says where a
+refused line fails: ``_declare`` runs its usage, key and duplicate checks,
+and ``_lincomb_fault`` walks its terms in token order, over one conversion
+of its coefficient column, to the first bad token.  ``parse_lincomb`` is
+the same shape check and ``_terms`` on one line.
 
 The parser is total: any input yields an algebra or diagnostics, never an
 exception.  It only reads text and checks no axiom: each consumer checks
@@ -63,6 +59,7 @@ from __future__ import annotations
 
 from cmath import isfinite
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -70,13 +67,9 @@ from .core import ItoAlgebra, rel_residual, rel_residuals
 
 __all__ = ["ParseDiagnostic", "ParseResult", "parse", "parse_strict", "parse_lincomb", "serialize"]
 
-# what complex() reads beyond the grammar: inf and nan in any case (each holds an n or N),
-# parentheses, underscores, j, and an i after a space or a sign
-_BEYOND = ("n", "N", "(", ")", "_", "j", "J", " i", "+i", "-i")
-_COEFFICIENT = "expected a complex coefficient, got {!r}"
 # the bytes of a column of literals: ASCII digits, '.', exponents, signs, i and the separator
 _LITERAL_BYTES = b"0123456789.eE+-i "
-_BATCH_TERMS = 4096  # a batch of star and mul lines is converted once it holds this many terms
+_BATCH_TERMS = 4096  # a table converts its staged lines once they hold this many terms
 
 # keyword: (symbols it names, its value after '=', its duplicate message).
 # A declaration without a value, the death, is made once for the algebra.
@@ -134,13 +127,8 @@ class _Fault(Exception):
 
 
 def parse_complex(token: str) -> complex | None:
-    """The complex literal ``token``, or None if it is not one.
-
-    A token with a character outside the literals' alphabet is refused
-    before any conversion.
-    """
-    plain = _is_token(token) and token.isascii() and not token.encode().translate(None, _LITERAL_BYTES)
-    vals = _complexes([token]) if plain else []
+    """The complex literal ``token``, or None if it is not one (``_literals``)."""
+    vals = _literals([token]) if _is_token(token) else []
     return vals[0] if vals else None
 
 
@@ -152,116 +140,108 @@ def _symbol_problem(sym: str) -> str | None:
     """Why ``sym`` cannot be a basis symbol, or None; the ``basis`` line and ``serialize`` share it."""
     if not _is_token(sym):
         return "is not one token"
-    if sym in _KEYWORDS or sym in ("+", "=") or parse_complex(sym) is not None:
+    if sym in _KEYWORDS or sym in ("+", "=") or _literals([sym]):
         return "collides with the grammar"
     return None
 
 
-def _complexes(coefs: list[str]) -> list[complex]:
-    """The values of the literals that start ``coefs``, up to the first token that is not one.
+def _literals(tokens: list[str]) -> list[complex]:
+    """The values of the literals that start ``tokens``, up to the first token that is not one.
 
-    A literal is an ASCII token that ``complex`` reads with ``j`` for ``i``,
-    less what ``complex`` accepts beyond the grammar: non-ASCII digits,
-    ``inf`` and ``nan`` (each holds an ``n`` or ``N``), parentheses,
-    underscores, ``j``, and an ``i`` that starts a token or follows a sign
-    (``i``, ``+i``, ``1-i``), the only lone ``i`` that ``complex`` reads.
-    Those are found by C-level scans of the joined column, and the one
-    ``map(complex, ...)`` that converts the tokens before the first of them
-    checks the rest of the syntax, stopping at the first token it cannot
-    read.  Each is linear in the column.
+    The one literal rule.  A literal is an ASCII token that ``complex`` reads
+    with ``j`` for ``i``, less what ``complex`` accepts beyond the grammar.
+    ``bytes.translate`` leaves the bytes of the joined column outside the
+    literals' alphabet: non-ASCII text, ``inf`` and ``nan``, parentheses,
+    underscores and ``j``; the first byte it leaves is the first bad byte.
+    Within the alphabet that leaves an ``i`` that starts a token or follows a
+    sign (``i``, ``+i``, ``1-i``), the only lone ``i`` that ``complex``
+    reads, found by one numpy scan.  One map of ``complex`` over the tokens
+    before the first of these converts them and checks the rest of the
+    syntax, stopping at the first token it cannot read.  Each step is linear
+    in the column.
     """
-    column = " ".join(coefs)
-    good = len(coefs) if column.isascii() else list(map(str.isascii, coefs)).index(False)
-    hits = [p for p in map(column.find, _BEYOND) if p >= 0]
-    if hits:
-        good = min(good, column.count(" ", 0, min(hits) + 1))
-    if column.startswith("i"):
-        good = 0
-    if good < len(coefs):
-        column = " ".join(coefs[:good])
+    column = " ".join(tokens)
+    raw = column.encode("utf-8", "surrogatepass")
+    left = raw.translate(None, _LITERAL_BYTES)
+    stop = raw.find(left[:1]) if left else len(raw)
+    if raw.find(b"i", 0, stop) >= 0:
+        text = np.frombuffer(raw, np.uint8, stop)
+        at = np.flatnonzero(text == ord("i"))
+        lone = at[(at == 0) | (text[at - 1] < ord("."))]  # after a space or a sign, the bytes below '.'
+        stop = lone[0] if len(lone) else stop
+    if stop < len(raw):  # the tokens wholly before the first bad byte, which is ASCII
+        column = raw[:stop].rpartition(b" ")[0].decode("ascii")
+        if not column:
+            return []
     vals: list[complex] = []
     try:
         vals.extend(map(complex, column.replace("i", "j").split(" ")))
-    except ValueError:  # list.extend keeps the values before it: 1e, 1+2, 1.2.3, 1ei, x, no token
+    except ValueError:  # list.extend keeps the values before it: 1e, 1+2, 1.2.3, 1ei, +, no token
         pass
     return vals
 
 
-def _read_terms(coefs: list[str], syms: list[str], index: dict[str, int], start: int = 0,
-                malformed: str = _COEFFICIENT) -> tuple[list[complex], list[int]]:
-    """The values of the literals ``coefs`` and the indices of the symbols ``syms``.
+def _lincomb_fault(tokens: list[str], start: int, index: dict[str, int]) -> _Fault:
+    """The fault of the refused lincomb ``tokens[start:]``: its first bad token in token order.
 
-    The two columns interleave as a lincomb written from token ``start``:
-    ``coefs[t]`` is token ``start + 3t`` and ``syms[t]`` token ``start + 3t + 1``.
-    Each column is converted at once; on a fault, the terms are walked in
-    token order over the values read and the first bad token is the fault.
-    """
-    vals = _complexes(coefs)
-    cols = list(map(index.get, syms))
-    if len(vals) == len(coefs) and all(map(isfinite, vals)) and None not in cols:
-        return vals, cols
-    for t, coef in enumerate(coefs):
-        if t == len(vals):
-            raise _Fault(start + 3 * t, malformed.format(coef))
-        if not isfinite(vals[t]):
-            raise _Fault(start + 3 * t, "non-finite coefficient")
-        if t < len(syms) and cols[t] is None:
-            raise _Fault(start + 3 * t + 1, f"unknown basis symbol {syms[t]!r}")
-
-
-def _lincomb(tokens: list[str], start: int, index: dict[str, int]) -> tuple[list[complex], list[int]]:
-    """The values and symbol indices of the lincomb in ``tokens[start:]``.
-
-    A bad literal or symbol before a shape fault is the fault reported; a
-    sum of one symbol's coefficients is checked only when a symbol repeats.
+    Its coefficients up to its first bad separator are converted by one
+    ``_literals`` call, and its terms are walked over the values read: a bad
+    literal, a non-finite value or an unknown symbol before its shape fault
+    is the fault.  A refused lincomb of sound shape and tokens has a symbol
+    whose coefficients sum past the float range.
     """
     body = tokens[start:]
-    if body == ["0"]:
-        return [], []
     if not body:
-        raise _Fault(start, "empty linear combination (zero is written 0)")
+        return _Fault(start, "empty linear combination (zero is written 0)")
     coefs, syms, plus = body[::3], body[1::3], body[2::3]
-    shape = None
+    fault = _Fault(start, "non-finite coefficient")
     if plus.count("+") != len(plus):
         q = next(q for q, sep in enumerate(plus) if sep != "+")
-        shape = _Fault(start + 3 * q + 2, f"expected '+', got {plus[q]!r}")
-        coefs, syms = coefs[:q + 1], syms[:q + 1]
+        fault = _Fault(start + 3 * q + 2, f"expected '+', got {plus[q]!r}")
+        coefs = coefs[:q + 1]
     elif len(body) % 3 == 1:
-        shape = _Fault(len(tokens) - 1, "coefficient without a basis symbol")
+        fault = _Fault(len(tokens) - 1, "coefficient without a basis symbol")
     elif len(body) % 3 == 0:
-        shape = _Fault(len(tokens) - 1, "dangling '+' at end of line")
-    vals, cols = _read_terms(coefs, syms, index, start)
-    if shape is not None:
-        raise shape
-    if len(set(cols)) < len(cols) and not _sums_finite(vals, cols):
-        raise _Fault(start, "non-finite coefficient")
-    return vals, cols
+        fault = _Fault(len(tokens) - 1, "dangling '+' at end of line")
+    vals = _literals(coefs)
+    for t, coef in enumerate(coefs):
+        if t == len(vals):
+            return _Fault(start + 3 * t, f"expected a complex coefficient, got {coef!r}")
+        if not isfinite(vals[t]):
+            return _Fault(start + 3 * t, "non-finite coefficient")
+        if t < len(syms) and syms[t] not in index:
+            return _Fault(start + 3 * t + 1, f"unknown basis symbol {syms[t]!r}")
+    return fault
 
 
-def _sums_finite(vals: list[complex], cols: list[int]) -> bool:
-    """Whether each symbol's coefficients sum, in term order, to a finite value.
+def _terms(coefs: list[str], syms: list[str], counts: list[int], index: dict[str, int]) -> np.ndarray | None:
+    """The vectors over ``index`` of staged lincombs, or None if any of them is faulty.
 
-    Finite coefficients can sum to inf; the sum starts from 0j, as the
-    scatter of ``_vectors`` does.
+    Lincomb ``r`` has ``counts[r]`` terms, which follow those of the lincombs
+    before it in ``coefs`` (coefficient tokens) and ``syms`` (symbol tokens).
+    They are accepted exactly when every literal reads (``_literals``), every
+    symbol is known and every vector is finite.  One ``np.add.at`` scatters
+    the values; it sums the coefficients of a repeated symbol in term order
+    from 0, so a non-finite value, or a sum of finite ones past the float
+    range, shows in its vector.
     """
-    sums: dict[int, complex] = {}
-    for col, val in zip(cols, vals):
-        sums[col] = sums.get(col, 0j) + val
-    return all(map(isfinite, sums.values()))
+    vals = _literals(coefs)
+    if len(vals) < len(coefs):
+        return None
+    try:
+        cols = np.fromiter(map(index.get, syms), np.intp, len(syms))
+    except TypeError:  # an unknown symbol (None)
+        return None
+    vecs = np.zeros((len(counts), len(index)), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(vecs, (np.repeat(np.arange(len(counts)), counts), cols), vals)
+    return vecs if np.isfinite(vecs).all() else None
 
 
-def _vectors(counts: list[int], vals, cols, n: int) -> np.ndarray:
-    """The length-``n`` vectors of lincombs read by ``_lincomb``, built by one scatter.
-
-    Lincomb ``r`` has ``counts[r]`` terms, which follow the terms of the
-    lincombs before it in the flat sequences ``vals`` and ``cols``.
-    ``np.add.at`` sums the coefficients of a repeated symbol in the order
-    ``_sums_finite`` summed them to check them.
-    """
-    out = np.zeros((len(counts), n), dtype=complex)
-    rows = np.repeat(np.arange(len(counts)), counts)
-    np.add.at(out, (rows, np.asarray(cols, np.intp)), np.asarray(vals, complex))
-    return out
+def _is_lincomb(body: list[str]) -> bool:
+    """Whether ``body`` has the shape of a lincomb: ``0``, or ``coef sym`` terms joined by ``+``."""
+    plus = body[2::3]
+    return body == ["0"] or len(body) % 3 == 2 and plus.count("+") == len(plus)
 
 
 def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagnostic]]:
@@ -272,18 +252,22 @@ def parse_lincomb(text: str, labels) -> tuple[np.ndarray | None, list[ParseDiagn
     """
     tokens = text.split("#", 1)[0].split()
     index = {lab: i for i, lab in enumerate(labels)}
-    try:
-        vals, cols = _lincomb(tokens, 0, index)
-    except _Fault as fault:
-        return None, [fault.diagnostic(1, text)]
-    return _vectors([len(cols)], vals, cols, len(index))[0], []
+    vecs = None
+    if _is_lincomb(tokens):
+        body = [] if tokens == ["0"] else tokens
+        vecs = _terms(body[::3], body[1::3], [len(body[1::3])], index)
+    if vecs is None:
+        return None, [_lincomb_fault(tokens, 0, index).diagnostic(1, text)]
+    return vecs[0], []
 
 
 def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tuple:
-    """Store one ``death``, ``state``, ``star`` or ``mul`` line in its ``table``; return its key.
+    """Check one ``death``, ``state``, ``star`` or ``mul`` line against its ``table``; return its key.
 
-    A lincomb's values and symbol indices, as ``_lincomb`` reads them, are
-    appended to the term arrays of its ``_Lincombs`` table.
+    A death or a state is stored in ``table``.  A ``star`` or ``mul`` line
+    comes here only when its table has refused it, and this raises its
+    fault: a failed usage, key or duplicate check, else its lincomb's first
+    bad token (``_lincomb_fault``).
     """
     n_sym, value, duplicate = row
     eq = 1 + n_sym
@@ -300,177 +284,111 @@ def _declare(tokens: list[str], row, index: dict[str, int], table: dict) -> tupl
         key, stored = (), key[0]
     if key in table:
         raise _Fault(1 if key else 0, duplicate.format(*tokens[1:eq]))
+    if value == "<lincomb>":
+        raise _lincomb_fault(tokens, eq + 1, index)
     if value == "<complex>":
-        (stored,), _ = _read_terms(tokens[eq + 1:], [], index, eq + 1, "bad complex literal {!r}")
-    elif value == "<lincomb>":
-        vals, cols = _lincomb(tokens, eq + 1, index)
-        table.vals.append(np.array(vals, complex))
-        table.cols.append(np.array(cols, np.intp))
-        stored = len(cols)
+        stored = parse_complex(tokens[eq + 1])
+        if stored is None:
+            raise _Fault(eq + 1, f"bad complex literal {tokens[eq + 1]!r}")
+        if not isfinite(stored):
+            raise _Fault(eq + 1, "non-finite coefficient")
     table[key] = stored
     return key
 
 
-def _terms(coefs: list[str], syms: list[str], repeats: list[tuple[int, int]],
-           index: dict[str, int]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The values and symbol indices of a batch's terms, or None if any term is faulty.
-
-    ``coefs[t]`` and ``syms[t]`` are the coefficient and symbol tokens of term
-    ``t``; ``repeats`` holds the (start, stop) terms of each line that
-    repeats a symbol.  The batch is accepted exactly when ``_lincomb`` accepts
-    each of its lines: every literal is read as the grammar reads it, every
-    symbol is known, and every value and every sum of one line's repeated
-    symbol is finite.  The joined coefficient column is checked by one ASCII
-    test and one ``bytes.translate`` for bytes outside the literals'
-    alphabet, and its lone ``i`` by one numpy scan: past that alphabet, an
-    ``i`` that ``complex`` would read alone starts the column or follows a
-    space or a sign, the only bytes below ``.``.  Then it is converted by one
-    ``map(complex, ...)``, its symbols by one ``map(index.get, ...)``.
-    """
-    if not coefs:
-        return np.empty(0, complex), np.empty(0, np.intp)
-    column = " ".join(coefs)
-    if not column.isascii():
-        return None
-    raw = column.encode("ascii")
-    text = np.frombuffer(raw, np.uint8)
-    before_i = text[np.flatnonzero(text == ord("i")) - 1]
-    if raw.translate(None, _LITERAL_BYTES) or column.startswith("i") or (before_i < ord(".")).any():
-        return None
-    try:
-        vals = np.fromiter(map(complex, column.replace("i", "j").split(" ")), complex, len(coefs))
-        cols = np.fromiter(map(index.get, syms), np.intp, len(syms))
-    except (ValueError, TypeError):  # a literal complex() cannot read, or an unknown symbol (None)
-        return None
-    if not np.isfinite(vals).all():
-        return None
-    for start, stop in repeats:
-        if not _sums_finite(vals[start:stop].tolist(), cols[start:stop].tolist()):
-            return None
-    return vals, cols
-
-
 class _Lincombs(dict):
-    """A ``star`` or ``mul`` table: key -> term count, and the terms of its lines.
+    """A ``star`` or ``mul`` table of ``lines``: key -> line number, and the vectors of its lines.
 
-    ``vals`` and ``cols`` hold the converted terms, one array per batch (or
-    per line read on its own), in line order.  ``coefs``, ``syms`` and
-    ``repeats`` hold the terms staged since the last conversion.
+    ``stage`` gives a line the checks that need no conversion, stores its
+    key and stages its coefficient and symbol tokens in ``coefs`` and
+    ``syms`` and its term count in ``counts``; the staged lines are the last
+    ``len(counts)`` keys.  ``convert`` converts them at once (``_terms``)
+    and appends their vectors to ``vecs``, in line order.  A conversion that
+    finds a fault takes the staged keys back and stages and converts each
+    staged line alone; a line refused alone gets its diagnostic, in
+    ``diags``, from ``_declare``.  So a refused line stores nothing, and a
+    later line with its key is no duplicate.
     """
 
-    def __init__(self, n_sym: int):
+    def __init__(self, keyword: str, lines: list[str], index: dict[str, int]):
         super().__init__()
-        self.eq = 1 + n_sym  # the index of the '=' token
-        self.vals: list[np.ndarray] = [np.empty(0, complex)]
-        self.cols: list[np.ndarray] = [np.empty(0, np.intp)]
+        self.row, self.lines, self.index = _DECLARATIONS[keyword], lines, index
+        self.eq = 1 + self.row[0]  # the index of the '=' token
+        self.vecs: list[np.ndarray] = []
+        self.diags: list[ParseDiagnostic] = []
         self.coefs: list[str] = []
         self.syms: list[str] = []
-        self.repeats: list[tuple[int, int]] = []
+        self.counts: list[int] = []
 
-    def stage(self, tokens: list[str], index: dict[str, int]) -> int | None:
-        """Store the line's key and stage its terms; their count, or None on a fault found unconverted.
+    def stage(self, lineno: int, tokens: list[str]) -> bool:
+        """Store line ``lineno``'s key and stage its terms; False, storing nothing, if it is refused.
 
-        Those faults are a wrong usage or ``=``, an unknown key symbol, a
-        duplicate key, a missing ``+``, a coefficient without a symbol and a
-        dangling ``+``; a line with one of them stores nothing.
+        It is refused for a wrong usage or ``=``, an unknown key symbol, a
+        duplicate key, a missing ``+``, a coefficient without a symbol or a
+        dangling ``+``.  A key of a staged line is a duplicate only once that
+        line is converted, so the table is converted first.  The table is
+        also converted once its staged lines hold ``_BATCH_TERMS`` terms.
         """
         eq = self.eq
-        key = tuple(map(index.get, tokens[1:eq]))
         body = tokens[eq + 1:]
-        plus = body[2::3]
-        if (len(body) % 3 != 2 and body != ["0"] or tokens[eq] != "=" or plus.count("+") != len(plus)
-                or None in key or key in self):
-            return None
-        if body == ["0"]:
-            self[key] = 0
-            return 0
-        syms = body[1::3]
-        if len(syms) > 1 and len(set(syms)) < len(syms):
-            self.repeats.append((len(self.coefs), len(self.coefs) + len(syms)))
-        self.coefs += body[::3]
-        self.syms += syms
-        self[key] = len(syms)
-        return len(syms)
+        key = tuple(map(self.index.get, tokens[1:eq]))
+        if not _is_lincomb(body) or tokens[eq] != "=" or None in key or key in self:
+            if key in self and self.counts:
+                self.convert()
+                return self.stage(lineno, tokens)
+            return False
+        self[key] = lineno
+        syms = body[1::3]  # none for 0
+        self.counts.append(len(syms))
+        if syms:
+            self.coefs += body[::3]
+            self.syms += syms
+            if len(self.coefs) >= _BATCH_TERMS:
+                self.convert()
+        return True
 
-
-class _Batch:
-    """The ``star`` and ``mul`` lines of ``lines`` read since the last conversion of their terms.
-
-    ``add`` stages a line in its table (``_Lincombs.stage``).  The staged
-    terms are converted by ``_terms``, one call per table, once they number
-    ``_BATCH_TERMS`` and at the end of the text.  A batch that holds any
-    fault is re-read a line at a time by ``_declare``, from the tables as
-    they were before it, so its diagnostics and stored lines are those of
-    that reader: a faulty line stores nothing, and a later line with its key
-    is no duplicate.
-    """
-
-    def __init__(self, lines: list[str], tables: dict[str, _Lincombs], index: dict[str, int]):
-        self.lines, self.tables, self.index = lines, tables, index
-        self.start = 0  # the line number of the batch's first line, 0 for an empty batch
-        self.sizes: list[int] = []  # the tables' sizes before the batch
-        self.terms = 0
-
-    def add(self, lineno: int, tokens: list[str]) -> list[ParseDiagnostic]:
-        """Stage line ``lineno``; the batch's diagnostics if it is converted now."""
-        if not self.start:
-            self.start, self.sizes = lineno, [len(t) for t in self.tables.values()]
-        count = self.tables[tokens[0]].stage(tokens, self.index)
-        if count is None:
-            return self.flush(lineno, faulted=True)
-        self.terms += count
-        return self.flush(lineno) if self.terms >= _BATCH_TERMS else []
-
-    def flush(self, end: int, faulted: bool = False) -> list[ParseDiagnostic]:
-        """Convert the batch, which ends at line ``end``, or re-read it on a fault; its diagnostics."""
-        tables = list(self.tables.values())
-        terms = [] if faulted else [_terms(t.coefs, t.syms, t.repeats, self.index) for t in tables]
-        for t in tables:
-            t.coefs, t.syms, t.repeats = [], [], []
-        diags = []
-        if faulted or any(term is None for term in terms):
-            for table, size in zip(tables, self.sizes):
-                while len(table) > size:
-                    table.popitem()  # the batch's keys, stored last
-            for lineno in range(self.start, end + 1):
-                line = self.lines[lineno - 1]
-                tokens = line.split("#", 1)[0].split()
-                if tokens and tokens[0] in self.tables:
-                    try:
-                        _declare(tokens, _DECLARATIONS[tokens[0]], self.index, self.tables[tokens[0]])
-                    except _Fault as fault:
-                        diags.append(fault.diagnostic(lineno, line))
-        else:
-            for table, (vals, cols) in zip(tables, terms):
-                table.vals.append(vals)
-                table.cols.append(cols)
-        self.start, self.terms = 0, 0
-        return diags
+    def convert(self) -> None:
+        """Convert the staged lines, or read them again on a fault."""
+        vecs = _terms(self.coefs, self.syms, self.counts, self.index)
+        staged = len(self.counts)
+        self.coefs, self.syms, self.counts = [], [], []
+        if vecs is not None:
+            self.vecs.append(vecs)
+            return
+        for lineno in [self.popitem()[1] for _ in range(staged)][::-1]:  # the staged keys, stored last
+            line = self.lines[lineno - 1]
+            tokens = line.split("#", 1)[0].split()
+            if staged == 1:  # refused alone
+                try:
+                    _declare(tokens, self.row, self.index, self)
+                except _Fault as fault:
+                    self.diags.append(fault.diagnostic(lineno, line))
+            elif self.stage(lineno, tokens) and self.counts:
+                self.convert()
 
 
 def _read(lines: list[str]):
     """Every declaration of ``lines``: name, labels, declared, declared_at, diagnostics.
 
     Each line reports at most one fault, and a line with a fault stores
-    nothing.  The ``star`` and ``mul`` lines are read in batches (``_Batch``),
-    whose diagnostics come when a batch is converted; the diagnostics are
-    returned in line order.
+    nothing.  A ``star`` or ``mul`` line is staged in its table
+    (``_Lincombs``), which holds its diagnostic if it is refused in
+    conversion; the diagnostics are returned in line order.
     """
     diags: list[ParseDiagnostic] = []
     name: str | None = None
     labels: list[str] | None = None
     index: dict[str, int] = {}
-    declared: dict[str, dict] = {kw: _Lincombs(row[0]) if row[1] == "<lincomb>" else {}
+    declared: dict[str, dict] = {kw: _Lincombs(kw, lines, index) if row[1] == "<lincomb>" else {}
                                  for kw, row in _DECLARATIONS.items()}
-    batch = _Batch(lines, {kw: t for kw, t in declared.items() if isinstance(t, _Lincombs)}, index)
+    tables = {kw: table for kw, table in declared.items() if isinstance(table, _Lincombs)}
     declared_at: dict[tuple, int] = {}  # (keyword, key) -> line number, for the death and states
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
         kw = tokens[0]
-        if kw in batch.tables and labels is not None:
-            diags += batch.add(lineno, tokens)
+        if kw in tables and labels is not None and tables[kw].stage(lineno, tokens):
             continue
         try:
             if kw == "algebra":
@@ -507,17 +425,17 @@ def _read(lines: list[str]):
                 raise _Fault(0, f"unknown keyword {kw!r}")
         except _Fault as fault:
             diags.append(fault.diagnostic(lineno, line))
-    if batch.start:
-        diags += batch.flush(len(lines))
+    for table in tables.values():
+        table.convert()
+        diags += table.diags
     diags.sort(key=lambda d: d.line)  # stable: one diagnostic per line
     return name, labels, declared, declared_at, diags
 
 
 def _rows(table: _Lincombs, n_sym: int, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """A ``star`` or ``mul`` table: one index array per key symbol, and the vectors."""
-    keys = np.array(list(table), dtype=np.intp).reshape(-1, n_sym)
-    return tuple(keys.T), _vectors(list(table.values()), np.concatenate(table.vals),
-                                   np.concatenate(table.cols), n)
+    keys = np.fromiter(chain.from_iterable(table), np.intp, n_sym * len(table)).reshape(-1, n_sym)
+    return tuple(keys.T), np.concatenate([np.zeros((0, n), complex), *table.vecs])
 
 
 def parse(text: str, tol: float = ItoAlgebra.tol) -> ParseResult:
@@ -530,7 +448,9 @@ def parse(text: str, tol: float = ItoAlgebra.tol) -> ParseResult:
     if not 0 <= tol < np.inf:
         diag = ParseDiagnostic(0, 0, "tol must be finite and nonnegative")
         return ParseResult(None, [diag])
-    lines = text.splitlines()
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty rest after a final line end
     name, labels, declared, declared_at, diags = _read(lines)
 
     end = len(lines) + 1

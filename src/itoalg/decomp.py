@@ -145,7 +145,7 @@ def decompose(alg: ItoAlgebra) -> Decomposition:
     y_star = np.conj(y_basis) @ alg.star
     w = pairs(y_basis, y_basis)
     # The death annihilates, so x_i . x_j = a_i . a_j and k of it reads off the table.
-    kprods = alg.mult @ K.T  # k(x_i . x_j) as [i, j]
+    kprods = np.swapaxes(rep._products, 1, 2)  # k(x_i . x_j) as [i, j]
     kept = y_idx + z_idx
     # Levy support: on E H the operator algebra is nondegenerate, and the
     # k-image of the product span matches the Levy k-image (density in

@@ -27,7 +27,8 @@ exact right inverse and i(a_i) is k(a_i . -) times it: nothing is solved.
 The identities above are the ``covariance``, ``kolmogorov`` and
 ``star_adjoint`` checks of ``FundamentalRep.report``, with ``death_unit``:
 triangular(death) is the matrix unit in the corner.  The report is a
-``core.Report``, computed on first access from ``mats`` and the table, and
+``core.Report``, computed on first access from ``mats``, the table and the
+table's product with K, which is formed once per representation, and
 ``build_representation`` raises on any failing check; the kernel reads
 none of them.  Every raise names the failing checks through
 ``Report.require``.
@@ -156,6 +157,12 @@ class FundamentalRep:
         return out
 
     @cached_property
+    def _products(self) -> np.ndarray:
+        """``_k_products`` of the table and ``kmat``; ``construct_gns`` keeps the one it built from."""
+        with np.errstate(all="ignore"):
+            return _k_products(self.algebra.mult, self.kmat)
+
+    @cached_property
     def report(self) -> Report:
         """The identities of the representation, computed on first access from ``mats`` and the table.
 
@@ -167,10 +174,10 @@ class FundamentalRep:
         """
         alg, n, d, K = self.algebra, self.algebra.dim, self.hdim, self.kmat
         with np.errstate(all="ignore"):
-            KP = np.swapaxes((alg.mult.reshape(n * n, n) @ K.T).reshape(n, n, d), 1, 2)
             star_i = (alg.star @ self.imats.reshape(n, d * d)).reshape(n, d, d)
             checks = (
-                Check("covariance", worst_residual(rel_residuals(self.imats @ K, KP))),
+                # i(a_i) k(a_j) = k(a_i . a_j): the product's rows lie in the kept space
+                Check("covariance", worst_residual(rel_residuals(self.imats @ K, self._products))),
                 Check("kolmogorov", rel_residual(self.kdmat @ self.kmat, alg.mult @ alg.state)),
                 Check("star_adjoint", rel_residual(star_i, np.conj(np.swapaxes(self.imats, 1, 2)))),
                 Check("death_unit", rel_residual(triangular(self, alg.death), np.eye(d + 2, k=d + 1))),
@@ -187,6 +194,12 @@ def _block_columns(mats: np.ndarray) -> np.ndarray:
     builtin tables, where row order does not.
     """
     return np.swapaxes(mats[:, :-1, 1:], 1, 2).reshape(len(mats), -1)
+
+
+def _k_products(mult: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``KP[i] = K @ mult[i].T``, whose column j is k(a_i . a_j), by one matrix product."""
+    n, d = len(mult), len(K)
+    return np.swapaxes((mult.reshape(n * n, n) @ K.T).reshape(n, n, d), 1, 2)
 
 
 class Seminorms(NamedTuple):
@@ -257,16 +270,18 @@ def construct_gns(alg: ItoAlgebra) -> FundamentalRep:
     hdim = V.shape[1]
     K = np.sqrt(evals)[:, None] * V.conj().T
 
-    # KP[i] = K @ mult[i].T, whose column j is k(a_i . a_j).  K has orthogonal
-    # rows, so V diag(1/sqrt(evals)) is its exact right inverse (its pseudoinverse).
-    KP = np.swapaxes((alg.mult.reshape(n * n, n) @ K.T).reshape(n, n, hdim), 1, 2)
+    # K has orthogonal rows, so V diag(1/sqrt(evals)) is its exact right inverse
+    # (its pseudoinverse), and i(a_i) = KP[i] times it
+    KP = _k_products(alg.mult, K)
     mats = np.zeros((n, hdim + 2, hdim + 2), dtype=complex)
     mats[:, 0, 1:-1] = np.conj(alg.star @ K.T)   # kdag(a) = k(a*)^dag
     mats[:, 0, -1] = alg.state
     mats[:, 1:-1, 1:-1] = KP @ (V / np.sqrt(evals))
     mats[:, 1:-1, -1] = K.T
     mats += 0.0   # -0.0 (from conj) -> +0.0, as triangular(rep, e_i) writes it
-    return FundamentalRep(algebra=alg, mats=mats, eigenvalues=evals)
+    rep = FundamentalRep(algebra=alg, mats=mats, eigenvalues=evals)
+    rep.__dict__["_products"] = KP   # the cached value of rep._products, formed once
+    return rep
 
 
 def minkowski_metric(hdim: int) -> np.ndarray:

@@ -135,7 +135,7 @@ def ref_parse_complex(token: str) -> complex | None:
 def ref_read_lincomb(tokens: list[str], start: int, index: dict[str, int]) -> np.ndarray:
     """Reference lincomb reader: one token at a time, raising ``adsl._Fault`` at the first fault.
 
-    The oracle for ``adsl._lincomb``, which converts a line's columns at once.
+    The oracle for ``parse_lincomb``, which converts a line's columns at once.
     """
     def read_complex(k: int) -> complex:
         z = ref_parse_complex(tokens[k])

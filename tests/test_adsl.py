@@ -244,7 +244,23 @@ class TestComplexLiterals:
         # complex's own syntax (inf, NAN, Infinity, 1_0, (1+2j), j, 1J, non-ASCII digits)
         # is not a literal, and neither is an i that starts a token: i, i1, i+1
         token = head + tail
-        assert parse_complex(token) == ref_parse_complex(token)
+        want = ref_parse_complex(token)
+        assert parse_complex(token) == want
+        if token.split() != [token]:
+            return
+        # the same token as a state value, and as a coefficient inside a batch of mul lines
+        state = parse(HEAD_A + f"state a = {token}\n")
+        batch = parse(HEAD_A + f"mul a a = 1 dt + 2i a\nmul a dt = {token} a + 1 dt\nmul dt a = 3 a\n")
+        if want is not None and np.isfinite(want):
+            assert state.algebra.state[1] == want
+            assert batch.algebra.mult[1, 0].tolist() == [1, want]
+            assert batch.algebra.mult[1, 1].tolist() == [1, 2j] and batch.algebra.mult[0, 1, 1] == 3
+        else:
+            bad = "non-finite coefficient" if want is not None else None
+            assert [(d.line, d.column, d.message) for d in state.diagnostics] == [
+                (4, 11, bad or f"bad complex literal {token!r}")]
+            assert [(d.line, d.column, d.message) for d in batch.diagnostics] == [
+                (5, 12, bad or f"expected a complex coefficient, got {token!r}")]
 
 
 class TestLincomb:
@@ -435,16 +451,32 @@ class TestTableCodec:
         ]
 
     def test_file_is_read_once(self, monkeypatch):
-        # a bad literal on the last line is that line's diagnostic; the line reader reads each
-        # line once, in order: the star and mul lines when their batch's conversion finds the fault
-        calls = []
-        declare = adsl._declare
-        monkeypatch.setattr(adsl, "_declare", lambda *args: calls.append(args[0]) or declare(*args))
+        # a bad literal on the last line is that line's diagnostic; a staged line is read again at
+        # most once, in line order, when its table's conversion finds the fault, and _declare runs
+        # only for the death and state lines and the refused line
+        staged, declared = [], []
+        stage, declare = adsl._Lincombs.stage, adsl._declare
+        monkeypatch.setattr(adsl._Lincombs, "stage",
+                            lambda table, n, tokens: staged.append(n) or stage(table, n, tokens))
+        monkeypatch.setattr(adsl, "_declare", lambda *args: declared.append(args[0]) or declare(*args))
         text = WIENER_FILE + "star dw = 1 dw\nmul dt dw = 0\nmul dw dt = 1x dt\n"
         result = parse(text)
         assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
             (8, 13, "expected a complex coefficient, got '1x'")]
-        assert [tokens[0] for tokens in calls] == ["death", "state", "mul", "star", "mul", "mul"]
+        assert staged == [5, 6, 7, 8, 5, 7, 8]
+        assert declared == [["death", "dt"], ["state", "dt", "=", "1"], "mul dw dt = 1x dt".split()]
+
+    def test_faulty_star_line_rereads_no_mul_line(self, monkeypatch):
+        # each table converts and re-reads its own lines: the star fault is found without the
+        # mul lines around it being read again
+        declared = []
+        declare = adsl._declare
+        monkeypatch.setattr(adsl, "_declare", lambda *args: declared.append(args[0][0]) or declare(*args))
+        text = WIENER_FILE + "mul dt dw = 0\nstar dw = 1x dw\nmul dw dt = 0\n"
+        result = parse(text)
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+            (7, 11, "expected a complex coefficient, got '1x'")]
+        assert declared == ["death", "state", "star"]
 
 
 def _read_in_batches(text: str, terms: int) -> tuple:
@@ -521,6 +553,20 @@ class TestBatches:
         ]
         assert (diags, tables) == _read_in_batches(text, 1)
 
+    def test_a_conversion_holds_a_bounded_batch(self, monkeypatch):
+        # a table converts its staged lines once they hold _BATCH_TERMS terms, so no conversion
+        # holds the whole coefficient column of a long text
+        sizes = []
+        terms = adsl._terms
+        monkeypatch.setattr(adsl, "_terms", lambda coefs, *a: sizes.append(len(coefs)) or terms(coefs, *a))
+        n = 24
+        text = serialize(_random_table(n, 3, ("dt", *(f"s{k}" for k in range(n - 1)))))
+        with np.errstate(all="ignore"):
+            assert parse(text).ok
+        assert sum(sizes) == sum((len(line.split(" = ")[1].split()) + 1) // 3 for line in text.splitlines()
+                                 if line.startswith(("star", "mul")))
+        assert len(sizes) > 3 and max(sizes) < adsl._BATCH_TERMS + n
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6))
     def test_batch_size_changes_nothing(self, seed, terms):
@@ -535,6 +581,27 @@ class TestBatches:
             lines.append(" ".join([kw, *keys, "=", *rng.choice(pool, rng.integers(0, 8)).tolist()]))
         text = "\n".join(lines)
         assert _read_in_batches(text, terms) == _read_in_batches(text, 10**9)
+
+
+class TestLineEnds:
+    """Lines end at \\n, \\r\\n or \\r, as text-mode open() reads them; other whitespace separates tokens."""
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x1c", "\x1d", "\x1e", "\x85", "\x0c", "\x0b"])
+    def test_other_line_breaks_end_no_line(self, sep):
+        # str.splitlines would break the comment here, read 'b' as a keyword and move the fault
+        result = parse(f"basis dt dw\ndeath dt\nstate dt = 1 # a{sep}b\nmul dw dw = 1x dt\n")
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+            (4, 13, "expected a complex coefficient, got '1x'")]
+        alg = parse_strict(f"basis dt{sep}dw\ndeath dt\nstate dt = 1\nmul dw dw{sep}={sep}1 dt\n")
+        assert alg.labels == ("dt", "dw") and alg.mult[1, 1, 0] == 1
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, end):
+        text = end.join(["basis dt dw", "death dt", "state dt = 1", "mul dw dw = 1x dt", ""])
+        result = parse(text)
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+            (4, 13, "expected a complex coefficient, got '1x'")]
+        assert parse(end.join(["basis dt", "state dt = 1", ""])).diagnostics[-1].line == 3
 
 
 class TestTotality:

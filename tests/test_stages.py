@@ -25,6 +25,7 @@ STAGES = {
     ia.ideal.faithfulness_ideal: "faithfulness_ideal",
     ia.gns.build_representation: "build_representation",
     ia.gns.construct_gns: "construct_gns",
+    ia.gns._k_products: "k_products",
 }
 COMMANDS = {
     "check": (),
@@ -81,6 +82,7 @@ def test_each_stage_runs_once(ito_paths, capsys, stage_calls, name, command):
     assert stage_calls["faithfulness_ideal"] <= 1
     assert stage_calls["build_representation"] <= 1
     assert stage_calls["construct_gns"] <= 1
+    assert stage_calls["k_products"] == stage_calls["construct_gns"]  # the table times K, once
     if command in ("check", "represent", "decompose"):
         assert stage_calls["construct_gns"] == 1
 
@@ -88,13 +90,14 @@ def test_each_stage_runs_once(ito_paths, capsys, stage_calls, name, command):
 @pytest.mark.parametrize("command, computed", [("check", ["kernel"]), ("represent", ["kernel", "report"])],
                          ids=["check", "represent"])
 def test_only_a_representation_computes_its_identities(ito_paths, capsys, monkeypatch, command, computed):
-    # the cached properties of the kept alg.gns: check reads the kernel only, represent its report too
+    # the cached properties of the kept alg.gns: construct_gns keeps the table's product with K,
+    # which it formed; check reads the kernel only, represent its report too
     built, construct = [], ia.gns.construct_gns
     monkeypatch.setattr(ia.gns, "construct_gns", lambda alg: built.append(construct(alg)) or built[-1])
     assert main([command, str(ito_paths["hp2"])]) == 0
     capsys.readouterr()
     [rep] = built
-    assert sorted(set(vars(rep)) - {"algebra", "mats", "eigenvalues"}) == computed
+    assert sorted(set(vars(rep)) - {"algebra", "mats", "eigenvalues"}) == ["_products", *computed]
 
 
 def test_check_tol_verifies_the_axioms_once(ito_paths, capsys, stage_calls):

@@ -16,8 +16,9 @@ identical, 1 otherwise.  ``--out DIR`` keeps the inputs and both JSONL files.
 
 The matrix is every catalog table at its defaults, the benchmark's ladder
 rungs and its six rotated tables (seed 1), and broken ``.ito`` texts: the
-faults of the format, tables that fail an axiom, and catalog and rotated
-texts with a few characters overwritten.
+faults of the format, tables that fail an axiom, texts of more than two of
+the reader's conversion batches with a fault or a reused key across
+batches, and catalog and rotated texts with a few characters overwritten.
 Each runs ``check``, ``represent``, ``represent --latex``, ``decompose``,
 ``norms`` on an element of its basis, and ``simulate`` with both models,
 in text and with ``--json``; hp(6) runs ``check`` only.  ``catalog`` runs once
@@ -62,6 +63,28 @@ BROKEN = {
     "not_associative": "basis dt a\ndeath dt\nstate dt = 1\nmul a a = 1 a + 1 dt\nmul a dt = 1 a\n",
     "non_faithful": "basis dt dw dz\ndeath dt\nstate dt = 1\nmul dw dw = 1 dt\n",
 }
+
+
+def _wide(inserted: dict[int, str]) -> str:
+    """A 31-symbol text of 900 mul lines of 10 terms, ``inserted[k]`` written before mul line k.
+
+    Its 9000 terms fill more than two conversion batches of the reader, so a
+    fault is found in one batch while another is staged.
+    """
+    syms = [f"s{k}" for k in range(30)]
+    lines = ["basis dt " + " ".join(syms), "death dt", "state dt = 1"]
+    for k, (a, b) in enumerate((a, b) for a in syms for b in syms):
+        if k in inserted:
+            lines.append(inserted[k])
+        lines.append(f"mul {a} {b} = " + " + ".join(f"{t + 1} {syms[(k + t) % 30]}" for t in range(10)))
+    return "\n".join(lines) + "\n"
+
+
+BROKEN.update({
+    "star_between_batches": _wide({450: "star s0 = 1x s1"}),
+    "refused_key_reused": _wide({10: "mul dt s0 = 1x dt", 600: "mul dt s0 = 1 s0"}),
+    "late_duplicate": _wide({5: "mul dt s1 = 1 dt", 700: "mul dt s1 = 2 dt"}),
+})
 MUTATIONS = 32  # mutated catalog and rotated texts in the full matrix
 # what a mutation writes over one character: printable ASCII, a non-ASCII digit and letter
 EDITS = [chr(c) for c in range(32, 127)] + ["\u0663", "\u00e9"]
