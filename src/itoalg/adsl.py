@@ -330,8 +330,10 @@ class _Lincombs(dict):
         also converted once its staged lines hold ``_BATCH_TERMS`` terms.
         """
         eq = self.eq
-        body = tokens[eq + 1:]
-        key = tuple(map(self.index.get, tokens[1:eq]))
+        if len(tokens) < eq:   # no whole key, so no staged line's key either
+            return False
+        body, get = tokens[eq + 1:], self.index.get
+        key = (get(tokens[1]),) if eq == 2 else (get(tokens[1]), get(tokens[2]))
         if not _is_lincomb(body) or tokens[eq] != "=" or None in key or key in self:
             if key in self and self.counts:
                 self.convert()

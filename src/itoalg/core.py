@@ -28,10 +28,21 @@ rank checks of ``decomp.decompose``), by the ``gram_schmidt`` keep rule, by
 the GNS space and its degenerate window in ``gns._pin_eigenbasis``, by the
 zero blocks of ``ideal.quotient``, by the component supports and moving
 atoms of the classical sampler and by the positivity of ``group_levy``'s
-weights.  Two bounds scale by hand, on purpose: ``ito_product_check`` judges
+weights.  ``numerical_rank`` and ``null_space`` read a matrix's singular
+values from one private helper, ``_singular``, which does only the work
+their answers need: a tall matrix A = QR goes through its triangular factor R
+(``np.linalg.qr(mode="r")``), with the same singular values and right
+singular vectors, so the tall U of its SVD is never formed; a wide matrix
+goes through the R of its conjugate transpose for a rank and keeps its full
+SVD for a null space.  A NaN or inf in the matrix raises ``AlgebraError``
+before any factorization, so a non-finite matrix passes no rank decision.
+``gram_schmidt`` reads only the nonzero rows and stops once it holds as
+many rows as their length: every later row's orthogonal part is rounding
+noise.  Two bounds scale by hand, on purpose: ``ito_product_check`` judges
 each dt at tol * max(1, |M_a|, |M_b|), the scale of its inputs, and the
-Gram-Schmidt that realigns a degenerate GNS eigenspace cuts at ``sqrt(tol)``:
-it picks directions, not a rank, and another cut could move the eigenbases.
+Gram-Schmidt that realigns a degenerate GNS eigenspace cuts at
+``sqrt(tol)``: it picks directions, not a rank, and another cut could move
+the eigenbases.
 
 ``subalgebra`` is the one basis transport: it re-expresses the structure
 constants on the rows of any basis of a closed span, with ``np.linalg.solve``
@@ -59,7 +70,8 @@ nonzero ``c`` entries with ``m`` as output, first or second index and
 ``_contractions`` counts ``P`` once, before any work, from the axis sums of
 the nonzero masks of ``c`` and ``S``: the per-factor counts of
 ``_pairs_per_factor``, which also size the join's chunks, plus the star's
-shared pairs; only the join takes the nonzero coordinates.  It takes the
+shared pairs.  The masks are made once; only the join takes the nonzero
+coordinates, from the same masks.  It takes the
 join when ``100 * P <= n^5``.  One join pair costs 110 to 130 dense multiply-adds
 (about 130 ns against 1.0 ns on a rotated hp(4), one OpenBLAS thread of a
 2-vCPU x86-64 machine).  The join runs over consecutive first factors ``i``
@@ -172,17 +184,47 @@ def cutoff(values, tol: float) -> float:
 
 
 def numerical_rank(values, tol: float) -> int:
-    """Number of values above ``cutoff``; a matrix (2-d) counts its singular values."""
+    """Number of values above ``cutoff``; a matrix (2-d) counts its singular values.
+
+    A matrix's singular values come from ``_singular``: a tall or wide one
+    through its triangular factor, and a non-finite one raises ``AlgebraError``.
+    """
     values = np.asarray(values)
     if values.ndim == 2:
-        values = np.linalg.svd(values, compute_uv=False)
+        values = _singular(values, vectors=False)
     return int(np.sum(values > cutoff(values, tol)))
 
 
 def null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal rows v with ``matrix @ v = 0``; economy SVD unless ``matrix`` is wide."""
-    _, svals, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    """Orthonormal rows v with ``matrix @ v = 0``: the right singular vectors past ``numerical_rank``.
+
+    A tall matrix is read through its triangular factor (``_singular``), a
+    wide one through its full SVD; a non-finite one raises ``AlgebraError``.
+    """
+    _, svals, vh = _singular(matrix, vectors=True)
     return vh[numerical_rank(svals, tol):].conj()
+
+
+def _singular(matrix, vectors: bool):
+    """What ``np.linalg.svd(matrix, compute_uv=vectors)`` returns, by the least work.
+
+    A tall matrix A = QR is read through its triangular factor R
+    (``np.linalg.qr(mode="r")``), which has the same singular values and right
+    singular vectors, so the tall U is never formed; the U returned is R's.
+    For its values alone a wide matrix goes through the R of its conjugate
+    transpose; for its vectors it keeps its full SVD, whose trailing rows of
+    ``vh`` span its null space.  A NaN or inf raises ``AlgebraError`` before
+    any factorization.
+    """
+    matrix = np.asarray(matrix)
+    if not np.isfinite(matrix).all():
+        raise AlgebraError("a rank decision needs a finite matrix")
+    rows, cols = matrix.shape
+    if rows > cols:
+        matrix = np.linalg.qr(matrix, mode="r")
+    elif rows < cols and not vectors:
+        matrix = np.linalg.qr(matrix.conj().T, mode="r")
+    return np.linalg.svd(matrix, compute_uv=vectors)
 
 
 def worst_residual(*batches) -> float:
@@ -425,21 +467,30 @@ def gram_schmidt(rows, cut: float) -> tuple[list[int], np.ndarray]:
     applied twice: ``v`` minus its projection on the whole kept block, then
     the result minus its own projection, which leaves it orthogonal to
     working precision ("twice is enough", Giraud et al., Numer. Math. 2005).
+    The scan reads only the nonzero rows, since a zero row's orthogonal part
+    is 0, never above a cut of 0 or more, and it stops once ``n`` rows are
+    kept: a later row's orthogonal part is rounding noise, which a cut of 0
+    would keep.  The conjugates of the kept rows are stored beside them.
     Returns the kept indices and the orthonormal rows, shape
     ``(len(indices), n)``.
     """
     rows = np.asarray(rows, dtype=complex)
+    width = rows.shape[-1]
     kept: list[int] = []
-    ortho = np.zeros_like(rows)
-    for idx, v in enumerate(rows):
-        q = ortho[: len(kept)]
-        w = v - (q.conj() @ v) @ q
-        w -= (q.conj() @ w) @ q
+    ortho, conj = np.zeros((2, min(len(rows), width), width), dtype=complex)
+    for idx in np.flatnonzero(rows.any(axis=-1)).tolist():
+        k = len(kept)
+        if k == width:
+            break
+        v, q, qc = rows[idx], ortho[:k], conj[:k]
+        w = v - (qc @ v) @ q
+        w -= (qc @ w) @ q
         norm = float(np.linalg.norm(w))
         if norm > cutoff(np.linalg.norm(v), cut):
-            ortho[len(kept)] = w / norm
+            ortho[k] = w / norm
+            conj[k] = ortho[k].conj()
             kept.append(idx)
-    return kept, ortho[: len(kept)].reshape(len(kept), rows.shape[-1])
+    return kept, ortho[: len(kept)]
 
 
 def pin_phase(vec: np.ndarray) -> np.ndarray:
@@ -574,21 +625,21 @@ def _contractions(alg: ItoAlgebra) -> tuple[np.ndarray, float]:
     at most ``n^5`` dense multiply-adds.
     """
     c, S, n = alg.mult, alg.star, alg.dim
-    per_i, shared = _pairs_per_factor(c, S)
+    nz, ns = c != 0, S != 0   # NaN counts as nonzero
+    per_i, shared = _pairs_per_factor(nz, ns)
     if _JOIN_COST * (int(per_i.sum()) + int(shared)) <= n**5:
-        coords = (*np.nonzero(c), *np.nonzero(S))   # I, J, M, si, sk; NaN counts as nonzero
+        coords = (*np.nonzero(nz), *np.nonzero(ns))   # I, J, M, si, sk
         return _join_contractions(c, S, coords, per_i)
     return _dense_contractions(alg)
 
 
-def _pairs_per_factor(c: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, int]:
+def _pairs_per_factor(nz: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, int]:
     """The pairs of ``_join_contractions`` keyed by each first factor ``i``, and the shared pairs.
 
-    Counted from the marginals of the nonzero masks of ``c`` and ``S`` (NaN
-    counts as nonzero).  The star's ``a_j* a_q`` pairs, which every ``i``
-    shares, are the second value.
+    Counted from the marginals of the nonzero masks ``nz`` of ``c`` and ``ns``
+    of ``S`` (NaN counts as nonzero).  The star's ``a_j* a_q`` pairs, which
+    every ``i`` shares, are the second value.
     """
-    nz, ns = c != 0, S != 0
     ij, im = nz.sum(2), nz.sum(1)   # entries c[i, j, .] and c[i, ., m]
     first, out, srow, scol = ij.sum(1), im.sum(0), ns.sum(1), ns.sum(0)
     via = scol @ ij   # the star's terms S[j,p] c[p,q,r] with second index q

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import itoalg as ia
-from itoalg.core import AlgebraError, cutoff, numerical_rank, rel_residual
+from itoalg.core import AlgebraError, cutoff, gram_schmidt, null_space, numerical_rank, rel_residual
 
 from conftest import make_catalog, ref_multiply, ref_star
 
@@ -363,6 +363,105 @@ class TestNumericalRank:
         assert numerical_rank(m, 1e-9) == int(np.sum(svals > cutoff(svals, 1e-9))) == 4
         assert numerical_rank(m.T, 1e-9) == 4
         assert numerical_rank(np.zeros((3, 0)), 1e-9) == 0
+
+
+def _with_spectrum(rng, shape, svals) -> np.ndarray:
+    """A complex matrix of ``shape`` with the singular values ``svals`` (padded with zeros)."""
+    m, n = shape
+    k = min(m, n)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = np.zeros(k)
+    s[: len(svals)] = svals
+    return (u[:, :k] * s) @ v[:, :k].conj().T
+
+
+def _full_svd_null(matrix, tol):
+    """The rank and null-space projector from a full SVD of ``matrix`` itself."""
+    _, svals, vh = np.linalg.svd(matrix)
+    rank = int(np.sum(svals > cutoff(svals, tol)))
+    null = vh[rank:].conj()
+    return rank, null.T @ null.conj()
+
+
+# Each spectrum straddles its cut tol * max(1, s_max) with a gap of 10^3 or more on both sides.
+SPECTRA = {
+    "large": [100.0, 7.0, 1.0, 1e-11, 0.0],   # cut 1e-7
+    "below_one": [0.5, 0.02, 3e-13],          # cut 1e-9, the floor
+    "full": [4.0, 2.0, 1.5],
+    "noise": [3e-12, 1e-13],
+}
+SHAPES = {"tall": (40, 5), "square": (6, 6), "wide": (5, 40)}
+
+
+class TestRankRoute:
+    """``null_space`` and ``numerical_rank`` read a tall matrix through its R factor."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    def test_agrees_with_a_full_svd(self, shape, spectrum):
+        m = _with_spectrum(np.random.default_rng(0), SHAPES[shape], SPECTRA[spectrum])
+        rank, proj = _full_svd_null(m, 1e-9)
+        assert rank == sum(s > cutoff(SPECTRA[spectrum], 1e-9) for s in SPECTRA[spectrum])
+        assert numerical_rank(m, 1e-9) == rank
+        null = null_space(m, 1e-9)
+        assert null.shape == (m.shape[1] - rank, m.shape[1])
+        assert rel_residual(null.T @ null.conj(), proj) <= 1e-12
+        assert rel_residual(null.conj() @ null.T, np.eye(len(null))) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (4, 4), (0, 3), (3, 0), (0, 0)])
+    def test_zero_and_empty_matrices(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        rank, proj = _full_svd_null(m, 1e-9)
+        assert numerical_rank(m, 1e-9) == rank == 0
+        null = null_space(m, 1e-9)
+        assert null.shape == (shape[1], shape[1])
+        assert rel_residual(null.T @ null.conj(), proj) <= 1e-12
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_matrix_is_refused_before_any_factorization(self, monkeypatch, shape, bad):
+        m = _with_spectrum(np.random.default_rng(3), SHAPES[shape], [2.0, 1.0])
+        m[1, 2] = bad
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("factorized"))
+        for decide in (numerical_rank, null_space):
+            with pytest.raises(AlgebraError, match="finite"):
+                decide(m, 1e-9)
+        with pytest.raises(AlgebraError, match="finite"):
+            numerical_rank(np.full((6, 2), np.inf), 1e-9)
+
+    def test_no_command_forms_a_tall_u(self, monkeypatch, tmp_path, capsys):
+        """No matrix SVD'd by ``check``, ``represent`` or ``decompose`` has more rows than columns."""
+        from itoalg import cli
+
+        path = tmp_path / "pw16.ito"
+        path.write_text(ia.serialize(ia.periodic_wiener(16, [0.5 + k / 16 for k in range(16)])))
+        shapes, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for command in ("check", "represent", "decompose"):
+            assert cli.main([command, str(path)]) == 0
+        capsys.readouterr()
+        assert shapes and all(rows <= cols for rows, cols in shapes), shapes
+        assert (33, 33) in shapes   # the kernel's R factor
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("cut", [0.0, 1e-300, 1e-9])
+    def test_stops_at_full_rank(self, cut):
+        # three orthonormal rows of C^3, their sum and a repeat: the later rows' orthogonal
+        # parts are rounding noise, which a cut of 0 or 1e-300 would keep
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)) + 1j)
+        rows = np.vstack([q.T, q.T.sum(0), q.T[0]])
+        kept, ortho = gram_schmidt(rows, cut)
+        assert kept == [0, 1, 2]
+        assert ortho.shape == (3, 3) == (len(kept), rows.shape[1])
+        assert rel_residual(ortho @ ortho.conj().T, np.eye(3)) <= 1e-12
 
 
 class TestNonBasisDeath:

@@ -42,8 +42,8 @@ PATHS = ("dense", "join")
 
 def join_inputs(alg: ia.ItoAlgebra):
     """The join's coordinates ``(I, J, M, si, sk)`` and their ``_pairs_per_factor``."""
-    coords = (*np.nonzero(alg.mult), *np.nonzero(alg.star))
-    return coords, core._pairs_per_factor(alg.mult, alg.star)[0]
+    nz, ns = alg.mult != 0, alg.star != 0
+    return (*np.nonzero(nz), *np.nonzero(ns)), core._pairs_per_factor(nz, ns)[0]
 
 
 KERNELS = {
@@ -288,6 +288,22 @@ def _bent(alg: ia.ItoAlgebra, field: str, value) -> ia.ItoAlgebra:
     return replace(alg, **{field: arr})
 
 
+def test_path_rule_join_reads_imaginary_entries(monkeypatch):
+    """hp(3) on the basis (death, i a_1, ..., i a_n-1), bent: purely imaginary constants, taken by the join."""
+    alg = ia.hp(3)
+    scale = np.where(np.arange(alg.dim) == alg.index("dt"), 1.0, 1j)
+    tilted = _bent(ia.subalgebra(alg, np.diag(scale)), "mult", 1e-3j)
+    assert np.any((tilted.mult.real == 0) & (tilted.mult.imag != 0))
+    dense = axioms_on("dense", tilted)
+    ran = []
+    join = core._join_contractions
+    monkeypatch.setattr(core, "_join_contractions", lambda *args: ran.append("join") or join(*args))
+    report = core._axiom_report(tilted)
+    assert ran == ["join"] and _failed(report) == _failed(dense) and _failed(dense)
+    for a, b in zip(dense.checks, report.checks):
+        assert abs(a.residual - b.residual) <= 1e-12 * max(1.0, a.residual), a.name
+
+
 @pytest.mark.parametrize("build", [
     lambda: ia.hp(3),
     lambda: ia.group_levy(ia.symmetric_group(4)),
@@ -322,9 +338,9 @@ def test_pair_count_is_the_pairs_the_join_forms(monkeypatch, build):
     table with each NaN replaced by 1, which has the same masks.
     """
     alg = build()
-    per_i, shared = core._pairs_per_factor(alg.mult, alg.star)
+    per_i, shared = core._pairs_per_factor(alg.mult != 0, alg.star != 0)
     probe = replace(alg, star=np.where(np.isnan(alg.star), 1.0, alg.star))
-    np.testing.assert_array_equal(core._pairs_per_factor(probe.mult, probe.star)[0], per_i)
+    np.testing.assert_array_equal(core._pairs_per_factor(probe.mult != 0, probe.star != 0)[0], per_i)
 
     formed = [[None, 0]]   # [(lo, hi), pairs]; the first entry holds the shared star pairs
     chunker, joiner = core._chunks, core._join

@@ -21,10 +21,9 @@ the reader's conversion batches with a fault or a reused key across
 batches, and catalog and rotated texts with a few characters overwritten.
 Each runs ``check``, ``represent``, ``represent --latex``, ``decompose``,
 ``norms`` on an element of its basis, and ``simulate`` with both models,
-in text and with ``--json``; hp(6) runs ``check`` only.  ``catalog`` runs once
-per table.  The small matrix of the self-test keeps two catalog tables and
-two broken texts.  It needs git and the program's own dependencies, nothing
-more.
+in text and with ``--json``.  ``catalog`` runs once per table.  The small
+matrix of the self-test keeps two catalog tables and two broken texts.  It
+needs git and the program's own dependencies, nothing more.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ BROKEN.update({
 MUTATIONS = 32  # mutated catalog and rotated texts in the full matrix
 # what a mutation writes over one character: printable ASCII, a non-ASCII digit and letter
 EDITS = [chr(c) for c in range(32, 127)] + ["\u0663", "\u00e9"]
-LADDER_ONLY_CHECK = ("hp6",)
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -148,8 +146,7 @@ def cases(directory: Path, names: list[str]) -> list[dict]:
         basis = next((line.split()[1:] for line in (directory / f"{name}.ito").read_text().splitlines()
                       if line.startswith("basis ")), []) or ["x"]
         element = f"1 {basis[0]} + 2i {basis[-1]}"
-        commands = COMMANDS[:1] if name.removeprefix("ladder_") in LADDER_ONLY_CHECK else COMMANDS
-        for command in commands:
+        for command in COMMANDS:
             argv = [command[0], path, *(arg.format(element=element) for arg in command[1:])]
             out.append({"input": name, "argv": argv})
             if "--latex" not in command:
