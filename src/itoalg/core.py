@@ -28,14 +28,12 @@ rank checks of ``decomp.decompose``), by the ``gram_schmidt`` keep rule, by
 the GNS space and its degenerate window in ``gns._pin_eigenbasis``, by the
 zero blocks of ``ideal.quotient``, by the component supports and moving
 atoms of the classical sampler and by the positivity of ``group_levy``'s
-weights.  ``numerical_rank`` and ``null_space`` read a matrix's singular
-values from one private helper, ``_singular``, which does only the work
-their answers need: a tall matrix A = QR goes through its triangular factor R
-(``np.linalg.qr(mode="r")``), with the same singular values and right
-singular vectors, so the tall U of its SVD is never formed; a wide matrix
-goes through the R of its conjugate transpose for a rank and keeps its full
-SVD for a null space.  A NaN or inf in the matrix raises ``AlgebraError``
-before any factorization, so a non-finite matrix passes no rank decision.
+weights.  ``numerical_rank`` and ``null_space`` form no U: a rank reads
+the values-only SVD, and ``null_space`` reads a tall matrix A = QR through
+its triangular factor R (``np.linalg.qr(mode="r")``), which has the same
+singular values and right singular vectors.  A NaN or inf in the matrix
+raises ``AlgebraError`` before any factorization, so a non-finite matrix
+passes no rank decision.
 ``gram_schmidt`` reads only the nonzero rows and stops once it holds as
 many rows as their length: every later row's orthogonal part is rounding
 noise.  Two bounds scale by hand, on purpose: ``ito_product_check`` judges
@@ -186,45 +184,34 @@ def cutoff(values, tol: float) -> float:
 def numerical_rank(values, tol: float) -> int:
     """Number of values above ``cutoff``; a matrix (2-d) counts its singular values.
 
-    A matrix's singular values come from ``_singular``: a tall or wide one
-    through its triangular factor, and a non-finite one raises ``AlgebraError``.
+    A matrix holding a NaN or inf raises ``AlgebraError``.
     """
     values = np.asarray(values)
     if values.ndim == 2:
-        values = _singular(values, vectors=False)
+        values = np.linalg.svd(_finite(values), compute_uv=False)
     return int(np.sum(values > cutoff(values, tol)))
 
 
 def null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal rows v with ``matrix @ v = 0``: the right singular vectors past ``numerical_rank``.
 
-    A tall matrix is read through its triangular factor (``_singular``), a
-    wide one through its full SVD; a non-finite one raises ``AlgebraError``.
+    A tall matrix is read through its triangular factor R, so its tall U is
+    never formed; a wide one takes its full SVD.  A matrix holding a NaN or
+    inf raises ``AlgebraError``.
     """
-    _, svals, vh = _singular(matrix, vectors=True)
+    matrix = _finite(matrix)
+    if matrix.shape[0] > matrix.shape[1]:
+        matrix = np.linalg.qr(matrix, mode="r")
+    _, svals, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
     return vh[numerical_rank(svals, tol):].conj()
 
 
-def _singular(matrix, vectors: bool):
-    """What ``np.linalg.svd(matrix, compute_uv=vectors)`` returns, by the least work.
-
-    A tall matrix A = QR is read through its triangular factor R
-    (``np.linalg.qr(mode="r")``), which has the same singular values and right
-    singular vectors, so the tall U is never formed; the U returned is R's.
-    For its values alone a wide matrix goes through the R of its conjugate
-    transpose; for its vectors it keeps its full SVD, whose trailing rows of
-    ``vh`` span its null space.  A NaN or inf raises ``AlgebraError`` before
-    any factorization.
-    """
+def _finite(matrix) -> np.ndarray:
+    """``matrix`` as an array, or ``AlgebraError`` if it holds a NaN or inf."""
     matrix = np.asarray(matrix)
     if not np.isfinite(matrix).all():
         raise AlgebraError("a rank decision needs a finite matrix")
-    rows, cols = matrix.shape
-    if rows > cols:
-        matrix = np.linalg.qr(matrix, mode="r")
-    elif rows < cols and not vectors:
-        matrix = np.linalg.qr(matrix.conj().T, mode="r")
-    return np.linalg.svd(matrix, compute_uv=vectors)
+    return matrix
 
 
 def worst_residual(*batches) -> float:
@@ -470,25 +457,23 @@ def gram_schmidt(rows, cut: float) -> tuple[list[int], np.ndarray]:
     The scan reads only the nonzero rows, since a zero row's orthogonal part
     is 0, never above a cut of 0 or more, and it stops once ``n`` rows are
     kept: a later row's orthogonal part is rounding noise, which a cut of 0
-    would keep.  The conjugates of the kept rows are stored beside them.
-    Returns the kept indices and the orthonormal rows, shape
+    would keep.  Returns the kept indices and the orthonormal rows, shape
     ``(len(indices), n)``.
     """
     rows = np.asarray(rows, dtype=complex)
     width = rows.shape[-1]
     kept: list[int] = []
-    ortho, conj = np.zeros((2, min(len(rows), width), width), dtype=complex)
+    ortho = np.zeros((min(len(rows), width), width), dtype=complex)
     for idx in np.flatnonzero(rows.any(axis=-1)).tolist():
         k = len(kept)
         if k == width:
             break
-        v, q, qc = rows[idx], ortho[:k], conj[:k]
-        w = v - (qc @ v) @ q
-        w -= (qc @ w) @ q
+        v, q = rows[idx], ortho[:k]
+        w = v - (q.conj() @ v) @ q
+        w -= (q.conj() @ w) @ q
         norm = float(np.linalg.norm(w))
         if norm > cutoff(np.linalg.norm(v), cut):
             ortho[k] = w / norm
-            conj[k] = ortho[k].conj()
             kept.append(idx)
     return kept, ortho[: len(kept)]
 

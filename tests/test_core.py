@@ -395,7 +395,7 @@ SHAPES = {"tall": (40, 5), "square": (6, 6), "wide": (5, 40)}
 
 
 class TestRankRoute:
-    """``null_space`` and ``numerical_rank`` read a tall matrix through its R factor."""
+    """``null_space`` reads a tall matrix through its R factor; both agree with a full SVD."""
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
@@ -432,16 +432,20 @@ class TestRankRoute:
             numerical_rank(np.full((6, 2), np.inf), 1e-9)
 
     def test_no_command_forms_a_tall_u(self, monkeypatch, tmp_path, capsys):
-        """No matrix SVD'd by ``check``, ``represent`` or ``decompose`` has more rows than columns."""
+        """No matrix whose SVD forms U in ``check``, ``represent`` or ``decompose`` has more rows than columns.
+
+        A values-only SVD (``compute_uv=False``) forms no U, whatever the shape.
+        """
         from itoalg import cli
 
         path = tmp_path / "pw16.ito"
         path.write_text(ia.serialize(ia.periodic_wiener(16, [0.5 + k / 16 for k in range(16)])))
         shapes, svd = [], np.linalg.svd
 
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+        def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+            if compute_uv:
+                shapes.append(np.shape(a))
+            return svd(a, full_matrices, compute_uv, hermitian)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         for command in ("check", "represent", "decompose"):

@@ -335,12 +335,22 @@ def test_pair_count_is_the_pairs_the_join_forms(monkeypatch, build):
 
     The count reads only the nonzero masks, where NaN is nonzero; the join
     skips the star when it is not finite, so its pairs are counted on the
-    table with each NaN replaced by 1, which has the same masks.
+    table with each NaN replaced by 1, which has the same masks.  With the
+    join forced, ``_contractions`` hands it the coordinates and per-factor
+    counts of that NaN-free probe.
     """
     alg = build()
-    per_i, shared = core._pairs_per_factor(alg.mult != 0, alg.star != 0)
     probe = replace(alg, star=np.where(np.isnan(alg.star), 1.0, alg.star))
-    np.testing.assert_array_equal(core._pairs_per_factor(probe.mult != 0, probe.star != 0)[0], per_i)
+    per_i, shared = core._pairs_per_factor(probe.mult != 0, probe.star != 0)
+    received = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "_JOIN_COST", 0)   # every table takes the join
+        m.setattr(core, "_join_contractions", lambda *args: received.append(args[2:]) or (np.zeros(0), 0.0))
+        core._contractions(alg)
+    [(coords, got_per_i)] = received
+    want = (*np.nonzero(probe.mult), *np.nonzero(probe.star))
+    assert len(coords) == len(want) and all(np.array_equal(a, b) for a, b in zip(coords, want))
+    np.testing.assert_array_equal(got_per_i, per_i)
 
     formed = [[None, 0]]   # [(lo, hi), pairs]; the first entry holds the shared star pairs
     chunker, joiner = core._chunks, core._join
