@@ -434,9 +434,13 @@ def pair_products(alg: ItoAlgebra, U, V) -> np.ndarray:
 
     ``U`` and ``V`` hold one element per row (a single vector is one row);
     the result has shape ``(|U|, |V|, n)``.  Two reshaped matmuls, so the
-    cost is ``|U| n^3 + |U| |V| n^2`` and no Python loop runs over pairs.
+    cost is ``|U| n^3 + |U| |V| n^2``, none for an empty ``V``, and no Python
+    loop runs over pairs.
     """
+    U = np.asarray(U, dtype=complex).reshape(-1, alg.dim)
     V = np.asarray(V, dtype=complex).reshape(-1, alg.dim)
+    if not len(V):
+        return np.zeros((len(U), 0, alg.dim), dtype=complex)
     return V @ _left_action(alg, U)
 
 

@@ -902,7 +902,7 @@ class TestGolden:
         at = lines.index("verification: pass")
         report = ia.decompose(parse(Path(ito_files["wiener+poisson"]).read_text()).algebra).report
         assert lines[at + 1:] == report.summary().splitlines()
-        assert [line.split()[1] for line in lines[at + 1:]][:2] == ["preimage", "projector_idempotent"]
+        assert [line.split()[1] for line in lines[at + 1:]][:2] == ["preimage", "projector_kills_operators"]
         code, out, _ = run_cli(capsys, "decompose", ito_files["wiener+poisson"], "--json")
         checks = strict_loads(out)["report"]["checks"]
         assert [c["name"] for c in checks] == [c.name for c in report.checks]

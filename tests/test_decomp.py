@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import itoalg as ia
+from itoalg import decomp
 from itoalg.core import rel_residual
 from itoalg.decomp import decompose, support_projector
 from itoalg.gns import build_representation
@@ -83,6 +84,38 @@ class TestDecomposeExamples:
         dec = decompose(sub)
         assert dec.is_purely_brownian()
         assert len(dec.brownian) == 3
+
+
+def test_levy_k_image_fails_when_the_levy_basis_misses_a_direction(monkeypatch):
+    """A Levy basis short of E H fails ``levy_k_image``; the two spans still meet only in the death."""
+    gram_schmidt, kept = decomp.gram_schmidt, []
+
+    def drop_last_levy_row(rows, cut):
+        idx, ortho = gram_schmidt(rows, cut)
+        kept.append(idx)
+        return (idx[:-1], ortho[:-1]) if len(kept) == 2 else (idx, ortho)
+
+    monkeypatch.setattr(decomp, "gram_schmidt", drop_last_levy_row)
+    report = decompose(ia.orthogonal_sum(ia.wiener(), ia.poisson())).report
+    assert [len(idx) for idx in kept] == [1, 1]
+    assert report.residuals["levy_k_image"] == 1.0
+    assert report.residuals["intersection_death_only"] == 0.0
+    assert [c.name for c in report.failures()] == ["levy_k_image"]
+
+
+def test_decompose_factorizes_the_operator_stack_once(monkeypatch):
+    """With ``alg.gns`` warm, one SVD or QR reads the stack [i(a); i(a)^dag] and none a product span."""
+    alg = ia.group_levy(ia.symmetric_group(4))
+    rep = build_representation(alg)
+    n, d = alg.dim, rep.hdim
+    shapes = []
+    for name in ("svd", "qr"):
+        factorize = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=factorize, **kw:
+                            shapes.append(np.shape(a)) or _f(a, *args, **kw))
+    decompose(alg)
+    assert all(shape[-1] < n * n for shape in shapes), shapes
+    assert shapes.count((2 * n * d, d)) == 1, shapes
 
 
 class TestDecomposeInvariants:
@@ -286,8 +319,9 @@ def test_rescaled_rotation_passes_at_1e3():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: cross_products and orthogonality compare with rel_residuals(., 0), whose "
-    "floor of 1 makes them absolute, so the rounding of entries of size 1e4 fails them"))
+    "ROADMAP item 2: cross_products, orthogonality and pi_kills_products compare with "
+    "rel_residuals(., 0), whose floor of 1 makes them absolute, so the rounding of entries of "
+    "size 1e4 fails them"))
 def test_rescaled_rotation_passes_at_1e4():
     report = decompose(_rescaled_rotation(1e4)).report
     assert report.passed, report.failures()
