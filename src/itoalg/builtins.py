@@ -173,6 +173,8 @@ class FiniteGroup:
     def __post_init__(self):
         table = np.array(self.table, dtype=int)
         n = len(self.names)
+        if n == 0:
+            raise AlgebraError("a group needs at least one element")
         if table.shape != (n, n):
             raise AlgebraError("Cayley table must be square over the element list")
         if table.min() < 0 or table.max() >= n:
@@ -257,10 +259,12 @@ def group_levy(
     elif isinstance(lam, Mapping):
         lam_vec = np.zeros(m, dtype=complex)
         for key, val in lam.items():
+            if key not in group.names:
+                raise AlgebraError(f"unknown group element {key!r}")
             try:
                 lam_vec[group.names.index(key)] = complex(val)
-            except ValueError:
-                raise AlgebraError(f"unknown group element {key!r}") from None
+            except (TypeError, ValueError):
+                raise AlgebraError(f"lam value of group element {key!r} is not a number") from None
     else:
         lam_vec = np.asarray(list(lam), dtype=complex)
         if lam_vec.shape != (m,):

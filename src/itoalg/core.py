@@ -18,7 +18,8 @@ magnitude compared with a floor of 1.  A stage names each residual in a
 ``Check`` and returns them in one ``Report``, whose ``passed`` is the one
 comparison with ``tol``: the axioms (``verify_axioms``), the representation
 (``FundamentalRep.report``), the decomposition (``Decomposition.report``) and
-the B* identities (``verify_bstar``); ``Report.require`` is the one way a
+the B* identities (``verify_bstar``); ``focksim.ito_product_check`` judges its
+one ``product`` check the same way.  ``Report.require`` is the one way a
 failure raises.  Every rank, support and degeneracy threshold is
 ``cutoff(values, tol) = tol * max(1, max(values))``, and nothing else
 computes one.  It is read by
@@ -36,11 +37,9 @@ raises ``AlgebraError`` before any factorization, so a non-finite matrix
 passes no rank decision.
 ``gram_schmidt`` reads only the nonzero rows and stops once it holds as
 many rows as their length: every later row's orthogonal part is rounding
-noise.  Two bounds scale by hand, on purpose: ``ito_product_check`` judges
-each dt at tol * max(1, |M_a|, |M_b|), the scale of its inputs, and the
-Gram-Schmidt that realigns a degenerate GNS eigenspace cuts at
-``sqrt(tol)``: it picks directions, not a rank, and another cut could move
-the eigenbases.
+noise.  One bound scales by hand, on purpose: the Gram-Schmidt that
+realigns a degenerate GNS eigenspace cuts at ``sqrt(tol)``: it picks
+directions, not a rank, and another cut could move the eigenbases.
 
 ``subalgebra`` is the one basis transport: it re-expresses the structure
 constants on the rows of any basis of a closed span, with ``np.linalg.solve``
@@ -796,10 +795,9 @@ def _axiom_report(alg: ItoAlgebra) -> Report:
     return Report(tuple(checks), tol)
 
 
-def random_element(alg: ItoAlgebra, rng: np.random.Generator, scale: float = 1.0) -> Element:
-    """Element with i.i.d. complex Gaussian coefficients; used by samplers and tests."""
-    coeffs = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-    return Element(alg, scale * coeffs)
+def random_element(alg: ItoAlgebra, rng: np.random.Generator) -> Element:
+    """Element with i.i.d. standard complex Gaussian coefficients; the tests draw elements with it."""
+    return Element(alg, rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
 
 
 def subalgebra(

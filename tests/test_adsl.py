@@ -10,6 +10,7 @@ import itoalg as ia
 from itoalg import adsl
 from itoalg.adsl import (
     ParseDiagnostic,
+    ParseFailure,
     ParseResult,
     _Fault,
     parse,
@@ -36,6 +37,12 @@ class TestParseBasics:
         assert alg.same_table(ia.wiener())
         assert alg.labels == ("dt", "dw")
         assert alg.name == "wiener"
+
+    def test_parse_strict_raises_with_the_diagnostics(self):
+        with pytest.raises(ParseFailure) as caught:
+            parse_strict("basis dt\n")
+        assert caught.value.diagnostics == [ParseDiagnostic(2, 1, "missing death declaration")]
+        assert str(caught.value) == "error: line 2, col 1: missing death declaration"
 
     def test_unspecified_defaults(self):
         # star defaults to self-adjoint, state to zero, products to zero

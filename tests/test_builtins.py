@@ -81,12 +81,48 @@ class TestConstructorValidation:
             ([[0, 1], [0, 1]], "rows/columns must be permutations"),  # rows Latin, columns not
             # x o y = -x - y mod 3 is a Latin square, but (x o y) o z = x + y - z
             (np.negative(np.add.outer(range(3), range(3))) % 3, "not associative"),
+            (np.zeros((2, 3)), "Cayley table must be square"),
+            ([[0, 1], [1, 2]], "Cayley table entries out of range"),
+            (np.zeros((0, 0)), "a group needs at least one element"),
         ],
     )
     def test_cayley_table_rejections(self, table, message):
         names = tuple(f"g{i}" for i in range(len(table)))
         with pytest.raises(AlgebraError, match=message):
             ia.FiniteGroup(names, np.array(table))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ia.cyclic_group(0), "cyclic group order must be >= 1"),
+            (lambda: ia.symmetric_group(6), "symmetric_group supports 1 <= n <= 5"),
+            (lambda: ia.thermal_matrix(0, []), "n must be >= 1"),
+            (lambda: ia.group_levy(ia.cyclic_group(3), [1.0, 0.0]),
+             "lam must assign one value per group element"),
+            (lambda: ia.group_levy(ia.cyclic_group(2), [0.0, 1.0]), "lam is not positive definite"),
+            (lambda: ia.group_levy(ia.cyclic_group(3), {"g0": 1, "g3": 0}), "unknown group element 'g3'"),
+            (lambda: ia.group_levy(ia.cyclic_group(3), {"g0": 1, "g1": "x"}),
+             "lam value of group element 'g1' is not a number"),
+            (lambda: ia.group_levy(ia.cyclic_group(3), {"g0": 1, "g1": None}),
+             "lam value of group element 'g1' is not a number"),
+        ],
+        ids=["z0", "s6", "thermal-matrix-0", "lam-length",
+             "lam-indefinite", "lam-unknown-key", "lam-text-value", "lam-none-value"],
+    )
+    def test_group_levy_and_size_refusals(self, build, message):
+        with pytest.raises(AlgebraError, match=f"^{message}"):
+            build()
+
+    @pytest.mark.parametrize("group", [ia.cyclic_group(3), ia.symmetric_group(3)], ids=["z3", "s3"])
+    def test_group_levy_mapping_weights_match_the_sequence(self, group):
+        # a mapping names the weights by group element; those left out are 0
+        e = group.identity()
+        seq = [1.0 if g == e else 0.0 for g in range(group.order)]
+        for lam in ({group.names[e]: 1.0}, dict(zip(group.names, seq))):
+            alg, ref = ia.group_levy(group, lam), ia.group_levy(group, seq)
+            for field in ("mult", "star", "death", "state"):
+                assert np.array_equal(getattr(alg, field), getattr(ref, field)), field
+            assert alg.labels == ref.labels
 
 
 class TestTables:

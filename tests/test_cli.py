@@ -31,6 +31,7 @@ from itoalg.core import complex_pairs
 from itoalg.focksim import vacuum_moments
 
 from conftest import make_catalog
+from test_pipeline import _random_rotation
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("REGEN_GOLDEN") == "1"
@@ -350,6 +351,15 @@ class TestExitCodes:
         assert code == 0
         assert "-0.000e+00" not in out
 
+    def test_represent_prints_complex_entries(self, capsys, tmp_path):
+        # a random unitary rotation of the zero-mean part makes the field blocks complex
+        alg, _ = _random_rotation(ia.orthogonal_sum(ia.wiener(), ia.poisson()), np.random.default_rng(4))
+        path = tmp_path / "rotated.ito"
+        path.write_text(serialize(alg), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "represent", str(path))
+        assert code == 0
+        assert re.search(r"\s-?\d[\d.e+-]*\d[+-]\d[\d.e+-]*i\s", out), out
+
     def test_represent_non_faithful(self, capsys, ito_files):
         code, _, err = run_cli(capsys, "represent", ito_files["zero_intensity_poisson"])
         assert code == 3
@@ -461,6 +471,17 @@ class TestCatalogCommand:
         code, out, _ = run_cli(capsys, "catalog", "--name", "poisson")
         assert code == 0
         assert out == serialize(ia.poisson())
+
+    def test_a_parameter_without_a_value_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "catalog", "--name", "hp", "--params", "d")
+        assert (code, out, err) == (1, "", "error: bad parameter 'd', expected key=value\n")
+
+    def test_an_unwritable_output_is_one_error_line(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "w.ito"
+        code, out, err = run_cli(capsys, "catalog", "--name", "wiener", "-o", str(dest))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {dest}: ") and err.count("\n") == 1
+        assert not dest.parent.exists()
 
     def test_params_and_output_file(self, capsys, tmp_path):
         dest = tmp_path / "hp2.ito"

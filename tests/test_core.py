@@ -501,6 +501,39 @@ class TestImmutability:
 EDGE_PARTS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 1 / 3, -1 / 3]
 
 
+def _table(labels=("a", "b"), mult=None, star=None, death=0, state=(1.0, 0.0), **kw):
+    """An ItoAlgebra from its fields, each defaulting to a valid 2-element zero table."""
+    n = len(labels)
+    mult = np.zeros((n, n, n)) if mult is None else mult
+    star = np.eye(n) if star is None else star
+    return ia.ItoAlgebra(labels, mult, star, death, state, **kw)
+
+
+class TestConstructorRefusals:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _table(labels=(), state=()), "algebra needs at least one basis element"),
+            (lambda: _table(labels=("a", "a")), "duplicate basis labels"),
+            (lambda: _table(death=2), "death index 2 out of range"),
+            (lambda: _table(mult=np.zeros((2, 2, 1))),
+             r"mult tensor must have shape \(2, 2, 2\), got \(2, 2, 1\)"),
+            (lambda: _table(star=np.eye(3)), r"star matrix must have shape \(2, 2\), got \(3, 3\)"),
+            (lambda: _table(state=(1.0, 0.0, 0.0)), "state and death must be vectors of the basis size"),
+            (lambda: _table(tol=float("nan")), "tol must be finite and nonnegative"),
+            (lambda: ia.wiener().index("zz"), "unknown basis symbol 'zz'"),
+        ],
+        ids=["no-labels", "duplicate-labels", "death-index", "mult-shape", "star-shape", "state-shape",
+             "nan-tol", "unknown-label"],
+    )
+    def test_refusal_names_the_fault(self, build, message):
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            build()
+
+    def test_the_valid_table_is_accepted(self):
+        assert _table().dim == 2
+
+
 class TestElementShape:
     @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1,), ()])
     def test_shape_is_checked_before_any_reshape(self, shape):

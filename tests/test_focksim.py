@@ -23,7 +23,7 @@ from itoalg.focksim import (
     slot_increment,
     vacuum_moments,
 )
-from itoalg.gns import FundamentalRep, build_representation, triangular
+from itoalg.gns import build_representation, triangular
 
 from conftest import ref_classical_paths, ref_ito_product_check
 from test_pipeline import _random_rotation
@@ -161,6 +161,34 @@ class TestSlotIncrement:
         assert rel_residual(lhs, rhs) <= 1e-12
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda rep, x: slot_increment(rep, x, 0.0), "dt must be positive"),
+            (lambda rep, x: ito_product_check(rep, x, x, []), "dt list must contain positive values"),
+            (lambda rep, x: vacuum_moments(rep, x, 0.0, 3), "t must be positive"),
+            (lambda rep, x: vacuum_moments(rep, x, 1.0, 0), "n_slots must be >= 1"),
+            (lambda rep, x: classical_paths(rep.algebra, 1.0, 2.0, 10, 0), "need 0 < dt <= t"),
+            (lambda rep, x: classical_paths(rep.algebra, 1.0, 0.1, 1, 0),
+             "need at least two paths for moment estimates"),
+        ],
+        ids=["slot-dt-0", "no-dt", "vacuum-t-0", "vacuum-0-slots", "classical-dt-above-t",
+             "classical-one-path"],
+    )
+    def test_refusal_names_the_fault(self, call, message):
+        w = ia.wiener()
+        with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+            call(build_representation(w), w.basis_element("dw"))
+
+    def test_an_unknown_estimate_is_a_key_error(self):
+        w = ia.wiener()
+        rpt = vacuum_moments(build_representation(w), w.basis_element("dw"), 1.0, 3)
+        assert rpt.estimate("mean") is rpt.estimates[0]
+        with pytest.raises(KeyError, match="zz"):
+            rpt.estimate("zz")
+
+
 class TestItoProductCheck:
     DTS = [2.0**-k for k in range(4, 11)]
 
@@ -269,8 +297,9 @@ class TestItoProductCheck:
     ])
     def test_one_failing_block_raises_the_reference_message(self, entry, block):
         # dw dw = dt on the Wiener table, with one entry of triangular(dt) moved by eps:
-        # the block's mismatch deviates by eps dt (corner) or eps sqrt(dt) (fields),
-        # which passes the tolerance at every dt but the first
+        # the block's mismatch deviates by eps dt (corner) or eps sqrt(dt) (fields), which
+        # a per-dt bound at tol passes from the second dt on.  T(dw)T(dw) - T(dt) is eps
+        # at every dt, so the product check fails for every dt list
         w = ia.wiener()
         rep = build_representation(w)
         dt0 = self.DTS[0]
@@ -279,43 +308,43 @@ class TestItoProductCheck:
         mats[0][entry] += eps
         bent = dataclasses.replace(rep, mats=mats)
         dw = w.basis_element("dw")
-        with pytest.raises(SimulationError) as ref:
-            ref_ito_product_check(bent, dw, dw, self.DTS)
-        assert str(ref.value) == f"{block} mismatch deviates from its closed form at dt={dt0}"
-        with pytest.raises(SimulationError) as got:
-            ito_product_check(bent, dw, dw, self.DTS)
-        assert str(got.value) == str(ref.value)
-        # the same eps is inside the tolerance from the second dt on
-        ito_product_check(bent, dw, dw, self.DTS[1:])
-        ref_ito_product_check(bent, dw, dw, self.DTS[1:])
+        for dts in (self.DTS, self.DTS[1:], [self.DTS[-1]]):
+            with pytest.raises(SimulationError, match=r"^product \(residual") as ref:
+                ref_ito_product_check(bent, dw, dw, dts)
+            with pytest.raises(SimulationError, match=r": product \(residual") as got:
+                ito_product_check(bent, dw, dw, dts)
+            assert str(got.value).endswith(str(ref.value))
 
-    def test_the_first_failing_dt_comes_before_an_earlier_block(self):
-        # a = c dt + dm on a Poisson table whose dm.dm carries an extra eps dm.  The
-        # tolerance scale max(1, c dt) shrinks with dt, so the exchange block (off by
-        # eps) fails from dt = 2^-5 on and the field blocks (off by eps sqrt(dt)) only
-        # at 2^-9 and 2^-10: dt order reports the exchange block, block order would not.
-        # The intact table's matrices are attached to the bent table, whose elements they take
-        p = ia.poisson()
-        c, dm = 1024.0, p.labels.index("dm")
-        mult = p.mult.copy()
-        mult[dm, dm, dm] += 1.5 * p.tol * math.sqrt(c)
-        bent = dataclasses.replace(p, mult=mult)
-        intact = build_representation(p)
-        rep = FundamentalRep(bent, intact.mats, intact.eigenvalues)
-        a = c * bent.death_element() + bent.basis_element("dm")
-        for dts, block, dt in ((self.DTS, "exchange", 2**-5), (self.DTS[-2:], "creation", 2**-9)):
-            message = f"{block} mismatch deviates from its closed form at dt={dt}"
-            for check in (ref_ito_product_check, ito_product_check):
-                with pytest.raises(SimulationError, match=re.escape(message) + "$"):
-                    check(rep, a, a, dts)
+    @pytest.mark.parametrize("delta", [1e-8, 1e-6])
+    def test_an_orthogonal_defect_fails_the_product_check(self, delta):
+        # a = dt + x12 and b = dt + x21 on thermal_matrix(2), so a.b = 2/3 dt + x11.  Moving
+        # k(x11) by delta orthogonally to itself moves a block norm of the slot mismatch only
+        # at second order, so a per-dt bound on the norms missed it up to delta = 1e-6 at
+        # the dts below; T(a)T(b) - T(a.b) reads delta, as the bent representation's own
+        # report does
+        alg = ia.thermal_matrix(2, (2.0 / 3.0, 1.0 / 3.0))
+        rep = build_representation(alg)
+        mats = rep.mats.copy()
+        mats[alg.index("x11")][2, -1] += delta  # k(x11) lies along the first coordinate of H
+        bent = dataclasses.replace(rep, mats=mats)
+        assert [c.name for c in bent.report.failures()][:1] == ["covariance"]
+        a = alg.death_element() + alg.basis_element("x12")
+        b = alg.death_element() + alg.basis_element("x21")
+        dts = [0.1, 0.03, 0.01, 0.003, 0.001]
+        message = f"triangular(a) triangular(b) is not triangular(a.b): product (residual {delta:.3e})"
+        with pytest.raises(SimulationError, match=re.escape(message) + "$"):
+            ito_product_check(bent, a, b, dts)
+        with pytest.raises(SimulationError, match="product"):
+            ref_ito_product_check(bent, a, b, dts)
+        ito_product_check(rep, a, b, dts)  # the intact representation passes
 
     def test_perturbed_representations_fail_like_the_reference(self):
         # one block of every non-death triangular matrix moved by about tol, and
-        # a = c death + random with |l(a)| up to 1e3, so the tolerance scale
-        # max(1, |Ma|, |Mb|) shrinks with dt: checks pass or fail at various (dt, block)
+        # a = c death + random with |l(a)| up to 1e3: the product check raises
+        # here iff it raises in the reference, and both outcomes occur
         rng = np.random.default_rng(31)
         blocks = [(0, -1), (slice(1, -1), -1), (0, slice(1, -1)), (slice(1, -1), slice(1, -1))]
-        outcomes = set()
+        outcomes = []
         for alg in (ia.poisson(), ia.hp(1), ia.thermal_brownian(2.0, 0.5)):
             rep = build_representation(alg)
             for _ in range(60):
@@ -327,18 +356,17 @@ class TestItoProductCheck:
                 size = alg.tol * 10 ** rng.uniform(-1, 1)
                 bent = dataclasses.replace(rep, mats=rep.mats + size * noise)
                 a = 10 ** rng.uniform(0, 3) * alg.death_element() + ia.core.random_element(alg, rng)
-                messages = []
+                raised = []
                 for check in (ref_ito_product_check, ito_product_check):
                     try:
                         check(bent, a, a.star(), self.DTS)
-                        messages.append(None)
+                        raised.append(False)
                     except SimulationError as exc:
-                        messages.append(str(exc))
-                assert messages[0] == messages[1]
-                outcomes.add(messages[0])
-        assert None in outcomes
-        assert "corner of the product is not l(a.b) dt + l(a)l(b) dt^2" in outcomes
-        assert any(m is not None and not m.endswith(f"dt={self.DTS[0]}") for m in outcomes)
+                        assert "product (residual" in str(exc)
+                        raised.append(True)
+                assert raised[0] == raised[1]
+                outcomes.append(raised[0])
+        assert len(outcomes) == 180 and set(outcomes) == {False, True}
 
 
 class TestFitLoglogSlope:
@@ -517,7 +545,7 @@ class TestPartitionIdentity:
         for name, alg in faithful_catalog.items():
             rep = build_representation(alg)
             for length in (1, 2, 3, 4):
-                word = [ia.core.random_element(alg, rng, 0.5) for _ in range(length)]
+                word = [0.5 * ia.core.random_element(alg, rng) for _ in range(length)]
                 dense = dense_moment(rep, word, 0.9, n_slots)
                 # |<vac| X(w_1) ... X(w_m) |vac>| <= prod_i N |M(w_i)|
                 mats = [slot_increment(rep, x, 0.9 / n_slots) for x in word]
@@ -532,7 +560,7 @@ class TestPartitionIdentity:
                 alg = _random_rotation(alg, rng)[0]
             rep = build_representation(alg)
             for length in range(1, 7):
-                word = [ia.core.random_element(alg, rng, 0.5) for _ in range(length)]
+                word = [0.5 * ia.core.random_element(alg, rng) for _ in range(length)]
                 table, size = table_moment(alg, [x.coeffs for x in word], 0.7)
                 tol = 1e-10 * max(1.0, size)
                 assert abs(target_route(rep, word, 0.7) - table) <= tol, (name, length)
@@ -543,7 +571,7 @@ class TestPartitionIdentity:
         t = 0.7
         for name, alg in faithful_catalog.items():
             rep = build_representation(alg)
-            x = ia.core.random_element(alg, rng, 0.5)
+            x = 0.5 * ia.core.random_element(alg, rng)
             a = 0.5 * (x + x.star())
             k, kdag, imat = rep.k_of(a), rep.kdag_of(a), rep.i_of(a)
             moments = [1.0] + [target_route(rep, [a] * m, t) for m in range(1, 7)]

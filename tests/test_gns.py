@@ -172,6 +172,11 @@ class TestMinkowskiAdjoint:
             M = rng.standard_normal((d + 2, d + 2)) + 1j * rng.standard_normal((d + 2, d + 2))
             assert rel_residual(minkowski_adjoint(minkowski_adjoint(M)), M) <= 1e-12
 
+    def test_a_matrix_without_a_middle_block_is_refused(self):
+        # a 1x1 matrix has no room for the (-, +) corner of a triangular matrix
+        with pytest.raises(ia.AlgebraError, match="^expected a square matrix of triangular-representation"):
+            minkowski_adjoint(np.zeros((1, 1)))
+
 
 class TestSeminorms:
     def test_death(self, faithful_catalog):

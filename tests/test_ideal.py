@@ -223,6 +223,21 @@ class TestQuotient:
         with pytest.raises(AlgebraError):
             quotient(w, fake)
 
+    @pytest.mark.parametrize(
+        "text, label, message",
+        [
+            ("basis dt f\ndeath dt\nstate dt = 1\nstate f = 1\n", "f",
+             "state does not vanish on the proposed ideal"),
+            (serialize(ia.hp(1)), "e-", "span is not star-closed"),
+        ],
+        ids=["state", "star"],
+    )
+    def test_a_proposed_ideal_that_is_not_one_is_refused(self, text, label, message):
+        alg = parse(text).algebra
+        ideal = IdealBasis(alg, alg.basis_element(label).coeffs[np.newaxis])
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            quotient(alg, ideal)
+
     def test_rejects_dependent_rows(self):
         alg = ia.zero_intensity_poisson()
         from itoalg.ideal import IdealBasis

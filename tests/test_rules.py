@@ -63,6 +63,10 @@ RULES = [
     Rule("one_default_tol", r"(?<![\w.])1e-9\b", ("src/itoalg/**/*.py",), ("src/itoalg/core.py",),
          "the default tolerance is written once, as ItoAlgebra.tol: read it from there",
          "def parse(text: str, tol: float = 1e-9) -> ParseResult:"),
+    Rule("scaled_tol", r"\btol\s*\*|\*\s*[A-Za-z_.]*\btol\b", ("src/itoalg/**/*.py",),
+         ("src/itoalg/core.py",),
+         "scale a tolerance only with core.cutoff or core.rel_residual(s): no hand-scaled bound",
+         "        failed = ~(deviations <= rep.algebra.tol * scale[:, None])"),
     Rule("one_failure_path", r"\.failures\(\)", ("src/itoalg/**/*.py",), ("src/itoalg/core.py",),
          "raise a stage's failed checks with core.Report.require: it writes the one message form",
          '    failed = ", ".join(c.name for c in report.failures())'),
